@@ -248,32 +248,6 @@ func BenchmarkAblationTraditionalVsAnalytical(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationDFSvsMaterialized compares the linear-space depth-first
-// postlude (§2.4) with the literal materialised BCAT of Algorithms 1+3.
-func BenchmarkAblationDFSvsMaterialized(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	tr, err := tracegen.Sized(rng, 20000, 500)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := trace.Strip(tr)
-	m := core.BuildMRCT(s)
-	b.Run("dfs", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Explore(context.Background(), core.Prelude{Stripped: s, MRCT: m}, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("materialized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Explore(context.Background(), core.Prelude{Stripped: s, MRCT: m}, core.Options{Engine: core.EngineBCAT}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationMRCTBuild isolates the prelude phase: hash/LRU-stack
 // conflict table construction (with global deduplication) across workload
 // shapes.
@@ -511,7 +485,8 @@ func BenchmarkAblationBusEncodings(b *testing.B) {
 }
 
 // BenchmarkEnergyAwareSelection measures the energy-aware design-point
-// selection over line size x depth x associativity.
+// selection over line size x depth x associativity: one unified LRU
+// design-space exploration and a scan of its front.
 func BenchmarkEnergyAwareSelection(b *testing.B) {
 	s := suite(b)
 	tr := s.Get("adpcm").Data

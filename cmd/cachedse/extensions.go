@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -16,94 +15,9 @@ import (
 	"github.com/example/cachedse/internal/trace"
 )
 
-// Extension subcommands covering the paper's future-work axes: line size,
-// replacement policies, energy, bus activity, two-level hierarchies and
-// exact trace reduction.
-
-func cmdLinesize(args []string) error {
-	fs := newFlagSet("linesize", "linesize [-k N] [-cap W] [-lines L1,L2,...] TRACE")
-	k := fs.Int("k", 0, "miss budget K (non-cold misses)")
-	capWords := fs.Int("cap", 1<<20, "capacity limit in words")
-	lines := fs.String("lines", "1,2,4,8", "comma list of line sizes (words)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("linesize needs exactly one trace file")
-	}
-	tr, err := loadTrace(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	lineWords, err := parseInts(*lines)
-	if err != nil {
-		return err
-	}
-	results, err := core.LineSizes(context.Background(), tr, core.Options{}, lineWords)
-	if err != nil {
-		return err
-	}
-	tab := &report.Table{
-		Title:   fmt.Sprintf("Line size exploration, K=%d", *k),
-		Headers: []string{"Line (words)", "Cold misses", "Best depth", "Assoc", "Size (words)", "Total misses"},
-	}
-	for _, lr := range results {
-		bestD, bestA, bestTotal, bestSize := 0, 0, -1, 0
-		for _, l := range lr.Result.Levels {
-			a := l.MinAssoc(*k)
-			size := l.Depth * a * lr.LineWords
-			if size > *capWords {
-				continue
-			}
-			total := lr.Cold + l.Misses(a)
-			if bestTotal < 0 || total < bestTotal || (total == bestTotal && size < bestSize) {
-				bestD, bestA, bestTotal, bestSize = l.Depth, a, total, size
-			}
-		}
-		if bestTotal < 0 {
-			tab.AddRow(lr.LineWords, lr.Cold, "-", "-", "-", "-")
-			continue
-		}
-		tab.AddRow(lr.LineWords, lr.Cold, bestD, bestA, bestSize, bestTotal)
-	}
-	fmt.Print(tab.Render())
-	if lw, ins, ok := core.BestLine(results, *k, *capWords); ok {
-		fmt.Printf("best: %d-word lines, %v\n", lw, ins)
-	}
-	return nil
-}
-
-func cmdPolicies(args []string) error {
-	fs := newFlagSet("policies", "policies [-depth D] [-assoc A] [-line W] TRACE")
-	depth := fs.Int("depth", 64, "cache depth")
-	assoc := fs.Int("assoc", 4, "associativity")
-	line := fs.Int("line", 1, "line size (words)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("policies needs exactly one trace file")
-	}
-	tr, err := loadTrace(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	tab := &report.Table{
-		Title:   fmt.Sprintf("Replacement policy comparison, D=%d A=%d L=%d", *depth, *assoc, *line),
-		Headers: []string{"Policy", "Hits", "Cold", "Misses", "Miss rate"},
-	}
-	for _, repl := range []cache.Replacement{cache.LRU, cache.FIFO, cache.PLRU, cache.Random} {
-		res, err := cache.Simulate(cache.Config{
-			Depth: *depth, Assoc: *assoc, LineWords: *line, Repl: repl,
-		}, tr)
-		if err != nil {
-			return err
-		}
-		tab.AddRow(repl, res.Hits, res.ColdMisses, res.Misses, fmt.Sprintf("%.4f", res.MissRate()))
-	}
-	fmt.Print(tab.Render())
-	return nil
-}
+// Extension subcommands covering the paper's future-work axes: energy,
+// bus activity, two-level hierarchies and exact trace reduction. Line
+// sizes and replacement policies are axes of explore's design-space mode.
 
 func cmdEnergy(args []string) error {
 	fs := newFlagSet("energy", "energy [-k N] [-cap W] [-lines L1,L2,...] [-penalty PJ] TRACE")
@@ -125,17 +39,23 @@ func cmdEnergy(args []string) error {
 	if err != nil {
 		return err
 	}
-	choice, err := dse.EnergyAware(tr, *k, lineWords, *capWords, cacti.DefaultParams(), *penalty)
+	params := cacti.DefaultParams()
+	p, err := dse.EnergyAware(tr, *k, lineWords, *capWords, params, *penalty)
+	if err != nil {
+		return err
+	}
+	l := p.Levels[0]
+	est, err := cacti.Model(cache.Config{Depth: l.Depth, Assoc: l.Assoc, LineWords: l.LineWords}, params)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("minimum-energy configuration meeting K=%d within %d words:\n", *k, *capWords)
-	fmt.Printf("  line size:    %d words\n", choice.LineWords)
-	fmt.Printf("  instance:     %v (%d words)\n", choice.Instance, choice.Instance.SizeWords()*choice.LineWords)
-	fmt.Printf("  total misses: %d (cold + conflict)\n", choice.Misses)
-	fmt.Printf("  energy:       %.1f nJ over the trace\n", choice.EnergyPJ/1000)
+	fmt.Printf("  line size:    %d words\n", l.LineWords)
+	fmt.Printf("  instance:     %v (%d words)\n", core.Instance{Depth: l.Depth, Assoc: l.Assoc}, l.SizeWords())
+	fmt.Printf("  total misses: %d (cold + conflict)\n", p.Misses)
+	fmt.Printf("  energy:       %.1f nJ over the trace\n", p.EnergyPJ/1000)
 	fmt.Printf("  area:         %.0f um^2, access %.2f ns, read %.2f pJ\n",
-		choice.Estimate.AreaUM2, choice.Estimate.AccessNS, choice.Estimate.ReadPJ)
+		p.AreaUM2, est.AccessNS, est.ReadPJ)
 	return nil
 }
 

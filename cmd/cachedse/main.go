@@ -16,10 +16,11 @@
 //	                                   optimal (D, A) instances for budget K;
 //	                                   -sample R explores a spatial sample and
 //	                                   reports miss estimates with confidence
-//	                                   bounds; several -policy entries,
-//	                                   -levels 2 or a -tech axis switch to
-//	                                   design-space mode and emit the Pareto
-//	                                   front over (misses, energy, area)
+//	                                   bounds; any -policy other than lru
+//	                                   alone, -levels 2 or a -tech axis
+//	                                   switch to design-space mode and emit
+//	                                   the Pareto front over (misses,
+//	                                   energy, area)
 //	cachedse simulate -depth D -assoc A [-line W] [-repl P] [-store DIR] TRACE
 //	                                   simulate one configuration
 //	cachedse verify   -k N TRACE D:A [D:A ...]
@@ -32,6 +33,11 @@
 //	                                   run the exploration HTTP service
 //	cachedse trace    [-addr URL] [-cluster] [-chrome F] JOB_ID
 //	                                   render a job's (cluster-wide) span tree
+//	cachedse energy   [-k N] [-cap W] [-lines L,...] [-penalty PJ] TRACE
+//	                                   minimum-energy configuration meeting K
+//
+// Further extension verbs (bus, hierarchy, dedup, profile) are listed by
+// cachedse help.
 package main
 
 import (
@@ -76,10 +82,6 @@ func main() {
 		err = cmdVerify(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "linesize":
-		err = cmdLinesize(os.Args[2:])
-	case "policies":
-		err = cmdPolicies(os.Args[2:])
 	case "energy":
 		err = cmdEnergy(os.Args[2:])
 	case "bus":
@@ -123,7 +125,7 @@ func usage() {
 core:        stats  strip  explore  simulate  verify
 formats:     pack  unpack
 service:     serve  trace
-extensions:  linesize  policies  energy  bus  hierarchy  dedup  profile`)
+extensions:  energy  bus  hierarchy  dedup  profile`)
 }
 
 // errUsage signals a flag-parse failure that the subcommand's FlagSet has
@@ -246,9 +248,9 @@ func cmdExplore(args []string) error {
 	sample := fs.Float64("sample", 0, "spatial sampling rate in (0, 1] for approximate exploration (0 = exact)")
 	sampleFloor := fs.Int("sample-floor", 0, "minimum expected sampled unique references (0 = default, negative = no floor)")
 	pareto := fs.Bool("pareto", false, "print only the size-Pareto frontier")
-	policy := fs.String("policy", "lru", "replacement policies to explore, comma-separated: lru, fifo, random, plru (more than one switches to design-space mode)")
+	policy := fs.String("policy", "lru", "replacement policies to explore, comma-separated: lru, fifo, random, plru (anything but lru alone switches to design-space mode)")
 	levels := fs.Int("levels", 1, "hierarchy levels: 1 = unified, 2 = split L1I/L1D + shared L2 (design-space mode)")
-	maxAssoc := fs.Int("max-assoc", 0, "largest associativity to explore (0 = default)")
+	maxAssoc := fs.Int("max-assoc", 0, "largest associativity to explore (0 = default; design-space mode)")
 	tech := fs.String("tech", "", "storage technologies to cost, comma-separated: sram, nvm-hybrid (design-space mode)")
 	frontFmt := fs.String("front", "table", "result rendering: table or csv")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the exploration to this file")
@@ -290,11 +292,12 @@ func cmdExplore(args []string) error {
 	if *levels != 1 && *levels != 2 {
 		return fmt.Errorf("-levels must be 1 (unified) or 2 (split L1I/L1D + shared L2)")
 	}
-	// More than one policy, a second hierarchy level or a technology axis
-	// turns the run into a design-space exploration: the answer is the
-	// Pareto front over (misses, energy, area) rather than a budget-K
-	// instance list.
-	spaceMode := *levels == 2 || len(pols) > 1 || len(techs) > 0
+	// Any policy but LRU alone, a second hierarchy level or a technology
+	// axis turns the run into a design-space exploration: the answer is
+	// the Pareto front over (misses, energy, area) rather than a budget-K
+	// instance list. The analytical engine profiles LRU only; every other
+	// policy is evaluated by the design-space evaluator.
+	spaceMode := *levels == 2 || len(pols) > 1 || pols[0] != core.PolicyLRU || len(techs) > 0
 	tr, err := resolveTrace(*storeDir, fs.Arg(0))
 	if err != nil {
 		return err
@@ -318,14 +321,6 @@ func cmdExplore(args []string) error {
 		}
 		if *sample != 0 && *verify {
 			return fmt.Errorf("-verify needs exact miss counts; drop -sample or verify the chosen instances with the verify command")
-		}
-		if pols[0] != core.PolicyLRU {
-			if *verify {
-				return fmt.Errorf("-verify certifies LRU instances; for %s simulate the chosen instances with the simulate command and -repl %s", pols[0], pols[0])
-			}
-			if *sample != 0 {
-				return fmt.Errorf("policy %s does not support sampled exploration", pols[0])
-			}
 		}
 	}
 	if *cpuprofile != "" {
@@ -386,7 +381,7 @@ func cmdExplore(args []string) error {
 	}
 	opts := core.Options{
 		MaxDepth: *maxDepth, Workers: *workers, SampleRate: *sample,
-		SampleFloor: *sampleFloor, Policy: pols[0], MaxAssoc: *maxAssoc,
+		SampleFloor: *sampleFloor,
 	}
 	if *workers == 0 {
 		// The flag's historical default 0 meant "use every core".
@@ -425,10 +420,6 @@ func cmdExplore(args []string) error {
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			return err
 		}
-	}
-	if pr := r.Prune; pr != nil {
-		fmt.Printf("# %s policy: evaluated %d of %d (depth, assoc) cells; pruned %d dominated + %d past the alpha-threshold\n",
-			pols[0], pr.Evaluated, pr.Candidates, pr.PrunedDominated, pr.PrunedThreshold)
 	}
 	instances, tab := dse.InstanceTable(r, budget, st.MaxMisses, *pareto)
 	if *frontFmt == "csv" {

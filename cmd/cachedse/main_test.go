@@ -6,9 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/trace"
 	"github.com/example/cachedse/internal/tracestore"
 )
@@ -114,8 +117,6 @@ func TestSubcommandsEndToEnd(t *testing.T) {
 			return cmdSimulate([]string{"-depth", "8", "-repl", "plru", "-wt", path})
 		}},
 		{"verify", func() error { return cmdVerify([]string{"-k", "1000", path, "8:2", "16:1"}) }},
-		{"linesize", func() error { return cmdLinesize([]string{"-k", "5", path}) }},
-		{"policies", func() error { return cmdPolicies([]string{"-depth", "8", "-assoc", "2", path}) }},
 		{"energy", func() error { return cmdEnergy([]string{"-k", "10", path}) }},
 		{"bus", func() error { return cmdBus([]string{path}) }},
 		{"hierarchy", func() error { return cmdHierarchy([]string{path}) }},
@@ -260,8 +261,8 @@ func TestSubcommandsUnknownFlag(t *testing.T) {
 	cmds := map[string]func([]string) error{
 		"stats": cmdStats, "strip": cmdStrip, "explore": cmdExplore,
 		"simulate": cmdSimulate, "verify": cmdVerify, "serve": cmdServe,
-		"linesize": cmdLinesize, "policies": cmdPolicies, "energy": cmdEnergy,
-		"bus": cmdBus, "hierarchy": cmdHierarchy, "dedup": cmdDedup,
+		"energy": cmdEnergy,
+		"bus":    cmdBus, "hierarchy": cmdHierarchy, "dedup": cmdDedup,
 		"profile": cmdProfile, "pack": cmdPack, "unpack": cmdUnpack,
 	}
 	for name, cmd := range cmds {
@@ -282,5 +283,60 @@ func TestUsageListsServe(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("usage() missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// A single non-LRU policy enters design-space mode, and every row of the
+// front is the exact simulated miss count of its configuration. On the
+// hot/cold trace 0,1,0,2,…,0,200 FIFO is not a stack algorithm: its misses
+// keep falling past LRU's A_zero of 2, so the 4-way cell (201 cold + 49)
+// must be reported, not clamped to the 2-way count.
+func TestExploreFIFOMatchesSimulation(t *testing.T) {
+	addrs := make([]uint32, 0, 400)
+	for i := uint32(1); i <= 200; i++ {
+		addrs = append(addrs, 0, i)
+	}
+	tr := trace.FromAddrs(trace.DataRead, addrs)
+	path := filepath.Join(t.TempDir(), "hotcold.din")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteText(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	out, err := captureStdout(t, func() error {
+		return cmdExplore([]string{"-k", "50", "-policy", "fifo", "-maxdepth", "1", "-max-assoc", "8", path})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile(`^L1 D=(\d+) A=(\d+) lw=(\d+) fifo sram\s+(\d+)\s`)
+	rows, sawA4 := 0, false
+	for _, line := range strings.Split(out, "\n") {
+		m := row.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		depth, _ := strconv.Atoi(m[1])
+		assoc, _ := strconv.Atoi(m[2])
+		lw, _ := strconv.Atoi(m[3])
+		misses, _ := strconv.Atoi(m[4])
+		sim, err := cache.Simulate(cache.Config{Depth: depth, Assoc: assoc, LineWords: lw, Repl: cache.FIFO}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sim.ColdMisses + sim.Misses; misses != want {
+			t.Errorf("D=%d A=%d: printed %d misses, simulated %d", depth, assoc, misses, want)
+		}
+		if assoc == 4 && misses == 250 {
+			sawA4 = true
+		}
+		rows++
+	}
+	if rows == 0 || !sawA4 {
+		t.Fatalf("want FIFO front rows including D=1 A=4 with 250 misses; got:\n%s", out)
 	}
 }

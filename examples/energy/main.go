@@ -11,6 +11,7 @@ import (
 
 	"github.com/example/cachedse/internal/bus"
 	"github.com/example/cachedse/internal/cacti"
+	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/dse"
 	"github.com/example/cachedse/internal/powerstone"
 	"github.com/example/cachedse/internal/trace"
@@ -30,12 +31,13 @@ func main() {
 	// minimum-energy design point grows.
 	fmt.Printf("%12s  %5s  %-14s %8s %12s\n", "penalty (pJ)", "line", "instance", "misses", "energy (nJ)")
 	for _, penalty := range []float64{100, 1000, 10000, 100000} {
-		choice, err := dse.EnergyAware(tr, k, []int{1, 2, 4}, 4096, cacti.DefaultParams(), penalty)
+		p, err := dse.EnergyAware(tr, k, []int{1, 2, 4}, 4096, cacti.DefaultParams(), penalty)
 		if err != nil {
 			log.Fatal(err)
 		}
+		l := p.Levels[0]
 		fmt.Printf("%12.0f  %5d  %-14v %8d %12.1f\n",
-			penalty, choice.LineWords, choice.Instance, choice.Misses, choice.EnergyPJ/1000)
+			penalty, l.LineWords, core.Instance{Depth: l.Depth, Assoc: l.Assoc}, p.Misses, p.EnergyPJ/1000)
 	}
 
 	fmt.Println("\naddress-bus activity of the full data stream:")

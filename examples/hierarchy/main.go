@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,11 @@ func main() {
 	tr := res.Data
 	l1 := cache.Config{Depth: 16, Assoc: 1}
 
-	r, filtered, err := dse.ExploreL2(tr, l1, core.Options{MaxDepth: 512})
+	filtered, err := dse.FilterThroughL1(tr, l1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := core.Explore(context.Background(), filtered, core.Options{MaxDepth: 512})
 	if err != nil {
 		log.Fatal(err)
 	}

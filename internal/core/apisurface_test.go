@@ -58,6 +58,63 @@ func TestAPISurfaceOneExploreEntryPoint(t *testing.T) {
 	}
 }
 
+// TestAPISurfaceLRUOnlyOptions locks Explore to the one question it
+// answers — the exact (or sampled) LRU miss profile. core.Options carries
+// exactly the depth cap, the postlude parallelism and the three sampling
+// knobs; replacement policies, associativity caps and engine selection
+// belong to the design-space evaluator (dse.ExploreSpace), and no
+// exported top-level identifier naming an Engine may return.
+func TestAPISurfaceLRUOnlyOptions(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields, engines []string
+	exported := func(id *ast.Ident) {
+		if id.IsExported() && strings.Contains(id.Name, "Engine") {
+			engines = append(engines, id.Name)
+		}
+	}
+	for _, file := range pkgs["core"].Files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					exported(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						exported(sp.Name)
+						if st, ok := sp.Type.(*ast.StructType); ok && sp.Name.Name == "Options" {
+							for _, f := range st.Fields.List {
+								for _, name := range f.Names {
+									fields = append(fields, name.Name)
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, name := range sp.Names {
+							exported(name)
+						}
+					}
+				}
+			}
+		}
+	}
+	want := []string{"MaxDepth", "Workers", "SampleRate", "SampleSeed", "SampleFloor"}
+	if strings.Join(fields, ",") != strings.Join(want, ",") {
+		t.Errorf("core.Options fields = %v, want exactly %v", fields, want)
+	}
+	if len(engines) != 0 {
+		t.Errorf("exported identifiers %v reintroduced; the postlude formulation is not an option", engines)
+	}
+}
+
 func isDeprecated(doc *ast.CommentGroup) bool {
 	if doc == nil {
 		return false

@@ -358,7 +358,7 @@ func TestExploreBCATMatchesDFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Engine: EngineBCAT})
+	mat, err := exploreBCAT(context.Background(), s, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func TestQuickDFSMatchesBCAT(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mat, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Engine: EngineBCAT})
+		mat, err := exploreBCAT(context.Background(), s, m, Options{})
 		if err != nil {
 			return false
 		}
@@ -246,7 +246,7 @@ func TestCrossCheckEnginesBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mat, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Engine: EngineBCAT})
+				mat, err := exploreBCAT(context.Background(), s, m, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

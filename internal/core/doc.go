@@ -22,9 +22,14 @@
 // per level therefore yields the miss count of every associativity at every
 // depth in one traversal, from which the minimal A per (depth, K) follows.
 //
-// Explore is the production entry point and uses the depth-first combined
+// Explore is the one entry point and uses the depth-first combined
 // formulation of §2.4: BCAT nodes are never materialised beyond the current
-// root-to-leaf path, so space stays linear in the trace. BuildBCAT and
-// Options.Engine = EngineBCAT keep the explicit tree of Algorithms 1 and 3
-// available for inspection, teaching and cross-validation.
+// root-to-leaf path, so space stays linear in the trace. BuildBCAT keeps
+// the explicit tree of Algorithm 1 available for inspection and teaching
+// (cmd/repro draws Figure 3 with it); the tests walk it with Algorithm 3
+// as the oracle the production postludes must match bit for bit.
+//
+// Explore answers only the LRU miss profile. Replacement policies, line
+// sizes, storage technologies, energy and hierarchies are axes of a Space,
+// the declarative model this package defines and internal/dse evaluates.
 package core

@@ -41,11 +41,6 @@ type Options struct {
 	// scaling BENCH_core.json's parallel ablation used to record).
 	// Results are bit-identical at every setting.
 	Workers int
-	// Engine selects the postlude formulation. EngineAuto (the zero
-	// value) picks the linear-space DFS; EngineBCAT materialises the full
-	// Binary Cache Allocation Tree first (the paper's literal Algorithm 3,
-	// kept for cross-checking — it is serial and rejects Workers > 1).
-	Engine Engine
 	// SampleRate switches the engine into SHARDS-style approximate mode:
 	// spatially hash-sample references at this rate, explore the sampled
 	// trace and rescale the miss counts back to full-trace magnitude with
@@ -59,45 +54,6 @@ type Options struct {
 	// (sampling.Config.MinUnique): zero means sampling.DefaultMinUnique,
 	// negative disables the floor.
 	SampleFloor int
-	// Policy selects the replacement policy profiled. The zero value
-	// (PolicyLRU) is the analytical path above. Any other policy runs the
-	// one-pass estimator: an LRU exploration first bounds the useful
-	// associativity range per depth (A_zero and the α-threshold), then
-	// internal/onepass sweeps the surviving 1..MaxAssoc cells in one trace
-	// pass per depth. The resulting Levels carry MissByAssoc instead of
-	// Hist, and Result.Prune reports the skipped work. Non-LRU runs need a
-	// *trace.Trace source and exact mode (SampleRate 0).
-	Policy Policy
-	// MaxAssoc caps the associativity axis of a non-LRU run; zero means
-	// DefaultMaxAssoc. Ignored for LRU, whose histogram covers every
-	// associativity at once.
-	MaxAssoc int
-}
-
-// Engine names a postlude formulation.
-type Engine int
-
-const (
-	// EngineAuto lets Explore choose; today it resolves to EngineDFS.
-	EngineAuto Engine = iota
-	// EngineDFS is the depth-first, linear-space postlude (§2.4).
-	EngineDFS
-	// EngineBCAT materialises the Binary Cache Allocation Tree and walks
-	// it level by level — the paper's literal Algorithm 3.
-	EngineBCAT
-)
-
-// String names the engine for logs and errors.
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineDFS:
-		return "dfs"
-	case EngineBCAT:
-		return "bcat"
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
 }
 
 // workerCount resolves Options.Workers: 0 and 1 are serial, negative is
@@ -131,31 +87,14 @@ type LevelResult struct {
 	Hist []int
 	// AZero is the smallest associativity with zero non-cold misses at
 	// this depth (the paper's A_zero aggregated over the level's nodes).
-	// For a non-LRU profile whose sweep never reaches zero it is one past
-	// the largest swept associativity.
 	AZero int
-	// MissByAssoc holds a non-LRU profile: MissByAssoc[a] is the non-cold
-	// miss count at associativity a (index 0 unused). Nil for LRU runs,
-	// whose misses derive from the histogram tail. The two representations
-	// are mutually exclusive: FIFO/Random/PLRU lack the stack inclusion
-	// property, so their per-associativity counts are not monotone and
-	// cannot be encoded as a tail sum.
-	MissByAssoc []int `json:",omitempty"`
 }
 
-// Misses returns the non-cold miss count of an assoc-way cache at this
-// depth: the histogram tail at and above assoc for an LRU profile, the
-// swept count for a policy profile (clamped to the largest swept
-// associativity — no inclusion property holds beyond it).
+// Misses returns the non-cold miss count of an assoc-way LRU cache at
+// this depth: the histogram tail at and above assoc.
 func (l *LevelResult) Misses(assoc int) int {
 	if assoc < 1 {
 		panic(fmt.Sprintf("core: associativity %d < 1", assoc))
-	}
-	if l.MissByAssoc != nil {
-		if assoc >= len(l.MissByAssoc) {
-			assoc = len(l.MissByAssoc) - 1
-		}
-		return l.MissByAssoc[assoc]
 	}
 	m := 0
 	for d := assoc; d < len(l.Hist); d++ {
@@ -165,26 +104,10 @@ func (l *LevelResult) Misses(assoc int) int {
 }
 
 // MinAssoc returns the smallest associativity whose miss count is at most
-// k — the paper's min_i for this depth. On a non-LRU profile misses are
-// not monotone in associativity, so the scan is explicit; if no swept
-// associativity meets the budget, the one with the fewest misses wins
-// (smallest on ties).
+// k — the paper's min_i for this depth.
 func (l *LevelResult) MinAssoc(k int) int {
 	if k < 0 {
 		k = 0
-	}
-	if l.MissByAssoc != nil {
-		best, bestM := 1, -1
-		for a := 1; a < len(l.MissByAssoc); a++ {
-			m := l.MissByAssoc[a]
-			if m <= k {
-				return a
-			}
-			if bestM < 0 || m < bestM {
-				best, bestM = a, m
-			}
-		}
-		return best
 	}
 	tail := 0
 	for d := len(l.Hist) - 1; d >= 1; d-- {
@@ -211,9 +134,6 @@ type Result struct {
 	// counts in Levels are then rescaled estimates, and Sample derives
 	// their standard errors and confidence intervals.
 	Sample *sampling.Estimate `json:",omitempty"`
-	// Prune tallies the associativity cells the α-threshold cuts skipped
-	// on a non-LRU run (Options.Policy != PolicyLRU); nil otherwise.
-	Prune *PruneStats `json:",omitempty"`
 }
 
 // Level returns the profile for the given depth, or nil if the depth is
@@ -269,9 +189,11 @@ func (r *Result) ParetoSet(k int) []Instance {
 }
 
 // Explore is the one entry point of the analytical engine: it runs the
-// prelude (strip + conflict table) over src as needed and the postlude
-// selected by opts, returning the per-depth miss profile. Cancellation
-// flows from ctx into every phase.
+// prelude (strip + conflict table) over src as needed and the LRU
+// postlude, returning the per-depth miss profile. Cancellation flows from
+// ctx into every phase. Every other design question — replacement
+// policies, energy, line sizes, hierarchies — goes through the
+// design-space evaluator in internal/dse, which builds on this profile.
 //
 // Source accepts three shapes:
 //
@@ -280,15 +202,13 @@ func (r *Result) ParetoSet(k int) []Instance {
 //	trace.RefReader  — streaming: the prelude consumes the reference
 //	                   stream without materialising a *trace.Trace
 //
-// Options.Workers picks serial vs work-stealing parallel postlude and
-// Options.Engine the formulation; results are bit-identical across all
-// combinations (TestCrossCheckEnginesBitIdentical pins this).
+// Options.Workers picks the serial depth-first or the work-stealing
+// parallel postlude; results are bit-identical across worker counts and
+// with the materialised-tree oracle of the tests
+// (TestCrossCheckEnginesBitIdentical pins this).
 func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if opts.Policy != PolicyLRU {
-		return explorePolicy(ctx, src, opts)
 	}
 	if opts.SampleRate != 0 {
 		return exploreSampled(ctx, src, opts)
@@ -302,10 +222,10 @@ func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 	return runPostlude(ctx, s, m, opts, sc)
 }
 
-// runPostlude dispatches the resolved (stripped, MRCT) pair to the
-// configured postlude engine, drawing working memory from sc (nil gets a
+// runPostlude runs the serial or parallel postlude over the resolved
+// (stripped, MRCT) pair, drawing working memory from sc (nil gets a
 // private throwaway scratch). Both the exact and the sampled path funnel
-// through here, so engine selection and the postlude failpoint behave
+// through here, so worker selection and the postlude failpoint behave
 // identically in both modes.
 func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, sc *Scratch) (*Result, error) {
 	if err := faultinject.Hit("core.postlude"); err != nil {
@@ -314,25 +234,10 @@ func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, 
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	workers := opts.workerCount()
-	switch opts.Engine {
-	case EngineAuto, EngineDFS:
-		if workers > 1 {
-			return exploreParallel(ctx, s, m, opts, workers, sc)
-		}
-		return exploreDFS(ctx, s, m, opts, sc)
-	case EngineBCAT:
-		// Reject on the requested worker count, not the resolved one:
-		// GOMAXPROCS clamping must not make Workers=8 mean something
-		// different on a one-core host than on an eight-core one.
-		if opts.Workers > 1 || workers > 1 {
-			return nil, fmt.Errorf("core: the %s engine rejects Workers = %d: %w", opts.Engine, opts.Workers, ErrEngineSerial)
-		}
-		sc.resetSets()
-		return exploreBCAT(ctx, s, buildBCATAlloc(s, 0, sc.newSet), m, opts, sc)
-	default:
-		return nil, fmt.Errorf("core: unknown engine %s", opts.Engine)
+	if workers := opts.workerCount(); workers > 1 {
+		return exploreParallel(ctx, s, m, opts, workers, sc)
 	}
+	return exploreDFS(ctx, s, m, opts, sc)
 }
 
 // stripWithSpan wraps the prelude's strip pass in a "strip" span when
@@ -501,45 +406,6 @@ func endPostludeSpan(span *obs.Span, algorithm string, r *Result, lvlRows []int,
 		span.SetAttr("rows", totalRows)
 	}
 	span.End()
-}
-
-// exploreBCAT runs Algorithm 3 over a materialised BCAT, the literal
-// formulation of the paper. It must produce exactly the same Result as
-// the DFS; that variant is preferred for its linear space.
-func exploreBCAT(ctx context.Context, s *trace.Stripped, t *BCAT, m *MRCT, opts Options, sc *Scratch) (*Result, error) {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	levels, err := levelCount(s, opts)
-	if err != nil {
-		return nil, err
-	}
-	if levels > t.Levels {
-		levels = t.Levels
-	}
-	r := newResult(s, m, levels)
-	if s.NUnique() > 0 {
-		// Depth 1: the single row holding every unique reference. The set
-		// comes from the same freelist the tree was built from — the
-		// cursor was reset before BuildBCAT, not here, so the tree's sets
-		// stay live.
-		root := sc.newSet(s.NUnique())
-		for id := 0; id < s.NUnique(); id++ {
-			root.Add(id)
-		}
-		accumulate(r.Levels[0], root, m)
-		chk := &ctxCheck{ctx: ctx, every: 64}
-		for l := 1; l <= levels; l++ {
-			for _, set := range t.LevelSets(l) {
-				if chk.stop() {
-					return nil, chk.err
-				}
-				accumulate(r.Levels[l], set, m)
-			}
-		}
-	}
-	finalize(r)
-	return r, nil
 }
 
 // newResult allocates a Result with one LevelResult per depth, every

@@ -54,33 +54,3 @@ func LineSizes(ctx context.Context, t *trace.Trace, opts Options, lineWords []in
 	}
 	return out, nil
 }
-
-// BestLine returns, for a miss budget k and a capacity limit in words, the
-// (line size, depth, assoc) combination with the fewest total misses (cold
-// + non-cold) that fits the capacity, breaking ties toward smaller size.
-// It returns ok=false when no explored combination fits.
-//
-// Total misses — not just the conflict misses the budget constrains — is
-// the right objective across line sizes, because larger lines trade cold
-// misses for conflict misses and comparing non-cold counts alone would
-// always favour the largest line.
-func BestLine(lines []LineResult, k int, capWords int) (lw int, ins Instance, ok bool) {
-	bestMisses := -1
-	bestSize := -1
-	for _, lr := range lines {
-		for _, l := range lr.Result.Levels {
-			a := l.MinAssoc(k)
-			size := l.Depth * a * lr.LineWords
-			if size > capWords {
-				continue
-			}
-			total := lr.Cold + l.Misses(a)
-			if bestMisses < 0 || total < bestMisses ||
-				(total == bestMisses && size < bestSize) {
-				bestMisses, bestSize = total, size
-				lw, ins, ok = lr.LineWords, Instance{Depth: l.Depth, Assoc: a}, true
-			}
-		}
-	}
-	return lw, ins, ok
-}

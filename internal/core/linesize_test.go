@@ -74,54 +74,3 @@ func TestQuickLineSizesMatchSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBestLine(t *testing.T) {
-	// Strided access with stride 4: 1-word lines see no spatial locality,
-	// so at equal capacity a 4-word line wastes 3/4 of every line.
-	addrs := make([]uint32, 0, 800)
-	for rep := 0; rep < 8; rep++ {
-		for i := uint32(0); i < 100; i++ {
-			addrs = append(addrs, i*4)
-		}
-	}
-	strided := trace.FromAddrs(trace.DataRead, addrs)
-	lines, err := LineSizes(context.Background(), strided, Options{}, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lw, ins, ok := BestLine(lines, 0, 128)
-	if !ok {
-		t.Fatal("no instance fits 128 words")
-	}
-	if lw != 1 {
-		t.Fatalf("strided workload picked %d-word lines (instance %v), want 1", lw, ins)
-	}
-
-	// Sequential access: 4-word lines quarter the cold misses at the same
-	// capacity, so they win.
-	seq := make([]uint32, 0, 800)
-	for rep := 0; rep < 2; rep++ {
-		for i := uint32(0); i < 400; i++ {
-			seq = append(seq, i)
-		}
-	}
-	lines, err = LineSizes(context.Background(), trace.FromAddrs(trace.DataRead, seq), Options{}, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lw, _, ok = BestLine(lines, 1<<30, 128)
-	if !ok || lw != 4 {
-		t.Fatalf("sequential workload picked %d-word lines, want 4", lw)
-	}
-}
-
-func TestBestLineNoFit(t *testing.T) {
-	tr := trace.FromAddrs(trace.DataRead, []uint32{0, 1, 2, 3, 0, 1, 2, 3})
-	lines, err := LineSizes(context.Background(), tr, Options{}, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := BestLine(lines, 0, 0); ok {
-		t.Fatal("capacity 0 should fit nothing")
-	}
-}

@@ -90,12 +90,13 @@ func TestPooledRunsBitIdentical(t *testing.T) {
 			t.Fatalf("warm pooled run %d differs from cold run", run)
 		}
 	}
-	bcat, err := Explore(context.Background(), tr, Options{Engine: EngineBCAT})
+	s := trace.Strip(tr)
+	bcat, err := exploreBCAT(context.Background(), s, BuildMRCT(s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resultsIdentical(cold, bcat) {
-		t.Fatal("pooled DFS differs from BCAT engine")
+		t.Fatal("pooled DFS differs from the materialised BCAT")
 	}
 	// Interleave a differently-shaped trace through the same pool, then
 	// re-run the original: a stale-arena read would surface here.

@@ -378,13 +378,14 @@ type PruneStats struct {
 	// Evaluated is the number whose miss count was computed.
 	Evaluated int
 	// PrunedDominated counts cells skipped because they are analytically
-	// dominated: associativities past A_zero (LRU reaches zero non-cold
-	// misses at no greater cost) and LRU plateau associativities (same
-	// misses as a cheaper neighbour).
+	// dominated: associativities past A_zero (LRU, in the same level's
+	// policy set, reaches zero non-cold misses at no greater cost) and LRU
+	// plateau associativities (same misses as a cheaper neighbour).
 	PrunedDominated int
 	// PrunedThreshold counts non-LRU cells skipped by the α-threshold:
 	// associativities past the point where the LRU profile shows the
-	// level within eps of its compulsory floor.
+	// level within eps of its compulsory floor. Like the A_zero cut it
+	// applies only to levels whose policy set includes LRU.
 	PrunedThreshold int
 }
 
@@ -481,7 +482,9 @@ const DefaultAlphaEps = 0.05
 // threshold — additional ways past it buy negligible improvement. On an
 // analytical profile the threshold is exact, so associativities past it
 // are pruned for the approximating policies (FIFO/Random/PLRU track
-// LRU's diminishing returns there). eps <= 0 uses DefaultAlphaEps.
+// LRU's diminishing returns there) — but only beside an LRU candidate
+// that stands for them on the front; the cut is approximate, not a
+// dominance proof. eps <= 0 uses DefaultAlphaEps.
 func AlphaThreshold(l *LevelResult, maxAssoc int, eps float64) int {
 	if eps <= 0 {
 		eps = DefaultAlphaEps

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"testing"
-
-	"github.com/example/cachedse/internal/trace"
 )
 
 func TestParseRoundTrips(t *testing.T) {
@@ -139,80 +135,5 @@ func TestAlphaThreshold(t *testing.T) {
 	clean := &LevelResult{Depth: 8, Hist: []int{5}, AZero: 1}
 	if got := AlphaThreshold(clean, 8, 0.01); got != 1 {
 		t.Errorf("AlphaThreshold(no misses) = %d, want 1", got)
-	}
-}
-
-// TestExplorePolicyMatchesProfileShape pins the non-LRU branch of
-// Explore: MissByAssoc levels, prune accounting, and the option errors.
-func TestExplorePolicyMatchesProfileShape(t *testing.T) {
-	tr := trace.New(0)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 4000; i++ {
-		tr.Append(trace.Ref{Addr: uint32(rng.Intn(1 << 10)), Kind: trace.DataRead})
-	}
-	ctx := context.Background()
-	r, err := Explore(ctx, tr, Options{MaxDepth: 32, Policy: PolicyFIFO, MaxAssoc: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Prune == nil {
-		t.Fatal("non-LRU result has no Prune stats")
-	}
-	if r.Prune.Candidates != len(r.Levels)*4 {
-		t.Errorf("Candidates = %d, want %d", r.Prune.Candidates, len(r.Levels)*4)
-	}
-	if r.Prune.Evaluated+r.Prune.Pruned() != r.Prune.Candidates {
-		t.Errorf("prune tally does not partition: %+v", r.Prune)
-	}
-	lru, err := Explore(ctx, tr, Options{MaxDepth: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range r.Levels {
-		if l.MissByAssoc == nil {
-			t.Fatalf("level %d has no MissByAssoc", i)
-		}
-		if l.Hist != nil {
-			t.Fatalf("level %d carries both representations", i)
-		}
-		// The α-threshold and A_zero cuts bound the sweep by the LRU
-		// profile of the same depth.
-		capZero := lru.Levels[i].AZero
-		if capZero > 4 {
-			capZero = 4
-		}
-		if len(l.MissByAssoc)-1 > capZero {
-			t.Errorf("level %d swept %d assocs, beyond cap %d", i, len(l.MissByAssoc)-1, capZero)
-		}
-	}
-
-	// A policy run needs the raw trace and exact mode.
-	if _, err := Explore(ctx, trace.Strip(tr), Options{Policy: PolicyPLRU}); err == nil {
-		t.Error("policy run accepted a Stripped source")
-	}
-	if _, err := Explore(ctx, tr, Options{Policy: PolicyPLRU, SampleRate: 0.5}); err == nil {
-		t.Error("policy run accepted sampled mode")
-	}
-	if _, err := Explore(ctx, tr, Options{Policy: Policy(9)}); err == nil {
-		t.Error("Explore accepted an invalid policy")
-	}
-}
-
-// TestEngineSerialTyped pins the BCAT contract: asking the serial engine
-// for workers fails with ErrEngineSerial, matchable through wrapping.
-func TestEngineSerialTyped(t *testing.T) {
-	tr := trace.New(0)
-	for i := 0; i < 64; i++ {
-		tr.Append(trace.Ref{Addr: uint32(i % 16), Kind: trace.DataRead})
-	}
-	_, err := Explore(context.Background(), tr, Options{Engine: EngineBCAT, Workers: 2})
-	if err == nil {
-		t.Fatal("BCAT with Workers=2 succeeded")
-	}
-	if !errors.Is(err, ErrEngineSerial) {
-		t.Errorf("error %v does not match ErrEngineSerial", err)
-	}
-	if _, err := Explore(context.Background(), tr, Options{Engine: EngineBCAT}); err != nil {
-		t.Errorf("serial BCAT failed: %v", err)
 	}
 }

@@ -24,26 +24,23 @@ func TestEnergyAwareMeetsBudget(t *testing.T) {
 	}
 	// The chosen instance must honour the budget under simulation at its
 	// own line size (simulated against the original word trace).
-	cfg := cache.Config{
-		Depth:     choice.Instance.Depth,
-		Assoc:     choice.Instance.Assoc,
-		LineWords: choice.LineWords,
-	}
-	res, err := cache.Simulate(cfg, tr)
+	l := choice.Levels[0]
+	res, err := cache.Simulate(cache.Config{Depth: l.Depth, Assoc: l.Assoc, LineWords: l.LineWords}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Misses > k {
-		t.Fatalf("chosen %v @%d-word lines misses %d > K=%d", choice.Instance, choice.LineWords, res.Misses, k)
+		t.Fatalf("chosen %v misses %d > K=%d", l, res.Misses, k)
 	}
 	if res.Misses+res.ColdMisses != choice.Misses {
 		t.Fatalf("predicted total misses %d != simulated %d", choice.Misses, res.Misses+res.ColdMisses)
 	}
 }
 
+// TestEnergyAwareIsMinimal brute-forces every (line, depth, assoc) cell
+// that fits the capacity — not only the front the selector reads — and
+// confirms no cell meeting the budget is cheaper than the choice.
 func TestEnergyAwareIsMinimal(t *testing.T) {
-	// Brute-force the same candidate set and confirm the choice is the
-	// energy argmin.
 	tr := testTrace()
 	st := trace.ComputeStats(tr)
 	k := st.MaxMisses / 4
@@ -62,19 +59,19 @@ func TestEnergyAwareIsMinimal(t *testing.T) {
 	}
 	for _, lr := range lines {
 		for _, l := range lr.Result.Levels {
-			a := l.MinAssoc(k)
-			cfg := cache.Config{Depth: l.Depth, Assoc: a, LineWords: lr.LineWords}
-			if cfg.SizeWords() > capWords {
-				continue
-			}
-			est, err := cacti.Model(cfg, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			energy := cacti.AccessEnergy(est, tr.Len(), lr.Cold+l.Misses(a), 0, penalty)
-			if energy < choice.EnergyPJ {
-				t.Fatalf("found cheaper candidate D=%d A=%d L=%d (%.0f pJ < %.0f pJ)",
-					l.Depth, a, lr.LineWords, energy, choice.EnergyPJ)
+			for a := 1; l.Depth*a*lr.LineWords <= capWords; a++ {
+				if l.Misses(a) > k {
+					continue
+				}
+				est, err := cacti.Model(cache.Config{Depth: l.Depth, Assoc: a, LineWords: lr.LineWords}, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				energy := cacti.AccessEnergy(est, tr.Len(), lr.Cold+l.Misses(a), 0, penalty)
+				if energy < choice.EnergyPJ*(1-1e-12) {
+					t.Fatalf("found cheaper candidate D=%d A=%d L=%d (%.0f pJ < %.0f pJ)",
+						l.Depth, a, lr.LineWords, energy, choice.EnergyPJ)
+				}
 			}
 		}
 	}
@@ -84,6 +81,15 @@ func TestEnergyAwareNoFit(t *testing.T) {
 	tr := testTrace()
 	if _, err := EnergyAware(tr, 0, []int{1}, 1, cacti.DefaultParams(), 2000); err == nil {
 		t.Fatal("capacity 1 word should fit nothing at K=0")
+	}
+}
+
+// TestEnergyAwareZeroCapacity: a zero-word capacity fits no cache, however
+// loose the miss budget.
+func TestEnergyAwareZeroCapacity(t *testing.T) {
+	tr := trace.FromAddrs(trace.DataRead, []uint32{0, 1, 2, 3, 0, 1, 2, 3})
+	if _, err := EnergyAware(tr, 1<<30, []int{1}, 0, cacti.DefaultParams(), 2000); err == nil {
+		t.Fatal("capacity 0 should fit nothing")
 	}
 }
 
@@ -105,14 +111,60 @@ func TestEnergyAwarePenaltyShiftsChoice(t *testing.T) {
 	if dear.Misses > cheap.Misses {
 		t.Fatalf("high penalty picked more misses (%d) than low penalty (%d)", dear.Misses, cheap.Misses)
 	}
-	if cheap.Instance.SizeWords()*1 > dear.Instance.SizeWords()*dearLineOr1(dear) {
-		t.Fatalf("low penalty picked bigger cache (%v) than high penalty (%v)", cheap.Instance, dear.Instance)
+	if cheap.Levels[0].SizeWords() > dear.Levels[0].SizeWords() {
+		t.Fatalf("low penalty picked bigger cache (%v) than high penalty (%v)", cheap.Levels[0], dear.Levels[0])
 	}
 }
 
-func dearLineOr1(c Choice) int {
-	if c.LineWords == 0 {
-		return 1
+// TestEnergyAwareLineChoice pins the line-size axis: strided access gains
+// nothing from wide lines, which only multiply refill energy, while
+// sequential access cuts its cold misses by the line width.
+func TestEnergyAwareLineChoice(t *testing.T) {
+	strided := make([]uint32, 0, 800)
+	for rep := 0; rep < 8; rep++ {
+		for i := uint32(0); i < 100; i++ {
+			strided = append(strided, i*4)
+		}
 	}
-	return c.LineWords
+	seq := make([]uint32, 0, 800)
+	for rep := 0; rep < 2; rep++ {
+		for i := uint32(0); i < 400; i++ {
+			seq = append(seq, i)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		addrs []uint32
+		k     int
+		want  int
+	}{
+		{"strided", strided, 0, 1},
+		{"sequential", seq, 1 << 30, 4},
+	} {
+		p, err := EnergyAware(trace.FromAddrs(trace.DataRead, c.addrs), c.k, []int{1, 4}, 128, cacti.DefaultParams(), 2000)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := p.Levels[0].LineWords; got != c.want {
+			t.Errorf("%s workload picked %d-word lines (%v), want %d", c.name, got, p.Levels[0], c.want)
+		}
+	}
+}
+
+// TestEnergyAwareZeroPenalty: a zero penalty prices misses at nothing,
+// rather than falling back to the design-space default.
+func TestEnergyAwareZeroPenalty(t *testing.T) {
+	tr := testTrace()
+	p, err := EnergyAware(tr, 1<<30, []int{1}, 4096, cacti.DefaultParams(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := p.Levels[0]
+	est, err := cacti.Model(cache.Config{Depth: l.Depth, Assoc: l.Assoc, LineWords: l.LineWords}, cacti.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cacti.AccessEnergy(est, tr.Len(), p.Misses, 0, 0); p.EnergyPJ != want {
+		t.Errorf("zero-penalty energy %v, want %v", p.EnergyPJ, want)
+	}
 }

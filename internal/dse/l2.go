@@ -1,11 +1,9 @@
 package dse
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/example/cachedse/internal/cache"
-	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/trace"
 )
 
@@ -99,19 +97,4 @@ func readKind(k trace.Kind) trace.Kind {
 		return trace.Instr
 	}
 	return trace.DataRead
-}
-
-// ExploreL2 sizes the second level: it filters the trace through the given
-// L1 and analytically explores the resulting stream, returning the
-// filtered stream's exploration (budget semantics: non-cold L2 misses).
-func ExploreL2(t *trace.Trace, l1 cache.Config, opts core.Options) (*core.Result, *trace.Trace, error) {
-	filtered, err := FilterThroughL1(t, l1)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := core.Explore(context.Background(), filtered, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, filtered, nil
 }

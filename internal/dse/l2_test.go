@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -93,12 +94,16 @@ func TestFilteredStreamMatchesHierarchy(t *testing.T) {
 func TestExploreL2MatchesHierarchy(t *testing.T) {
 	tr := mixedTrace(7, 3000)
 	l1 := cache.Config{Depth: 16, Assoc: 1}
-	r, filtered, err := ExploreL2(tr, l1, core.Options{MaxDepth: 128})
+	filtered, err := FilterThroughL1(tr, l1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if filtered.Len() == 0 {
 		t.Fatal("empty filtered stream")
+	}
+	r, err := core.Explore(context.Background(), filtered, core.Options{MaxDepth: 128})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, depth := range []int{1, 8, 32, 128} {
 		for _, assoc := range []int{1, 2, 4} {

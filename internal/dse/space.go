@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/example/cachedse/internal/cache"
@@ -19,9 +20,10 @@ import (
 // evaluator is analytical end to end: LRU levels come from the postlude's
 // histogram, non-LRU levels from the one-pass estimator, costs from the
 // cacti model; the only simulation is the L1 filter replay that derives
-// the L2 reference stream, one run per retained L1 pair. The α-threshold
-// and A_zero cuts prune the associativity axis before any non-LRU
-// evaluation, and core.Front.Stats records how much work they skipped.
+// the L2 reference stream, one run per retained L1 pair. On levels whose
+// policy set includes LRU, the α-threshold and A_zero cuts prune the
+// associativity axis before any non-LRU evaluation, and core.Front.Stats
+// records how much work they skipped.
 
 // DefaultMissPenaltyPJ is the off-chip access energy charged per
 // last-level miss when SpaceOptions leaves the penalty zero. It matches
@@ -49,10 +51,14 @@ type SpaceOptions struct {
 	// the L1 pair front.
 	MaxL1Pairs int
 	// Exhaustive disables the A_zero, LRU-plateau and α-threshold cuts,
-	// evaluating every candidate cell of every level grid. The cuts only
-	// skip dominated or within-eps-of-floor cells, so the fronts agree up
-	// to the α slack; it exists so the benchmark harness can price what
-	// the cuts save on the identical computation.
+	// evaluating every candidate cell of every level grid. Every miss
+	// count on a front is exact either way: each evaluated cell is
+	// bit-equal to internal/cache simulation. The front is complete —
+	// every Pareto-optimal cell of the space present — only when
+	// Exhaustive is set: the α-threshold cut skips non-LRU cells within
+	// eps of the LRU floor even when one of them would be optimal. The
+	// cuts apply only to levels whose policy set includes LRU; without an
+	// LRU candidate nothing stands for the skipped cells.
 	Exhaustive bool
 }
 
@@ -119,16 +125,20 @@ func onepassOf(p core.Policy) onepass.ReplPolicy {
 
 // levelCandidates evaluates one level's axis grid on its reference
 // stream. The LRU profile of each (line, depth) is computed analytically
-// once; it bounds the associativity axis for every policy (A_zero: LRU
-// already reaches zero non-cold misses at no greater cost, so anything
-// past it is dominated for any policy; α-threshold: past it the level is
-// within eps of its compulsory floor, so the non-LRU axis is cut there).
-// LRU itself contributes only its miss-count corners — plateau
+// once. When LRU is in the level's policy set, that profile bounds the
+// associativity axis for every policy (A_zero: the LRU candidate already
+// reaches zero non-cold misses at no greater cost, so anything past it is
+// dominated for any policy; α-threshold: past it the level is within eps
+// of its compulsory floor, so the non-LRU axis is cut there). Without an
+// LRU candidate neither cut holds — FIFO is not a stack algorithm, and
+// its misses keep falling past LRU's A_zero — so every policy sweeps to
+// MaxAssoc. LRU itself contributes only its miss-count corners — plateau
 // associativities add size for identical misses and are dominated.
 // minLine drops line sizes below a floor (an L2 line must cover its L1
 // lines). stats tallies the cells skipped by each cut; o.Exhaustive
 // disables all three cuts and evaluates the full grid.
 func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpace, o SpaceOptions, minLine int, stats *core.PruneStats) ([]levelCand, error) {
+	cut := !o.Exhaustive && slices.Contains(ls.Policies, core.PolicyLRU)
 	var out []levelCand
 	for _, line := range ls.LineWords {
 		if line < minLine {
@@ -148,7 +158,7 @@ func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpac
 			if capAlpha > capZero {
 				capAlpha = capZero
 			}
-			if o.Exhaustive {
+			if !cut {
 				capZero = ls.MaxAssoc
 				capAlpha = ls.MaxAssoc
 			}

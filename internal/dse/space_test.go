@@ -9,6 +9,7 @@ import (
 
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/core"
+	"github.com/example/cachedse/internal/onepass"
 	"github.com/example/cachedse/internal/powerstone"
 	"github.com/example/cachedse/internal/trace"
 )
@@ -54,10 +55,11 @@ func mergeStreams(instr, data *trace.Trace) *trace.Trace {
 }
 
 // TestCrossCheckPoliciesPowerStone is the estimator's oracle suite: on
-// every PowerStone kernel, the analytical FIFO/Random/PLRU profiles must
-// agree exactly with the cache simulator, cell for cell, on both the
-// instruction and the data stream. Tolerance is zero — the one-pass
-// estimator replicates the simulator's replacement semantics bit for bit.
+// every PowerStone kernel, the one-pass FIFO/Random/PLRU profiles the
+// design-space evaluator reads must agree exactly with the cache
+// simulator, cell for cell, on both the instruction and the data stream.
+// Tolerance is zero — the one-pass estimator replicates the simulator's
+// replacement semantics bit for bit.
 func TestCrossCheckPoliciesPowerStone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every PowerStone kernel")
@@ -70,27 +72,72 @@ func TestCrossCheckPoliciesPowerStone(t *testing.T) {
 			res := kernelStreams(t, name)
 			for _, stream := range []*trace.Trace{res.Instr, res.Data} {
 				for _, pol := range policies {
-					r, err := core.Explore(context.Background(), stream,
-						core.Options{MaxDepth: maxDepth, Policy: pol, MaxAssoc: maxAssoc})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, l := range r.Levels {
-						for a := 1; a < len(l.MissByAssoc); a++ {
-							cfg := cache.Config{Depth: l.Depth, Assoc: a, Repl: replOf(pol)}
-							sim, err := cache.Simulate(cfg, stream)
+					for depth := 1; depth <= maxDepth; depth *= 2 {
+						sw, err := onepass.PolicySweep(stream, depth, maxAssoc, 1, onepassOf(pol))
+						if err != nil {
+							t.Fatal(err)
+						}
+						for a := 1; a <= maxAssoc; a++ {
+							sim, err := cache.Simulate(cache.Config{Depth: depth, Assoc: a, Repl: replOf(pol)}, stream)
 							if err != nil {
 								t.Fatal(err)
 							}
-							if l.MissByAssoc[a] != sim.Misses {
-								t.Errorf("%s %s D=%d A=%d: analytical %d, simulated %d",
-									name, pol, l.Depth, a, l.MissByAssoc[a], sim.Misses)
+							if sw.MissByAssoc[a] != sim.Misses {
+								t.Errorf("%s %s D=%d A=%d: one-pass %d, simulated %d",
+									name, pol, depth, a, sw.MissByAssoc[a], sim.Misses)
 							}
 						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// hotCold is the trace 0,1,0,2,…,0,200: one hot word between 200 cold
+// ones. LRU keeps the hot word in any two-way set, so its A_zero at depth
+// 1 is 2; FIFO evicts it in turn and keeps losing fewer misses well past
+// that.
+func hotCold() *trace.Trace {
+	addrs := make([]uint32, 0, 400)
+	for i := uint32(1); i <= 200; i++ {
+		addrs = append(addrs, 0, i)
+	}
+	return trace.FromAddrs(trace.DataRead, addrs)
+}
+
+// TestExploreSpaceFIFOOnlyComplete: the A_zero and α cuts stand on an LRU
+// candidate that dominates or approximates the skipped cells. A space
+// without LRU has none, so its pruned front must equal the exhaustive
+// one point for point, and every point's misses must match simulation.
+func TestExploreSpaceFIFOOnlyComplete(t *testing.T) {
+	tr := hotCold()
+	space := core.Space{L1: core.LevelSpace{MaxDepth: 1, MaxAssoc: 8, Policies: []core.Policy{core.PolicyFIFO}}}
+	ctx := context.Background()
+	pruned, err := ExploreSpace(ctx, tr, space, SpaceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := ExploreSpace(ctx, tr, space, SpaceOptions{Exhaustive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pruned.Points(), full.Points()) {
+		t.Fatalf("pruned front (%d points) != exhaustive front (%d points):\n%s\nvs\n%s",
+			pruned.Len(), full.Len(), FrontTable(pruned).Render(), FrontTable(full).Render())
+	}
+	if pruned.Len() != 8 {
+		t.Errorf("front has %d points, want all 8 associativities", pruned.Len())
+	}
+	for _, p := range pruned.Points() {
+		l := p.Levels[0]
+		sim, err := cache.Simulate(cache.Config{Depth: l.Depth, Assoc: l.Assoc, LineWords: l.LineWords, Repl: cache.FIFO}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p.Misses, sim.ColdMisses+sim.Misses; got != want {
+			t.Errorf("%v: front misses %d, simulated %d", l, got, want)
+		}
 	}
 }
 

@@ -54,12 +54,12 @@ func (s *Suite) EnergyTable(stream Stream, capWords int, missPenaltyPJ float64) 
 	for _, ts := range s.Sets {
 		tr := ts.Stream(stream)
 		k := trace.ComputeStats(tr).MaxMisses / 10
-		choice, err := dse.EnergyAware(tr, k, []int{1, 2, 4}, capWords, params, missPenaltyPJ)
+		p, err := dse.EnergyAware(tr, k, []int{1, 2, 4}, capWords, params, missPenaltyPJ)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(ts.Name, k, choice.LineWords, choice.Instance.Depth, choice.Instance.Assoc,
-			choice.Misses, fmt.Sprintf("%.1f", choice.EnergyPJ/1000))
+		l := p.Levels[0]
+		t.AddRow(ts.Name, k, l.LineWords, l.Depth, l.Assoc, p.Misses, fmt.Sprintf("%.1f", p.EnergyPJ/1000))
 	}
 	return t, nil
 }

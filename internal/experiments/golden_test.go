@@ -54,6 +54,20 @@ func TestGoldenTables(t *testing.T) {
 			}
 			return or.Table.Render(), nil
 		},
+		"energy_data.txt": func() (string, error) {
+			tab, err := s.EnergyTable(Data, 8192, 2000)
+			if err != nil {
+				return "", err
+			}
+			return tab.Render(), nil
+		},
+		"energy_instr.txt": func() (string, error) {
+			tab, err := s.EnergyTable(Instruction, 8192, 2000)
+			if err != nil {
+				return "", err
+			}
+			return tab.Render(), nil
+		},
 	}
 	for name, gen := range artifacts {
 		name, gen := name, gen
