@@ -9,6 +9,7 @@ import (
 	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/obs/profiler"
 	"github.com/example/cachedse/internal/paperex"
+	"github.com/example/cachedse/internal/sampling"
 	"github.com/example/cachedse/internal/trace"
 )
 
@@ -116,6 +117,69 @@ func TestExploreParallelContextRecordsSplitSpan(t *testing.T) {
 		if _, ok := lv.Attrs["refs_per_sec"]; ok {
 			t.Errorf("parallel level span carries refs_per_sec, but per-level timing is undefined across workers")
 		}
+	}
+}
+
+// TestStreamSampledEstimateSpan locks the stream estimator's span: one
+// "estimate" span beside "sample", "mrct" and "postlude", whose tallies
+// account for every level with a non-empty sampled histogram — each one
+// either deconvolved or, past the dense cost gate, left to occupancy
+// weighting — and whose dense entry count is the gate's own product.
+func TestStreamSampledEstimateSpan(t *testing.T) {
+	tr := zipfTrace(t)
+	rec := obs.NewRecorder(0)
+	ctx := obs.WithRecorder(context.Background(), rec)
+	r, err := Explore(ctx, trace.RefReader(trace.NewReader(tr)),
+		Options{MaxDepth: 256, SampleRate: 0.1, SampleFloor: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := spansByName(rec.Export())
+	for _, want := range []string{"sample", "mrct", "postlude", "estimate"} {
+		if len(byName[want]) != 1 {
+			t.Fatalf("%d %q spans, want 1", len(byName[want]), want)
+		}
+	}
+	if est, mrct := byName["estimate"][0], byName["mrct"][0]; est.Parent != mrct.Parent {
+		t.Errorf("estimate span parent %d, want the explore's (%d)", est.Parent, mrct.Parent)
+	}
+
+	q := 1 / r.Sample.Stretch
+	levels, fallback, dense := 0, 0, 0
+	for _, hs := range r.Sample.RawHist {
+		bins := 0
+		for _, c := range hs {
+			if c > 0 {
+				bins++
+			}
+		}
+		if bins == 0 {
+			continue
+		}
+		levels++
+		// 1<<22 is the sampling package's gate on the dense kernel size.
+		if n := (sampling.DeconvSupport(hs, q) + 1) * bins; n > 1<<22 {
+			fallback++
+		} else {
+			dense += n
+		}
+	}
+	attrs := byName["estimate"][0].Attrs
+	want := map[string]int{
+		"levels_deconvolved":   levels - fallback,
+		"levels_fallback":      fallback,
+		"kernel_dense_entries": dense,
+	}
+	for k, v := range want {
+		if attrs[k] != v {
+			t.Errorf("estimate span %s = %v, want %d", k, attrs[k], v)
+		}
+	}
+	if levels-fallback == 0 || fallback == 0 {
+		t.Errorf("want both deconvolved (%d) and fallback (%d) levels on this trace", levels-fallback, fallback)
+	}
+	if n, ok := attrs["kernel_entries"].(int); !ok || n <= 0 || n >= dense {
+		t.Errorf("estimate span kernel_entries = %v, want a banded count in (0, %d)", attrs["kernel_entries"], dense)
 	}
 }
 

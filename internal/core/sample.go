@@ -229,7 +229,20 @@ func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.
 		DroppedRefs:   filter.Dropped(),
 	}
 	est.Calibrate(sampled.N, sampled.NUnique)
-	return rescaleStream(sampled, est, fullLevelCount(filter.AddrBits(), opts)), nil
+
+	// The estimate span wraps the rescale, whose binomial deconvolution
+	// is most of a stream-mode answer's time.
+	_, span = obs.StartSpan(ctx, "estimate")
+	var tally sampling.KernelTally
+	r := rescaleStream(sampled, est, fullLevelCount(filter.AddrBits(), opts), &tally)
+	if span != nil {
+		span.SetAttr("levels_deconvolved", tally.Deconvolved)
+		span.SetAttr("levels_fallback", tally.Fallback)
+		span.SetAttr("kernel_entries", tally.Entries)
+		span.SetAttr("kernel_dense_entries", tally.DenseEntries)
+		span.End()
+	}
+	return r, nil
 }
 
 // fullLevelCount mirrors levelCount but over the full stream's address
@@ -257,8 +270,9 @@ func fullLevelCount(addrBits int, opts Options) int {
 // small to reach are padded with zero-conflict profiles, and N/NUnique
 // are restored to (or estimated at) their full-trace values. When the
 // rate degenerated to 1 the sampled result is already exact and passes
-// through untouched — the bit-identity the R=1 property test pins.
-func rescaleStream(sampled *Result, est *sampling.Estimate, fullLevels int) *Result {
+// through untouched — the bit-identity the R=1 property test pins. The
+// deconvolution's work is added to tally.
+func rescaleStream(sampled *Result, est *sampling.Estimate, fullLevels int, tally *sampling.KernelTally) *Result {
 	est.RawHist = rawHists(sampled)
 
 	if est.Exact() {
@@ -283,7 +297,7 @@ func rescaleStream(sampled *Result, est *sampling.Estimate, fullLevels int) *Res
 	for i := range r.Levels {
 		var hist []int
 		if i < len(sampled.Levels) {
-			hist = roundHist(est.RescaleHist(sampled.Levels[i].Hist))
+			hist = roundHist(est.RescaleHist(sampled.Levels[i].Hist, tally))
 		}
 		r.Levels[i] = &LevelResult{Depth: 1 << uint(i), Hist: hist}
 	}

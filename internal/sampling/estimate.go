@@ -97,7 +97,7 @@ func (e *Estimate) RescaleLevel(level int) []float64 {
 	if level < len(e.RawHist) {
 		samp = e.RawHist[level]
 	}
-	f := e.RescaleHist(samp)
+	f := e.RescaleHist(samp, nil)
 	if len(cert) > len(f) {
 		g := make([]float64, len(cert))
 		copy(g, f)
@@ -213,10 +213,11 @@ func (e *Estimate) BinWeight(k int) float64 {
 // cardinalities; the rest use occupancy-weighted stretching, accurate
 // there because large-cardinality binomials concentrate. In both cases
 // the level's total mass is conserved at Scale × sampled mass, with bin
-// 0 absorbing the remainder the conflict tail does not claim.
-func (e *Estimate) RescaleHist(src []int) []float64 {
+// 0 absorbing the remainder the conflict tail does not claim. The
+// deconvolution's work is added to tally when tally is not nil.
+func (e *Estimate) RescaleHist(src []int, tally *KernelTally) []float64 {
 	q := e.memberRate()
-	if d := DeconvolveHist(src, q, DeconvSupport(src, q)); d != nil {
+	if d := DeconvolveHist(src, q, DeconvSupport(src, q), tally); d != nil {
 		for i := range d {
 			d[i] *= e.Scale
 		}

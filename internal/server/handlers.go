@@ -481,11 +481,11 @@ func (s *Server) runExplore(ctx context.Context, entry *TraceEntry, budget int, 
 	key := exploreKey(entry.Digest, req)
 	var res *core.Result
 	cached := false
-	_, lookupSpan := obs.StartSpan(ctx, "lookup")
+	lookupCtx, lookupSpan := obs.StartSpan(ctx, "lookup")
 	if v, ok := s.results.Get(key); ok {
 		res = v.(*core.Result)
 		cached = true
-	} else if v, ok := s.loadResult(ctx, key); ok {
+	} else if v, ok := s.loadResult(lookupCtx, key); ok {
 		// LRU-evicted but still on disk: promote instead of recomputing.
 		res = v.(*core.Result)
 		cached = true

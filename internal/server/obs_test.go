@@ -151,6 +151,82 @@ func TestServerJobTraceBreakdown(t *testing.T) {
 	}
 }
 
+// jobTree fetches a job's span tree and returns its job root.
+func jobTree(t *testing.T, baseURL, id string) *obs.Node {
+	t.Helper()
+	var tree struct {
+		Spans []*obs.Node `json:"spans"`
+	}
+	if code := doJSON(t, "GET", baseURL+"/v1/jobs/"+id+"/trace", nil, &tree); code != http.StatusOK {
+		t.Fatalf("trace endpoint: code %d", code)
+	}
+	if len(tree.Spans) != 1 || tree.Spans[0].Name != "job" {
+		t.Fatalf("trace roots = %+v, want single job root", tree.Spans)
+	}
+	return tree.Spans[0]
+}
+
+// childNames counts the names of a node's direct children.
+func childNames(n *obs.Node) map[string]int {
+	m := map[string]int{}
+	for _, c := range n.Children {
+		m[c.Name]++
+	}
+	return m
+}
+
+// TestServerSpansNestUnderTheirStage checks that work done inside a job
+// stage is recorded under that stage's span, not beside it: a lookup's
+// result-store read under "lookup", and a space exploration's engine
+// phases under "space". Siblings would make the job's phases overlap and
+// their sum overstate its wall time.
+func TestServerSpansNestUnderTheirStage(t *testing.T) {
+	_, ts, stop := startPersistent(t, t.TempDir(), Config{Logger: obs.NewLogger(io.Discard, "text", slog.LevelInfo)})
+	defer stop()
+	var din bytes.Buffer
+	if err := trace.WriteText(&din, testTrace(5_000, 1<<8)); err != nil {
+		t.Fatal(err)
+	}
+	info, _ := uploadTrace(t, ts, din.Bytes())
+
+	st, _ := runAsyncExplore(t, ts.URL, map[string]any{"trace": info.Digest, "k": 10, "async": true})
+	job := jobTree(t, ts.URL, st.ID)
+	top := childNames(job)
+	if top["store.get"] != 0 {
+		t.Errorf("store.get recorded beside lookup: job children %v", top)
+	}
+	for _, c := range job.Children {
+		if c.Name == "lookup" && childNames(c)["store.get"] != 1 {
+			t.Errorf("lookup children %v, want one store.get", childNames(c))
+		}
+	}
+
+	st, _ = runAsyncExplore(t, ts.URL, map[string]any{"trace": info.Digest, "async": true,
+		"space": map[string]any{"topology": "unified", "l1": map[string]any{
+			"max_depth": 16, "max_assoc": 4, "policies": []string{"lru", "fifo"}}}})
+	job = jobTree(t, ts.URL, st.ID)
+	top = childNames(job)
+	if top["space"] != 1 {
+		t.Fatalf("job children %v, want one space span", top)
+	}
+	for _, name := range []string{"strip", "mrct", "postlude"} {
+		if top[name] != 0 {
+			t.Errorf("%s recorded beside space: job children %v", name, top)
+		}
+	}
+	for _, c := range job.Children {
+		if c.Name != "space" {
+			continue
+		}
+		under := childNames(c)
+		for _, name := range []string{"strip", "mrct", "postlude"} {
+			if under[name] == 0 {
+				t.Errorf("space children %v, want %s among them", under, name)
+			}
+		}
+	}
+}
+
 // TestServerHonorsInboundRequestID checks proxy-correlation: a client
 // X-Request-ID is echoed back rather than replaced.
 func TestServerHonorsInboundRequestID(t *testing.T) {

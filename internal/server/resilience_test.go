@@ -313,45 +313,40 @@ func TestEndpointGateSheds(t *testing.T) {
 	info, _ := uploadTrace(t, ts, din.Bytes())
 
 	// First sync explore parks in the job wait holding the endpoint's
-	// single gate slot; subsequent explores shed with 429 overloaded.
+	// single gate slot; subsequent explores shed with 429 overloaded. The
+	// probe waits until the slot is really taken: probing earlier could
+	// win the slot itself and park behind the occupied worker.
 	body, _ := json.Marshal(map[string]any{"trace": info.Digest, "k": 5})
-	started := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		req, _ := http.NewRequest("POST", ts.URL+"/v1/explore", bytes.NewReader(body))
-		close(started)
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := http.Post(ts.URL+"/v1/explore", "application/json", bytes.NewReader(body))
 		if err == nil {
 			resp.Body.Close()
 		}
 	}()
-	<-started
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	gate := srv.gates["explore"]
+	for deadline := time.Now().Add(5 * time.Second); len(gate) == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("gate never shed a request")
+			t.Fatal("parked explore never took the endpoint gate")
 		}
-		req, _ := http.NewRequest("POST", ts.URL+"/v1/explore", bytes.NewReader(body))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		code := resp.StatusCode
-		if code == http.StatusTooManyRequests {
-			env := getErr(t, resp)
-			resp.Body.Close()
-			if env.Error.Code != "overloaded" {
-				t.Fatalf("error code = %q, want overloaded", env.Error.Code)
-			}
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatal("429 without Retry-After")
-			}
-			break
-		}
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/explore", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests {
 		resp.Body.Close()
-		time.Sleep(10 * time.Millisecond)
+		t.Fatalf("probe with the gate held: code %d, want 429", resp.StatusCode)
+	}
+	env := getErr(t, resp)
+	resp.Body.Close()
+	if env.Error.Code != "overloaded" {
+		t.Fatalf("error code = %q, want overloaded", env.Error.Code)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After")
 	}
 	release()
 	<-done

@@ -189,9 +189,9 @@ func (s *Server) runExploreSpace(ctx context.Context, entry *TraceEntry, budget 
 		cached = true
 	}
 	if !cached {
-		_, span := obs.StartSpan(ctx, "space")
+		spaceCtx, span := obs.StartSpan(ctx, "space")
 		var err error
-		front, err = dse.ExploreSpace(ctx, entry.Trace, sp, dse.SpaceOptions{})
+		front, err = dse.ExploreSpace(spaceCtx, entry.Trace, sp, dse.SpaceOptions{})
 		if span != nil {
 			if front != nil {
 				span.SetAttr("points", front.Len())
