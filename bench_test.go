@@ -248,9 +248,8 @@ func BenchmarkAblationTraditionalVsAnalytical(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMRCTBuild isolates the prelude phase: hash/LRU-stack
-// conflict table construction (with global deduplication) across workload
-// shapes.
+// BenchmarkAblationMRCTBuild isolates the prelude phase: conflict table
+// construction (with global deduplication) across workload shapes.
 func BenchmarkAblationMRCTBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(29))
 	workloads := map[string]*trace.Trace{

@@ -146,11 +146,13 @@ func packThreshold(nunique int) int {
 	return words
 }
 
-// BuildMRCT builds the conflict table in a single pass using a global LRU
-// stack, the hash-table formulation §2.4 recommends over the literal double
-// loop of Algorithm 2. When reference u is re-accessed at stack position p,
-// the identifiers above it (positions 0..p-1) are exactly the distinct
-// references touched since u's previous occurrence — the conflict set.
+// BuildMRCT builds the conflict table in a single pass, the hash-table
+// formulation §2.4 recommends over the literal double loop of Algorithm 2.
+// When reference u recurs, the conflict set is the distinct references
+// touched since u's previous occurrence — in the paper's terms the part of
+// the global LRU stack above u. The build never walks that stack: it reads
+// the set's size and hash from a Fenwick tree over last-access times (see
+// buildMRCT).
 func BuildMRCT(s *trace.Stripped) *MRCT {
 	m, _ := BuildMRCTContext(context.Background(), s)
 	return m
@@ -175,14 +177,30 @@ func BuildMRCTContext(ctx context.Context, s *trace.Stripped) (*MRCT, error) {
 
 // buildMRCT builds the conflict table into m using sc's reusable buffers.
 //
-// Deduplication is by commutative 64-bit hash of the (unsorted) stack
-// prefix, verified against the stored candidates with an epoch-stamp
-// membership check; the full sort of a conflict set happens only when it
-// turns out to be a set never seen before. Repeat-dominated traces
-// therefore sort each distinct window once instead of once per occurrence.
-// Candidates sharing a hash are chained newest-first through dedupNext;
-// at most one candidate can pass the stamp check, so chain order cannot
-// affect the result.
+// No step walks an LRU stack. Every access gets a logical time; last[id]
+// is id's latest time and slot[t] the id holding time t (-1 once it moved
+// on). A Fenwick tree over the times 1..W keeps, per range, the count,
+// hash sum and hash xor of the ids whose last access falls in it. When id
+// recurs with previous time t0, its conflict set is exactly the ids with
+// a last access after t0, so the totals minus the prefix at t0 give the
+// set's cardinality p and its commutative hash in O(log W), without
+// listing it. Moving id to the newest time is two point updates.
+//
+// Deduplication looks the hash up among the stored candidates (chained
+// newest-first through dedupNext). A candidate cs matches iff len(cs) == p
+// and last[v] > t0 for every v in cs: exactly p distinct ids have a last
+// access after t0, so such a cs is the window itself. The check is exact
+// and read-only, and at most one candidate can pass it, so chain order
+// cannot affect the result. Only a window never seen before is listed, by
+// reading slot[t0+1..now-1], and stored sorted: read out of its packed
+// bit vector when it is dense enough to be packed, sorted otherwise.
+//
+// When the times run out at W, the live ids are renumbered 1..L in time
+// order and the tree is rebuilt in O(W). W = 2N' leaves at least N' fresh
+// times after each compaction, so compactions cost O(1) per reference.
+// The build's work is O(N·log N'), plus Σ|C| over the candidates it
+// verifies, plus a scan of at most W slots per distinct window, instead of
+// the stack walk's Σ|C| over every occurrence.
 //
 // All of m's storage — sparse sets, packed bit-vectors, occurrence runs —
 // is carved from sc's arenas. A pooled caller must treat m as invalidated
@@ -211,7 +229,7 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 	thresh := packThreshold(nu)
 	// dedupHead maps the commutative hash to the newest candidate set
 	// index; older candidates chain through dedupNext. Genuine collisions
-	// are resolved by the stamp check below.
+	// are resolved by the last-access check below.
 	if sc.dedupHead == nil {
 		sc.dedupHead = make(map[uint64]int32)
 	} else {
@@ -220,102 +238,106 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 	dedupHead := sc.dedupHead
 	dedupNext := sc.dedupNext[:0]
 	// idHash[v] caches hashID(v) — a pure function of v, so the cache only
-	// ever extends; stamp/epoch implement O(|C|) set equality against an
-	// unsorted candidate window. The epoch is monotone across builds, so
-	// stamps never need clearing between pooled runs.
+	// ever extends.
 	for v := len(sc.idHash); v < nu; v++ {
 		sc.idHash = append(sc.idHash, hashID(uint64(v)))
 	}
 	idHash := sc.idHash
-	if len(sc.stamp) < nu {
-		sc.stamp = append(sc.stamp, make([]uint64, nu-len(sc.stamp))...)
+	// last is zeroed (0 = cold) and the tree emptied; slot needs no
+	// clearing, since only times already handed out in this build are read.
+	w := fenwickSpan(nu)
+	last := growInt32(&sc.last, nu)
+	clear(last)
+	slot := growInt32(&sc.slot, w+1)
+	if cap(sc.fen) < w+1 {
+		sc.fen = make([]fenNode, w+1)
 	}
-	stamp := sc.stamp
-	// pos[id] is id's position in the LRU stack (-1 when cold), so the
-	// linear stack search of the old build is gone; move-to-front already
-	// shifts the prefix, and the positions update in the same loop.
-	if cap(sc.pos) < nu {
-		sc.pos = make([]int32, nu)
-	}
-	pos := sc.pos[:nu]
-	for i := range pos {
-		pos[i] = -1
-	}
+	fen := sc.fen[:w+1]
+	clear(fen)
+	var total fenNode // every live id: the tree's full range
+	now := int32(1)   // the next logical time to hand out
+	compactions, verifyIDs := 0, 0
 	// pairs records (id, set index) per non-cold occurrence; one global
 	// sort at the end replaces the per-id slices of the old build.
 	pairs := sc.pairs[:0]
 
-	stack := sc.stack[:0] // identifiers, most recent first
 	for i, id := range s.IDs {
 		if i&4095 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		p := pos[id]
-		if p < 0 {
+		if int(now) > w {
+			now = fenCompact(fen, slot, last, idHash, now)
+			compactions++
+		}
+		h := idHash[id]
+		t0 := last[id]
+		if t0 == 0 {
 			// Cold occurrence: no conflict set recorded (Table 4 ignores
 			// the first occurrence).
-			stack = append(stack, 0)
-			copy(stack[1:], stack)
-			for _, v := range stack[1:] {
-				pos[v]++
-			}
-			stack[0] = id
-			pos[id] = 0
+			fenAdd(fen, int(now), h)
+			total.cnt++
+			total.hsum += h
+			total.hxor ^= h
+			last[id], slot[now] = now, int32(id)
+			now++
 			continue
 		}
-		// Conflict set = stack prefix above id. Hash it commutatively and
-		// stamp its members in one pass; no sort needed for lookup.
-		sc.epoch++
-		epoch := sc.epoch
-		var hsum, hxor uint64
-		for _, v := range stack[:p] {
-			h := idHash[v]
-			hsum += h
-			hxor ^= h
-			stamp[v] = epoch
-		}
+		// Conflict set = the ids last accessed after t0: the totals minus
+		// the prefix up to t0 (which holds id itself).
+		pre := fenPrefix(fen, int(t0))
+		p := int(total.cnt - pre.cnt)
+		hsum := total.hsum - pre.hsum
+		hxor := total.hxor ^ pre.hxor
 		key := hashID(hsum ^ (hxor << 1) ^ uint64(p))
 		idx := int32(-1)
 		if head, ok := dedupHead[key]; ok {
 			for cand := head; cand >= 0; cand = dedupNext[cand] {
 				cs := m.sets[cand]
-				if len(cs) != int(p) {
+				if len(cs) != p {
 					continue
 				}
-				match := true
-				for _, v := range cs {
-					if stamp[v] != epoch {
-						match = false
-						break
-					}
-				}
-				if match {
+				verifyIDs += p
+				if accessedAfter(cs, last, t0) {
 					idx = cand
 					break
 				}
 			}
 		}
 		if idx < 0 {
-			// First sighting: sort once, copy into the arena, maybe pack.
-			cp := sc.i32.alloc(int(p))
-			for k, v := range stack[:p] {
-				cp[k] = int32(v)
+			// First sighting: list the live slots after t0 — exactly p of
+			// them — in ascending id order, copy into the arena, maybe pack.
+			cp := sc.i32.alloc(p)
+			var pk *bitset.Set
+			if p >= thresh {
+				pk = sc.bs.New(nu)
+				for t, k := t0+1, 0; k < p; t++ {
+					if v := slot[t]; v >= 0 {
+						pk.Add(int(v))
+						k++
+					}
+				}
+				k := 0
+				pk.ForEach(func(v int) bool {
+					cp[k] = int32(v)
+					k++
+					return true
+				})
+			} else {
+				for t, k := t0+1, 0; k < p; t++ {
+					if v := slot[t]; v >= 0 {
+						cp[k] = v
+						k++
+					}
+				}
+				slices.Sort(cp)
 			}
-			slices.Sort(cp)
 			idx = int32(len(m.sets))
 			m.sets = append(m.sets, cp)
-			var pk *bitset.Set
-			if len(cp) >= thresh {
-				pk = sc.bs.New(nu)
-				for _, v := range cp {
-					pk.Add(int(v))
-				}
-			}
 			m.packed = append(m.packed, pk)
-			if int(p) > m.maxCard {
-				m.maxCard = int(p)
+			if p > m.maxCard {
+				m.maxCard = p
 			}
 			if head, ok := dedupHead[key]; ok {
 				dedupNext = append(dedupNext, head)
@@ -325,20 +347,18 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 			dedupHead[key] = idx
 		}
 		pairs = append(pairs, uint64(id)<<32|uint64(uint32(idx)))
-		// Move to front.
-		copy(stack[1:p+1], stack[:p])
-		for _, v := range stack[1 : p+1] {
-			pos[v]++
-		}
-		stack[0] = id
-		pos[id] = 0
+		// Move id from t0 to now; the totals do not change.
+		fenMove(fen, int(t0), int(now), h)
+		slot[t0] = -1
+		last[id], slot[now] = now, int32(id)
+		now++
 	}
-	sc.stack = stack[:0]
 	sc.dedupNext = dedupNext
 
 	// Sort (id, set) pairs and run-length encode into occurrence runs
 	// carved from one exactly-sized buffer — occ[id] order per id is by
 	// set index, the same as the old per-id sort produced.
+	occurrences := len(pairs)
 	slices.Sort(pairs)
 	runs := 0
 	for i := 0; i < len(pairs); {
@@ -374,10 +394,12 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 		span.SetAttr("n", s.N())
 		span.SetAttr("n_unique", nu)
 		span.SetAttr("distinct_sets", len(m.sets))
-		span.SetAttr("occurrences", m.Occurrences())
-		span.SetAttr("dedup_hit_rate", m.DedupHitRate())
+		span.SetAttr("occurrences", occurrences)
+		span.SetAttr("dedup_hit_rate", dedupHitRate(len(m.sets), occurrences))
 		span.SetAttr("max_card", m.maxCard)
 		span.SetAttr("packed_sets", m.PackedSets())
+		span.SetAttr("compactions", compactions)
+		span.SetAttr("verify_ids", verifyIDs)
 		span.End()
 	}
 	return nil
@@ -387,11 +409,136 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 // window had already been seen: 1 - distinct/occurrences. Loop-dominated
 // traces sit near 1; adversarially random traces near 0.
 func (m *MRCT) DedupHitRate() float64 {
-	occ := m.Occurrences()
-	if occ == 0 {
+	return dedupHitRate(len(m.sets), m.Occurrences())
+}
+
+func dedupHitRate(distinct, occurrences int) float64 {
+	if occurrences == 0 {
 		return 0
 	}
-	return 1 - float64(len(m.sets))/float64(occ)
+	return 1 - float64(distinct)/float64(occurrences)
+}
+
+// accessedAfter reports whether every id in cs was last accessed after
+// time t0. It reads eight ids per step and tests their minimum, so the
+// common case — a matching candidate read to the end — takes one branch
+// per block instead of one per id.
+func accessedAfter(cs, last []int32, t0 int32) bool {
+	k := 0
+	for ; k+8 <= len(cs); k += 8 {
+		c := cs[k : k+8 : k+8]
+		if min(last[c[0]], last[c[1]], last[c[2]], last[c[3]],
+			last[c[4]], last[c[5]], last[c[6]], last[c[7]]) <= t0 {
+			return false
+		}
+	}
+	for _, v := range cs[k:] {
+		if last[v] <= t0 {
+			return false
+		}
+	}
+	return true
+}
+
+// fenNode is one node of the build's Fenwick tree over logical access
+// times: the count, hash sum and hash xor of the ids whose last access
+// falls in the node's range.
+type fenNode struct {
+	cnt  int64
+	hsum uint64
+	hxor uint64
+}
+
+// fenwickSpan is W, the number of logical times the build hands out
+// before it compacts. At most N' ids are live, so twice N' leaves at least
+// N' fresh times after every compaction.
+func fenwickSpan(nunique int) int { return 2 * nunique }
+
+// growInt32 returns (*buf)[:n], reallocating only when the capacity is
+// short. The contents are not cleared.
+func growInt32(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// fenPrefix sums the nodes covering times 1..t.
+func fenPrefix(fen []fenNode, t int) fenNode {
+	var acc fenNode
+	for ; t > 0; t -= t & -t {
+		n := &fen[t]
+		acc.cnt += n.cnt
+		acc.hsum += n.hsum
+		acc.hxor ^= n.hxor
+	}
+	return acc
+}
+
+// fenAdd records an id of hash h as last accessed at time t.
+func fenAdd(fen []fenNode, t int, h uint64) {
+	for ; t < len(fen); t += t & -t {
+		n := &fen[t]
+		n.cnt++
+		n.hsum += h
+		n.hxor ^= h
+	}
+}
+
+// fenMove moves an id of hash h from time from to the later time to. Both
+// update paths climb the same tree (the parent of t is t + t&-t), and from
+// the node where they meet upwards the removal and the insertion cancel,
+// so the walk stops there.
+func fenMove(fen []fenNode, from, to int, h uint64) {
+	for from != to {
+		if from < to {
+			if from >= len(fen) {
+				return
+			}
+			n := &fen[from]
+			n.cnt--
+			n.hsum -= h
+			n.hxor ^= h
+			from += from & -from
+		} else {
+			if to >= len(fen) {
+				return
+			}
+			n := &fen[to]
+			n.cnt++
+			n.hsum += h
+			n.hxor ^= h
+			to += to & -to
+		}
+	}
+}
+
+// fenCompact renumbers the live ids 1..L in the order of their last
+// access, rebuilds the tree over them in O(W) and returns the next free
+// time, L+1.
+func fenCompact(fen []fenNode, slot, last []int32, idHash []uint64, now int32) int32 {
+	l := int32(0)
+	for t := int32(1); t < now; t++ {
+		if v := slot[t]; v >= 0 {
+			l++
+			slot[l] = v
+			last[v] = l
+		}
+	}
+	clear(fen)
+	for t := int32(1); t <= l; t++ {
+		h := idHash[slot[t]]
+		fen[t] = fenNode{cnt: 1, hsum: h, hxor: h}
+	}
+	for t := 1; t < len(fen); t++ {
+		if up := t + t&-t; up < len(fen) {
+			fen[up].cnt += fen[t].cnt
+			fen[up].hsum += fen[t].hsum
+			fen[up].hxor ^= fen[t].hxor
+		}
+	}
+	return l + 1
 }
 
 // BuildMRCTNaive is the literal double loop of Algorithm 2, with the

@@ -1,9 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/example/cachedse/internal/minicbench"
+	"github.com/example/cachedse/internal/obs"
+	"github.com/example/cachedse/internal/powerstone"
 	"github.com/example/cachedse/internal/trace"
 	"github.com/example/cachedse/internal/tracegen"
 )
@@ -61,5 +67,243 @@ func TestMRCTHybridInvariants(t *testing.T) {
 	s := trace.Strip(tracegen.Uniform(rng, 0, 300, 6000))
 	if m := BuildMRCT(s); m.PackedSets() == 0 {
 		t.Fatal("expected packed sets on a dense uniform workload")
+	}
+}
+
+// idTrace turns identifiers into a data trace, one address per id.
+func idTrace(ids ...int) *trace.Trace {
+	tr := trace.New(len(ids))
+	for _, id := range ids {
+		tr.Append(trace.Ref{Addr: uint32(id), Kind: trace.DataRead})
+	}
+	return tr
+}
+
+// hotColdTrace is 0,1,0,2,…,0,cold: one hot id between cold ones.
+func hotColdTrace(cold int) *trace.Trace {
+	var ids []int
+	for c := 1; c <= cold; c++ {
+		ids = append(ids, 0, c)
+	}
+	return idTrace(ids...)
+}
+
+// cyclicTrace is n references cycling over ids 0..nu-1.
+func cyclicTrace(nu, n int) *trace.Trace {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i % nu
+	}
+	return idTrace(ids...)
+}
+
+// mrctDiff compares two tables field for field — set order, sparse sets,
+// packed presence and contents, the cardinality bound and every id's
+// occurrence runs — and describes the first difference, or returns "".
+func mrctDiff(got, want *MRCT) string {
+	if got.nunique != want.nunique {
+		return fmt.Sprintf("nunique %d, want %d", got.nunique, want.nunique)
+	}
+	if got.maxCard != want.maxCard {
+		return fmt.Sprintf("maxCard %d, want %d", got.maxCard, want.maxCard)
+	}
+	if len(got.sets) != len(want.sets) {
+		return fmt.Sprintf("%d sets, want %d", len(got.sets), len(want.sets))
+	}
+	for i := range want.sets {
+		if !slices.Equal(got.sets[i], want.sets[i]) {
+			return fmt.Sprintf("set %d = %v, want %v", i, got.sets[i], want.sets[i])
+		}
+	}
+	if len(got.packed) != len(want.packed) {
+		return fmt.Sprintf("%d packed entries, want %d", len(got.packed), len(want.packed))
+	}
+	for i, w := range want.packed {
+		g := got.packed[i]
+		if (g == nil) != (w == nil) || g != nil && !g.Equal(w) {
+			return fmt.Sprintf("packed %d = %v, want %v", i, g, w)
+		}
+	}
+	if len(got.occ) != len(want.occ) {
+		return fmt.Sprintf("occ covers %d ids, want %d", len(got.occ), len(want.occ))
+	}
+	for id := range want.occ {
+		if !slices.Equal(got.occ[id], want.occ[id]) {
+			return fmt.Sprintf("occ[%d] = %v, want %v", id, got.occ[id], want.occ[id])
+		}
+	}
+	return ""
+}
+
+// oracleInputs are the traces the Fenwick build is held to the stack-walk
+// oracle on: the 24 PowerStone streams, both streams of one compiled
+// kernel, generated loop nests, uniform, Zipf and hot/cold traces, and the
+// degenerate universes.
+func oracleInputs(t testing.TB) map[string]*trace.Trace {
+	in := map[string]*trace.Trace{}
+	for _, name := range powerstone.Names() {
+		res, err := powerstone.Get(name).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in[name+".instr"], in[name+".data"] = res.Instr, res.Data
+	}
+	res, err := minicbench.Get("blit").Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in["minic-blit.instr"], in["minic-blit.data"] = res.Instr, res.Data
+	rng := rand.New(rand.NewSource(29))
+	in["loop"] = tracegen.Loop(0, 96, 40)
+	in["loop-nest"] = tracegen.Mixed(tracegen.Loop(0, 40, 30), tracegen.Loop(1000, 7, 150), tracegen.Strided(5000, 3, 90, 600))
+	in["uniform"] = tracegen.Uniform(rng, 0, 300, 6000)
+	in["zipf"] = tracegen.Zipf(rng, 0, 2000, 20000, 1.1)
+	in["hot-cold"] = hotColdTrace(200)
+	in["empty"] = idTrace()
+	in["one-id"] = idTrace(7, 7, 7, 7)
+	in["all-cold"] = cyclicTrace(300, 300)
+	return in
+}
+
+// TestMRCTMatchesStackOracle holds the Fenwick build to the stack-walk
+// build it replaced: the tables must be identical field for field.
+func TestMRCTMatchesStackOracle(t *testing.T) {
+	for name, tr := range oracleInputs(t) {
+		t.Run(name, func(t *testing.T) {
+			s := trace.Strip(tr)
+			if d := mrctDiff(BuildMRCT(s), buildMRCTStack(s)); d != "" {
+				t.Fatal(d)
+			}
+		})
+	}
+}
+
+// mrctCompactions builds s's table under a span recorder and returns the
+// mrct span's compaction count.
+func mrctCompactions(t *testing.T, s *trace.Stripped) (*MRCT, int) {
+	t.Helper()
+	rec := obs.NewRecorder(0)
+	m, err := BuildMRCTContext(obs.WithRecorder(context.Background(), rec), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := spansByName(rec.Export())["mrct"]
+	if len(spans) != 1 {
+		t.Fatalf("%d mrct spans, want 1", len(spans))
+	}
+	return m, spans[0].Attrs["compactions"].(int)
+}
+
+// Trace lengths one before, exactly on and one after the first and the
+// second compaction, and past several: the renumbering must not disturb
+// the table.
+func TestMRCTCompactionBoundaries(t *testing.T) {
+	for _, nu := range []int{1, 2, 5, 64} {
+		// A cyclic trace keeps all nu ids live, so the first compaction
+		// runs at reference w (0-based; times 1..w are used up) and each
+		// later one after w-nu more references.
+		w, gap := fenwickSpan(nu), fenwickSpan(nu)-nu
+		want := func(n int) int {
+			if n <= w {
+				return 0
+			}
+			return 1 + (n-1-w)/gap
+		}
+		for _, n := range []int{w, w + 1, w + 2, w + gap, w + gap + 1, w + gap + 2, w + 3*gap + 1} {
+			t.Run(fmt.Sprintf("nu%d/n%d", nu, n), func(t *testing.T) {
+				s := trace.Strip(cyclicTrace(nu, n))
+				m, got := mrctCompactions(t, s)
+				if got != want(n) {
+					t.Errorf("%d compactions, want %d", got, want(n))
+				}
+				if d := mrctDiff(m, buildMRCTStack(s)); d != "" {
+					t.Fatal(d)
+				}
+			})
+		}
+	}
+}
+
+// One pooled Scratch reused big → small → big: stale last-access times,
+// slots or tree nodes from an earlier build would show up here.
+func TestMRCTPooledScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	big := trace.Strip(tracegen.Uniform(rng, 0, 700, 20000))
+	small := trace.Strip(hotColdTrace(40))
+	sc := &Scratch{}
+	for i, s := range []*trace.Stripped{big, small, big, small} {
+		if err := buildMRCT(context.Background(), s, sc, &sc.mrct); err != nil {
+			t.Fatal(err)
+		}
+		if d := mrctDiff(&sc.mrct, buildMRCTStack(s)); d != "" {
+			t.Fatalf("build %d: %s", i, d)
+		}
+	}
+}
+
+// fuzzUniverse is the fixed address table fuzz bytes index into.
+const fuzzUniverse = 24
+
+// FuzzBuildMRCT drives the build with byte traces over a fixed universe:
+// the table must equal the stack-walk oracle's, and its expanded conflict
+// sets the literal double loop of Algorithm 2.
+func FuzzBuildMRCT(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5})
+	f.Add([]byte{3, 3, 3, 3})
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, the quick brown fox"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > 1024 {
+			b = b[:1024] // keep the O(N·N') naive build cheap
+		}
+		s := trace.Strip(traceFromBytes(b, fuzzUniverse))
+		m := BuildMRCT(s)
+		if d := mrctDiff(m, buildMRCTStack(s)); d != "" {
+			t.Fatal(d)
+		}
+		// ConflictSets groups an id's occurrences by set, so compare the
+		// two expansions as multisets.
+		for id, want := range BuildMRCTNaive(s) {
+			got := m.ConflictSets(id)
+			slices.SortFunc(got, slices.Compare[[]int32])
+			slices.SortFunc(want, slices.Compare[[]int32])
+			if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
+				t.Fatalf("id %d: conflict sets %v, want %v", id, got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkBuildMRCT times the conflict-table build alone, the stack-walk
+// oracle against the Fenwick build, each through its own reused scratch:
+// a loop-heavy trace (deep windows, nearly all dedup hits) and a Zipf
+// trace with a large universe (many distinct windows).
+func BenchmarkBuildMRCT(b *testing.B) {
+	rng := rand.New(rand.NewSource(37))
+	inputs := []struct {
+		name string
+		tr   *trace.Trace
+	}{
+		{"loop", tracegen.Mixed(tracegen.Loop(0, 600, 150), tracegen.Loop(10000, 40, 500))},
+		{"zipf", tracegen.Zipf(rng, 0, 20000, 60000, 1.2)},
+	}
+	for _, in := range inputs {
+		s := trace.Strip(in.tr)
+		b.Run(in.name+"/oracle", func(b *testing.B) {
+			sc := &oracleScratch{}
+			m := &MRCT{}
+			for i := 0; i < b.N; i++ {
+				if err := buildMRCTOracle(context.Background(), s, sc, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(in.name+"/fenwick", func(b *testing.B) {
+			sc := &Scratch{}
+			for i := 0; i < b.N; i++ {
+				if err := buildMRCT(context.Background(), s, sc, &sc.mrct); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -34,9 +34,10 @@ func spansByName(tr obs.Trace) map[string][]obs.SpanRecord {
 
 // TestExploreContextRecordsPhaseSpans locks the engine's phase hook
 // contract: one strip, one mrct and one postlude span per run, the mrct
-// span carrying the dedup telemetry and the postlude span one aggregate
-// "level" child per cache level whose refs equal the non-cold occurrence
-// count (every occurrence lands in exactly one row set per level).
+// span carrying the dedup and build-work telemetry and the postlude span
+// one aggregate "level" child per cache level whose refs equal the
+// non-cold occurrence count (every occurrence lands in exactly one row set
+// per level).
 func TestExploreContextRecordsPhaseSpans(t *testing.T) {
 	tr := obsTestTrace(4_000, 1<<7)
 	rec := obs.NewRecorder(0)
@@ -67,6 +68,12 @@ func TestExploreContextRecordsPhaseSpans(t *testing.T) {
 	if got := mrctAttrs["occurrences"]; got != m.Occurrences() {
 		t.Errorf("mrct span occurrences = %v, want %d", got, m.Occurrences())
 	}
+	if got, want := mrctAttrs["compactions"], wantCompactions(s); got != want {
+		t.Errorf("mrct span compactions = %v, want %d", got, want)
+	}
+	if got, want := mrctAttrs["verify_ids"], wantVerifyIDs(m); got != want {
+		t.Errorf("mrct span verify_ids = %v, want %d", got, want)
+	}
 
 	post := byName["postlude"][0]
 	if got := post.Attrs["algorithm"]; got != "dfs" {
@@ -88,6 +95,43 @@ func TestExploreContextRecordsPhaseSpans(t *testing.T) {
 			t.Errorf("level span not marked aggregate: %v", lv.Attrs)
 		}
 	}
+}
+
+// wantCompactions replays the build's time schedule: each reference takes
+// the next of the times 1..W, and when they run out the live ids are
+// renumbered 1..L.
+func wantCompactions(s *trace.Stripped) int {
+	w := fenwickSpan(s.NUnique())
+	seen := make([]bool, s.NUnique())
+	live, now, n := 0, 1, 0
+	for _, id := range s.IDs {
+		if now > w {
+			now = live + 1
+			n++
+		}
+		if !seen[id] {
+			seen[id] = true
+			live++
+		}
+		now++
+	}
+	return n
+}
+
+// wantVerifyIDs is Σ|C| over the dedup hits: every occurrence of a set
+// but its first sighting reads the whole set once (the traces here have
+// no 64-bit hash collisions, so no other candidate is read).
+func wantVerifyIDs(m *MRCT) int {
+	n := 0
+	for _, os := range m.occ {
+		for _, o := range os {
+			n += int(o.count) * len(m.sets[o.set])
+		}
+	}
+	for _, set := range m.sets {
+		n -= len(set)
+	}
+	return n
 }
 
 // TestExploreParallelContextRecordsSplitSpan checks the parallel path's

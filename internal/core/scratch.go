@@ -10,9 +10,9 @@ import (
 
 // This file holds the engine's pooled scratch: every allocation the
 // steady-state explore path used to make per request — the stripped form,
-// the MRCT build tables (dedup chains, epoch stamps, LRU positions,
-// conflict-set arenas, packed bit-vectors, occurrence storage), the
-// postlude's zero/one planes and row sets, and the parallel workers'
+// the MRCT build tables (dedup chains, last-access times and the Fenwick
+// tree over them, conflict-set arenas, packed bit-vectors, occurrence
+// storage), the postlude's zero/one planes and row sets, and the parallel workers'
 // private histograms and queues — lives in a Scratch that a sync.Pool
 // recycles across explorations. A warm pool drives the data plane's
 // allocs/op to the Result envelope alone (BenchmarkSteadyStateAllocs and
@@ -46,10 +46,9 @@ type Scratch struct {
 	dedupHead map[uint64]int32 // commutative hash -> newest set index
 	dedupNext []int32          // per set index, next older candidate or -1
 	idHash    []uint64         // hashID cache, extended monotonically
-	stamp     []uint64         // epoch stamps for O(|C|) set equality
-	epoch     uint64           // monotone across builds: stamps never need zeroing
-	pos       []int32          // LRU-stack position per id
-	stack     []int            // the LRU stack itself
+	last      []int32          // per id, the logical time of its last access (0 = cold)
+	slot      []int32          // per logical time, the id holding it (-1 once it moved on)
+	fen       []fenNode        // Fenwick tree over logical times 1..W
 	pairs     []uint64         // (id<<32 | set index) per non-cold occurrence
 	occBuf    []occurrence     // backing storage m.occ[id] slices are carved from
 	i32       int32Arena       // sparse conflict-set storage
