@@ -136,14 +136,17 @@ func onepassOf(p core.Policy) onepass.ReplPolicy {
 // associativities add size for identical misses and are dominated.
 // minLine drops line sizes below a floor (an L2 line must cover its L1
 // lines). stats tallies the cells skipped by each cut; o.Exhaustive
-// disables all three cuts and evaluates the full grid.
-func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpace, o SpaceOptions, minLine int, stats *core.PruneStats) ([]levelCand, error) {
+// disables all three cuts and evaluates the full grid. The non-LRU sweeps
+// of one line size share one strip of the stream, made on the first of
+// them, and sw's buffers.
+func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpace, o SpaceOptions, minLine int, stats *core.PruneStats, sw *onepass.PolicySweeper) ([]levelCand, error) {
 	cut := !o.Exhaustive && slices.Contains(ls.Policies, core.PolicyLRU)
 	var out []levelCand
 	for _, line := range ls.LineWords {
 		if line < minLine {
 			continue
 		}
+		var lines *onepass.Lines
 		lrs, err := core.LineSizes(ctx, stream, core.Options{MaxDepth: ls.MaxDepth}, []int{line})
 		if err != nil {
 			return nil, err
@@ -187,14 +190,19 @@ func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpac
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				sw, err := onepass.PolicySweep(stream, l.Depth, capAlpha, line, onepassOf(p))
+				if lines == nil {
+					if lines, err = sw.StripLines(stream, line); err != nil {
+						return nil, err
+					}
+				}
+				res, err := sw.SweepLines(lines, l.Depth, capAlpha, onepassOf(p))
 				if err != nil {
 					return nil, err
 				}
 				for a := 1; a <= capAlpha; a++ {
 					out = append(out, levelCand{
 						depth: l.Depth, assoc: a, line: line,
-						policy: p, cold: lr.Cold, nonCold: sw.MissByAssoc[a],
+						policy: p, cold: lr.Cold, nonCold: res.MissByAssoc[a],
 					})
 				}
 			}
@@ -238,9 +246,10 @@ func ExploreSpace(ctx context.Context, t *trace.Trace, space core.Space, o Space
 	space = space.Normalized()
 	o = o.normalized()
 	front := &core.Front{}
+	sw := &onepass.PolicySweeper{}
 	switch space.Topology {
 	case core.TopoUnified:
-		cands, err := levelCandidates(ctx, t, space.L1, o, 1, &front.Stats)
+		cands, err := levelCandidates(ctx, t, space.L1, o, 1, &front.Stats, sw)
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +268,7 @@ func ExploreSpace(ctx context.Context, t *trace.Trace, space core.Space, o Space
 			}
 		}
 	case core.TopoSplit, core.TopoSplitL2:
-		if err := exploreSplit(ctx, t, space, o, front); err != nil {
+		if err := exploreSplit(ctx, t, space, o, front, sw); err != nil {
 			return nil, err
 		}
 	default:
@@ -274,23 +283,17 @@ type l1Pair struct {
 	i, d levelCand
 }
 
-func (p l1Pair) misses() int    { return p.i.misses() + p.d.misses() }
-func (p l1Pair) sizeWords() int { return p.i.sizeWords() + p.d.sizeWords() }
-func (p l1Pair) key() string {
-	return p.i.config().String() + "/" + p.d.config().String()
-}
-
 // exploreSplit handles the two split topologies: candidate L1I and L1D
 // grids are evaluated independently on the split streams, paired, and —
 // under split+l2 — the Pareto-optimal pairs seed a second-level
 // exploration of the filtered stream each pair produces.
-func exploreSplit(ctx context.Context, t *trace.Trace, space core.Space, o SpaceOptions, front *core.Front) error {
+func exploreSplit(ctx context.Context, t *trace.Trace, space core.Space, o SpaceOptions, front *core.Front, sw *onepass.PolicySweeper) error {
 	instr, data := t.Split()
-	candsI, err := levelCandidates(ctx, instr, space.L1, o, 1, &front.Stats)
+	candsI, err := levelCandidates(ctx, instr, space.L1, o, 1, &front.Stats, sw)
 	if err != nil {
 		return err
 	}
-	candsD, err := levelCandidates(ctx, data, space.L1, o, 1, &front.Stats)
+	candsD, err := levelCandidates(ctx, data, space.L1, o, 1, &front.Stats, sw)
 	if err != nil {
 		return err
 	}
@@ -346,7 +349,7 @@ func exploreSplit(ctx context.Context, t *trace.Trace, space core.Space, o Space
 		if pr.d.line > minLine {
 			minLine = pr.d.line
 		}
-		candsL2, err := levelCandidates(ctx, filtered, space.L2, o, minLine, &front.Stats)
+		candsL2, err := levelCandidates(ctx, filtered, space.L2, o, minLine, &front.Stats, sw)
 		if err != nil {
 			return err
 		}
@@ -387,33 +390,56 @@ func exploreSplit(ctx context.Context, t *trace.Trace, space core.Space, o Space
 
 // paretoPairs crosses the two candidate lists and keeps the pairs on the
 // (combined misses, combined size) Pareto front, sorted by misses then
-// size then key. Ties on both objectives keep the lexically smallest key.
+// size then key, a pair's key being its two config strings joined by
+// "/". Ties on both objectives keep the lexically smallest key. Each
+// candidate's config string is rendered once; comparing the (L1I, L1D)
+// strings in turn orders the pairs as their joined keys do, because no
+// config string is a proper prefix of another (each ends in its write
+// policy).
 func paretoPairs(candsI, candsD []levelCand) []l1Pair {
-	all := make([]l1Pair, 0, len(candsI)*len(candsD))
-	for _, ci := range candsI {
-		for _, cd := range candsD {
-			all = append(all, l1Pair{i: ci, d: cd})
+	keysI, keysD := configKeys(candsI), configKeys(candsD)
+	type ranked struct {
+		i, d         int // indices into candsI, candsD
+		misses, size int
+	}
+	all := make([]ranked, 0, len(candsI)*len(candsD))
+	for i, ci := range candsI {
+		for d, cd := range candsD {
+			all = append(all, ranked{i, d, ci.misses() + cd.misses(), ci.sizeWords() + cd.sizeWords()})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].misses() != all[j].misses() {
-			return all[i].misses() < all[j].misses()
+	sort.Slice(all, func(x, y int) bool {
+		a, b := &all[x], &all[y]
+		if a.misses != b.misses {
+			return a.misses < b.misses
 		}
-		if all[i].sizeWords() != all[j].sizeWords() {
-			return all[i].sizeWords() < all[j].sizeWords()
+		if a.size != b.size {
+			return a.size < b.size
 		}
-		return all[i].key() < all[j].key()
+		if keysI[a.i] != keysI[b.i] {
+			return keysI[a.i] < keysI[b.i]
+		}
+		return keysD[a.d] < keysD[b.d]
 	})
 	var out []l1Pair
 	bestSize := -1
 	for _, p := range all {
-		if bestSize >= 0 && p.sizeWords() >= bestSize {
+		if bestSize >= 0 && p.size >= bestSize {
 			continue
 		}
-		out = append(out, p)
-		bestSize = p.sizeWords()
+		out = append(out, l1Pair{i: candsI[p.i], d: candsD[p.d]})
+		bestSize = p.size
 	}
 	return out
+}
+
+// configKeys renders each candidate's simulator configuration once.
+func configKeys(cands []levelCand) []string {
+	keys := make([]string, len(cands))
+	for i, c := range cands {
+		keys[i] = c.config().String()
+	}
+	return keys
 }
 
 // subsamplePairs keeps n pairs evenly spaced along the sorted front,

@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -337,5 +338,61 @@ func TestExploreSpaceExhaustiveAgrees(t *testing.T) {
 	if pp[0].Misses != fp[0].Misses {
 		t.Errorf("best miss count differs: pruned %d, exhaustive %d",
 			pp[0].Misses, fp[0].Misses)
+	}
+}
+
+// TestParetoPairsKeyOrder: paretoPairs renders each candidate's config
+// once and compares the (L1I, L1D) strings in turn; the pairs it keeps,
+// in order, must be those of a sort on the joined "L1I/L1D" key. The
+// exhaustive grid over three line sizes is full of miss-and-size ties,
+// including candidates whose config strings coincide (line size is not
+// part of them).
+func TestParetoPairsKeyOrder(t *testing.T) {
+	res := kernelStreams(t, "crc")
+	ls := core.LevelSpace{
+		MaxDepth: 16, MaxAssoc: 4, LineWords: []int{1, 2, 4},
+		Policies: []core.Policy{core.PolicyLRU, core.PolicyFIFO, core.PolicyPLRU},
+	}
+	o := SpaceOptions{Exhaustive: true}.normalized()
+	var stats core.PruneStats
+	sw := &onepass.PolicySweeper{}
+	candsI, err := levelCandidates(context.Background(), res.Instr, ls, o, 1, &stats, sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	candsD, err := levelCandidates(context.Background(), res.Data, ls, o, 1, &stats, sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	key := func(p l1Pair) string { return p.i.config().String() + "/" + p.d.config().String() }
+	all := make([]l1Pair, 0, len(candsI)*len(candsD))
+	for _, ci := range candsI {
+		for _, cd := range candsD {
+			all = append(all, l1Pair{i: ci, d: cd})
+		}
+	}
+	misses := func(p l1Pair) int { return p.i.misses() + p.d.misses() }
+	size := func(p l1Pair) int { return p.i.sizeWords() + p.d.sizeWords() }
+	sort.Slice(all, func(i, j int) bool {
+		if misses(all[i]) != misses(all[j]) {
+			return misses(all[i]) < misses(all[j])
+		}
+		if size(all[i]) != size(all[j]) {
+			return size(all[i]) < size(all[j])
+		}
+		return key(all[i]) < key(all[j])
+	})
+	var want []l1Pair
+	best := -1
+	for _, p := range all {
+		if best >= 0 && size(p) >= best {
+			continue
+		}
+		want = append(want, p)
+		best = size(p)
+	}
+	if got := paretoPairs(candsI, candsD); !reflect.DeepEqual(got, want) {
+		t.Fatalf("paretoPairs kept %d pairs, joined-key order %d:\n%v\nvs\n%v", len(got), len(want), got, want)
 	}
 }

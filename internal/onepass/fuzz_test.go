@@ -1,0 +1,72 @@
+package onepass
+
+import (
+	"reflect"
+	"testing"
+
+	"github.com/example/cachedse/internal/cache"
+	"github.com/example/cachedse/internal/trace"
+)
+
+// fuzzUniverse is the number of word addresses fuzz bytes index into:
+// more than 70, so the widest fuzzed replicas (past one PLRU word) still
+// see full-set evictions at depth 1.
+const fuzzUniverse = 96
+
+// fuzzSweepArgs decodes a fuzz input: four header bytes choose the depth
+// (1..16), maxAssoc (1..10, or 64..71 from 240 up, where PLRU trees span
+// two words), the line size (1..16 words) and the policy; every further
+// byte is one reference to a spread-out address of the fixed universe.
+func fuzzSweepArgs(b []byte) (tr *trace.Trace, depth, maxAssoc, line int, p ReplPolicy) {
+	var h [4]byte
+	copy(h[:], b)
+	depth = 1 << (h[0] % 5)
+	maxAssoc = 1 + int(h[1]%10)
+	if h[1] >= 240 {
+		maxAssoc = 64 + int(h[1]-240)%8
+	}
+	line = 1 << (h[2] % 5)
+	p = ReplPolicy(h[3] % 4)
+	refs := b[min(len(b), 4):]
+	if len(refs) > 512 {
+		refs = refs[:512] // keep the simulator's maxAssoc runs cheap
+	}
+	tr = trace.New(len(refs))
+	for _, r := range refs {
+		tr.Append(trace.Ref{Addr: uint32(r%fuzzUniverse) * 7, Kind: trace.DataRead})
+	}
+	return tr, depth, maxAssoc, line, p
+}
+
+// FuzzPolicySweep checks the dense-id sweep differentially: every
+// associativity against a cache.Simulate run, and the whole sweep against
+// the replica oracle.
+func FuzzPolicySweep(f *testing.F) {
+	f.Add([]byte{0, 7, 0, 1, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9})
+	f.Add([]byte{2, 4, 1, 3, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tr, depth, maxAssoc, line, p := fuzzSweepArgs(b)
+		sw, err := PolicySweep(tr, depth, maxAssoc, line, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := policySweepOracle(tr, depth, maxAssoc, line, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sw, want) {
+			t.Fatalf("%s D=%d maxA=%d lw=%d: sweep %+v, oracle %+v", p, depth, maxAssoc, line, sw, want)
+		}
+		repl := []cache.Replacement{ReplLRU: cache.LRU, ReplFIFO: cache.FIFO, ReplRandom: cache.Random, ReplPLRU: cache.PLRU}[p]
+		for a := 1; a <= maxAssoc; a++ {
+			res, err := cache.Simulate(cache.Config{Depth: depth, Assoc: a, LineWords: line, Repl: repl}, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sw.MissByAssoc[a] != res.Misses || sw.Cold != res.ColdMisses {
+				t.Fatalf("%s D=%d A=%d lw=%d: sweep %d misses (%d cold), simulator %d (%d cold)",
+					p, depth, a, line, sw.MissByAssoc[a], sw.Cold, res.Misses, res.ColdMisses)
+			}
+		}
+	})
+}

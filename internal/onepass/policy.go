@@ -2,6 +2,7 @@ package onepass
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/example/cachedse/internal/trace"
@@ -11,12 +12,25 @@ import (
 // one stack walk yields every associativity at once. FIFO, Random and
 // PLRU have no such property (Belady's anomaly — more ways can miss
 // more), so their multi-associativity profile comes from this file's
-// sweep instead: one trace traversal maintaining an independent replica
-// of the set state for every associativity 1..MaxAssoc. Each replica
-// performs exactly the probe/fill/victim sequence of internal/cache's
-// simulator, so the sweep's counts are bit-identical to running the
-// simulator MaxAssoc times — at one pass over the trace and without the
-// per-config allocation.
+// sweep instead: one pass over the stream maintaining an independent
+// replica of the set state for every associativity 1..MaxAssoc. Each
+// replica performs exactly the probe/fill/victim sequence of
+// internal/cache's simulator, so the sweep's counts are bit-identical to
+// running the simulator MaxAssoc times — at one pass over the stream and
+// without the per-config allocation.
+//
+// The sweep runs over dense line ids. StripLines numbers a stream's lines
+// in first-touch order once per line size, and every (depth, policy)
+// sweep of that strip reuses it: a reference is cold exactly when its id
+// is the next new one, so no seen-set is probed. Residency is one id-major
+// table, wayOf[(id+1)·maxAssoc + a-1] = way+1 (0: not resident in the
+// a-way replica), so a reference probes all its replicas in one cache line
+// and a hit costs O(1) per replica — nothing for FIFO and Random, a stamp
+// for LRU, one masked word update for PLRU. Ways fill in way order and are
+// never invalidated, so a set's fill counter says whether it is full and,
+// for FIFO, taken modulo a, names the victim: the ways arrive in order
+// 0..a-1 at distinct clock stamps and each refill makes its way the
+// newest, so internal/cache's minimum-arrival victim walks round-robin.
 
 // ReplPolicy selects the replacement policy of a PolicySweep.
 type ReplPolicy uint8
@@ -78,19 +92,52 @@ func (s *AssocSweep) Misses(assoc int) int {
 	return s.MissByAssoc[assoc]
 }
 
-// assocState is one replica: the set array of a (depth, assoc) cache,
-// flattened way-major.
-type assocState struct {
-	assoc int
-	tags  []uint32
-	valid []bool
-	// stamp is lastUse for LRU, arrival for FIFO; unused otherwise.
-	stamp []int
-	// plru holds the per-set tree bits, plruStride (the next power of two
-	// above assoc — the implicit heap's node count) per set.
-	plru       []bool
-	plruStride int
-	rng        *rand.Rand
+// Lines is a reference stream at one line size as dense line ids, as
+// built by StripLines; the sweeps rely on its invariants.
+type Lines struct {
+	LineWords int
+	// IDs[i] is the id of reference i's line. Ids are numbered in
+	// first-touch order, so reference i is cold exactly when IDs[i]
+	// equals the number of distinct ids before it.
+	IDs []int32
+	// Addrs[id] is the line address (word address / LineWords) of id.
+	Addrs []uint32
+}
+
+// PolicySweeper strips streams and sweeps them, reusing its buffers from
+// one call to the next, so a caller sweeping many (stream, line, depth,
+// policy) cells allocates for the largest rather than for each. The zero
+// value is ready to use; it is not safe for concurrent use.
+type PolicySweeper struct {
+	lines Lines
+	index map[uint32]int32
+	// wayOf[(id+1)*maxAssoc + a-1] is way+1 of id in the a-way replica,
+	// 0 if not resident. Row 0 stands for "no id": evicting an empty way
+	// clears it, so the miss path needs no emptiness branch.
+	wayOf []int32
+	// ways holds, set by set, every replica's ways back to back (replica
+	// a's set s starts at s·maxAssoc(maxAssoc+1)/2 + a(a-1)/2): the
+	// resident id+1, 0 while empty.
+	ways []int32
+	// count[s*maxAssoc + a-1] is the number of misses replica a's set s
+	// has taken: its fill level until it reaches a; FIFO keeps it modulo
+	// a as the round-robin victim.
+	count []int32
+	stamp []int32      // LRU: last-use clock, laid out like ways
+	tree  []uint64     // PLRU: per set, every replica's tree back to back
+	rngs  []*rand.Rand // Random: one stream per replica
+}
+
+// StripLines numbers the lines of t at lineWords words per line (0 means
+// one) in first-touch order.
+func StripLines(t *trace.Trace, lineWords int) (*Lines, error) {
+	return new(PolicySweeper).StripLines(t, lineWords)
+}
+
+// SweepLines evaluates every associativity 1..maxAssoc of one cache depth
+// under one replacement policy in a single pass over the strip.
+func SweepLines(l *Lines, depth, maxAssoc int, p ReplPolicy) (*AssocSweep, error) {
+	return new(PolicySweeper).SweepLines(l, depth, maxAssoc, p)
 }
 
 // PolicySweep evaluates every associativity 1..maxAssoc of one cache
@@ -98,167 +145,345 @@ type assocState struct {
 // lineWords 0 means one-word lines. Replacement semantics replicate
 // internal/cache.Access exactly: probe in way order, fill invalid-first,
 // then evict per policy (write-back write-allocate — writes behave like
-// reads for miss accounting).
+// reads for miss accounting). It is SweepLines over StripLines; callers
+// sweeping one stream at several depths or policies strip it once.
 func PolicySweep(t *trace.Trace, depth, maxAssoc, lineWords int, p ReplPolicy) (*AssocSweep, error) {
+	if err := checkSweep(depth, maxAssoc, lineWords, p); err != nil {
+		return nil, err
+	}
+	l, err := StripLines(t, lineWords)
+	if err != nil {
+		return nil, err
+	}
+	return SweepLines(l, depth, maxAssoc, p)
+}
+
+func checkSweep(depth, maxAssoc, lineWords int, p ReplPolicy) error {
 	if depth < 1 || depth&(depth-1) != 0 {
-		return nil, fmt.Errorf("onepass: depth %d is not a power of two >= 1", depth)
+		return fmt.Errorf("onepass: depth %d is not a power of two >= 1", depth)
 	}
 	if maxAssoc < 1 {
-		return nil, fmt.Errorf("onepass: max associativity %d < 1", maxAssoc)
+		return fmt.Errorf("onepass: max associativity %d < 1", maxAssoc)
 	}
+	if _, err := lineShiftOf(lineWords); err != nil {
+		return err
+	}
+	if p > ReplPLRU {
+		return fmt.Errorf("onepass: invalid policy %d", p)
+	}
+	return nil
+}
+
+func lineShiftOf(lineWords int) (uint, error) {
 	if lineWords == 0 {
 		lineWords = 1
 	}
 	if lineWords < 1 || lineWords&(lineWords-1) != 0 {
-		return nil, fmt.Errorf("onepass: line size %d words is not a power of two >= 1", lineWords)
+		return 0, fmt.Errorf("onepass: line size %d words is not a power of two >= 1", lineWords)
 	}
-	if p > ReplPLRU {
-		return nil, fmt.Errorf("onepass: invalid policy %d", p)
-	}
-
-	var lineShift, depthBits uint
+	var shift uint
 	for ls := lineWords; ls > 1; ls >>= 1 {
-		lineShift++
+		shift++
 	}
-	for d := depth; d > 1; d >>= 1 {
-		depthBits++
-	}
-	idxMask := uint32(depth - 1)
+	return shift, nil
+}
 
-	states := make([]*assocState, maxAssoc+1)
-	for a := 1; a <= maxAssoc; a++ {
-		st := &assocState{
-			assoc: a,
-			tags:  make([]uint32, depth*a),
-			valid: make([]bool, depth*a),
-		}
-		switch p {
-		case ReplLRU, ReplFIFO:
-			st.stamp = make([]int, depth*a)
-		case ReplRandom:
-			st.rng = rand.New(rand.NewSource(randSeed))
-		case ReplPLRU:
-			st.plruStride = 1
-			for st.plruStride < a {
-				st.plruStride <<= 1
-			}
-			st.plru = make([]bool, depth*st.plruStride)
-		}
-		states[a] = st
+// StripLines is the package StripLines drawing on s's buffers; the
+// returned Lines stays valid until s strips again.
+func (s *PolicySweeper) StripLines(t *trace.Trace, lineWords int) (*Lines, error) {
+	shift, err := lineShiftOf(lineWords)
+	if err != nil {
+		return nil, err
 	}
+	if len(t.Refs) > math.MaxInt32 {
+		return nil, fmt.Errorf("onepass: %d references overflow the line ids", len(t.Refs))
+	}
+	if s.index == nil {
+		s.index = make(map[uint32]int32, 1024)
+	} else {
+		clear(s.index)
+	}
+	l := &s.lines
+	l.LineWords = 1 << shift
+	l.IDs = resize(l.IDs, len(t.Refs))
+	l.Addrs = l.Addrs[:0]
+	for i, r := range t.Refs {
+		line := r.Addr >> shift
+		id, ok := s.index[line]
+		if !ok {
+			id = int32(len(l.Addrs))
+			s.index[line] = id
+			l.Addrs = append(l.Addrs, line)
+		}
+		l.IDs[i] = id
+	}
+	return l, nil
+}
 
+// SweepLines is the package SweepLines drawing on s's buffers. The
+// returned sweep owns its memory.
+func (s *PolicySweeper) SweepLines(l *Lines, depth, maxAssoc int, p ReplPolicy) (*AssocSweep, error) {
+	if err := checkSweep(depth, maxAssoc, l.LineWords, p); err != nil {
+		return nil, err
+	}
 	out := &AssocSweep{
 		Depth:       depth,
-		LineWords:   lineWords,
+		LineWords:   l.LineWords,
 		Policy:      p,
+		Accesses:    len(l.IDs),
+		Cold:        len(l.Addrs),
 		MissByAssoc: make([]int, maxAssoc+1),
 	}
-	seen := make(map[uint32]bool, 1024)
-	clock := 0
-	for _, r := range t.Refs {
-		clock++
-		out.Accesses++
-		lineAddr := r.Addr >> lineShift
-		idx := int(lineAddr & idxMask)
-		tag := lineAddr >> depthBits
-		cold := !seen[lineAddr]
-		if cold {
-			out.Cold++
-			seen[lineAddr] = true
+	s.wayOf = zeroed(s.wayOf, (len(l.Addrs)+1)*maxAssoc)
+	s.ways = zeroed(s.ways, depth*maxAssoc*(maxAssoc+1)/2)
+	s.count = zeroed(s.count, depth*maxAssoc)
+	switch p {
+	case ReplLRU:
+		s.stamp = resize(s.stamp, len(s.ways))
+		s.sweepLRU(l, depth, maxAssoc, out.MissByAssoc)
+	case ReplFIFO:
+		s.sweepFIFO(l, depth, maxAssoc, out.MissByAssoc)
+	case ReplRandom:
+		for len(s.rngs) < maxAssoc {
+			s.rngs = append(s.rngs, rand.New(rand.NewSource(randSeed)))
 		}
-		for a := 1; a <= maxAssoc; a++ {
-			if states[a].access(idx, tag, clock, p) {
-				continue // hit
-			}
-			if !cold {
-				out.MissByAssoc[a]++
-			}
+		for _, r := range s.rngs[:maxAssoc] {
+			r.Seed(randSeed)
 		}
+		s.sweepRandom(l, depth, maxAssoc, out.MissByAssoc)
+	case ReplPLRU:
+		s.tree = zeroed(s.tree, depth*treeStride(maxAssoc))
+		s.sweepPLRU(l, depth, maxAssoc, out.MissByAssoc)
 	}
 	return out, nil
 }
 
-// access probes one replica's set for tag, updating replacement state,
-// and reports a hit. On a miss it fills an invalid way or evicts per
-// policy — the same sequence as cache.Access with write-allocate.
-func (st *assocState) access(idx int, tag uint32, clock int, p ReplPolicy) bool {
-	base := idx * st.assoc
-	for w := 0; w < st.assoc; w++ {
-		if st.valid[base+w] && st.tags[base+w] == tag {
-			switch p {
-			case ReplLRU:
-				st.stamp[base+w] = clock
-			case ReplPLRU:
-				plruTouch(st.plruSet(idx), st.assoc, w)
+// resize returns buf with length n, reallocating only to grow; the
+// contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// zeroed returns buf with length n and every element zero.
+func zeroed[T int32 | uint64](buf []T, n int) []T {
+	buf = resize(buf, n)
+	clear(buf)
+	return buf
+}
+
+// The four kernels share one shape: per reference, classify it cold or
+// warm, find its set and its wayOf row, then walk the replicas a =
+// 1..maxAssoc. A hit does the policy's touch; a miss picks a way (the
+// next empty one while the set fills, else the policy's victim), clears
+// the evicted id's wayOf entry and installs the reference. Each policy
+// has its own loop so no replica pays a policy switch.
+
+func (s *PolicySweeper) sweepFIFO(l *Lines, depth, maxAssoc int, miss []int) {
+	mask := uint32(depth - 1)
+	setWays := maxAssoc * (maxAssoc + 1) / 2
+	wayOf, ways, count := s.wayOf, s.ways, s.count
+	next := int32(0)
+	for _, id := range l.IDs {
+		warm := 1
+		if id == next {
+			next++
+			warm = 0
+		}
+		set := int(l.Addrs[id] & mask)
+		row := int(id+1) * maxAssoc
+		probe := wayOf[row : row+maxAssoc]
+		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]
+		base := set * setWays
+		for j, resident := range probe {
+			if resident == 0 {
+				w := cnt[j]
+				if int(w) == j {
+					cnt[j] = 0
+				} else {
+					cnt[j] = w + 1
+				}
+				k := base + int(w)
+				wayOf[int(ways[k])*maxAssoc+j] = 0
+				ways[k] = id + 1
+				probe[j] = w + 1
+				miss[j+1] += warm
 			}
-			return true
+			base += j + 1
 		}
 	}
-	victim := -1
-	for w := 0; w < st.assoc; w++ {
-		if !st.valid[base+w] {
-			victim = w
-			break
+}
+
+func (s *PolicySweeper) sweepLRU(l *Lines, depth, maxAssoc int, miss []int) {
+	mask := uint32(depth - 1)
+	setWays := maxAssoc * (maxAssoc + 1) / 2
+	wayOf, ways, count, stamp := s.wayOf, s.ways, s.count, s.stamp
+	next, clock := int32(0), int32(0)
+	for _, id := range l.IDs {
+		clock++
+		warm := 1
+		if id == next {
+			next++
+			warm = 0
+		}
+		set := int(l.Addrs[id] & mask)
+		row := int(id+1) * maxAssoc
+		probe := wayOf[row : row+maxAssoc]
+		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]
+		base := set * setWays
+		for j, resident := range probe {
+			if resident != 0 {
+				stamp[base+int(resident)-1] = clock
+			} else {
+				var w int
+				if f := cnt[j]; int(f) <= j {
+					w = int(f)
+					cnt[j] = f + 1
+				} else {
+					w = oldest(stamp[base : base+j+1])
+				}
+				k := base + w
+				wayOf[int(ways[k])*maxAssoc+j] = 0
+				ways[k] = id + 1
+				stamp[k] = clock
+				probe[j] = int32(w + 1)
+				miss[j+1] += warm
+			}
+			base += j + 1
 		}
 	}
-	if victim < 0 {
-		switch p {
-		case ReplLRU, ReplFIFO:
-			victim = 0
-			best := st.stamp[base]
-			for w := 1; w < st.assoc; w++ {
-				if st.stamp[base+w] < best {
-					victim, best = w, st.stamp[base+w]
+}
+
+// oldest returns the way with the smallest stamp, the first on a tie, as
+// internal/cache's LRU victim scan does.
+func oldest(stamps []int32) int {
+	v, best := 0, stamps[0]
+	for w := 1; w < len(stamps); w++ {
+		if stamps[w] < best {
+			v, best = w, stamps[w]
+		}
+	}
+	return v
+}
+
+func (s *PolicySweeper) sweepRandom(l *Lines, depth, maxAssoc int, miss []int) {
+	mask := uint32(depth - 1)
+	setWays := maxAssoc * (maxAssoc + 1) / 2
+	wayOf, ways, count, rngs := s.wayOf, s.ways, s.count, s.rngs
+	next := int32(0)
+	for _, id := range l.IDs {
+		warm := 1
+		if id == next {
+			next++
+			warm = 0
+		}
+		set := int(l.Addrs[id] & mask)
+		row := int(id+1) * maxAssoc
+		probe := wayOf[row : row+maxAssoc]
+		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]
+		base := set * setWays
+		for j, resident := range probe {
+			if resident == 0 {
+				var w int
+				if f := cnt[j]; int(f) <= j {
+					w = int(f)
+					cnt[j] = f + 1
+				} else {
+					w = rngs[j].Intn(j + 1)
+				}
+				k := base + w
+				wayOf[int(ways[k])*maxAssoc+j] = 0
+				ways[k] = id + 1
+				probe[j] = int32(w + 1)
+				miss[j+1] += warm
+			}
+			base += j + 1
+		}
+	}
+}
+
+// PLRU trees mirror internal/cache's midpoint-bisection tree bit for bit:
+// node i's children are 2i+1/2i+2 and a set node bit means the next
+// victim lies right. A tree of a ways has its nodes below the next power
+// of two above a, so up to 64 ways it fits one word, and a touch — which
+// rewrites exactly the nodes on the root-to-way path — is one masked
+// update with a precomputed (mask, value) pair. Past 64 ways a tree spans
+// treeWords(a) words and the touch walks the path bit by bit instead;
+// both paths are pinned against the simulator at 65 and 70 ways.
+
+// plruWordWays is the largest associativity whose tree fits one word.
+const plruWordWays = 64
+
+// plruPaths[a(a-1)/2 + w] is the touch of way w in an a-way one-word tree.
+var plruPaths = func() []struct{ mask, val uint64 } {
+	paths := make([]struct{ mask, val uint64 }, plruWordWays*(plruWordWays+1)/2)
+	for a := 1; a <= plruWordWays; a++ {
+		for w := 0; w < a; w++ {
+			p := &paths[a*(a-1)/2+w]
+			node, lo, hi := 0, 0, a
+			for hi-lo > 1 {
+				mid := (lo + hi) / 2
+				p.mask |= 1 << node
+				if w < mid {
+					p.val |= 1 << node
+					node = 2*node + 1
+					hi = mid
+				} else {
+					node = 2*node + 2
+					lo = mid
 				}
 			}
-		case ReplRandom:
-			victim = st.rng.Intn(st.assoc)
-		case ReplPLRU:
-			victim = plruVictim(st.plruSet(idx), st.assoc)
 		}
 	}
-	st.tags[base+victim] = tag
-	st.valid[base+victim] = true
-	if p == ReplLRU || p == ReplFIFO {
-		st.stamp[base+victim] = clock
+	return paths
+}()
+
+// treeWords is the number of words an a-way tree spans.
+func treeWords(a int) int {
+	n := 1
+	for n < a {
+		n <<= 1
 	}
-	if p == ReplPLRU {
-		plruTouch(st.plruSet(idx), st.assoc, victim)
-	}
-	return false
+	return (n + 63) / 64
 }
 
-// plruSet returns set idx's tree bits.
-func (st *assocState) plruSet(idx int) []bool {
-	base := idx * st.plruStride
-	return st.plru[base : base+st.plruStride]
+// treeStride is the number of words one set's trees span across the
+// replicas 1..maxAssoc.
+func treeStride(maxAssoc int) int {
+	n := min(maxAssoc, plruWordWays)
+	for a := plruWordWays + 1; a <= maxAssoc; a++ {
+		n += treeWords(a)
+	}
+	return n
 }
 
-// plruTouch and plruVictim mirror internal/cache's midpoint-bisection
-// PLRU tree bit for bit (node i's children are 2i+1/2i+2; bits[node]
-// true means the next victim lies right).
-
-func plruTouch(bits []bool, n, w int) {
+// treeTouch protects way w of an n-way tree: the general path for trees
+// past one word.
+func treeTouch(tree []uint64, n, w int) {
 	node, lo, hi := 0, 0, n
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
+		bit := uint64(1) << (node & 63)
 		if w < mid {
-			bits[node] = true
+			tree[node>>6] |= bit
 			node = 2*node + 1
 			hi = mid
 		} else {
-			bits[node] = false
+			tree[node>>6] &^= bit
 			node = 2*node + 2
 			lo = mid
 		}
 	}
 }
 
-func plruVictim(bits []bool, n int) int {
+// treeVictim follows the tree bits of an n-way set to its victim.
+func treeVictim(tree []uint64, n int) int {
 	node, lo, hi := 0, 0, n
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if bits[node] {
+		if tree[node>>6]>>(node&63)&1 != 0 {
 			node = 2*node + 2
 			lo = mid
 		} else {
@@ -267,4 +492,70 @@ func plruVictim(bits []bool, n int) int {
 		}
 	}
 	return lo
+}
+
+func (s *PolicySweeper) sweepPLRU(l *Lines, depth, maxAssoc int, miss []int) {
+	mask := uint32(depth - 1)
+	setWays := maxAssoc * (maxAssoc + 1) / 2
+	stride := treeStride(maxAssoc)
+	oneWord := min(maxAssoc, plruWordWays)
+	wayOf, ways, count, tree := s.wayOf, s.ways, s.count, s.tree
+	next := int32(0)
+	for _, id := range l.IDs {
+		warm := 1
+		if id == next {
+			next++
+			warm = 0
+		}
+		set := int(l.Addrs[id] & mask)
+		row := int(id+1) * maxAssoc
+		probe := wayOf[row : row+maxAssoc]
+		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]
+		base := set * setWays
+		trees := tree[set*stride : set*stride+stride]
+		path := 0 // plruPaths offset of the j+1-way replica
+		for j, resident := range probe[:oneWord] {
+			w := int(resident) - 1
+			if w < 0 {
+				if f := cnt[j]; int(f) <= j {
+					w = int(f)
+					cnt[j] = f + 1
+				} else {
+					w = treeVictim(trees[j:j+1], j+1)
+				}
+				k := base + w
+				wayOf[int(ways[k])*maxAssoc+j] = 0
+				ways[k] = id + 1
+				probe[j] = int32(w + 1)
+				miss[j+1] += warm
+			}
+			p := plruPaths[path+w]
+			trees[j] = trees[j]&^p.mask | p.val
+			base += j + 1
+			path += j + 1
+		}
+		// The general path: trees past one word, touched bit by bit.
+		t := trees[oneWord:]
+		for j := oneWord; j < maxAssoc; j++ {
+			a := j + 1
+			n := treeWords(a)
+			w := int(probe[j]) - 1
+			if w < 0 {
+				if f := cnt[j]; int(f) <= j {
+					w = int(f)
+					cnt[j] = f + 1
+				} else {
+					w = treeVictim(t[:n], a)
+				}
+				k := base + w
+				wayOf[int(ways[k])*maxAssoc+j] = 0
+				ways[k] = id + 1
+				probe[j] = int32(w + 1)
+				miss[a] += warm
+			}
+			treeTouch(t[:n], a, w)
+			t = t[n:]
+			base += a
+		}
+	}
 }

@@ -2,9 +2,11 @@ package onepass
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/example/cachedse/internal/cache"
+	"github.com/example/cachedse/internal/powerstone"
 	"github.com/example/cachedse/internal/trace"
 )
 
@@ -35,47 +37,168 @@ func synthTrace(n int, seed int64) *trace.Trace {
 	return t
 }
 
+var sweepPolicies = []struct {
+	p ReplPolicy
+	r cache.Replacement
+}{
+	{ReplLRU, cache.LRU},
+	{ReplFIFO, cache.FIFO},
+	{ReplRandom, cache.Random},
+	{ReplPLRU, cache.PLRU},
+}
+
+// checkAgainstOracles compares a sweep cell for cell with the replica oracle and,
+// at the listed associativities, with the cache simulator.
+func checkAgainstOracles(t *testing.T, tr *trace.Trace, depth, maxAssoc, line int, p ReplPolicy, r cache.Replacement, simAssocs []int) {
+	t.Helper()
+	sw, err := PolicySweep(tr, depth, maxAssoc, line, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := policySweepOracle(tr, depth, maxAssoc, line, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sw, want) {
+		t.Errorf("%s D=%d maxA=%d lw=%d: sweep %+v, oracle %+v", p, depth, maxAssoc, line, sw, want)
+	}
+	for _, a := range simAssocs {
+		cfg := cache.Config{Depth: depth, Assoc: a, LineWords: line, Repl: r}
+		res, err := cache.Simulate(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sw.MissByAssoc[a] != res.Misses {
+			t.Errorf("%s D=%d A=%d lw=%d: sweep misses %d, simulator %d",
+				p, depth, a, line, sw.MissByAssoc[a], res.Misses)
+		}
+		if sw.Cold != res.ColdMisses {
+			t.Errorf("%s D=%d A=%d lw=%d: sweep cold %d, simulator %d",
+				p, depth, a, line, sw.Cold, res.ColdMisses)
+		}
+	}
+}
+
+func assocRange(lo, hi int) []int {
+	var out []int
+	for a := lo; a <= hi; a++ {
+		out = append(out, a)
+	}
+	return out
+}
+
 // TestPolicySweepMatchesSimulator pins the sweep's contract: for every
 // policy, depth, line size and associativity, one pass produces exactly
 // the miss counts the full simulator produces config by config — Random
 // included, because both draw from the same deterministic seed at the
-// same full-set-miss points.
+// same full-set-miss points — and exactly the replica oracle's sweep.
 func TestPolicySweepMatchesSimulator(t *testing.T) {
 	tr := synthTrace(6000, 1)
-	policies := []struct {
-		p ReplPolicy
-		r cache.Replacement
-	}{
-		{ReplLRU, cache.LRU},
-		{ReplFIFO, cache.FIFO},
-		{ReplRandom, cache.Random},
-		{ReplPLRU, cache.PLRU},
-	}
 	const maxAssoc = 5 // odd cap: exercises PLRU's non-power-of-two tree
 	for _, depth := range []int{1, 4, 16, 64} {
-		for _, line := range []int{1, 4} {
-			for _, pol := range policies {
-				sw, err := PolicySweep(tr, depth, maxAssoc, line, pol.p)
+		for _, line := range []int{1, 4, 16} {
+			for _, pol := range sweepPolicies {
+				checkAgainstOracles(t, tr, depth, maxAssoc, line, pol.p, pol.r, assocRange(1, maxAssoc))
+			}
+		}
+	}
+	// Past 64 ways a PLRU tree spans two words and the touch leaves the
+	// one-word mask path. The oracle checks every associativity; the
+	// simulator the ones around the word boundary. A shorter trace keeps
+	// the oracle's per-way scans cheap and still overflows 70 ways.
+	wide := synthTrace(2000, 4)
+	for _, maxAssoc := range []int{65, 70} {
+		for _, depth := range []int{1, 4} {
+			for _, pol := range sweepPolicies {
+				checkAgainstOracles(t, wide, depth, maxAssoc, 1, pol.p, pol.r,
+					[]int{1, 2, 3, 63, 64, 65, maxAssoc})
+			}
+		}
+	}
+}
+
+// hotCold is the trace 0,1,0,2,…,0,200: one hot word between 200 cold
+// ones, the FIFO-past-A_zero example of the design-space pruning rules.
+func hotCold() *trace.Trace {
+	addrs := make([]uint32, 0, 400)
+	for i := uint32(1); i <= 200; i++ {
+		addrs = append(addrs, 0, i)
+	}
+	return trace.FromAddrs(trace.DataRead, addrs)
+}
+
+// TestPolicySweepHotCold: at depth 1 every reference shares one set, so
+// the hot word's survival is all replacement policy. FIFO keeps losing
+// it, so its misses fall past LRU's A_zero of 2.
+func TestPolicySweepHotCold(t *testing.T) {
+	tr := hotCold()
+	for _, pol := range sweepPolicies {
+		checkAgainstOracles(t, tr, 1, 8, 1, pol.p, pol.r, assocRange(1, 8))
+	}
+	sw, err := PolicySweep(tr, 1, 8, 1, ReplFIFO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Cold != 201 || sw.MissByAssoc[1] != 199 || sw.MissByAssoc[2] != 99 {
+		t.Errorf("FIFO hot/cold: cold %d, misses %v", sw.Cold, sw.MissByAssoc)
+	}
+	for a := 3; a <= 8; a++ {
+		if sw.MissByAssoc[a] == 0 || sw.MissByAssoc[a] > sw.MissByAssoc[a-1] {
+			t.Errorf("FIFO hot/cold: misses %v do not keep falling past 2 ways", sw.MissByAssoc)
+		}
+	}
+}
+
+// TestLinesReusedAcrossSweeps: one strip serves every depth and policy,
+// and a sweeper's buffers carry nothing from one sweep into the next —
+// a big stream and a small one interleaved through one PolicySweeper
+// give the same sweeps as fresh PolicySweep calls.
+func TestLinesReusedAcrossSweeps(t *testing.T) {
+	big, small := synthTrace(4000, 3), hotCold()
+	var sw PolicySweeper
+	for round := 0; round < 2; round++ {
+		for _, tr := range []*trace.Trace{big, small} {
+			for _, line := range []int{1, 4} {
+				l, err := sw.StripLines(tr, line)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for a := 1; a <= maxAssoc; a++ {
-					cfg := cache.Config{Depth: depth, Assoc: a, LineWords: line, Repl: pol.r}
-					res, err := cache.Simulate(cfg, tr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sw.MissByAssoc[a] != res.Misses {
-						t.Errorf("%s D=%d A=%d lw=%d: sweep misses %d, simulator %d",
-							pol.p, depth, a, line, sw.MissByAssoc[a], res.Misses)
-					}
-					if sw.Cold != res.ColdMisses {
-						t.Errorf("%s D=%d A=%d lw=%d: sweep cold %d, simulator %d",
-							pol.p, depth, a, line, sw.Cold, res.ColdMisses)
+				for _, depth := range []int{8, 1, 64} {
+					for _, pol := range sweepPolicies {
+						maxAssoc := 4 + depth%7
+						got, err := sw.SweepLines(l, depth, maxAssoc, pol.p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := PolicySweep(tr, depth, maxAssoc, line, pol.p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("round %d lw=%d D=%d %s: reused %+v, fresh %+v",
+								round, line, depth, pol.p, got, want)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestStripLines pins the strip's invariants: ids in first-touch order,
+// one line address per id.
+func TestStripLines(t *testing.T) {
+	tr := trace.FromAddrs(trace.DataRead, []uint32{9, 8, 3, 9, 12, 0, 15})
+	l, err := StripLines(tr, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Lines{LineWords: 4, IDs: []int32{0, 0, 1, 0, 2, 1, 2}, Addrs: []uint32{2, 0, 3}}
+	if !reflect.DeepEqual(l, want) {
+		t.Errorf("StripLines = %+v, want %+v", l, want)
+	}
+	if _, err := StripLines(tr, 3); err == nil {
+		t.Error("StripLines accepted a 3-word line")
 	}
 }
 
@@ -113,5 +236,43 @@ func TestPolicySweepEmptyTrace(t *testing.T) {
 	}
 	if sw.Accesses != 0 || sw.Cold != 0 || sw.MissByAssoc[1] != 0 || sw.MissByAssoc[2] != 0 {
 		t.Errorf("empty trace sweep = %+v, want all zeros", sw)
+	}
+}
+
+// BenchmarkPolicySweep times one policy's sweeps of every depth 1..64 at
+// up to 8 ways over the crc instruction stream: the replica oracle, which
+// re-hashes the stream and scans tags per sweep, against the dense-id
+// kernel, which strips the stream once and probes each replica in O(1).
+func BenchmarkPolicySweep(b *testing.B) {
+	res, err := powerstone.Get("crc").Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := res.Instr
+	const maxAssoc = 8
+	for _, p := range []ReplPolicy{ReplFIFO, ReplPLRU} {
+		b.Run(p.String()+"/oracle", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for depth := 1; depth <= 64; depth *= 2 {
+					if _, err := policySweepOracle(tr, depth, maxAssoc, 1, p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(p.String()+"/dense", func(b *testing.B) {
+			var sw PolicySweeper
+			for i := 0; i < b.N; i++ {
+				l, err := sw.StripLines(tr, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for depth := 1; depth <= 64; depth *= 2 {
+					if _, err := sw.SweepLines(l, depth, maxAssoc, p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
