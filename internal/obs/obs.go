@@ -191,6 +191,16 @@ func RecorderFrom(ctx context.Context) *Recorder {
 // is what stitches one node's fragment beneath the forwarding hop of
 // another node in a cluster-wide trace.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+	if RecorderFrom(ctx) == nil {
+		return ctx, nil
+	}
+	return StartSpanAt(ctx, name, time.Now())
+}
+
+// StartSpanAt is StartSpan with an explicit start instant. A stage that
+// begins where its predecessor ended passes that instant, so back-to-back
+// stages tile their parent's wall time with no untracked gaps.
+func StartSpanAt(ctx context.Context, name string, start time.Time) (context.Context, *Span) {
 	rec := RecorderFrom(ctx)
 	if rec == nil {
 		return ctx, nil
@@ -199,7 +209,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		rec:   rec,
 		id:    rec.newSpanID(),
 		name:  name,
-		start: time.Now(),
+		start: start,
 	}
 	if parent, _ := ctx.Value(spanKey).(*Span); parent != nil {
 		sp.parent = parent.id
@@ -233,6 +243,14 @@ func (s *Span) SetAttr(key string, value any) {
 // End finishes the span and hands it to the recorder. Ending twice
 // records once; End on a nil span is a no-op.
 func (s *Span) End() {
+	if s != nil {
+		s.EndAt(time.Now())
+	}
+}
+
+// EndAt is End with an explicit end instant: the instant the next
+// back-to-back stage starts at (see StartSpanAt).
+func (s *Span) EndAt(end time.Time) {
 	if s == nil {
 		return
 	}
@@ -242,7 +260,7 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.dur = time.Since(s.start)
+	s.dur = end.Sub(s.start)
 	rec := SpanRecord{
 		ID:         s.id,
 		Parent:     s.parent,

@@ -63,12 +63,10 @@ func (s *Server) forwardToOwners(w http.ResponseWriter, r *http.Request, verb, d
 	// The hop is a span in the request's distributed trace: the outbound
 	// traceparent names the proxy span, so the owner's job root stitches
 	// under it and the cluster-wide tree shows who forwarded to whom.
-	rec, span, tp := s.proxySpan(r, "proxy")
+	span, hdr, finish := s.proxySpan(r, "proxy")
+	defer finish()
 	span.SetAttr("verb", verb)
 	span.SetAttr("trace", digest)
-	defer s.finishProxySpan(rec, span)
-	hdr := proxyHeader(r)
-	hdr.Set("traceparent", tp)
 	sawBusy := false
 	for i, peer := range targets {
 		attemptStart := time.Now()
@@ -115,11 +113,9 @@ func (s *Server) forwardToOwners(w http.ResponseWriter, r *http.Request, verb, d
 func (s *Server) uploadWriteThrough(w http.ResponseWriter, r *http.Request, digest string, body []byte) (done bool) {
 	selfOwner := s.peers.IsOwner(digest)
 	targets := s.peers.OwnerTargets(digest)
-	rec, span, tp := s.proxySpan(r, "replicate")
+	span, hdr, finish := s.proxySpan(r, "replicate")
+	defer finish()
 	span.SetAttr("trace", digest)
-	defer s.finishProxySpan(rec, span)
-	hdr := proxyHeader(r)
-	hdr.Set("traceparent", tp)
 	relayed := false
 	for _, peer := range targets {
 		attemptStart := time.Now()
@@ -149,44 +145,6 @@ func (s *Server) uploadWriteThrough(w http.ResponseWriter, r *http.Request, dige
 			"no owner of trace %q accepted the upload", digest)
 	}
 	return true
-}
-
-// clusterDelete fans a trace deletion to every owner (and drops any
-// local copy, owner or not). Busy anywhere wins over deleted; an
-// unreachable owner makes the delete incomplete, which is reported as
-// 503 rather than pretending the replica is gone.
-func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, digest string) {
-	removed, busy := s.deleteTraceLocal(digest)
-	unreachable := 0
-	for _, peer := range s.peers.OwnerTargets(digest) {
-		resp, err := s.peers.Forward(r.Context(), peer, http.MethodDelete, r.URL.RequestURI(), proxyHeader(r), nil)
-		if err != nil {
-			unreachable++
-			continue
-		}
-		s.proxied.With("traces_delete").Inc()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			removed = true
-		case http.StatusConflict:
-			busy = true
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	switch {
-	case busy:
-		httpError(w, http.StatusConflict, codeTraceBusy,
-			"trace %q is referenced by a queued or running job; retry when it finishes", digest)
-	case unreachable > 0:
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, codeUnavailable,
-			"%d owner(s) of trace %q unreachable; replica may survive, retry the delete", unreachable, digest)
-	case removed:
-		writeJSON(w, http.StatusOK, map[string]string{"deleted": digest})
-	default:
-		httpError(w, http.StatusNotFound, codeTraceNotFound, "unknown trace %q", digest)
-	}
 }
 
 // proxyJobMiss scatters a job request this node has no record of to
@@ -234,27 +192,33 @@ func proxyHeader(r *http.Request) http.Header {
 	return h
 }
 
-// proxySpan starts a span for one cluster hop on a short-lived recorder
-// joined to the request's trace. It returns the recorder, the open span
-// and the traceparent value the outbound request should carry (naming
-// the span as the remote side's parent).
-func (s *Server) proxySpan(r *http.Request, name string) (*obs.Recorder, *obs.Span, string) {
+// proxySpan starts a span for one cluster hop on a recorder joined to the
+// request's trace. It returns the open span, the headers the outbound
+// request carries (their traceparent names the span as the remote side's
+// parent) and the func that ends the span and deposits the fragment into
+// the local store, where a peer stitching the trace will find it.
+func (s *Server) proxySpan(r *http.Request, name string) (*obs.Span, http.Header, func()) {
 	sc := obs.SpanContextFrom(r.Context())
+	rec := s.newRecorder(sc)
+	ctx := obs.WithSpanContext(obs.WithRecorder(r.Context(), rec), sc)
+	ctx, span := obs.StartSpan(ctx, name)
+	hdr := proxyHeader(r)
+	hdr.Set("traceparent", obs.Propagate(ctx).Traceparent())
+	return span, hdr, func() {
+		span.End()
+		s.frags.Add(rec.Export())
+	}
+}
+
+// newRecorder starts a span recorder for this node that joins the
+// distributed trace sc names, if any.
+func (s *Server) newRecorder(sc obs.SpanContext) *obs.Recorder {
 	rec := obs.NewRecorder(0)
 	rec.SetNode(s.nodeID)
 	if sc.Valid() {
 		rec.SetTraceID(sc.TraceID)
 	}
-	ctx := obs.WithSpanContext(obs.WithRecorder(r.Context(), rec), sc)
-	ctx, span := obs.StartSpan(ctx, name)
-	return rec, span, obs.Propagate(ctx).Traceparent()
-}
-
-// finishProxySpan ends a hop span and deposits the fragment into the
-// local store, where a peer stitching the trace will find it.
-func (s *Server) finishProxySpan(rec *obs.Recorder, span *obs.Span) {
-	span.End()
-	s.frags.Add(rec.Export())
+	return rec
 }
 
 // relayResponse copies a peer's answer to the client: status, body and
@@ -329,21 +293,6 @@ func (s *Server) fetchObjectFromPeers(digest string) ([]byte, *trace.Trace, erro
 		return data, tr, nil
 	}
 	return nil, nil, err
-}
-
-// fetchTraceFromPeers is the in-memory-only cluster read path: with no
-// persistent store there is no tracestore fallback to ride, so
-// lookupTrace pulls the trace from a peer replica directly.
-func (s *Server) fetchTraceFromPeers(digest string) (*trace.Trace, bool) {
-	if s.peers == nil {
-		return nil, false
-	}
-	_, tr, err := s.fetchObjectFromPeers(digest)
-	if err != nil {
-		return nil, false
-	}
-	s.memRepairs.Add(1)
-	return tr, true
 }
 
 // handleCluster reports the node's view of the topology: membership,

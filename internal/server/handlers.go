@@ -54,25 +54,20 @@ func infoOf(e *TraceEntry) traceInfo {
 // cluster ingress can replay the exact bytes to each owner replica.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			httpError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge, "%v", err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
+	var tr *trace.Trace
+	if err == nil {
+		tr, err = trace.Decode(bytes.NewReader(raw), trace.Limits{
+			MaxRefs:  s.cfg.MaxRefs,
+			MaxBytes: s.cfg.MaxUploadBytes,
+		})
 	}
-	tr, err := trace.Decode(bytes.NewReader(raw), trace.Limits{
-		MaxRefs:  s.cfg.MaxRefs,
-		MaxBytes: s.cfg.MaxUploadBytes,
-	})
-	if err != nil {
-		var limErr *trace.LimitError
-		if errors.As(err, &limErr) {
-			httpError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge, "%v", err)
-			return
-		}
+	var maxErr *http.MaxBytesError
+	var limErr *trace.LimitError
+	switch {
+	case errors.As(err, &maxErr) || errors.As(err, &limErr):
+		httpError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge, "%v", err)
+		return
+	case err != nil:
 		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
@@ -177,24 +172,42 @@ func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 // queued or running job still references is not deletable: pulling it out
 // from under live work would make the job's eventual answer describe a
 // trace the server no longer admits to having, so the request gets 409
-// and the client retries once the job drains.
+// and the client retries once the job drains. A cluster ingress also fans
+// the deletion out to every owner (dropping any local copy, owner or
+// not): busy anywhere wins over deleted, and an unreachable owner makes
+// the delete incomplete, reported as 503 rather than pretending the
+// replica is gone.
 func (s *Server) handleDeleteTrace(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	if s.clusterIngress(r) {
-		s.clusterDelete(w, r, digest)
-		return
-	}
 	removed, busy := s.deleteTraceLocal(digest)
-	if busy {
+	unreachable := 0
+	if s.clusterIngress(r) {
+		for _, peer := range s.peers.OwnerTargets(digest) {
+			resp, err := s.peers.Forward(r.Context(), peer, http.MethodDelete, r.URL.RequestURI(), proxyHeader(r), nil)
+			if err != nil {
+				unreachable++
+				continue
+			}
+			s.proxied.With("traces_delete").Inc()
+			removed = removed || resp.StatusCode == http.StatusOK
+			busy = busy || resp.StatusCode == http.StatusConflict
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+	switch {
+	case busy:
 		httpError(w, http.StatusConflict, codeTraceBusy,
 			"trace %q is referenced by a queued or running job; retry when it finishes", digest)
-		return
-	}
-	if !removed {
+	case unreachable > 0:
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusServiceUnavailable, codeUnavailable,
+			"%d owner(s) of trace %q unreachable; replica may survive, retry the delete", unreachable, digest)
+	case removed:
+		writeJSON(w, http.StatusOK, map[string]string{"deleted": digest})
+	default:
 		httpError(w, http.StatusNotFound, codeTraceNotFound, "unknown trace %q", digest)
-		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": digest})
 }
 
 // deleteTraceLocal removes this node's copy of a trace from memory and
@@ -229,14 +242,13 @@ type instanceJSON struct {
 }
 
 type exploreRequest struct {
-	Trace    string   `json:"trace"`
+	addressed
 	K        *int     `json:"k,omitempty"`
 	KPct     *float64 `json:"kpct,omitempty"`
 	MaxDepth int      `json:"max_depth,omitempty"`
 	Pareto   bool     `json:"pareto,omitempty"`
 	Parallel bool     `json:"parallel,omitempty"`
 	Verify   bool     `json:"verify,omitempty"`
-	Async    bool     `json:"async,omitempty"`
 	// SampleRate, when non-zero, runs the spatially-sampled approximate
 	// engine at that rate (0 < rate <= 1); the ?sample= query parameter
 	// overrides it.
@@ -286,159 +298,129 @@ type exploreResponse struct {
 	Prune  *pruneJSON        `json:"prune,omitempty"`
 }
 
-// budgetFor resolves the CLI's -k / -kpct convention: an absolute budget
-// wins; otherwise kpct percent of the trace's max misses.
-func budgetFor(e *TraceEntry, k *int, kpct *float64) (int, error) {
-	if k != nil && *k >= 0 {
-		return *k, nil
+// budget resolves the CLI's -k / -kpct convention against a trace's max
+// misses: an absolute budget wins; otherwise kpct percent of maxMisses.
+// ok is false when the request gives neither.
+func (r *exploreRequest) budget(maxMisses int) (k int, ok bool) {
+	if r.K != nil && *r.K >= 0 {
+		return *r.K, true
 	}
-	if kpct != nil && *kpct >= 0 {
-		return int(float64(e.Stats.MaxMisses) * *kpct / 100), nil
+	if r.KPct != nil && *r.KPct >= 0 {
+		return int(float64(maxMisses) * *r.KPct / 100), true
 	}
-	return 0, errors.New(`explore needs "k" or "kpct"`)
+	return 0, false
 }
 
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	raw, err := readBody(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
-	}
-	var req exploreRequest
-	if err := decodeJSONBytes(raw, &req); err != nil {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
-	}
-	if s.proxyCompute(w, r, "explore", req.Trace, raw) {
-		return
-	}
-	entry, ok := s.lookupTrace(req.Trace)
-	if !ok {
-		httpError(w, http.StatusNotFound, codeTraceNotFound, "unknown trace %q", req.Trace)
-		return
+// response starts the explore response both explore answers share.
+func (r *exploreRequest) response(entry *TraceEntry, cached, degraded bool) *exploreResponse {
+	budget, _ := r.budget(entry.Stats.MaxMisses)
+	return &exploreResponse{Trace: entry.Digest, K: budget, MaxMisses: entry.Stats.MaxMisses, Cached: cached, Degraded: degraded}
+}
+
+// parseExplore is the explore verb's parse stage. A space block makes
+// the request a design-space exploration (spaceQuery); otherwise it asks
+// for the budget-K view of the trace's depth profile (exploreQuery).
+func parseExplore(body []byte, query url.Values) (computeRequest, *apiError) {
+	q := &exploreQuery{}
+	if err := decodeJSONBytes(body, &q.exploreRequest); err != nil {
+		return nil, badRequest(codeBadRequest, "%v", err)
 	}
 	var space *core.Space
-	if req.Space != nil {
-		sp, code, serr := parseSpace(req.Space)
-		if serr != nil {
-			httpError(w, http.StatusBadRequest, code, "%v", serr)
-			return
+	if q.Space != nil {
+		sp, perr := parseSpace(q.Space)
+		if perr != nil {
+			return q, perr
 		}
 		space = &sp
 	}
 	// A design-space request needs no miss budget: K only selects rows of
 	// the instance view, which a space answer replaces with its front.
-	budget := 0
-	if space == nil || req.K != nil || req.KPct != nil {
-		budget, err = budgetFor(entry, req.K, req.KPct)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-			return
+	if space == nil || q.K != nil || q.KPct != nil {
+		if _, ok := q.budget(0); !ok {
+			return q, badRequest(codeBadRequest, `explore needs "k" or "kpct"`)
 		}
 	}
-	if req.MaxDepth != 0 && (req.MaxDepth < 1 || req.MaxDepth&(req.MaxDepth-1) != 0) {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "max_depth %d is not a power of two >= 1", req.MaxDepth)
-		return
+	if q.MaxDepth != 0 && (q.MaxDepth < 1 || q.MaxDepth&(q.MaxDepth-1) != 0) {
+		return q, badRequest(codeBadRequest, "max_depth %d is not a power of two >= 1", q.MaxDepth)
 	}
 	// ?sample= overrides the body's sample_rate (the curl-friendly form).
-	if raw := r.URL.Query().Get("sample"); raw != "" {
+	if raw := query.Get("sample"); raw != "" {
 		f, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, codeInvalidSampleRate, "sample %q is not a number", raw)
-			return
+			return q, badRequest(codeInvalidSampleRate, "sample %q is not a number", raw)
 		}
-		req.SampleRate = f
+		q.SampleRate = f
 	}
-	if req.SampleRate != 0 {
-		if err := (sampling.Config{Rate: req.SampleRate}).Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, codeInvalidSampleRate, "%v", err)
-			return
+	if q.SampleRate != 0 {
+		if err := (sampling.Config{Rate: q.SampleRate}).Validate(); err != nil {
+			return q, badRequest(codeInvalidSampleRate, "%v", err)
 		}
-		if req.Verify {
-			httpError(w, http.StatusBadRequest, codeBadRequest,
+		if q.Verify {
+			return q, badRequest(codeBadRequest,
 				"verify needs exact miss counts; drop sample_rate or verify the chosen instances separately")
-			return
 		}
 	}
-	if space != nil {
-		if req.SampleRate != 0 {
-			httpError(w, http.StatusBadRequest, codeBadRequest,
-				"a space exploration is exact end to end; drop sample_rate")
-			return
-		}
-		if req.Verify {
-			httpError(w, http.StatusBadRequest, codeBadRequest,
-				"a space exploration has no budget to verify against; simulate chosen points instead")
-			return
-		}
+	if space == nil {
+		return q, nil
 	}
-	s.dispatch(w, r, "explore", entry.Digest, req.Async, func(ctx context.Context) (any, error) {
-		if space != nil {
-			return s.runExploreSpace(ctx, entry, budget, *space)
-		}
-		return s.runExplore(ctx, entry, budget, req)
-	}, func() (any, bool) {
-		// Degraded read: the worker pool is saturated, but the answer may
-		// already be cached. For a space request that means the memoized
-		// front; otherwise the depth profile (in memory or on disk), which
-		// K merely selects rows of.
-		if space != nil {
-			v, ok := s.results.Get(spaceExploreKey(entry.Digest, *space))
-			if !ok {
-				return nil, false
-			}
-			resp := renderExploreSpace(entry, budget, *space, v.(*core.Front), true)
-			resp.Degraded = true
-			return resp, true
-		}
-		res, ok := s.cachedExplore(r.Context(), exploreKey(entry.Digest, req))
-		if !ok {
-			return nil, false
-		}
-		resp := renderExplore(entry, budget, req, res, true)
-		resp.Degraded = true
-		return resp, true
-	})
+	if q.SampleRate != 0 {
+		return q, badRequest(codeBadRequest, "a space exploration is exact end to end; drop sample_rate")
+	}
+	if q.Verify {
+		return q, badRequest(codeBadRequest,
+			"a space exploration has no budget to verify against; simulate chosen points instead")
+	}
+	return &spaceQuery{exploreRequest: q.exploreRequest, space: *space}, nil
 }
 
-// exploreKey is the memoization key of one depth profile. Sampled
-// profiles are keyed separately per rate — an approximate answer must
-// never be served where an exact one was asked for (or vice versa), and
-// the default seed makes a given rate deterministic.
-func exploreKey(digest string, req exploreRequest) string {
-	key := fmt.Sprintf("explore|%s|d=%d", digest, req.MaxDepth)
-	if req.SampleRate != 0 {
-		key = fmt.Sprintf("%s|sample=%g", key, req.SampleRate)
+// exploreQuery asks for the instances that meet a miss budget. The answer
+// memoizes the trace's depth profile, not the instance list: K only
+// selects rows of the profile, so exploring at a different K is a cache
+// hit.
+type exploreQuery struct{ exploreRequest }
+
+// memo keys one depth profile. Sampled profiles are keyed separately per
+// rate — an approximate answer must never be served where an exact one
+// was asked for (or vice versa), and the default seed makes a given rate
+// deterministic.
+func (q *exploreQuery) memo(digest string) (string, bool) {
+	key := fmt.Sprintf("explore|%s|d=%d", digest, q.MaxDepth)
+	if q.SampleRate != 0 {
+		key = fmt.Sprintf("%s|sample=%g", key, q.SampleRate)
 	}
-	return key
+	return key, true
 }
 
-// cachedExplore fetches a memoized depth profile from the result LRU or
-// the persistent store without running any pool work.
-func (s *Server) cachedExplore(ctx context.Context, key string) (*core.Result, bool) {
-	if v, ok := s.results.Get(key); ok {
-		return v.(*core.Result), true
+func (q *exploreQuery) compute(ctx context.Context, entry *TraceEntry) (any, error) {
+	opts := core.Options{MaxDepth: q.MaxDepth, SampleRate: q.SampleRate}
+	if q.Parallel {
+		opts.Workers = -1
 	}
-	if v, ok := s.loadResult(ctx, key); ok {
-		return v.(*core.Result), true
+	if q.SampleRate != 0 {
+		// The sampled engine needs the raw trace, not the memoized
+		// prelude: its stratification plan reads per-address occurrence
+		// masses and its estimate calibrates against the occurrence
+		// counts a stripped prelude no longer carries.
+		return core.Explore(ctx, entry.Trace, opts)
 	}
-	return nil, false
+	stripped, mrct, err := entry.Prelude(ctx)
+	if err != nil {
+		return nil, err
+	}
+	obs.CurrentSpan(ctx).SetAttr("dedup_hit_rate", mrct.DedupHitRate())
+	return core.Explore(ctx, core.Prelude{Stripped: stripped, MRCT: mrct}, opts)
 }
 
-// renderExplore projects a depth profile into the budget-K response rows.
+// render projects a depth profile into the budget-K response rows.
 // Sampled profiles additionally carry the estimate summary and, unless
 // the sample degenerated to exact, per-instance standard errors and
 // confidence bounds derived from the estimator's raw histograms.
-func renderExplore(entry *TraceEntry, budget int, req exploreRequest, res *core.Result, cached bool) *exploreResponse {
-	instances, tab := dse.InstanceTable(res, budget, entry.Stats.MaxMisses, req.Pareto)
-	resp := &exploreResponse{
-		Trace:     entry.Digest,
-		K:         budget,
-		MaxMisses: entry.Stats.MaxMisses,
-		Instances: make([]instanceJSON, len(instances)),
-		Table:     tab.Render(),
-		Cached:    cached,
-	}
+func (q *exploreQuery) render(entry *TraceEntry, v any, cached, degraded bool) any {
+	res := v.(*core.Result)
+	resp := q.response(entry, cached, degraded)
+	instances, tab := dse.InstanceTable(res, resp.K, resp.MaxMisses, q.Pareto)
+	resp.Instances = make([]instanceJSON, len(instances))
+	resp.Table = tab.Render()
 	for i, ins := range instances {
 		resp.Instances[i] = instanceJSON{
 			Depth:     ins.Depth,
@@ -469,94 +451,44 @@ func renderExplore(entry *TraceEntry, budget int, req exploreRequest, res *core.
 	return resp
 }
 
-// runExplore answers one exploration, serving the depth profile from the
-// result cache when the same trace has been explored with the same
-// MaxDepth before — the budget K only selects rows from the profile, so
-// exploring at a different K is a pure cache hit.
-func (s *Server) runExplore(ctx context.Context, entry *TraceEntry, budget int, req exploreRequest) (*exploreResponse, error) {
-	if root := obs.CurrentSpan(ctx); root != nil {
-		root.SetAttr("n", entry.Stats.N)
-		root.SetAttr("n_unique", entry.Stats.NUnique)
+// check runs the cross-check "verify": true asks for: every emitted
+// instance must meet the budget under simulation.
+func (q *exploreQuery) check(ctx context.Context, entry *TraceEntry, v any) (bool, error) {
+	if !q.Verify {
+		return false, nil
 	}
-	key := exploreKey(entry.Digest, req)
-	var res *core.Result
-	cached := false
-	lookupCtx, lookupSpan := obs.StartSpan(ctx, "lookup")
-	if v, ok := s.results.Get(key); ok {
-		res = v.(*core.Result)
-		cached = true
-	} else if v, ok := s.loadResult(lookupCtx, key); ok {
-		// LRU-evicted but still on disk: promote instead of recomputing.
-		res = v.(*core.Result)
-		cached = true
+	resp := v.(*exploreResponse)
+	instances := make([]core.Instance, len(resp.Instances))
+	for i, ins := range resp.Instances {
+		instances[i] = core.Instance{Depth: ins.Depth, Assoc: ins.Assoc}
 	}
-	if lookupSpan != nil {
-		lookupSpan.SetAttr("hit", cached)
-		lookupSpan.End()
+	if err := verifyInstances(ctx, entry, instances, resp.K); err != nil {
+		return true, err
 	}
-	if !cached {
-		opts := core.Options{MaxDepth: req.MaxDepth, SampleRate: req.SampleRate}
-		if req.Parallel {
-			opts.Workers = -1
-		}
-		var err error
-		if req.SampleRate != 0 {
-			// The sampled engine needs the raw trace, not the memoized
-			// prelude: its stratification plan reads per-address occurrence
-			// masses and its estimate calibrates against the occurrence
-			// counts a stripped prelude no longer carries.
-			res, err = core.Explore(ctx, entry.Trace, opts)
-		} else {
-			stripped, mrct, perr := entry.Prelude(ctx)
-			if perr != nil {
-				return nil, perr
-			}
-			if root := obs.CurrentSpan(ctx); root != nil {
-				root.SetAttr("dedup_hit_rate", mrct.DedupHitRate())
-			}
-			res, err = core.Explore(ctx, core.Prelude{Stripped: stripped, MRCT: mrct}, opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.results.Put(key, res)
-		s.persistResult(ctx, key, persistedResult{Kind: "explore", Explore: res})
-	}
-	_, emitSpan := obs.StartSpan(ctx, "emit")
-	resp := renderExplore(entry, budget, req, res, cached)
-	if emitSpan != nil {
-		emitSpan.SetAttr("instances", len(resp.Instances))
-		emitSpan.SetAttr("cached", cached)
-		emitSpan.End()
-	}
-	if req.Verify {
-		instances := make([]core.Instance, len(resp.Instances))
-		for i, ins := range resp.Instances {
-			instances[i] = core.Instance{Depth: ins.Depth, Assoc: ins.Assoc}
-		}
-		_, verifySpan := obs.StartSpan(ctx, "verify")
-		err := dse.VerifyContext(ctx, entry.Trace, instances, budget)
-		if verifySpan != nil {
-			verifySpan.SetAttr("instances", len(instances))
-			verifySpan.SetAttr("ok", err == nil)
-			verifySpan.End()
-		}
-		if err != nil {
-			return nil, err
-		}
-		resp.Verified = true
-	}
-	return resp, nil
+	resp.Verified = true
+	return true, nil
 }
 
+// verifyInstances simulates each instance on the trace under a "verify"
+// span and fails on the first that misses more than k times.
+func verifyInstances(ctx context.Context, entry *TraceEntry, instances []core.Instance, k int) error {
+	_, span := obs.StartSpan(ctx, "verify")
+	err := dse.VerifyContext(ctx, entry.Trace, instances, k)
+	span.SetAttr("instances", len(instances))
+	span.SetAttr("ok", err == nil)
+	span.End()
+	return err
+}
+
+// simulateRequest asks for one configuration's simulated hit/miss counts.
 type simulateRequest struct {
-	Trace        string `json:"trace"`
+	addressed
 	Depth        int    `json:"depth"`
 	Assoc        int    `json:"assoc,omitempty"`
 	LineWords    int    `json:"line_words,omitempty"`
 	Repl         string `json:"repl,omitempty"`
 	WriteThrough bool   `json:"write_through,omitempty"`
-	Async        bool   `json:"async,omitempty"`
+	cfg          cache.Config
 }
 
 type simulateResponse struct {
@@ -586,104 +518,69 @@ func replFromName(name string) (cache.Replacement, error) {
 	return 0, fmt.Errorf("unknown replacement policy %q", name)
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	raw, err := readBody(r)
+// parseSimulate is the simulate verb's parse stage: the body's geometry
+// becomes a cache.Config that cache.Simulate accepts.
+func parseSimulate(body []byte, _ url.Values) (computeRequest, *apiError) {
+	q := &simulateRequest{}
+	if err := decodeJSONBytes(body, q); err != nil {
+		return nil, badRequest(codeBadRequest, "%v", err)
+	}
+	repl, err := replFromName(q.Repl)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
+		return q, badRequest(codeBadRequest, "%v", err)
 	}
-	var req simulateRequest
-	if err := decodeJSONBytes(raw, &req); err != nil {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
+	q.cfg = cache.Config{Depth: q.Depth, Assoc: q.Assoc, LineWords: q.LineWords, Repl: repl, Allocate: true}
+	if q.Assoc == 0 {
+		q.cfg.Assoc = 1
 	}
-	if s.proxyCompute(w, r, "simulate", req.Trace, raw) {
-		return
+	if q.LineWords == 0 {
+		q.cfg.LineWords = 1
 	}
-	entry, ok := s.lookupTrace(req.Trace)
-	if !ok {
-		httpError(w, http.StatusNotFound, codeTraceNotFound, "unknown trace %q", req.Trace)
-		return
+	if q.WriteThrough {
+		q.cfg.Write = cache.WriteThrough
 	}
-	repl, err := replFromName(req.Repl)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
+	if err := q.cfg.Validate(); err != nil {
+		return q, badRequest(codeBadRequest, "%v", err)
 	}
-	if req.Depth < 1 || req.Depth&(req.Depth-1) != 0 {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "depth %d is not a power of two >= 1", req.Depth)
-		return
-	}
-	if req.Assoc == 0 {
-		req.Assoc = 1
-	}
-	if req.LineWords == 0 {
-		req.LineWords = 1
-	}
-	cfg := cache.Config{
-		Depth: req.Depth, Assoc: req.Assoc, LineWords: req.LineWords,
-		Repl: repl, Allocate: true,
-	}
-	if req.WriteThrough {
-		cfg.Write = cache.WriteThrough
-	}
-	key := fmt.Sprintf("simulate|%s|%v|wt=%v", entry.Digest, cfg, req.WriteThrough)
-	s.dispatch(w, r, "simulate", entry.Digest, req.Async, func(ctx context.Context) (any, error) {
-		if v, ok := s.results.Get(key); ok {
-			resp := *v.(*simulateResponse)
-			resp.Cached = true
-			return &resp, nil
-		}
-		if v, ok := s.loadResult(ctx, key); ok {
-			resp := *v.(*simulateResponse)
-			resp.Cached = true
-			return &resp, nil
-		}
-		_, span := obs.StartSpan(ctx, "simulate")
-		res, err := cache.Simulate(cfg, entry.Trace)
-		if span != nil {
-			span.SetAttr("config", fmt.Sprint(cfg))
-			span.End()
-		}
-		if err != nil {
-			return nil, err
-		}
-		resp := &simulateResponse{
-			Trace:      entry.Digest,
-			Config:     fmt.Sprint(cfg),
-			Accesses:   res.Accesses,
-			Hits:       res.Hits,
-			ColdMisses: res.ColdMisses,
-			Misses:     res.Misses,
-			Writebacks: res.Writebacks,
-			MissRate:   res.MissRate(),
-		}
-		s.results.Put(key, resp)
-		s.persistResult(ctx, key, persistedResult{Kind: "simulate", Simulate: resp})
-		return resp, nil
-	}, func() (any, bool) {
-		v, ok := s.results.Get(key)
-		if !ok {
-			v, ok = s.loadResult(r.Context(), key)
-		}
-		if !ok {
-			return nil, false
-		}
-		resp := *v.(*simulateResponse)
-		resp.Cached = true
-		resp.Degraded = true
-		return &resp, true
-	})
+	return q, nil
 }
 
+func (q *simulateRequest) memo(digest string) (string, bool) {
+	return fmt.Sprintf("simulate|%s|%v|lw=%d|wt=%v", digest, q.cfg, q.cfg.LineWords, q.WriteThrough), true
+}
+
+func (q *simulateRequest) compute(ctx context.Context, entry *TraceEntry) (any, error) {
+	_, span := obs.StartSpan(ctx, "simulate")
+	res, err := cache.Simulate(q.cfg, entry.Trace)
+	span.SetAttr("config", fmt.Sprint(q.cfg))
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	return &simulateResponse{
+		Trace:      entry.Digest,
+		Config:     fmt.Sprint(q.cfg),
+		Accesses:   res.Accesses,
+		Hits:       res.Hits,
+		ColdMisses: res.ColdMisses,
+		Misses:     res.Misses,
+		Writebacks: res.Writebacks,
+		MissRate:   res.MissRate(),
+	}, nil
+}
+
+func (q *simulateRequest) render(_ *TraceEntry, v any, cached, degraded bool) any {
+	resp := *v.(*simulateResponse)
+	resp.Cached, resp.Degraded = cached, degraded
+	return &resp
+}
+
+// verifyRequest asks whether every listed instance meets the budget under
+// simulation. The answer is not memoized.
 type verifyRequest struct {
-	Trace     string `json:"trace"`
-	K         int    `json:"k"`
-	Instances []struct {
-		Depth int `json:"depth"`
-		Assoc int `json:"assoc"`
-	} `json:"instances"`
-	Async bool `json:"async,omitempty"`
+	addressed
+	K         int             `json:"k"`
+	Instances []core.Instance `json:"instances"` // keys "depth", "assoc"
 }
 
 type verifyResponse struct {
@@ -693,231 +590,65 @@ type verifyResponse struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	raw, err := readBody(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
+// parseVerify is the verify verb's parse stage.
+func parseVerify(body []byte, _ url.Values) (computeRequest, *apiError) {
+	q := &verifyRequest{}
+	if err := decodeJSONBytes(body, q); err != nil {
+		return nil, badRequest(codeBadRequest, "%v", err)
 	}
-	var req verifyRequest
-	if err := decodeJSONBytes(raw, &req); err != nil {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
+	if len(q.Instances) == 0 {
+		return q, badRequest(codeBadRequest, "verify needs at least one instance")
 	}
-	if s.proxyCompute(w, r, "verify", req.Trace, raw) {
-		return
-	}
-	entry, ok := s.lookupTrace(req.Trace)
-	if !ok {
-		httpError(w, http.StatusNotFound, codeTraceNotFound, "unknown trace %q", req.Trace)
-		return
-	}
-	if len(req.Instances) == 0 {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "verify needs at least one instance")
-		return
-	}
-	instances := make([]core.Instance, len(req.Instances))
-	for i, ins := range req.Instances {
+	for i, ins := range q.Instances {
 		if ins.Depth < 1 || ins.Depth&(ins.Depth-1) != 0 || ins.Assoc < 1 {
-			httpError(w, http.StatusBadRequest, codeBadRequest,
+			return q, badRequest(codeBadRequest,
 				"instance %d: depth must be a power of two >= 1 and assoc >= 1", i)
-			return
 		}
-		instances[i] = core.Instance{Depth: ins.Depth, Assoc: ins.Assoc}
 	}
-	s.dispatch(w, r, "verify", entry.Digest, req.Async, func(ctx context.Context) (any, error) {
-		err := dse.VerifyContext(ctx, entry.Trace, instances, req.K)
-		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			return nil, err
-		}
-		resp := &verifyResponse{Trace: entry.Digest, K: req.K, OK: err == nil}
-		if err != nil {
-			resp.Reason = err.Error()
-		}
-		return resp, nil
-	}, nil)
+	return q, nil
 }
 
-// dispatch runs fn through the worker pool. Async requests get 202 with
-// the job's status for later polling; synchronous requests wait for the
-// job (bounded by RequestTimeout and the client connection) and return
-// its result inline. Either way the work itself runs on the pool, so
-// compute concurrency stays bounded by the configured worker count. The
-// job's trace stays retained (DELETE returns 409) from submission until
-// the job reaches a terminal state, including cancelled-while-queued. The
-// retain re-checks that the trace still exists under the same lock DELETE
-// removes it under, closing the window where a DELETE lands between the
-// handler's lookup and the retain and the job would run against (and
-// re-persist results for) a trace the server already purged.
-// fallback, when non-nil, is tried if the queue sheds the request: a
-// degraded read that answers from cached/persisted results without pool
-// work. It runs on the request goroutine and must be cheap.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind, digest string, async bool, fn func(context.Context) (any, error), fallback func() (any, bool)) {
-	retained := s.active.retainIf(digest, func() bool {
-		if _, ok := s.store.Get(digest); ok {
-			return true
-		}
-		if s.persist != nil {
-			// LRU-evicted but durable counts as present: lookupTrace
-			// serves it, so a job may run against it too.
-			if _, ok := s.persist.Stat(traceKeyPrefix + digest); ok {
-				return true
-			}
-		}
-		return false
-	})
-	if !retained {
-		httpError(w, http.StatusNotFound, codeTraceNotFound, "unknown trace %q", digest)
-		return
+func (q *verifyRequest) memo(string) (string, bool) { return "", false }
+
+// compute answers a budget miss as ok=false with the reason; only a
+// cancelled or timed-out verification fails the job.
+func (q *verifyRequest) compute(ctx context.Context, entry *TraceEntry) (any, error) {
+	err := verifyInstances(ctx, entry, q.Instances, q.K)
+	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		return nil, err
 	}
-	// Every job records its own span tree: a root "job" span wrapping fn,
-	// with the engine phases (prelude, postlude, ...) nesting beneath it.
-	// The recorder rides the job so GET /v1/jobs/{id}/trace can serve the
-	// tree after the fact. The recorder joins the request's distributed
-	// trace: it adopts the inbound trace ID (minted by the middleware or
-	// honored from a traceparent hop) and the job root span parents under
-	// the remote caller's span, so a cluster-forwarded job stitches under
-	// the ingress node's proxy span.
-	rec := obs.NewRecorder(0)
-	rec.SetNode(s.nodeID)
-	remote := obs.SpanContextFrom(r.Context())
-	if remote.Valid() {
-		rec.SetTraceID(remote.TraceID)
-	}
-	reqID := obs.RequestID(r.Context())
-	var submitOpts []SubmitOption
-	if dl, ok := r.Context().Deadline(); ok {
-		// An X-Request-Deadline (or any upstream context deadline) bounds
-		// the job itself, not just the handler's wait: async jobs honor it
-		// too, and a queued job past its deadline fails instead of running.
-		submitOpts = append(submitOpts, WithJobDeadline(dl))
-	}
-	job, err := s.queue.Submit(kind, func(ctx context.Context) (any, error) {
-		ctx = obs.WithRecorder(ctx, rec)
-		ctx = obs.WithSpanContext(ctx, remote)
-		if reqID != "" {
-			ctx = obs.WithRequestID(ctx, reqID)
-		}
-		ctx, span := obs.StartSpan(ctx, "job")
-		span.SetAttr("kind", kind)
-		span.SetAttr("trace", digest)
-		if s.prof != nil {
-			if name := s.prof.ActiveCPUProfile(); name != "" {
-				// Cross-link the trace to the CPU profile sampling right
-				// now: a slow span names the profile that covers it.
-				span.SetAttr("cpu_profile", name)
-			}
-		}
-		res, err := fn(ctx)
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-		span.End()
-		return res, err
-	}, submitOpts...)
+	resp := &verifyResponse{Trace: entry.Digest, K: q.K, OK: err == nil}
 	if err != nil {
-		s.active.release(digest)
-		if errors.Is(err, ErrQueueFull) {
-			s.shedTotal.With("queue_full").Inc()
-			if fallback != nil {
-				if v, ok := fallback(); ok {
-					s.degradedReads.Inc()
-					w.Header().Set("X-Degraded", "true")
-					writeJSON(w, http.StatusOK, v)
-					return
-				}
-			}
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, codeQueueFull, "%v", err)
-			return
-		}
-		// The queue is closed (drain in progress) or otherwise refusing
-		// work: this instance is going away, tell the client to go
-		// elsewhere rather than retry here.
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, codeUnavailable, "%v", err)
-		return
+		resp.Reason = err.Error()
 	}
-	job.SetRecorder(rec)
-	w.Header().Set("X-Job-ID", job.ID())
-	go func() {
-		<-job.Done()
-		s.active.release(digest)
-		// Deposit the finished tree into the fragment store (the local
-		// shard of cluster-wide stitching) and offer it to the slow tail.
-		tr := rec.Export()
-		s.frags.Add(tr)
-		s.slow.Offer(job.ID(), tr)
-	}()
-	if async {
-		writeJSON(w, http.StatusAccepted, job.Snapshot())
-		return
-	}
-	timer := time.NewTimer(s.cfg.RequestTimeout)
-	defer timer.Stop()
-	select {
-	case <-job.Done():
-	case <-r.Context().Done():
-		// Client went away: stop the worker and report the abandonment
-		// (the write usually goes nowhere, but tests can observe it).
-		s.queue.Cancel(job.ID())
-		<-job.Done()
-	case <-timer.C:
-		s.queue.Cancel(job.ID())
-		<-job.Done()
-	}
-	st := job.Snapshot()
-	switch st.State {
-	case JobDone:
-		writeJSON(w, http.StatusOK, st.Result)
-	case JobCanceled:
-		// A cancellation driven by the request's own deadline is a
-		// timeout, not a client disconnect.
-		if errors.Is(r.Context().Err(), context.DeadlineExceeded) {
-			httpError(w, http.StatusGatewayTimeout, codeDeadlineExceeded,
-				"request deadline exceeded: %s", st.Error)
-			return
-		}
-		httpError(w, httpStatusClientClosedRequest, codeCanceled, "exploration cancelled: %s", st.Error)
-	default:
-		if strings.Contains(st.Error, context.DeadlineExceeded.Error()) {
-			httpError(w, http.StatusGatewayTimeout, codeDeadlineExceeded, "%s", st.Error)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, codeInternal, "%s", st.Error)
-	}
+	return resp, nil
 }
 
-// httpStatusClientClosedRequest is nginx's conventional 499 for requests
-// abandoned by the client; stdlib has no constant for it.
-const httpStatusClientClosedRequest = 499
+func (q *verifyRequest) render(_ *TraceEntry, v any, _, _ bool) any { return v }
+
+// localJob finds the job a /v1/jobs/{id} request names. Job IDs carry no
+// placement: an async job submitted through another node lives wherever
+// it was dispatched, so a local miss scatters to the peers before giving
+// up. ok is false when the response is already written.
+func (s *Server) localJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	job, ok := s.queue.Get(r.PathValue("id"))
+	if !ok && !s.proxyJobMiss(w, r) {
+		httpError(w, http.StatusNotFound, codeJobNotFound, "unknown job %q", r.PathValue("id"))
+	}
+	return job, ok
+}
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.queue.Get(r.PathValue("id"))
-	if !ok {
-		// Job IDs carry no placement: an async job submitted through
-		// another node lives wherever it was dispatched, so a local miss
-		// scatters to the peers before giving up.
-		if s.proxyJobMiss(w, r) {
-			return
-		}
-		httpError(w, http.StatusNotFound, codeJobNotFound, "unknown job %q", r.PathValue("id"))
-		return
+	if job, ok := s.localJob(w, r); ok {
+		writeJSON(w, http.StatusOK, job.Snapshot())
 	}
-	writeJSON(w, http.StatusOK, job.Snapshot())
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.queue.Get(r.PathValue("id"))
-	if !ok {
-		if s.proxyJobMiss(w, r) {
-			return
-		}
-		httpError(w, http.StatusNotFound, codeJobNotFound, "unknown job %q", r.PathValue("id"))
-		return
+	if job, ok := s.localJob(w, r); ok {
+		s.queue.Cancel(job.ID())
+		writeJSON(w, http.StatusOK, job.Snapshot())
 	}
-	s.queue.Cancel(job.ID())
-	writeJSON(w, http.StatusOK, job.Snapshot())
 }
 
 // handleJobTrace serves the job's full span tree in nested form. Spans
@@ -927,12 +658,8 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 // fragments of the same trace ID (the ingress proxy span, co-owner
 // write-through spans), stitched into one tree by parent pointers.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.queue.Get(r.PathValue("id"))
+	job, ok := s.localJob(w, r)
 	if !ok {
-		if s.proxyJobMiss(w, r) {
-			return
-		}
-		httpError(w, http.StatusNotFound, codeJobNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	tr, ok := job.TraceExport()

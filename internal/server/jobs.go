@@ -115,10 +115,7 @@ func (j *Job) Snapshot() JobStatus {
 	}
 	if r := j.recorder.Load(); r != nil {
 		st.TraceID = r.TraceID().String()
-	}
-	switch st.State {
-	case JobDone, JobFailed, JobCanceled:
-		if r := j.recorder.Load(); r != nil {
+		if st.Finished != nil {
 			st.Trace = r.Export().Summary()
 		}
 	}

@@ -22,8 +22,15 @@ import (
 // returning the final status and the submission's response headers.
 func runAsyncExplore(t *testing.T, baseURL string, body map[string]any) (JobStatus, http.Header) {
 	t.Helper()
+	return runAsyncJob(t, baseURL, "/v1/explore", body)
+}
+
+// runAsyncJob submits an async request to a compute endpoint and polls
+// the job to completion.
+func runAsyncJob(t *testing.T, baseURL, path string, body map[string]any) (JobStatus, http.Header) {
+	t.Helper()
 	data, _ := json.Marshal(body)
-	req, err := http.NewRequest("POST", baseURL+"/v1/explore", bytes.NewReader(data))
+	req, err := http.NewRequest("POST", baseURL+path, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +41,7 @@ func runAsyncExplore(t *testing.T, baseURL string, body map[string]any) (JobStat
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("async explore: code %d: %s", resp.StatusCode, b)
+		t.Fatalf("async %s: code %d: %s", path, resp.StatusCode, b)
 	}
 	var st JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -100,14 +107,7 @@ func TestServerJobTraceBreakdown(t *testing.T) {
 			t.Errorf("summary missing phase %q: %+v", want, sum.Phases)
 		}
 	}
-	if sum.WallNS <= 0 || sum.PhaseSumNS <= 0 {
-		t.Fatalf("degenerate timing: wall=%d phase_sum=%d", sum.WallNS, sum.PhaseSumNS)
-	}
-	// The phases are contiguous children of the job span, so their sum
-	// must account for the job's wall time to within 5%.
-	if gap := math.Abs(float64(sum.WallNS-sum.PhaseSumNS)) / float64(sum.WallNS); gap > 0.05 {
-		t.Errorf("phase sum %d vs wall %d: gap %.1f%% > 5%%", sum.PhaseSumNS, sum.WallNS, 100*gap)
-	}
+	checkPhaseSum(t, "explore", sum)
 
 	// The trace endpoint serves the full nested tree.
 	var tree struct {
@@ -148,6 +148,59 @@ func TestServerJobTraceBreakdown(t *testing.T) {
 		if p.Name == "postlude" {
 			t.Errorf("cache-hit job ran a postlude: %+v", st2.Trace.Phases)
 		}
+	}
+}
+
+// checkPhaseSum requires a job's phases, contiguous children of the job
+// span, to account for its wall time to within 5%.
+func checkPhaseSum(t *testing.T, job string, sum *obs.Summary) {
+	t.Helper()
+	if sum.WallNS <= 0 || sum.PhaseSumNS <= 0 {
+		t.Fatalf("%s: degenerate timing: wall=%d phase_sum=%d", job, sum.WallNS, sum.PhaseSumNS)
+	}
+	if gap := math.Abs(float64(sum.WallNS-sum.PhaseSumNS)) / float64(sum.WallNS); gap > 0.05 {
+		t.Errorf("%s: phase sum %d vs wall %d: gap %.1f%% > 5%%", job, sum.PhaseSumNS, sum.WallNS, 100*gap)
+	}
+}
+
+// TestServerJobPhasesCoverWallTime holds every other job shape to the
+// explore job's phase-sum check, and pins each shape's stage children:
+// a cold simulate, a cached simulate, a verify and a space job.
+func TestServerJobPhasesCoverWallTime(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var din bytes.Buffer
+	if err := trace.WriteText(&din, testTrace(30_000, 1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	info, _ := uploadTrace(t, ts, din.Bytes())
+	simulate := map[string]any{"trace": info.Digest, "depth": 64, "assoc": 2, "async": true}
+	cases := []struct {
+		name, path string
+		body       map[string]any
+		phases     []string
+	}{
+		{"cold simulate", "/v1/simulate", simulate, []string{"lookup", "simulate", "emit"}},
+		{"cached simulate", "/v1/simulate", simulate, []string{"lookup", "emit"}},
+		{"verify", "/v1/verify", map[string]any{"trace": info.Digest, "k": 1 << 20, "async": true,
+			"instances": []map[string]int{{"depth": 64, "assoc": 2}, {"depth": 128, "assoc": 1}}},
+			[]string{"verify", "emit"}},
+		{"space", "/v1/explore", map[string]any{"trace": info.Digest, "async": true,
+			"space": map[string]any{"l1": map[string]any{"max_depth": 16, "max_assoc": 2, "policies": []string{"lru", "fifo"}}}},
+			[]string{"lookup", "space", "emit"}},
+	}
+	for _, c := range cases {
+		st, _ := runAsyncJob(t, ts.URL, c.path, c.body)
+		if st.Trace == nil {
+			t.Fatalf("%s: finished job has no trace summary", c.name)
+		}
+		var got []string
+		for _, p := range st.Trace.Phases {
+			got = append(got, p.Name)
+		}
+		if strings.Join(got, ",") != strings.Join(c.phases, ",") {
+			t.Errorf("%s: phases %v, want %v", c.name, got, c.phases)
+		}
+		checkPhaseSum(t, c.name, st.Trace)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 
@@ -34,6 +35,17 @@ type persistedResult struct {
 	Simulate *simulateResponse `json:"simulate,omitempty"`
 }
 
+// value returns the envelope's payload, the value the result LRU holds.
+func (e persistedResult) value() (any, error) {
+	switch {
+	case e.Kind == "explore" && e.Explore != nil:
+		return e.Explore, nil
+	case e.Kind == "simulate" && e.Simulate != nil:
+		return e.Simulate, nil
+	}
+	return nil, fmt.Errorf("result envelope of kind %q carries no payload", e.Kind)
+}
+
 // warmStart reloads persisted traces and results into the in-memory
 // stores. Entries list oldest-first, so the newest end up most recently
 // used and LRU bounds evict the stalest state first. Damaged objects are
@@ -54,25 +66,14 @@ func (s *Server) warmStart() {
 		s.store.Add(tr)
 	}
 	for _, e := range s.persist.List(resultKeyPrefix) {
-		data, err := s.persist.Get(e.Key)
+		key := strings.TrimPrefix(e.Key, resultKeyPrefix)
+		v, err := s.loadResult(context.Background(), key)
 		if err != nil {
 			s.cfg.Logger.Warn("dropping persisted entry", "key", e.Key, "err", err)
 			_, _ = s.persist.Delete(e.Key)
 			continue
 		}
-		key := strings.TrimPrefix(e.Key, resultKeyPrefix)
-		var env persistedResult
-		if err := json.Unmarshal(data, &env); err != nil {
-			s.cfg.Logger.Warn("dropping unparsable entry", "key", e.Key, "err", err)
-			_, _ = s.persist.Delete(e.Key)
-			continue
-		}
-		switch {
-		case env.Kind == "explore" && env.Explore != nil:
-			s.results.Put(key, env.Explore)
-		case env.Kind == "simulate" && env.Simulate != nil:
-			s.results.Put(key, env.Simulate)
-		}
+		s.results.Put(key, v)
 	}
 	if n := s.store.Len(); n > 0 || s.results.Len() > 0 {
 		s.cfg.Logger.Info("warm start restored persisted state",
@@ -99,10 +100,19 @@ func (s *Server) persistTrace(ctx context.Context, entry *TraceEntry) {
 	}
 }
 
-// persistResult writes one memoized answer through to disk under the
-// in-memory cache key.
-func (s *Server) persistResult(ctx context.Context, key string, env persistedResult) {
+// persistResult writes one memoized answer (a depth profile or a
+// simulation) through to disk under the in-memory cache key.
+func (s *Server) persistResult(ctx context.Context, key string, v any) {
 	if s.persist == nil {
+		return
+	}
+	var env persistedResult
+	switch x := v.(type) {
+	case *core.Result:
+		env = persistedResult{Kind: "explore", Explore: x}
+	case *simulateResponse:
+		env = persistedResult{Kind: "simulate", Simulate: x}
+	default:
 		return
 	}
 	data, err := json.Marshal(env)
@@ -128,13 +138,19 @@ func (s *Server) lookupTrace(digest string) (*TraceEntry, bool) {
 	if s.persist == nil {
 		// Purely in-memory node in a cluster: the trace may live on a
 		// peer replica (this node joined after the upload, or its LRU
-		// dropped the entry). Disk-backed nodes get the same behavior
-		// through the tracestore's read-repair fallback below.
-		if tr, ok := s.fetchTraceFromPeers(digest); ok {
-			e, _ := s.store.Add(tr)
-			return e, true
+		// dropped the entry), pulled directly since there is no
+		// tracestore read-repair fallback to ride, as disk-backed nodes
+		// do below.
+		if s.peers == nil {
+			return nil, false
 		}
-		return nil, false
+		_, tr, err := s.fetchObjectFromPeers(digest)
+		if err != nil {
+			return nil, false
+		}
+		s.memRepairs.Add(1)
+		e, _ := s.store.Add(tr)
+		return e, true
 	}
 	tr, err := s.loadPersistedTrace(traceKeyPrefix+digest, nil)
 	if err != nil {
@@ -167,31 +183,20 @@ func (s *Server) loadPersistedTrace(key string, a *trace.Arena) (*trace.Trace, e
 	}, a)
 }
 
-// loadResult read-throughs a result the LRU evicted but disk still holds.
-// The loaded value is re-promoted into the LRU.
-func (s *Server) loadResult(ctx context.Context, key string) (any, bool) {
+// loadResult reads back a result the LRU evicted but disk still holds.
+func (s *Server) loadResult(ctx context.Context, key string) (any, error) {
 	if s.persist == nil {
-		return nil, false
+		return nil, tracestore.ErrNotFound
 	}
 	data, err := s.persist.GetContext(ctx, resultKeyPrefix+key)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	var env persistedResult
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, false
+		return nil, err
 	}
-	var v any
-	switch {
-	case env.Kind == "explore" && env.Explore != nil:
-		v = env.Explore
-	case env.Kind == "simulate" && env.Simulate != nil:
-		v = env.Simulate
-	default:
-		return nil, false
-	}
-	s.results.Put(key, v)
-	return v, true
+	return env.value()
 }
 
 // forgetTrace removes a trace and every result derived from it from disk,

@@ -137,6 +137,7 @@ type Server struct {
 
 	reqTotal      *CounterVec
 	latency       *HistogramVec
+	stageLatency  *HistogramVec
 	shedTotal     *CounterVec
 	degradedReads *Counter
 	proxied       *CounterVec
@@ -211,6 +212,9 @@ func (s *Server) registerMetrics() {
 		"HTTP requests served, by endpoint and status code.", "endpoint", "code")
 	s.latency = s.reg.HistogramVec("cachedse_request_duration_seconds",
 		"HTTP request latency in seconds, by endpoint.", nil, "endpoint")
+	s.stageLatency = s.reg.HistogramVec("cachedse_stage_duration_seconds",
+		"Compute pipeline stage latency in seconds, by verb and stage (parse, route, lookup, compute, emit, verify).",
+		stageBuckets, "verb", "stage")
 	s.reg.CounterFunc("cachedse_result_cache_hits_total",
 		"Exploration result cache hits.", func() float64 {
 			h, _, _ := s.results.Stats()
@@ -283,9 +287,9 @@ func (s *Server) routes() {
 	s.mux.Handle("GET /v1/traces", s.instrument("traces_list", s.handleListTraces))
 	s.mux.Handle("GET /v1/traces/{digest}", s.instrument("traces_get", s.handleGetTrace))
 	s.mux.Handle("DELETE /v1/traces/{digest}", s.instrument("traces_delete", s.handleDeleteTrace))
-	s.mux.Handle("POST /v1/explore", s.instrument("explore", s.handleExplore))
-	s.mux.Handle("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	s.mux.Handle("POST /v1/verify", s.instrument("verify", s.handleVerify))
+	s.mux.Handle("POST /v1/explore", s.instrument("explore", s.serve("explore", parseExplore)))
+	s.mux.Handle("POST /v1/simulate", s.instrument("simulate", s.serve("simulate", parseSimulate)))
+	s.mux.Handle("POST /v1/verify", s.instrument("verify", s.serve("verify", parseVerify)))
 	s.mux.Handle("GET /v1/jobs/{id}", s.instrument("jobs_get", s.handleGetJob))
 	s.mux.Handle("GET /v1/jobs/{id}/trace", s.instrument("jobs_trace", s.handleJobTrace))
 	s.mux.Handle("DELETE /v1/jobs/{id}", s.instrument("jobs_cancel", s.handleCancelJob))
@@ -456,16 +460,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// decodeJSON strictly parses a small JSON request body into v.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %v", err)
-	}
-	return nil
-}
-
 // readBody buffers a small JSON request body so it can be both decoded
 // locally and replayed verbatim across a cluster hop.
 func readBody(r *http.Request) ([]byte, error) {
@@ -476,7 +470,7 @@ func readBody(r *http.Request) ([]byte, error) {
 	return data, nil
 }
 
-// decodeJSONBytes is decodeJSON over an already-buffered body.
+// decodeJSONBytes strictly parses a buffered JSON request body into v.
 func decodeJSONBytes(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/dse"
 	"github.com/example/cachedse/internal/obs"
@@ -546,11 +547,42 @@ func TestServerSimulate(t *testing.T) {
 	}
 
 	for name, bad := range map[string]string{
-		"bad depth": fmt.Sprintf(`{"trace": %q, "depth": 3}`, info.Digest),
-		"bad repl":  fmt.Sprintf(`{"trace": %q, "depth": 4, "repl": "mru"}`, info.Digest),
+		"bad depth":          fmt.Sprintf(`{"trace": %q, "depth": 3}`, info.Digest),
+		"bad repl":           fmt.Sprintf(`{"trace": %q, "depth": 4, "repl": "mru"}`, info.Digest),
+		"negative assoc":     fmt.Sprintf(`{"trace": %q, "depth": 4, "assoc": -1}`, info.Digest),
+		"odd line size":      fmt.Sprintf(`{"trace": %q, "depth": 4, "line_words": 3}`, info.Digest),
+		"negative line size": fmt.Sprintf(`{"trace": %q, "depth": 4, "line_words": -2}`, info.Digest),
 	} {
 		if code := doJSON(t, "POST", ts.URL+"/v1/simulate", []byte(bad), nil); code != http.StatusBadRequest {
 			t.Errorf("%s: code %d, want 400", name, code)
+		}
+	}
+}
+
+// TestServerSimulateKeysLineSize checks that line size is part of a
+// simulation's identity: a line_words=4 answer must be simulated, not
+// served from the cached line_words=1 answer for the same geometry.
+func TestServerSimulateKeysLineSize(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	tr := testTrace(2_000, 1<<9)
+	var din bytes.Buffer
+	if err := trace.WriteText(&din, tr); err != nil {
+		t.Fatal(err)
+	}
+	info, _ := uploadTrace(t, ts, din.Bytes())
+	for _, lw := range []int{1, 4} {
+		body, _ := json.Marshal(map[string]any{"trace": info.Digest, "depth": 16, "line_words": lw})
+		var got simulateResponse
+		if code := doJSON(t, "POST", ts.URL+"/v1/simulate", body, &got); code != http.StatusOK {
+			t.Fatalf("simulate line_words=%d: code %d", lw, code)
+		}
+		want, err := cache.Simulate(cache.Config{Depth: 16, Assoc: 1, LineWords: lw, Allocate: true}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cached || got.Misses != want.Misses || got.ColdMisses != want.ColdMisses {
+			t.Errorf("line_words=%d: cached=%v misses=%d cold=%d, want a fresh simulation with %d/%d",
+				lw, got.Cached, got.Misses, got.ColdMisses, want.Misses, want.ColdMisses)
 		}
 	}
 }

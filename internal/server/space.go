@@ -36,12 +36,10 @@ type spaceJSON struct {
 	L2       *levelSpaceJSON `json:"l2,omitempty"`
 }
 
-// parseLevelSpace translates one level block, returning the stable error
-// code a failure maps to.
-func parseLevelSpace(in *levelSpaceJSON, name string) (core.LevelSpace, string, error) {
-	var ls core.LevelSpace
+// parseLevelSpace translates one level block.
+func parseLevelSpace(in *levelSpaceJSON, name string) (ls core.LevelSpace, _ *apiError) {
 	if in == nil {
-		return ls, "", nil
+		return ls, nil
 	}
 	ls.MaxDepth = in.MaxDepth
 	ls.MaxAssoc = in.MaxAssoc
@@ -49,43 +47,38 @@ func parseLevelSpace(in *levelSpaceJSON, name string) (core.LevelSpace, string, 
 	for _, s := range in.Policies {
 		p, err := core.ParsePolicy(s)
 		if err != nil {
-			return ls, codeInvalidPolicy, fmt.Errorf("space %s: %v", name, err)
+			return ls, badRequest(codeInvalidPolicy, "space %s: %v", name, err)
 		}
 		ls.Policies = append(ls.Policies, p)
 	}
 	for _, s := range in.Technologies {
 		t, err := core.ParseTechnology(s)
 		if err != nil {
-			return ls, codeInvalidSpace, fmt.Errorf("space %s: %v", name, err)
+			return ls, badRequest(codeInvalidSpace, "space %s: %v", name, err)
 		}
 		ls.Technologies = append(ls.Technologies, t)
 	}
-	return ls, "", nil
+	return ls, nil
 }
 
-// parseSpace translates and validates a request's space block. On error
-// the returned code is codeInvalidPolicy or codeInvalidSpace.
-func parseSpace(in *spaceJSON) (core.Space, string, error) {
-	var sp core.Space
+// parseSpace translates and validates a request's space block; a failure
+// carries codeInvalidPolicy or codeInvalidSpace.
+func parseSpace(in *spaceJSON) (sp core.Space, perr *apiError) {
 	topo, err := core.ParseTopology(in.Topology)
 	if err != nil {
-		return sp, codeInvalidSpace, err
+		return sp, badRequest(codeInvalidSpace, "%v", err)
 	}
 	sp.Topology = topo
-	l1, code, err := parseLevelSpace(in.L1, "l1")
-	if err != nil {
-		return sp, code, err
+	if sp.L1, perr = parseLevelSpace(in.L1, "l1"); perr != nil {
+		return sp, perr
 	}
-	sp.L1 = l1
-	l2, code, err := parseLevelSpace(in.L2, "l2")
-	if err != nil {
-		return sp, code, err
+	if sp.L2, perr = parseLevelSpace(in.L2, "l2"); perr != nil {
+		return sp, perr
 	}
-	sp.L2 = l2
 	if err := sp.Validate(); err != nil {
-		return sp, codeInvalidSpace, err
+		return sp, badRequest(codeInvalidSpace, "%v", err)
 	}
-	return sp, "", nil
+	return sp, nil
 }
 
 // paretoLevelJSON is one concrete cache level of a Pareto point.
@@ -120,35 +113,54 @@ type pruneJSON struct {
 	Rate            float64 `json:"rate"`
 }
 
-// spaceExploreKey is the memoization key of one design-space front. The
-// canonical space key folds in every axis, so two spellings of the same
-// space share a front.
-func spaceExploreKey(digest string, sp core.Space) string {
-	return fmt.Sprintf("explore|%s|space=%s", digest, sp.Key())
+// spaceQuery asks for the Pareto front of a design space. Fronts are
+// memoized by trace and canonical space key (two spellings of the same
+// space share a front) in the result LRU only: a front is cheap to
+// recompute relative to its wire size, and the evaluator is
+// deterministic, so durability buys nothing.
+type spaceQuery struct {
+	exploreRequest
+	space core.Space
+}
+
+func (q *spaceQuery) memo(digest string) (string, bool) {
+	return fmt.Sprintf("explore|%s|space=%s", digest, q.space.Key()), false
+}
+
+func (q *spaceQuery) compute(ctx context.Context, entry *TraceEntry) (any, error) {
+	obs.CurrentSpan(ctx).SetAttr("space", q.space.Key())
+	spaceCtx, span := obs.StartSpan(ctx, "space")
+	front, err := dse.ExploreSpace(spaceCtx, entry.Trace, q.space, dse.SpaceOptions{})
+	if front != nil {
+		span.SetAttr("points", front.Len())
+		span.SetAttr("evaluated", front.Stats.Evaluated)
+		span.SetAttr("pruned", front.Stats.Pruned())
+	}
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	return front, nil
 }
 
 func round1(v float64) float64 { return math.Round(v*10) / 10 }
 
-// renderExploreSpace projects a Pareto front into the explore response.
-// Instances stays present (and empty) so v1 clients keyed on the field
-// keep decoding; the design-space answer lives in pareto/prune/space.
-func renderExploreSpace(entry *TraceEntry, budget int, sp core.Space, front *core.Front, cached bool) *exploreResponse {
-	resp := &exploreResponse{
-		Trace:     entry.Digest,
-		K:         budget,
-		MaxMisses: entry.Stats.MaxMisses,
-		Instances: []instanceJSON{},
-		Table:     dse.FrontTable(front).Render(),
-		Cached:    cached,
-		Space:     sp.Key(),
-		Pareto:    make([]paretoPointJSON, 0, front.Len()),
-		Prune: &pruneJSON{
-			Candidates:      front.Stats.Candidates,
-			Evaluated:       front.Stats.Evaluated,
-			PrunedDominated: front.Stats.PrunedDominated,
-			PrunedThreshold: front.Stats.PrunedThreshold,
-			Rate:            round1(front.Stats.Rate()*100) / 100,
-		},
+// render projects a Pareto front into the explore response. Instances
+// stays present (and empty) so v1 clients keyed on the field keep
+// decoding; the design-space answer lives in pareto/prune/space.
+func (q *spaceQuery) render(entry *TraceEntry, v any, cached, degraded bool) any {
+	front := v.(*core.Front)
+	resp := q.response(entry, cached, degraded)
+	resp.Instances = []instanceJSON{}
+	resp.Table = dse.FrontTable(front).Render()
+	resp.Space = q.space.Key()
+	resp.Pareto = make([]paretoPointJSON, 0, front.Len())
+	resp.Prune = &pruneJSON{
+		Candidates:      front.Stats.Candidates,
+		Evaluated:       front.Stats.Evaluated,
+		PrunedDominated: front.Stats.PrunedDominated,
+		PrunedThreshold: front.Stats.PrunedThreshold,
+		Rate:            round1(front.Stats.Rate()*100) / 100,
 	}
 	for _, p := range front.Points() {
 		pt := paretoPointJSON{
@@ -171,39 +183,4 @@ func renderExploreSpace(entry *TraceEntry, budget int, sp core.Space, front *cor
 		resp.Pareto = append(resp.Pareto, pt)
 	}
 	return resp
-}
-
-// runExploreSpace answers one design-space exploration, memoizing the
-// front by trace and canonical space key. Fronts are kept in the result
-// LRU only: a front is cheap to recompute relative to its wire size, and
-// the evaluator is deterministic, so durability buys nothing.
-func (s *Server) runExploreSpace(ctx context.Context, entry *TraceEntry, budget int, sp core.Space) (*exploreResponse, error) {
-	if root := obs.CurrentSpan(ctx); root != nil {
-		root.SetAttr("space", sp.Key())
-	}
-	key := spaceExploreKey(entry.Digest, sp)
-	var front *core.Front
-	cached := false
-	if v, ok := s.results.Get(key); ok {
-		front = v.(*core.Front)
-		cached = true
-	}
-	if !cached {
-		spaceCtx, span := obs.StartSpan(ctx, "space")
-		var err error
-		front, err = dse.ExploreSpace(spaceCtx, entry.Trace, sp, dse.SpaceOptions{})
-		if span != nil {
-			if front != nil {
-				span.SetAttr("points", front.Len())
-				span.SetAttr("evaluated", front.Stats.Evaluated)
-				span.SetAttr("pruned", front.Stats.Pruned())
-			}
-			span.End()
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.results.Put(key, front)
-	}
-	return renderExploreSpace(entry, budget, sp, front, cached), nil
 }

@@ -94,6 +94,11 @@ echo "$metrics" | grep -q '^# TYPE cachedse_requests_total counter' ||
   { echo "obs_smoke: /metrics missing requests_total TYPE line" >&2; exit 1; }
 echo "$metrics" | grep -q '# {' &&
   { echo "obs_smoke: classic exposition leaked OpenMetrics exemplars" >&2; exit 1; }
+# The compute pipeline times its stages: the async explore ran all five.
+for stage in parse route lookup compute emit; do
+  echo "$metrics" | grep -q "^cachedse_stage_duration_seconds_count{verb=\"explore\",stage=\"$stage\"} [1-9]" ||
+    { echo "obs_smoke: /metrics has no explore $stage stage observation" >&2; exit 1; }
+done
 
 # Negotiated OpenMetrics: exemplar-bearing buckets and the EOF terminator.
 om=$(curl -sf -H 'Accept: application/openmetrics-text' "$base/metrics")
@@ -101,6 +106,8 @@ echo "$om" | tail -n 1 | grep -q '^# EOF' ||
   { echo "obs_smoke: OpenMetrics exposition not terminated by # EOF" >&2; exit 1; }
 echo "$om" | grep -q '# {trace_id="' ||
   { echo "obs_smoke: OpenMetrics exposition carries no exemplars" >&2; exit 1; }
+echo "$om" | grep -q '^cachedse_stage_duration_seconds_bucket{verb="explore",.*# {trace_id="' ||
+  { echo "obs_smoke: stage histogram carries no exemplars" >&2; exit 1; }
 
 # The slow-request tail has sampled the finished job.
 curl -sf "$base/v1/debug/slow" | grep -q '"trace_id"' ||
