@@ -226,7 +226,10 @@ func cmdStrip(args []string) error {
 	if err != nil {
 		return err
 	}
-	s := trace.Strip(tr)
+	s, err := trace.StripLines(tr, 1, nil)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("# N=%d N'=%d\n", s.N(), s.NUnique())
 	for id := 0; id < s.NUnique(); id++ {
 		if *limit > 0 && id >= *limit {

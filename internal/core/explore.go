@@ -195,9 +195,10 @@ func (r *Result) ParetoSet(k int) []Instance {
 // policies, energy, line sizes, hierarchies — goes through the
 // design-space evaluator in internal/dse, which builds on this profile.
 //
-// Source accepts three shapes:
+// Source accepts four shapes:
 //
 //	*trace.Trace     — the full prelude runs over the in-memory trace
+//	*trace.Stripped  — a strip at any line size; the MRCT is built over it
 //	Prelude          — pre-built strip + MRCT (reuse across budgets)
 //	trace.RefReader  — streaming: the prelude consumes the reference
 //	                   stream without materialising a *trace.Trace
@@ -210,11 +211,11 @@ func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if opts.SampleRate != 0 {
-		return exploreSampled(ctx, src, opts)
-	}
 	sc := sharedScratch.Get(scratchHint(src))
 	defer sharedScratch.Put(sc)
+	if opts.SampleRate != 0 {
+		return exploreSampled(ctx, src, opts, sc)
+	}
 	s, m, err := resolveSource(ctx, src, sc)
 	if err != nil {
 		return nil, err
@@ -223,41 +224,17 @@ func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 }
 
 // runPostlude runs the serial or parallel postlude over the resolved
-// (stripped, MRCT) pair, drawing working memory from sc (nil gets a
-// private throwaway scratch). Both the exact and the sampled path funnel
-// through here, so worker selection and the postlude failpoint behave
-// identically in both modes.
+// (stripped, MRCT) pair, drawing working memory from sc. Both the exact
+// and the sampled path funnel through here, so worker selection and the
+// postlude failpoint behave identically in both modes.
 func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, sc *Scratch) (*Result, error) {
 	if err := faultinject.Hit("core.postlude"); err != nil {
 		return nil, err
-	}
-	if sc == nil {
-		sc = &Scratch{}
 	}
 	if workers := opts.workerCount(); workers > 1 {
 		return exploreParallel(ctx, s, m, opts, workers, sc)
 	}
 	return exploreDFS(ctx, s, m, opts, sc)
-}
-
-// stripWithSpan wraps the prelude's strip pass in a "strip" span when
-// ctx carries a recorder; otherwise it is trace.StripInto over sc's
-// pooled stripped form (sc nil falls back to a fresh Strip).
-func stripWithSpan(ctx context.Context, t *trace.Trace, sc *Scratch) *trace.Stripped {
-	_, span := obs.StartSpan(ctx, "strip")
-	var s *trace.Stripped
-	if sc != nil {
-		s = trace.StripInto(t, &sc.stripped)
-		sc.note(s.N())
-	} else {
-		s = trace.Strip(t)
-	}
-	if span != nil {
-		span.SetAttr("n", s.N())
-		span.SetAttr("n_unique", s.NUnique())
-		span.End()
-	}
-	return s
 }
 
 // ctxCheck amortises cancellation checks over hot loops: ctx.Err is
@@ -291,9 +268,6 @@ func (c *ctxCheck) stop() bool {
 func exploreDFS(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, sc *Scratch) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if sc == nil {
-		sc = &Scratch{}
 	}
 	levels, err := levelCount(s, opts)
 	if err != nil {

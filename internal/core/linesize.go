@@ -30,27 +30,24 @@ type LineResult struct {
 }
 
 // LineSizes runs the analytical exploration for each requested line size
-// (words, powers of two), deriving each line-shifted trace and exploring
-// it under opts.
+// (words, powers of two), exploring the trace's strip at that line size
+// under opts.
 func LineSizes(ctx context.Context, t *trace.Trace, opts Options, lineWords []int) ([]LineResult, error) {
 	out := make([]LineResult, 0, len(lineWords))
+	var s *trace.Stripped
 	for _, lw := range lineWords {
-		if lw < 1 || lw&(lw-1) != 0 {
+		if lw < 1 {
 			return nil, fmt.Errorf("core: line size %d words is not a power of two >= 1", lw)
 		}
-		shift := uint(0)
-		for l := lw; l > 1; l >>= 1 {
-			shift++
+		var err error
+		if s, err = trace.StripLines(t, lw, s); err != nil {
+			return nil, err
 		}
-		lined := trace.New(t.Len())
-		for _, r := range t.Refs {
-			lined.Append(trace.Ref{Addr: r.Addr >> shift, Kind: r.Kind})
-		}
-		r, err := Explore(ctx, lined, opts)
+		r, err := Explore(ctx, s, opts)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, LineResult{LineWords: lw, Result: r, Cold: r.NUnique})
+		out = append(out, LineResult{LineWords: lw, Result: r, Cold: s.NUnique()})
 	}
 	return out, nil
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"math/bits"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -73,4 +76,70 @@ func TestQuickLineSizesMatchSimulator(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// shiftedTrace is t at lineWords-word lines spelled out as a trace: every
+// address with its low log2(lineWords) word-offset bits dropped. A line
+// strip must equal the one-word strip of this copy.
+func shiftedTrace(t *trace.Trace, lineWords int) *trace.Trace {
+	shift := uint(bits.TrailingZeros(uint(lineWords)))
+	lined := trace.New(t.Len())
+	for _, r := range t.Refs {
+		lined.Append(trace.Ref{Addr: r.Addr >> shift, Kind: r.Kind})
+	}
+	return lined
+}
+
+// FuzzLineStrip drives line strips with byte traces over a fixed,
+// spread-out universe: the first byte picks a line size of 1–16 words.
+// The strip must equal the one-word strip of the shifted trace, Explore
+// must give the same Result on either source at every worker count, and
+// LineSizes must report the strip's N' as its cold misses.
+func FuzzLineStrip(f *testing.F) {
+	f.Add([]byte{2, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5})
+	f.Add([]byte{4, 3, 3, 3, 3})
+	f.Add([]byte("\x01the quick brown fox jumps over the lazy dog, the quick brown fox"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > 1024 {
+			b = b[:1024]
+		}
+		lw := 1
+		if len(b) > 0 {
+			lw, b = 1<<(b[0]%5), b[1:]
+		}
+		tr := trace.New(len(b))
+		for _, r := range b {
+			tr.Append(trace.Ref{Addr: uint32(r%fuzzUniverse) * 13, Kind: trace.DataRead})
+		}
+		shifted := shiftedTrace(tr, lw)
+		s, err := trace.StripLines(tr, lw, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := trace.Strip(shifted)
+		if !slices.Equal(s.Unique, want.Unique) || !slices.Equal(s.IDs, want.IDs) || s.NUnique() != want.NUnique() {
+			t.Fatalf("lw=%d: strip lines %v ids %v, shifted strip lines %v ids %v", lw, s.Unique, s.IDs, want.Unique, want.IDs)
+		}
+		ctx := context.Background()
+		for _, w := range []int{1, 2} {
+			got, err := Explore(ctx, s, Options{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp, err := Explore(ctx, shifted, Options{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, exp) {
+				t.Fatalf("lw=%d workers=%d: strip %+v, shifted trace %+v", lw, w, got, exp)
+			}
+		}
+		lrs, err := LineSizes(ctx, tr, Options{}, []int{lw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lrs[0].Cold != s.NUnique() {
+			t.Fatalf("lw=%d: LineSizes cold %d, strip N' %d", lw, lrs[0].Cold, s.NUnique())
+		}
+	})
 }

@@ -280,7 +280,7 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 			total.cnt++
 			total.hsum += h
 			total.hxor ^= h
-			last[id], slot[now] = now, int32(id)
+			last[id], slot[now] = now, id
 			now++
 			continue
 		}
@@ -350,7 +350,7 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 		// Move id from t0 to now; the totals do not change.
 		fenMove(fen, int(t0), int(now), h)
 		slot[t0] = -1
-		last[id], slot[now] = now, int32(id)
+		last[id], slot[now] = now, id
 		now++
 	}
 	sc.dedupNext = dedupNext
@@ -555,7 +555,8 @@ func BuildMRCTNaive(s *trace.Stripped) [][][]int32 {
 	for i := range acc {
 		acc[i] = bitset.New(nu)
 	}
-	for _, id := range s.IDs {
+	for _, v := range s.IDs {
+		id := int(v)
 		for i := 0; i < nu; i++ {
 			if i == id {
 				continue

@@ -120,7 +120,7 @@ func buildMRCTOracle(ctx context.Context, s *trace.Stripped, sc *oracleScratch, 
 			for _, v := range stack[1:] {
 				pos[v]++
 			}
-			stack[0] = id
+			stack[0] = int(id)
 			pos[id] = 0
 			continue
 		}
@@ -189,7 +189,7 @@ func buildMRCTOracle(ctx context.Context, s *trace.Stripped, sc *oracleScratch, 
 		for _, v := range stack[1 : p+1] {
 			pos[v]++
 		}
-		stack[0] = id
+		stack[0] = int(id)
 		pos[id] = 0
 	}
 	sc.stack = stack[:0]

@@ -124,9 +124,6 @@ func exploreParallel(ctx context.Context, s *trace.Stripped, m *MRCT, opts Optio
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
 	levels, err := levelCount(s, opts)
 	if err != nil {
 		return nil, err

@@ -14,8 +14,9 @@ import (
 // exploreSampled is the approximate twin of Explore, in one of two modes
 // keyed by the source shape:
 //
-//   - *trace.Trace — postlude sampling (sampling.ModePostlude): the full
-//     prelude runs (strip + MRCT over every reference), then the postlude
+//   - *trace.Trace or *trace.Stripped — postlude sampling
+//     (sampling.ModePostlude): a trace is stripped, the full MRCT is built
+//     over every reference of the strip, then the postlude
 //     accumulates only the spatially-sampled identifiers' occurrences.
 //     Conflict distances are exact; only occurrence mass is rescaled.
 //     This is the accurate mode, and since the postlude is the engine's
@@ -28,10 +29,9 @@ import (
 //     deconvolves small cardinalities, trading accuracy for the memory
 //     bound.
 //
-// A Prelude source is rejected: it is already stripped, and sampling
-// after stripping would destroy the occurrence counts the estimator
-// calibrates against.
-func exploreSampled(ctx context.Context, src Source, opts Options) (*Result, error) {
+// A Prelude source is rejected; pass its Stripped instead, and the
+// sampled path builds the conflict table it filters.
+func exploreSampled(ctx context.Context, src Source, opts Options, sc *Scratch) (*Result, error) {
 	cfg := sampling.Config{Rate: opts.SampleRate, Seed: opts.SampleSeed, MinUnique: opts.SampleFloor}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -39,12 +39,16 @@ func exploreSampled(ctx context.Context, src Source, opts Options) (*Result, err
 	if err := faultinject.Hit("core.sample"); err != nil {
 		return nil, err
 	}
-	sc := sharedScratch.Get(scratchHint(src))
-	defer sharedScratch.Put(sc)
 	switch v := src.(type) {
 	case *trace.Trace:
+		s, err := stripTrace(ctx, v, sc)
+		if err != nil {
+			return nil, err
+		}
+		return explorePostludeSampled(ctx, s, cfg, opts, sc)
+	case *trace.Stripped:
 		if v == nil {
-			return nil, fmt.Errorf("core: Explore given a nil *trace.Trace")
+			return nil, fmt.Errorf("core: Explore given a nil *trace.Stripped")
 		}
 		return explorePostludeSampled(ctx, v, cfg, opts, sc)
 	case trace.RefReader:
@@ -57,16 +61,16 @@ func exploreSampled(ctx context.Context, src Source, opts Options) (*Result, err
 	case nil:
 		return nil, fmt.Errorf("core: Explore given a nil Source")
 	default:
-		return nil, fmt.Errorf("core: unsupported Source type %T for sampled exploration (want *trace.Trace or trace.RefReader)", src)
+		return nil, fmt.Errorf("core: unsupported Source type %T for sampled exploration (want *trace.Trace, *trace.Stripped or trace.RefReader)", src)
 	}
 }
 
-// explorePostludeSampled runs the exact prelude and a spatially-sampled
-// postlude (sampling.ModePostlude), stratified so that heavy addresses —
-// whose all-or-nothing inclusion would dominate the estimator's variance
-// — are certainty units while the flat remainder is hash-sampled.
-func explorePostludeSampled(ctx context.Context, tr *trace.Trace, cfg sampling.Config, opts Options, sc *Scratch) (*Result, error) {
-	s := stripWithSpan(ctx, tr, sc)
+// explorePostludeSampled runs the exact MRCT build over the strip and a
+// spatially-sampled postlude (sampling.ModePostlude), stratified so that
+// heavy addresses — whose all-or-nothing inclusion would dominate the
+// estimator's variance — are certainty units while the flat remainder is
+// hash-sampled.
+func explorePostludeSampled(ctx context.Context, s *trace.Stripped, cfg sampling.Config, opts Options, sc *Scratch) (*Result, error) {
 	eff := cfg.EffectiveRate(s.NUnique())
 	seed := cfg.SeedValue()
 
@@ -90,7 +94,7 @@ func explorePostludeSampled(ctx context.Context, tr *trace.Trace, cfg sampling.C
 	if eff >= 1 {
 		// Degenerate exact run: the full postlude, with the estimate
 		// attached so callers still see rate/CI metadata (all zero-width).
-		_, m, err := buildPreludeMRCT(ctx, s, sc)
+		m, err := buildPreludeMRCT(ctx, s, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +147,7 @@ func explorePostludeSampled(ctx context.Context, tr *trace.Trace, cfg sampling.C
 		span.End()
 	}
 
-	_, m, err := buildPreludeMRCT(ctx, s, sc)
+	m, err := buildPreludeMRCT(ctx, s, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +203,9 @@ func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.
 	// as the strip pass pulls references through, so kept/dropped totals
 	// are only final once the strip completes.
 	_, span := obs.StartSpan(ctx, "sample")
-	s, err := stripReaderWithSpan(ctx, filter, sc)
+	s, err := stripWithSpan(ctx, sc, func(s *trace.Stripped) (*trace.Stripped, error) {
+		return trace.StripReaderInto(filter, s)
+	})
 	if span != nil {
 		span.SetAttr("mode", sampling.ModeStream)
 		span.SetAttr("requested_rate", cfg.Rate)
@@ -212,7 +218,7 @@ func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.
 		return nil, err
 	}
 
-	_, m, err := buildPreludeMRCT(ctx, s, sc)
+	m, err := buildPreludeMRCT(ctx, s, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ type Scratch struct {
 	hint int
 
 	// stripped is the pooled strip output for *trace.Trace and RefReader
-	// sources (Prelude sources carry their own caller-owned Stripped).
+	// sources (*trace.Stripped and Prelude sources are caller-owned).
 	stripped trace.Stripped
 
 	// mrct is the pooled conflict table, rebuilt in place per exploration.
@@ -204,10 +204,17 @@ func (p *ScratchPool) Put(sc *Scratch) {
 var sharedScratch ScratchPool
 
 // scratchHint sizes the pool request for a source before the prelude has
-// run: in-memory traces know their length, streams do not.
+// run: in-memory traces and strips know their length, streams do not.
 func scratchHint(src Source) int {
-	if t, ok := src.(*trace.Trace); ok && t != nil {
-		return t.Len()
+	switch v := src.(type) {
+	case *trace.Trace:
+		if v != nil {
+			return v.Len()
+		}
+	case *trace.Stripped:
+		if v != nil {
+			return v.N()
+		}
 	}
 	return 0
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/cacti"
 	"github.com/example/cachedse/internal/core"
+	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/onepass"
 	"github.com/example/cachedse/internal/report"
 	"github.com/example/cachedse/internal/trace"
@@ -123,6 +124,27 @@ func onepassOf(p core.Policy) onepass.ReplPolicy {
 	}
 }
 
+// spaceScratch is the working memory one ExploreSpace call reuses across
+// its level streams and line sizes: the strip of the current (stream,
+// line) and the policy sweeper's tables.
+type spaceScratch struct {
+	strip   trace.Stripped
+	sweeper onepass.PolicySweeper
+}
+
+// stripLines strips stream at line words per line into sc.strip, inside
+// the same "strip" span core.Explore records for a trace it strips.
+func (sc *spaceScratch) stripLines(ctx context.Context, stream *trace.Trace, line int) (*trace.Stripped, error) {
+	_, span := obs.StartSpan(ctx, "strip")
+	defer span.End()
+	s, err := trace.StripLines(stream, line, &sc.strip)
+	if err == nil && span != nil {
+		span.SetAttr("n", s.N())
+		span.SetAttr("n_unique", s.NUnique())
+	}
+	return s, err
+}
+
 // levelCandidates evaluates one level's axis grid on its reference
 // stream. The LRU profile of each (line, depth) is computed analytically
 // once. When LRU is in the level's policy set, that profile bounds the
@@ -136,23 +158,26 @@ func onepassOf(p core.Policy) onepass.ReplPolicy {
 // associativities add size for identical misses and are dominated.
 // minLine drops line sizes below a floor (an L2 line must cover its L1
 // lines). stats tallies the cells skipped by each cut; o.Exhaustive
-// disables all three cuts and evaluates the full grid. The non-LRU sweeps
-// of one line size share one strip of the stream, made on the first of
-// them, and sw's buffers.
-func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpace, o SpaceOptions, minLine int, stats *core.PruneStats, sw *onepass.PolicySweeper) ([]levelCand, error) {
+// disables all three cuts and evaluates the full grid. Each line size
+// strips the stream once, into sc.strip; the LRU exploration and every
+// non-LRU sweep of that line read the one strip.
+func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpace, o SpaceOptions, minLine int, stats *core.PruneStats, sc *spaceScratch) ([]levelCand, error) {
 	cut := !o.Exhaustive && slices.Contains(ls.Policies, core.PolicyLRU)
 	var out []levelCand
 	for _, line := range ls.LineWords {
 		if line < minLine {
 			continue
 		}
-		var lines *onepass.Lines
-		lrs, err := core.LineSizes(ctx, stream, core.Options{MaxDepth: ls.MaxDepth}, []int{line})
+		strip, err := sc.stripLines(ctx, stream, line)
 		if err != nil {
 			return nil, err
 		}
-		lr := lrs[0]
-		for _, l := range lr.Result.Levels {
+		lru, err := core.Explore(ctx, strip, core.Options{MaxDepth: ls.MaxDepth})
+		if err != nil {
+			return nil, err
+		}
+		cold := strip.NUnique()
+		for _, l := range lru.Levels {
 			capZero := ls.MaxAssoc
 			if l.AZero < capZero {
 				capZero = l.AZero
@@ -180,7 +205,7 @@ func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpac
 						stats.Evaluated++
 						out = append(out, levelCand{
 							depth: l.Depth, assoc: a, line: line,
-							policy: p, cold: lr.Cold, nonCold: m,
+							policy: p, cold: cold, nonCold: m,
 						})
 					}
 					continue
@@ -190,19 +215,14 @@ func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpac
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				if lines == nil {
-					if lines, err = sw.StripLines(stream, line); err != nil {
-						return nil, err
-					}
-				}
-				res, err := sw.SweepLines(lines, l.Depth, capAlpha, onepassOf(p))
+				res, err := sc.sweeper.SweepLines(strip, l.Depth, capAlpha, onepassOf(p))
 				if err != nil {
 					return nil, err
 				}
 				for a := 1; a <= capAlpha; a++ {
 					out = append(out, levelCand{
 						depth: l.Depth, assoc: a, line: line,
-						policy: p, cold: lr.Cold, nonCold: res.MissByAssoc[a],
+						policy: p, cold: cold, nonCold: res.MissByAssoc[a],
 					})
 				}
 			}
@@ -246,10 +266,10 @@ func ExploreSpace(ctx context.Context, t *trace.Trace, space core.Space, o Space
 	space = space.Normalized()
 	o = o.normalized()
 	front := &core.Front{}
-	sw := &onepass.PolicySweeper{}
+	sc := &spaceScratch{}
 	switch space.Topology {
 	case core.TopoUnified:
-		cands, err := levelCandidates(ctx, t, space.L1, o, 1, &front.Stats, sw)
+		cands, err := levelCandidates(ctx, t, space.L1, o, 1, &front.Stats, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +288,7 @@ func ExploreSpace(ctx context.Context, t *trace.Trace, space core.Space, o Space
 			}
 		}
 	case core.TopoSplit, core.TopoSplitL2:
-		if err := exploreSplit(ctx, t, space, o, front, sw); err != nil {
+		if err := exploreSplit(ctx, t, space, o, front, sc); err != nil {
 			return nil, err
 		}
 	default:
@@ -287,13 +307,13 @@ type l1Pair struct {
 // grids are evaluated independently on the split streams, paired, and —
 // under split+l2 — the Pareto-optimal pairs seed a second-level
 // exploration of the filtered stream each pair produces.
-func exploreSplit(ctx context.Context, t *trace.Trace, space core.Space, o SpaceOptions, front *core.Front, sw *onepass.PolicySweeper) error {
+func exploreSplit(ctx context.Context, t *trace.Trace, space core.Space, o SpaceOptions, front *core.Front, sc *spaceScratch) error {
 	instr, data := t.Split()
-	candsI, err := levelCandidates(ctx, instr, space.L1, o, 1, &front.Stats, sw)
+	candsI, err := levelCandidates(ctx, instr, space.L1, o, 1, &front.Stats, sc)
 	if err != nil {
 		return err
 	}
-	candsD, err := levelCandidates(ctx, data, space.L1, o, 1, &front.Stats, sw)
+	candsD, err := levelCandidates(ctx, data, space.L1, o, 1, &front.Stats, sc)
 	if err != nil {
 		return err
 	}
@@ -349,7 +369,7 @@ func exploreSplit(ctx context.Context, t *trace.Trace, space core.Space, o Space
 		if pr.d.line > minLine {
 			minLine = pr.d.line
 		}
-		candsL2, err := levelCandidates(ctx, filtered, space.L2, o, minLine, &front.Stats, sw)
+		candsL2, err := levelCandidates(ctx, filtered, space.L2, o, minLine, &front.Stats, sc)
 		if err != nil {
 			return err
 		}

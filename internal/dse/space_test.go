@@ -355,12 +355,12 @@ func TestParetoPairsKeyOrder(t *testing.T) {
 	}
 	o := SpaceOptions{Exhaustive: true}.normalized()
 	var stats core.PruneStats
-	sw := &onepass.PolicySweeper{}
-	candsI, err := levelCandidates(context.Background(), res.Instr, ls, o, 1, &stats, sw)
+	sc := &spaceScratch{}
+	candsI, err := levelCandidates(context.Background(), res.Instr, ls, o, 1, &stats, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	candsD, err := levelCandidates(context.Background(), res.Data, ls, o, 1, &stats, sw)
+	candsD, err := levelCandidates(context.Background(), res.Data, ls, o, 1, &stats, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

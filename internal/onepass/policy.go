@@ -2,7 +2,6 @@ package onepass
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/example/cachedse/internal/trace"
@@ -19,12 +18,13 @@ import (
 // running the simulator MaxAssoc times — at one pass over the stream and
 // without the per-config allocation.
 //
-// The sweep runs over dense line ids. StripLines numbers a stream's lines
-// in first-touch order once per line size, and every (depth, policy)
-// sweep of that strip reuses it: a reference is cold exactly when its id
-// is the next new one, so no seen-set is probed. Residency is one id-major
-// table, wayOf[(id+1)·maxAssoc + a-1] = way+1 (0: not resident in the
-// a-way replica), so a reference probes all its replicas in one cache line
+// The sweep runs over dense line ids: a trace.Stripped made at the
+// sweep's line size, which numbers lines in first-touch order. One strip
+// serves every (depth, policy) sweep of its stream and line size, and a
+// reference is cold exactly when its id is the next new one, so no
+// seen-set is probed. Residency is one id-major table,
+// wayOf[(id+1)·maxAssoc + a-1] = way+1 (0: not resident in the a-way
+// replica), so a reference probes all its replicas in one cache line
 // and a hit costs O(1) per replica — nothing for FIFO and Random, a stamp
 // for LRU, one masked word update for PLRU. Ways fill in way order and are
 // never invalidated, so a set's fill counter says whether it is full and,
@@ -92,25 +92,11 @@ func (s *AssocSweep) Misses(assoc int) int {
 	return s.MissByAssoc[assoc]
 }
 
-// Lines is a reference stream at one line size as dense line ids, as
-// built by StripLines; the sweeps rely on its invariants.
-type Lines struct {
-	LineWords int
-	// IDs[i] is the id of reference i's line. Ids are numbered in
-	// first-touch order, so reference i is cold exactly when IDs[i]
-	// equals the number of distinct ids before it.
-	IDs []int32
-	// Addrs[id] is the line address (word address / LineWords) of id.
-	Addrs []uint32
-}
-
-// PolicySweeper strips streams and sweeps them, reusing its buffers from
-// one call to the next, so a caller sweeping many (stream, line, depth,
-// policy) cells allocates for the largest rather than for each. The zero
-// value is ready to use; it is not safe for concurrent use.
+// PolicySweeper sweeps strips, reusing its buffers from one call to the
+// next, so a caller sweeping many (stream, line, depth, policy) cells
+// allocates for the largest rather than for each. The zero value is ready
+// to use; it is not safe for concurrent use.
 type PolicySweeper struct {
-	lines Lines
-	index map[uint32]int32
 	// wayOf[(id+1)*maxAssoc + a-1] is way+1 of id in the a-way replica,
 	// 0 if not resident. Row 0 stands for "no id": evicting an empty way
 	// clears it, so the miss path needs no emptiness branch.
@@ -128,15 +114,10 @@ type PolicySweeper struct {
 	rngs  []*rand.Rand // Random: one stream per replica
 }
 
-// StripLines numbers the lines of t at lineWords words per line (0 means
-// one) in first-touch order.
-func StripLines(t *trace.Trace, lineWords int) (*Lines, error) {
-	return new(PolicySweeper).StripLines(t, lineWords)
-}
-
 // SweepLines evaluates every associativity 1..maxAssoc of one cache depth
-// under one replacement policy in a single pass over the strip.
-func SweepLines(l *Lines, depth, maxAssoc int, p ReplPolicy) (*AssocSweep, error) {
+// under one replacement policy in a single pass over a strip made at the
+// sweep's line size.
+func SweepLines(l *trace.Stripped, depth, maxAssoc int, p ReplPolicy) (*AssocSweep, error) {
 	return new(PolicySweeper).SweepLines(l, depth, maxAssoc, p)
 }
 
@@ -145,28 +126,25 @@ func SweepLines(l *Lines, depth, maxAssoc int, p ReplPolicy) (*AssocSweep, error
 // lineWords 0 means one-word lines. Replacement semantics replicate
 // internal/cache.Access exactly: probe in way order, fill invalid-first,
 // then evict per policy (write-back write-allocate — writes behave like
-// reads for miss accounting). It is SweepLines over StripLines; callers
-// sweeping one stream at several depths or policies strip it once.
+// reads for miss accounting). It is SweepLines over a line strip of t;
+// callers sweeping one stream at several depths or policies strip it once.
 func PolicySweep(t *trace.Trace, depth, maxAssoc, lineWords int, p ReplPolicy) (*AssocSweep, error) {
-	if err := checkSweep(depth, maxAssoc, lineWords, p); err != nil {
+	if err := checkSweep(depth, maxAssoc, p); err != nil {
 		return nil, err
 	}
-	l, err := StripLines(t, lineWords)
+	l, err := trace.StripLines(t, lineWords, nil)
 	if err != nil {
 		return nil, err
 	}
 	return SweepLines(l, depth, maxAssoc, p)
 }
 
-func checkSweep(depth, maxAssoc, lineWords int, p ReplPolicy) error {
+func checkSweep(depth, maxAssoc int, p ReplPolicy) error {
 	if depth < 1 || depth&(depth-1) != 0 {
 		return fmt.Errorf("onepass: depth %d is not a power of two >= 1", depth)
 	}
 	if maxAssoc < 1 {
 		return fmt.Errorf("onepass: max associativity %d < 1", maxAssoc)
-	}
-	if _, err := lineShiftOf(lineWords); err != nil {
-		return err
 	}
 	if p > ReplPLRU {
 		return fmt.Errorf("onepass: invalid policy %d", p)
@@ -174,56 +152,13 @@ func checkSweep(depth, maxAssoc, lineWords int, p ReplPolicy) error {
 	return nil
 }
 
-func lineShiftOf(lineWords int) (uint, error) {
-	if lineWords == 0 {
-		lineWords = 1
-	}
-	if lineWords < 1 || lineWords&(lineWords-1) != 0 {
-		return 0, fmt.Errorf("onepass: line size %d words is not a power of two >= 1", lineWords)
-	}
-	var shift uint
-	for ls := lineWords; ls > 1; ls >>= 1 {
-		shift++
-	}
-	return shift, nil
-}
-
-// StripLines is the package StripLines drawing on s's buffers; the
-// returned Lines stays valid until s strips again.
-func (s *PolicySweeper) StripLines(t *trace.Trace, lineWords int) (*Lines, error) {
-	shift, err := lineShiftOf(lineWords)
-	if err != nil {
-		return nil, err
-	}
-	if len(t.Refs) > math.MaxInt32 {
-		return nil, fmt.Errorf("onepass: %d references overflow the line ids", len(t.Refs))
-	}
-	if s.index == nil {
-		s.index = make(map[uint32]int32, 1024)
-	} else {
-		clear(s.index)
-	}
-	l := &s.lines
-	l.LineWords = 1 << shift
-	l.IDs = resize(l.IDs, len(t.Refs))
-	l.Addrs = l.Addrs[:0]
-	for i, r := range t.Refs {
-		line := r.Addr >> shift
-		id, ok := s.index[line]
-		if !ok {
-			id = int32(len(l.Addrs))
-			s.index[line] = id
-			l.Addrs = append(l.Addrs, line)
-		}
-		l.IDs[i] = id
-	}
-	return l, nil
-}
-
 // SweepLines is the package SweepLines drawing on s's buffers. The
 // returned sweep owns its memory.
-func (s *PolicySweeper) SweepLines(l *Lines, depth, maxAssoc int, p ReplPolicy) (*AssocSweep, error) {
-	if err := checkSweep(depth, maxAssoc, l.LineWords, p); err != nil {
+func (s *PolicySweeper) SweepLines(l *trace.Stripped, depth, maxAssoc int, p ReplPolicy) (*AssocSweep, error) {
+	if l == nil {
+		return nil, fmt.Errorf("onepass: SweepLines given a nil strip")
+	}
+	if err := checkSweep(depth, maxAssoc, p); err != nil {
 		return nil, err
 	}
 	out := &AssocSweep{
@@ -231,10 +166,10 @@ func (s *PolicySweeper) SweepLines(l *Lines, depth, maxAssoc int, p ReplPolicy) 
 		LineWords:   l.LineWords,
 		Policy:      p,
 		Accesses:    len(l.IDs),
-		Cold:        len(l.Addrs),
+		Cold:        len(l.Unique),
 		MissByAssoc: make([]int, maxAssoc+1),
 	}
-	s.wayOf = zeroed(s.wayOf, (len(l.Addrs)+1)*maxAssoc)
+	s.wayOf = zeroed(s.wayOf, (len(l.Unique)+1)*maxAssoc)
 	s.ways = zeroed(s.ways, depth*maxAssoc*(maxAssoc+1)/2)
 	s.count = zeroed(s.count, depth*maxAssoc)
 	switch p {
@@ -281,7 +216,7 @@ func zeroed[T int32 | uint64](buf []T, n int) []T {
 // the evicted id's wayOf entry and installs the reference. Each policy
 // has its own loop so no replica pays a policy switch.
 
-func (s *PolicySweeper) sweepFIFO(l *Lines, depth, maxAssoc int, miss []int) {
+func (s *PolicySweeper) sweepFIFO(l *trace.Stripped, depth, maxAssoc int, miss []int) {
 	mask := uint32(depth - 1)
 	setWays := maxAssoc * (maxAssoc + 1) / 2
 	wayOf, ways, count := s.wayOf, s.ways, s.count
@@ -292,7 +227,7 @@ func (s *PolicySweeper) sweepFIFO(l *Lines, depth, maxAssoc int, miss []int) {
 			next++
 			warm = 0
 		}
-		set := int(l.Addrs[id] & mask)
+		set := int(l.Unique[id] & mask)
 		row := int(id+1) * maxAssoc
 		probe := wayOf[row : row+maxAssoc]
 		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]
@@ -316,7 +251,7 @@ func (s *PolicySweeper) sweepFIFO(l *Lines, depth, maxAssoc int, miss []int) {
 	}
 }
 
-func (s *PolicySweeper) sweepLRU(l *Lines, depth, maxAssoc int, miss []int) {
+func (s *PolicySweeper) sweepLRU(l *trace.Stripped, depth, maxAssoc int, miss []int) {
 	mask := uint32(depth - 1)
 	setWays := maxAssoc * (maxAssoc + 1) / 2
 	wayOf, ways, count, stamp := s.wayOf, s.ways, s.count, s.stamp
@@ -328,7 +263,7 @@ func (s *PolicySweeper) sweepLRU(l *Lines, depth, maxAssoc int, miss []int) {
 			next++
 			warm = 0
 		}
-		set := int(l.Addrs[id] & mask)
+		set := int(l.Unique[id] & mask)
 		row := int(id+1) * maxAssoc
 		probe := wayOf[row : row+maxAssoc]
 		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]
@@ -368,7 +303,7 @@ func oldest(stamps []int32) int {
 	return v
 }
 
-func (s *PolicySweeper) sweepRandom(l *Lines, depth, maxAssoc int, miss []int) {
+func (s *PolicySweeper) sweepRandom(l *trace.Stripped, depth, maxAssoc int, miss []int) {
 	mask := uint32(depth - 1)
 	setWays := maxAssoc * (maxAssoc + 1) / 2
 	wayOf, ways, count, rngs := s.wayOf, s.ways, s.count, s.rngs
@@ -379,7 +314,7 @@ func (s *PolicySweeper) sweepRandom(l *Lines, depth, maxAssoc int, miss []int) {
 			next++
 			warm = 0
 		}
-		set := int(l.Addrs[id] & mask)
+		set := int(l.Unique[id] & mask)
 		row := int(id+1) * maxAssoc
 		probe := wayOf[row : row+maxAssoc]
 		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]
@@ -494,7 +429,7 @@ func treeVictim(tree []uint64, n int) int {
 	return lo
 }
 
-func (s *PolicySweeper) sweepPLRU(l *Lines, depth, maxAssoc int, miss []int) {
+func (s *PolicySweeper) sweepPLRU(l *trace.Stripped, depth, maxAssoc int, miss []int) {
 	mask := uint32(depth - 1)
 	setWays := maxAssoc * (maxAssoc + 1) / 2
 	stride := treeStride(maxAssoc)
@@ -507,7 +442,7 @@ func (s *PolicySweeper) sweepPLRU(l *Lines, depth, maxAssoc int, miss []int) {
 			next++
 			warm = 0
 		}
-		set := int(l.Addrs[id] & mask)
+		set := int(l.Unique[id] & mask)
 		row := int(id+1) * maxAssoc
 		probe := wayOf[row : row+maxAssoc]
 		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]

@@ -156,10 +156,11 @@ func TestPolicySweepHotCold(t *testing.T) {
 func TestLinesReusedAcrossSweeps(t *testing.T) {
 	big, small := synthTrace(4000, 3), hotCold()
 	var sw PolicySweeper
+	var strip trace.Stripped
 	for round := 0; round < 2; round++ {
 		for _, tr := range []*trace.Trace{big, small} {
 			for _, line := range []int{1, 4} {
-				l, err := sw.StripLines(tr, line)
+				l, err := trace.StripLines(tr, line, &strip)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,19 +186,20 @@ func TestLinesReusedAcrossSweeps(t *testing.T) {
 	}
 }
 
-// TestStripLines pins the strip's invariants: ids in first-touch order,
-// one line address per id.
+// TestStripLines pins the strip invariants the sweeps rely on: ids in
+// first-touch order, one line address per id.
 func TestStripLines(t *testing.T) {
 	tr := trace.FromAddrs(trace.DataRead, []uint32{9, 8, 3, 9, 12, 0, 15})
-	l, err := StripLines(tr, 4)
+	l, err := trace.StripLines(tr, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &Lines{LineWords: 4, IDs: []int32{0, 0, 1, 0, 2, 1, 2}, Addrs: []uint32{2, 0, 3}}
-	if !reflect.DeepEqual(l, want) {
-		t.Errorf("StripLines = %+v, want %+v", l, want)
+	if l.LineWords != 4 || !reflect.DeepEqual(l.IDs, []int32{0, 0, 1, 0, 2, 1, 2}) ||
+		!reflect.DeepEqual(l.Unique, []uint32{2, 0, 3}) {
+		t.Errorf("StripLines = %d-word lines, ids %v, lines %v; want 4, [0 0 1 0 2 1 2], [2 0 3]",
+			l.LineWords, l.IDs, l.Unique)
 	}
-	if _, err := StripLines(tr, 3); err == nil {
+	if _, err := trace.StripLines(tr, 3, nil); err == nil {
 		t.Error("StripLines accepted a 3-word line")
 	}
 }
@@ -262,8 +264,9 @@ func BenchmarkPolicySweep(b *testing.B) {
 		})
 		b.Run(p.String()+"/dense", func(b *testing.B) {
 			var sw PolicySweeper
+			var strip trace.Stripped
 			for i := 0; i < b.N; i++ {
-				l, err := sw.StripLines(tr, 1)
+				l, err := trace.StripLines(tr, 1, &strip)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -542,8 +542,22 @@ func parseSimulate(body []byte, _ url.Values) (computeRequest, *apiError) {
 	if err := q.cfg.Validate(); err != nil {
 		return q, badRequest(codeBadRequest, "%v", err)
 	}
+	if !within(q.cfg.Depth, q.cfg.Assoc, maxCacheLines) {
+		return q, badRequest(codeBadRequest, "depth %d x assoc %d exceeds %d cache lines", q.cfg.Depth, q.cfg.Assoc, maxCacheLines)
+	}
 	return q, nil
 }
+
+// The parse stages bound what a request may have a job allocate: a
+// simulated cache holds depth·assoc lines, and a policy sweep of one
+// space level holds max_depth·A(A+1)/2 ways for max_assoc A.
+const (
+	maxCacheLines = 1 << 22
+	maxSweepWays  = 1 << 24
+)
+
+// within reports whether a·b <= limit for a, b >= 1, without overflow.
+func within(a, b, limit int) bool { return b <= limit && a <= limit/b }
 
 func (q *simulateRequest) memo(digest string) (string, bool) {
 	return fmt.Sprintf("simulate|%s|%v|lw=%d|wt=%v", digest, q.cfg, q.cfg.LineWords, q.WriteThrough), true
@@ -603,6 +617,10 @@ func parseVerify(body []byte, _ url.Values) (computeRequest, *apiError) {
 		if ins.Depth < 1 || ins.Depth&(ins.Depth-1) != 0 || ins.Assoc < 1 {
 			return q, badRequest(codeBadRequest,
 				"instance %d: depth must be a power of two >= 1 and assoc >= 1", i)
+		}
+		if !within(ins.Depth, ins.Assoc, maxCacheLines) {
+			return q, badRequest(codeBadRequest,
+				"instance %d: depth %d x assoc %d exceeds %d cache lines", i, ins.Depth, ins.Assoc, maxCacheLines)
 		}
 	}
 	return q, nil

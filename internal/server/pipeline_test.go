@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/example/cachedse/internal/cache"
+	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/trace"
 )
 
@@ -118,8 +119,9 @@ func FuzzComputeRequest(f *testing.F) {
 	const d = "0123456789abcdef0123456789abcdef"
 	// Verb 0 is explore, 1 simulate, 2 verify. The seeds are the 20
 	// requests behind the v1 API goldens (bodiless and non-compute ones
-	// under verb 0) and the three simulate geometries that once failed
-	// inside the job as 500s.
+	// under verb 0), the three simulate geometries that once failed
+	// inside the job as 500s, and the three geometries that once passed
+	// parse and had their job allocate without bound.
 	seeds := []struct {
 		golden       string
 		verb         uint8
@@ -148,6 +150,9 @@ func FuzzComputeRequest(f *testing.F) {
 		{"", 1, `{"trace":"` + d + `","depth":4,"assoc":-1}`, ""},
 		{"", 1, `{"trace":"` + d + `","depth":4,"line_words":3}`, ""},
 		{"", 1, `{"trace":"` + d + `","depth":4,"line_words":-2}`, ""},
+		{"", 1, `{"trace":"` + d + `","depth":1073741824}`, ""},
+		{"", 2, `{"trace":"` + d + `","k":5,"instances":[{"depth":1073741824,"assoc":1}]}`, ""},
+		{"", 0, `{"trace":"` + d + `","space":{"topology":"unified","l1":{"policies":["fifo"],"max_assoc":100000}}}`, ""},
 	}
 	for _, s := range seeds {
 		f.Add(s.verb, []byte(s.body), s.sample)
@@ -170,14 +175,66 @@ func FuzzComputeRequest(f *testing.F) {
 			if err := q.cfg.Validate(); err != nil {
 				t.Fatalf("accepted simulate config %+v: %v", q.cfg, err)
 			}
+			if float64(q.cfg.Depth)*float64(q.cfg.Assoc) > maxCacheLines {
+				t.Fatalf("accepted simulate config %+v past %d lines", q.cfg, maxCacheLines)
+			}
 		case *verifyRequest:
 			for _, ins := range q.Instances {
 				if err := (cache.Config{Depth: ins.Depth, Assoc: ins.Assoc}).Validate(); err != nil {
 					t.Fatalf("accepted verify instance %v: %v", ins, err)
+				}
+				if float64(ins.Depth)*float64(ins.Assoc) > maxCacheLines {
+					t.Fatalf("accepted verify instance %v past %d lines", ins, maxCacheLines)
+				}
+			}
+		case *spaceQuery:
+			n := q.space.Normalized()
+			for _, ls := range []core.LevelSpace{n.L1, n.L2} {
+				if a := float64(ls.MaxAssoc); float64(ls.MaxDepth)*a*(a+1)/2 > maxSweepWays {
+					t.Fatalf("accepted space level %+v past %d sweep ways", ls, maxSweepWays)
 				}
 			}
 		case nil:
 			t.Fatal("parse accepted no request")
 		}
 	})
+}
+
+// TestParseBoundsGeometry calls the parse stages directly: a geometry
+// whose job would allocate past the bounds is a 400 at parse, with
+// nothing allocated, and a geometry at a bound is accepted.
+func TestParseBoundsGeometry(t *testing.T) {
+	const d = "0123456789abcdef0123456789abcdef"
+	parsers := map[string]func([]byte, url.Values) (computeRequest, *apiError){
+		"simulate": parseSimulate, "verify": parseVerify, "explore": parseExplore,
+	}
+	for _, c := range []struct {
+		verb, body string
+		code       string // "" when the request is accepted
+	}{
+		{"simulate", `{"depth":1073741824}`, codeBadRequest},
+		{"simulate", `{"depth":1048576,"assoc":5}`, codeBadRequest},
+		{"simulate", `{"depth":1,"assoc":9223372036854775807}`, codeBadRequest},
+		{"simulate", `{"depth":1048576,"assoc":4}`, ""},
+		{"verify", `{"k":5,"instances":[{"depth":8,"assoc":2},{"depth":1073741824,"assoc":1}]}`, codeBadRequest},
+		{"verify", `{"k":5,"instances":[{"depth":4194304,"assoc":1}]}`, ""},
+		{"explore", `{"space":{"topology":"unified","l1":{"policies":["fifo"],"max_assoc":100000}}}`, codeInvalidSpace},
+		{"explore", `{"space":{"topology":"unified","l1":{"max_assoc":9223372036854775807}}}`, codeInvalidSpace},
+		{"explore", `{"space":{"topology":"unified","l1":{"max_depth":1048576,"max_assoc":7}}}`, codeInvalidSpace},
+		{"explore", `{"space":{"topology":"split+l2","l2":{"max_depth":1048576,"max_assoc":7}}}`, codeInvalidSpace},
+		{"explore", `{"space":{"topology":"split","l2":{"max_depth":1048576,"max_assoc":7}}}`, ""},
+		{"explore", `{"space":{"topology":"unified","l1":{"max_depth":1048576,"max_assoc":5}}}`, ""},
+		{"explore", `{"space":{"topology":"split+l2","l1":{"policies":["lru","fifo","plru"]},"l2":{"policies":["lru","fifo","plru"]}}}`, ""},
+	} {
+		body := `{"trace":"` + d + `",` + c.body[1:]
+		_, perr := parsers[c.verb]([]byte(body), url.Values{})
+		switch {
+		case c.code == "" && perr != nil:
+			t.Errorf("%s %s: rejected %d %s: %s", c.verb, c.body, perr.status, perr.code, perr.msg)
+		case c.code != "" && perr == nil:
+			t.Errorf("%s %s: accepted, want 400 %s", c.verb, c.body, c.code)
+		case c.code != "" && (perr.status != http.StatusBadRequest || perr.code != c.code):
+			t.Errorf("%s %s: rejected %d %s, want 400 %s", c.verb, c.body, perr.status, perr.code, c.code)
+		}
+	}
 }

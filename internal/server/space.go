@@ -78,6 +78,20 @@ func parseSpace(in *spaceJSON) (sp core.Space, perr *apiError) {
 	if err := sp.Validate(); err != nil {
 		return sp, badRequest(codeInvalidSpace, "%v", err)
 	}
+	n := sp.Normalized()
+	levels := []core.LevelSpace{n.L1}
+	if n.Topology == core.TopoSplitL2 {
+		levels = append(levels, n.L2)
+	}
+	for i, ls := range levels {
+		// Past 2^13 ways A(A+1)/2 alone exceeds the bound, so the product
+		// is formed only below it, where it cannot overflow.
+		a := ls.MaxAssoc
+		if a >= 1<<13 || !within(ls.MaxDepth, a*(a+1)/2, maxSweepWays) {
+			return sp, badRequest(codeInvalidSpace, "space l%d: max_depth %d x max_assoc %d needs more than %d sweep ways",
+				i+1, ls.MaxDepth, a, maxSweepWays)
+		}
+	}
 	return sp, nil
 }
 

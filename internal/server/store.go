@@ -44,7 +44,10 @@ func (e *TraceEntry) Prelude(ctx context.Context) (*trace.Stripped, *core.MRCT, 
 	if e.mrct == nil {
 		pctx, span := obs.StartSpan(ctx, "prelude")
 		_, sspan := obs.StartSpan(pctx, "strip")
-		s := trace.Strip(e.Trace)
+		s, err := trace.StripLines(e.Trace, 1, nil)
+		if err != nil {
+			return nil, nil, err
+		}
 		if sspan != nil {
 			sspan.SetAttr("n", s.N())
 			sspan.SetAttr("n_unique", s.NUnique())

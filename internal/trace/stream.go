@@ -40,28 +40,19 @@ func StripReader(rr RefReader) (*Stripped, error) {
 }
 
 // StripReaderInto is StripReader writing into a reusable Stripped, the
-// streaming twin of StripInto: s is Reset and its storage reused; nil
+// streaming twin of StripInto: s is reset and its storage reused; nil
 // allocates fresh.
 func StripReaderInto(rr RefReader, s *Stripped) (*Stripped, error) {
-	if s == nil {
-		s = &Stripped{}
-	}
-	s.Reset()
+	s, _, _ = s.reset(1, 0) // one-word lines are always valid
 	for {
 		r, err := rr.Next()
 		if err == io.EOF {
-			return s, nil
+			return s, checkIDs(len(s.IDs))
 		}
 		if err != nil {
 			return nil, err
 		}
-		id, ok := s.index[r.Addr]
-		if !ok {
-			id = len(s.Unique)
-			s.index[r.Addr] = id
-			s.Unique = append(s.Unique, r.Addr)
-		}
-		s.IDs = append(s.IDs, id)
+		s.IDs = append(s.IDs, s.id(r.Addr))
 	}
 }
 

@@ -1,26 +1,40 @@
 package trace
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+
 	"github.com/example/cachedse/internal/bitset"
 )
 
 // Stripped is the stripped form of a trace (Table 2 of the paper): the N'
 // unique references in order of first appearance, each assigned a numeric
 // identifier, plus the original trace re-expressed as a sequence of those
-// identifiers.
+// identifiers. It is the one dense-id form of a reference stream: the
+// MRCT, the postlude and the non-LRU policy sweeps all read it.
+//
+// A strip is made at a line size: references are numbered by line address
+// (word address / LineWords), so a strip at LineWords L is the strip of
+// the trace with its low log2(L) word-offset bits dropped.
 //
 // Identifiers are zero-based here (the paper numbers from 1); every data
 // structure downstream is internally consistent, and rendering helpers add
-// one where a table must match the paper's numbering.
+// one where a table must match the paper's numbering. They are assigned in
+// first-touch order, so reference i is a first touch exactly when IDs[i]
+// equals the number of distinct identifiers before it.
 type Stripped struct {
-	// Unique holds the distinct addresses in first-appearance order;
+	// LineWords is the line size in words the strip was made at.
+	LineWords int
+	// Unique holds the distinct line addresses in first-appearance order;
 	// Unique[id] is the address of identifier id. len(Unique) == N'.
 	Unique []uint32
 	// IDs is the original trace as identifiers: IDs[i] is the identifier of
 	// the i-th reference. len(IDs) == N.
-	IDs []int
-	// index maps address -> identifier.
-	index map[uint32]int
+	IDs []int32
+	// index maps line address -> identifier.
+	index map[uint32]int32
 }
 
 // Strip reduces a trace of N references to its N' unique references using a
@@ -29,38 +43,82 @@ func Strip(t *Trace) *Stripped {
 	return StripInto(t, nil)
 }
 
-// StripInto is Strip writing into a reusable Stripped: s is Reset and its
+// StripInto is Strip writing into a reusable Stripped: s is reset and its
 // identifier/unique/index storage reused, so a pooled caller strips trace
 // after trace without allocating once the buffers have grown to the
 // workload's size. A nil s allocates a fresh one (StripInto(t, nil) is
-// exactly Strip).
+// exactly Strip). It is StripLines at one-word lines, and panics where
+// that fails: on a trace of more than math.MaxInt32 references.
 func StripInto(t *Trace, s *Stripped) *Stripped {
-	if s == nil {
-		s = &Stripped{IDs: make([]int, 0, t.Len())}
-	}
-	s.Reset()
-	for _, r := range t.Refs {
-		id, ok := s.index[r.Addr]
-		if !ok {
-			id = len(s.Unique)
-			s.index[r.Addr] = id
-			s.Unique = append(s.Unique, r.Addr)
-		}
-		s.IDs = append(s.IDs, id)
+	s, err := StripLines(t, 1, s)
+	if err != nil {
+		panic(err)
 	}
 	return s
 }
 
-// Reset empties the stripped form for reuse, keeping the capacity of the
-// identifier sequence, the unique-address table and the index map.
-func (s *Stripped) Reset() {
+// StripLines strips t at lineWords words per line (0 means one) into s,
+// reusing its storage as StripInto does; a nil s allocates a fresh one.
+// It fails on a line size that is not a power of two and on a trace too
+// long for int32 identifiers.
+func StripLines(t *Trace, lineWords int, s *Stripped) (*Stripped, error) {
+	if err := checkIDs(len(t.Refs)); err != nil {
+		return nil, err
+	}
+	s, shift, err := s.reset(lineWords, len(t.Refs))
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range t.Refs {
+		s.IDs = append(s.IDs, s.id(r.Addr>>shift))
+	}
+	return s, nil
+}
+
+// reset empties s (allocating it when nil) for a strip of about n
+// references at lineWords words per line, keeping the capacity of the
+// identifier sequence, the unique-address table and the index map. It
+// returns the strip and the address shift of the line size.
+func (s *Stripped) reset(lineWords, n int) (*Stripped, uint, error) {
+	if lineWords == 0 {
+		lineWords = 1
+	}
+	if lineWords < 1 || lineWords&(lineWords-1) != 0 {
+		return nil, 0, fmt.Errorf("trace: line size %d words is not a power of two >= 1", lineWords)
+	}
+	if s == nil {
+		s = &Stripped{}
+	}
+	s.LineWords = lineWords
 	s.Unique = s.Unique[:0]
-	s.IDs = s.IDs[:0]
+	s.IDs = slices.Grow(s.IDs[:0], n)
 	if s.index == nil {
-		s.index = make(map[uint32]int)
+		s.index = make(map[uint32]int32)
 	} else {
 		clear(s.index)
 	}
+	return s, uint(bits.TrailingZeros(uint(lineWords))), nil
+}
+
+// id is the strip step: the identifier of line address line, numbering a
+// line never seen before with the next identifier.
+func (s *Stripped) id(line uint32) int32 {
+	id, ok := s.index[line]
+	if !ok {
+		id = int32(len(s.Unique))
+		s.index[line] = id
+		s.Unique = append(s.Unique, line)
+	}
+	return id
+}
+
+// checkIDs rejects a stream of n references, whose identifiers could
+// overflow int32.
+func checkIDs(n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("trace: %d references overflow the int32 identifiers", n)
+	}
+	return nil
 }
 
 // N returns the original trace length.
@@ -69,10 +127,11 @@ func (s *Stripped) N() int { return len(s.IDs) }
 // NUnique returns N', the number of unique references.
 func (s *Stripped) NUnique() int { return len(s.Unique) }
 
-// ID returns the identifier of addr and whether it appears in the trace.
+// ID returns the identifier of line address addr and whether it appears
+// in the trace.
 func (s *Stripped) ID(addr uint32) (int, bool) {
 	id, ok := s.index[addr]
-	return id, ok
+	return int(id), ok
 }
 
 // Addr returns the address of identifier id.

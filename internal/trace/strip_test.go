@@ -38,7 +38,7 @@ func TestStripPaperExample(t *testing.T) {
 	}
 	// Identifier sequence (paper IDs are one-based).
 	for i, want := range paperIDs {
-		if got := s.IDs[i] + 1; got != want {
+		if got := int(s.IDs[i]) + 1; got != want {
 			t.Errorf("IDs[%d] = %d, want %d", i, got, want)
 		}
 	}
@@ -117,7 +117,7 @@ func TestQuickStripRoundTrip(t *testing.T) {
 			return false
 		}
 		for i, id := range s.IDs {
-			if s.Addr(id) != addrs[i] {
+			if s.Addr(int(id)) != addrs[i] {
 				return false
 			}
 		}
