@@ -1,16 +1,15 @@
-// Package bench regenerates every table and figure of the paper as Go
-// benchmarks: each BenchmarkTableN/BenchmarkFigureN measures the code path
-// that produces that artifact (cmd/repro prints the same artifacts).
-// Ablation benchmarks at the bottom quantify the design choices DESIGN.md
-// calls out.
+// Package bench holds the Go benchmarks the docs cite: each
+// BenchmarkTableN/BenchmarkFigureN exercises the code path that produces
+// that artifact of the paper (cmd/repro prints the artifacts themselves),
+// and the ablation and micro benchmarks isolate the design choices
+// DESIGN.md calls out. They are for profiling and for the CI smoke run
+// (-benchtime 1x); the timings of record come from bench/run.sh.
 package bench
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime/metrics"
 	"testing"
 
 	"github.com/example/cachedse/internal/bitset"
@@ -20,62 +19,12 @@ import (
 	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/dse"
 	"github.com/example/cachedse/internal/experiments"
-	"github.com/example/cachedse/internal/minic"
 	"github.com/example/cachedse/internal/minicbench"
 	"github.com/example/cachedse/internal/onepass"
 	"github.com/example/cachedse/internal/powerstone"
-	"github.com/example/cachedse/internal/report"
 	"github.com/example/cachedse/internal/trace"
 	"github.com/example/cachedse/internal/tracegen"
 )
-
-// gcTotals reads the runtime's cumulative GC activity: completed cycles
-// and total stop-the-world pause time. The pause metric is exposed as a
-// histogram of pause durations, so the total is approximated by summing
-// bucket midpoints weighted by counts — exact enough for the per-op
-// deltas the GC panel reports.
-func gcTotals() (cycles uint64, pauseSec float64) {
-	s := []metrics.Sample{
-		{Name: "/gc/cycles/total:gc-cycles"},
-		{Name: "/sched/pauses/total/gc:seconds"},
-	}
-	metrics.Read(s)
-	cycles = s[0].Value.Uint64()
-	h := s[1].Value.Float64Histogram()
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		lo, hi := h.Buckets[i], h.Buckets[i+1]
-		mid := lo + (hi-lo)/2
-		switch {
-		case math.IsInf(lo, -1):
-			mid = hi
-		case math.IsInf(hi, 1):
-			mid = lo
-		}
-		pauseSec += mid * float64(c)
-	}
-	return cycles, pauseSec
-}
-
-// measureGC runs fn b.N times with the GC panel attached: allocs/op and
-// B/op via ReportAllocs, plus gcs/op and gc-pause-ns/op deltas from
-// runtime/metrics. Zero-allocation steady state shows up here as all four
-// metrics collapsing toward zero.
-func measureGC(b *testing.B, fn func(i int)) {
-	b.Helper()
-	b.ReportAllocs()
-	startCycles, startPause := gcTotals()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn(i)
-	}
-	b.StopTimer()
-	endCycles, endPause := gcTotals()
-	b.ReportMetric(float64(endCycles-startCycles)/float64(b.N), "gcs/op")
-	b.ReportMetric((endPause-startPause)*1e9/float64(b.N), "gc-pause-ns/op")
-}
 
 func suite(b *testing.B) *experiments.Suite {
 	b.Helper()
@@ -153,11 +102,11 @@ func benchRuntime(b *testing.B, stream experiments.Stream) {
 		tr := ts.Stream(stream)
 		st := trace.ComputeStats(tr)
 		b.Run(ts.Name, func(b *testing.B) {
-			measureGC(b, func(int) {
+			for i := 0; i < b.N; i++ {
 				if _, err := core.Explore(context.Background(), tr, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
-			})
+			}
 			b.ReportMetric(float64(st.N)*float64(st.NUnique), "N*N'")
 		})
 	}
@@ -188,28 +137,6 @@ func BenchmarkFigure4(b *testing.B) {
 			work := float64(g.n) * float64(g.unique)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/work, "ns/(N*N')")
 		})
-	}
-}
-
-// BenchmarkFigure4Fit measures the end-to-end Figure 4 regeneration:
-// timing all 24 traces and fitting the line.
-func BenchmarkFigure4Fit(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, d, err := s.Runtime(experiments.Data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, ins, err := s.Runtime(experiments.Instruction)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fit, _, err := experiments.Figure4(append(d, ins...))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(fit.R2, "R2")
 	}
 }
 
@@ -294,18 +221,6 @@ func BenchmarkAblationOnePassVsAnalytical(b *testing.B) {
 	})
 }
 
-// BenchmarkSuiteTraceGeneration measures running all 12 kernels on the VM
-// — the cost of synthesising the paper's trace dataset from scratch.
-func BenchmarkSuiteTraceGeneration(b *testing.B) {
-	// Bypass the cached Load: construct traces fresh each iteration.
-	for i := 0; i < b.N; i++ {
-		s := suite(b)
-		if len(s.Sets) != 12 {
-			b.Fatal("bad suite")
-		}
-	}
-}
-
 // BenchmarkAblationParallelExplore measures the shared-memory parallel
 // postlude (§2.4's distributed-sets observation) against the sequential
 // DFS. Workers clamp to GOMAXPROCS, so on a single-core host every series
@@ -324,11 +239,11 @@ func BenchmarkAblationParallelExplore(b *testing.B) {
 	m := core.BuildMRCT(s)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			measureGC(b, func(int) {
+			for i := 0; i < b.N; i++ {
 				if _, err := core.Explore(context.Background(), core.Prelude{Stripped: s, MRCT: m}, core.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
-			})
+			}
 		})
 	}
 }
@@ -381,22 +296,6 @@ func BenchmarkMicroIntersect(b *testing.B) {
 				_ = row.IntersectCount(packed)
 			}
 		})
-	}
-}
-
-// BenchmarkMicroMRCTDedup isolates the prelude's dedup lookup cost on a
-// repeat-dominated trace where nearly every occurrence hits an
-// already-known conflict window — the case the commutative-hash dedup is
-// designed for (no sort, no byte-key materialisation on the hit path).
-func BenchmarkMicroMRCTDedup(b *testing.B) {
-	tr := tracegen.Loop(0, 256, 200)
-	s := trace.Strip(tr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := core.BuildMRCT(s)
-		if m.DistinctSets() == 0 {
-			b.Fatal("no sets")
-		}
 	}
 }
 
@@ -516,58 +415,6 @@ func BenchmarkHierarchy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCompiledVsHand explores the instruction streams of the
-// same fir kernel in hand-assembly and minic-compiled form — the compiled
-// traces are an order of magnitude larger, measuring how the analytical
-// pipeline scales with real compiled-code footprints.
-func BenchmarkAblationCompiledVsHand(b *testing.B) {
-	hand, err := powerstone.Get("fir").Run()
-	if err != nil {
-		b.Fatal(err)
-	}
-	compiled, err := minicbench.Fir.Run()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("hand", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Explore(context.Background(), hand.Instr, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Explore(context.Background(), compiled.Instr, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkMinicCompile measures the compiler itself on the largest
-// kernel source.
-func BenchmarkMinicCompile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := minic.Compile(minicbench.Qsort.Source); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReportRender covers the table renderer on a Tables 7-30 sized
-// grid.
-func BenchmarkReportRender(b *testing.B) {
-	t := &report.Table{Title: "t", Headers: []string{"Depth", "A@5%", "A@10%", "A@15%", "A@20%"}}
-	for d := 1; d <= 4096; d *= 2 {
-		t.AddRow(d, 4, 3, 2, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = t.Render()
-	}
-}
-
 // BenchmarkSampledExplore measures the spatial-sampling speedup
 // trajectory on the largest PowerStone trace (the compiled compress
 // kernel's instruction stream, N = 2.7M): the exact engine against the
@@ -609,8 +456,8 @@ func BenchmarkSampledExplore(b *testing.B) {
 // (pruned) and off (SpaceOptions.Exhaustive: the identical computation
 // evaluating every candidate cell). The pruned case reports its
 // prune-rate (fraction of candidate cells the A_zero and
-// alpha-threshold cuts skipped); scripts/bench.sh records both timings,
-// their ratio and the rate as the dse_space panel in BENCH_core.json.
+// alpha-threshold cuts skipped). TestExploreSpaceDefaultPruneRate gates
+// the rate; the space-default workload of bench/run.sh times this path.
 func BenchmarkSpaceExplore(b *testing.B) {
 	run, err := powerstone.Get("crc").Run()
 	if err != nil {

@@ -22,7 +22,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -39,22 +38,6 @@ import (
 	"github.com/example/cachedse/internal/trace"
 	"github.com/example/cachedse/pkg/client"
 )
-
-// summary is the -json report: request accounting plus the explore
-// latency distribution, so bench runs can chart tail latency under
-// chaos for single-node vs. cluster topologies.
-type summary struct {
-	Addrs       []string `json:"addrs"`
-	N           int      `json:"n"`
-	Concurrency int      `json:"concurrency"`
-	OK          int64    `json:"ok"`
-	Degraded    int64    `json:"degraded"`
-	Failed      int64    `json:"failed"`
-	DurationMS  float64  `json:"duration_ms"`
-	P50MS       float64  `json:"p50_ms"`
-	P95MS       float64  `json:"p95_ms"`
-	P99MS       float64  `json:"p99_ms"`
-}
 
 // percentile reads the q-quantile from a sorted latency slice using the
 // nearest-rank method — exact for the small sample counts chaosload runs.
@@ -88,7 +71,6 @@ func run() error {
 	seed := flag.Int64("seed", 11, "synthetic trace seed")
 	attempts := flag.Int("attempts", 12, "client retry attempts per request")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall run deadline")
-	jsonOut := flag.String("json", "", "write a JSON latency/accounting summary to this file ('-' for stdout)")
 	flag.Parse()
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -152,7 +134,6 @@ func run() error {
 	latencies := make([]time.Duration, *n)
 	sem := make(chan struct{}, *concurrency)
 	var wg sync.WaitGroup
-	start := time.Now()
 	for i := 0; i < *n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
@@ -194,35 +175,11 @@ func run() error {
 		}(i)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	sum := summary{
-		Addrs:       bases,
-		N:           *n,
-		Concurrency: *concurrency,
-		OK:          ok.Load(),
-		Degraded:    degraded.Load(),
-		Failed:      failed.Load(),
-		DurationMS:  float64(elapsed) / float64(time.Millisecond),
-		P50MS:       percentile(latencies, 0.50),
-		P95MS:       percentile(latencies, 0.95),
-		P99MS:       percentile(latencies, 0.99),
-	}
 	fmt.Printf("chaosload: %d ok (%d degraded), %d failed of %d across %d node(s); p50=%.1fms p95=%.1fms p99=%.1fms\n",
-		sum.OK, sum.Degraded, sum.Failed, sum.N, len(bases), sum.P50MS, sum.P95MS, sum.P99MS)
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			return err
-		}
-	}
+		ok.Load(), degraded.Load(), failed.Load(), *n, len(bases),
+		percentile(latencies, 0.50), percentile(latencies, 0.95), percentile(latencies, 0.99))
 	if failed.Load() > 0 {
 		return firstErr.Load().(error)
 	}

@@ -38,7 +38,7 @@ type Options struct {
 	// work-stealing workers, and any negative value uses GOMAXPROCS.
 	// Requests beyond GOMAXPROCS are clamped to it — extra workers on a
 	// saturated machine only add queue and merge overhead (the negative
-	// scaling BENCH_core.json's parallel ablation used to record).
+	// scaling BenchmarkAblationParallelExplore showed before the clamp).
 	// Results are bit-identical at every setting.
 	Workers int
 	// SampleRate switches the engine into SHARDS-style approximate mode:

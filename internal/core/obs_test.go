@@ -257,7 +257,8 @@ func TestExploreSameResultWithRecorder(t *testing.T) {
 // exploration: "off" runs with no recorder on the context (the production
 // default — every StartSpan is one context lookup returning nil), "on"
 // records the full span tree. The acceptance bar is "off" within 2% of
-// the pre-instrumentation baseline; compare BENCH_core.json snapshots.
+// the pre-instrumentation baseline; bench/run.sh reports the recorder's
+// cost as obs.recorder_overhead_pct.
 func BenchmarkExploreObs(b *testing.B) {
 	tr := obsTestTrace(20_000, 1<<9)
 	s := trace.Strip(tr)
