@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
 
@@ -186,14 +187,23 @@ func BuildMRCTContext(ctx context.Context, s *trace.Stripped) (*MRCT, error) {
 // set's cardinality p and its commutative hash in O(log W), without
 // listing it. Moving id to the newest time is two point updates.
 //
-// Deduplication looks the hash up among the stored candidates (chained
-// newest-first through dedupNext). A candidate cs matches iff len(cs) == p
-// and last[v] > t0 for every v in cs: exactly p distinct ids have a last
-// access after t0, so such a cs is the window itself. The check is exact
-// and read-only, and at most one candidate can pass it, so chain order
-// cannot affect the result. Only a window never seen before is listed, by
-// reading slot[t0+1..now-1], and stored sorted: read out of its packed
-// bit vector when it is dense enough to be packed, sorted otherwise.
+// A candidate set cs matches iff len(cs) == p and last[v] > t0 for every v
+// in cs: exactly p distinct ids have a last access after t0, so such a cs
+// is the window itself. The check is exact and read-only, and at most one
+// candidate can pass it, so the order candidates are tried in cannot
+// affect the result. The first candidate is the set of id's previous
+// window (prevSet), when its key matches: loops repeat an id's window far
+// more often than they move it. Next come the sets stored under the
+// window's key in the dedup table, newest first through dedupNext. Only a
+// window never seen before is listed, by reading slot[t0+1..now-1], and
+// stored sorted: read out of its packed bit vector when it is dense enough
+// to be packed, sorted otherwise.
+//
+// Occurrences are counted per set, not recorded per occurrence: nearly
+// every set is only ever the window of the id that first listed it (its
+// owner), so an owner's occurrence is setCnt[c]++. Any other id's
+// occurrence goes to the short overflow list, which is sorted and
+// run-length encoded once at the end.
 //
 // When the times run out at W, the live ids are renumbered 1..L in time
 // order and the tree is rebuilt in O(W). W = 2N' leaves at least N' fresh
@@ -227,16 +237,13 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 		m.occ[i] = nil
 	}
 	thresh := packThreshold(nu)
-	// dedupHead maps the commutative hash to the newest candidate set
-	// index; older candidates chain through dedupNext. Genuine collisions
-	// are resolved by the last-access check below.
-	if sc.dedupHead == nil {
-		sc.dedupHead = make(map[uint64]int32)
-	} else {
-		clear(sc.dedupHead)
-	}
-	dedupHead := sc.dedupHead
+	// Per set index c: setKey[c] is the dedup key of its window, setOwner[c]
+	// the id that first listed it, setCnt[c] the owner's occurrences of it
+	// and dedupNext[c] the next older set stored under the same key, or -1.
+	setKey, setOwner, setCnt := sc.setKey[:0], sc.setOwner[:0], sc.setCnt[:0]
 	dedupNext := sc.dedupNext[:0]
+	dedup := &sc.dedup
+	dedup.reset()
 	// idHash[v] caches hashID(v) — a pure function of v, so the cache only
 	// ever extends.
 	for v := len(sc.idHash); v < nu; v++ {
@@ -254,12 +261,15 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 	}
 	fen := sc.fen[:w+1]
 	clear(fen)
-	var total fenNode // every live id: the tree's full range
-	now := int32(1)   // the next logical time to hand out
-	compactions, verifyIDs := 0, 0
-	// pairs records (id, set index) per non-cold occurrence; one global
-	// sort at the end replaces the per-id slices of the old build.
-	pairs := sc.pairs[:0]
+	// prevSet[id] is the set of id's latest window, -1 before its first.
+	prevSet := growInt32(&sc.prevSet, nu)
+	for i := range prevSet {
+		prevSet[i] = -1
+	}
+	overflow := sc.overflow[:0] // id<<32 | set, per occurrence by a non-owner
+	var total fenNode           // every live id: the tree's full range
+	now := int32(1)             // the next logical time to hand out
+	compactions, verifyIDs, memoHits := 0, 0, 0
 
 	for i, id := range s.IDs {
 		if i&4095 == 0 {
@@ -292,10 +302,24 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 		hxor := total.hxor ^ pre.hxor
 		key := hashID(hsum ^ (hxor << 1) ^ uint64(p))
 		idx := int32(-1)
-		if head, ok := dedupHead[key]; ok {
-			for cand := head; cand >= 0; cand = dedupNext[cand] {
+		memo := prevSet[id]
+		if memo >= 0 && setKey[memo] == key {
+			if cs := m.sets[memo]; len(cs) == p {
+				verifyIDs += p
+				if accessedAfter(cs, last, t0) {
+					idx = memo
+					memoHits++
+				}
+			}
+		} else {
+			memo = -1
+		}
+		var at int // key's slot in the dedup table
+		if idx < 0 {
+			at = dedup.find(key, setKey)
+			for cand := dedup.head(at); cand >= 0; cand = dedupNext[cand] {
 				cs := m.sets[cand]
-				if len(cs) != p {
+				if cand == memo || len(cs) != p {
 					continue
 				}
 				verifyIDs += p
@@ -305,7 +329,8 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 				}
 			}
 		}
-		if idx < 0 {
+		switch {
+		case idx < 0:
 			// First sighting: list the live slots after t0 — exactly p of
 			// them — in ascending id order, copy into the arena, maybe pack.
 			cp := sc.i32.alloc(p)
@@ -339,58 +364,85 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 			if p > m.maxCard {
 				m.maxCard = p
 			}
-			if head, ok := dedupHead[key]; ok {
-				dedupNext = append(dedupNext, head)
-			} else {
-				dedupNext = append(dedupNext, -1)
-			}
-			dedupHead[key] = idx
+			setKey = append(setKey, key)
+			setOwner = append(setOwner, id)
+			setCnt = append(setCnt, 1)
+			dedupNext = append(dedupNext, dedup.push(at, idx, setKey))
+		case setOwner[idx] == id:
+			setCnt[idx]++
+		default:
+			overflow = append(overflow, uint64(id)<<32|uint64(idx))
 		}
-		pairs = append(pairs, uint64(id)<<32|uint64(uint32(idx)))
+		prevSet[id] = idx
 		// Move id from t0 to now; the totals do not change.
 		fenMove(fen, int(t0), int(now), h)
 		slot[t0] = -1
 		last[id], slot[now] = now, id
 		now++
 	}
-	sc.dedupNext = dedupNext
+	sc.setKey, sc.setOwner, sc.setCnt, sc.dedupNext = setKey, setOwner, setCnt, dedupNext
 
-	// Sort (id, set) pairs and run-length encode into occurrence runs
-	// carved from one exactly-sized buffer — occ[id] order per id is by
-	// set index, the same as the old per-id sort produced.
-	occurrences := len(pairs)
-	slices.Sort(pairs)
-	runs := 0
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j] == pairs[i] {
-			j++
-		}
-		runs++
-		i = j
+	// Occurrence runs, in set-index order per id, carved from one
+	// exactly-sized buffer. Every set is one run of its owner's; the sorted
+	// overflow adds one run per distinct (id, set). last is dead after the
+	// pass: it counts each id's runs, then serves as its write cursor.
+	slices.Sort(overflow)
+	runs := len(m.sets)
+	fill := last
+	clear(fill)
+	for _, o := range setOwner {
+		fill[o]++
 	}
+	for i, v := range overflow {
+		if i == 0 || v != overflow[i-1] {
+			fill[v>>32]++
+			runs++
+		}
+	}
+	overflowRuns := runs - len(m.sets)
 	occBuf := sc.occBuf[:0]
 	if cap(occBuf) < runs {
-		// Pre-size before carving: a mid-fill growth would strand the
-		// occ[id] slices already handed out on the old backing array.
 		occBuf = make([]occurrence, 0, runs)
 	}
-	for i := 0; i < len(pairs); {
-		id := int(pairs[i] >> 32)
-		start := len(occBuf)
-		for i < len(pairs) && int(pairs[i]>>32) == id {
-			j := i
-			for j < len(pairs) && pairs[j] == pairs[i] {
-				j++
-			}
-			occBuf = append(occBuf, occurrence{set: int32(uint32(pairs[i])), count: int32(j - i)})
-			i = j
+	occBuf = occBuf[:runs]
+	start := int32(0)
+	for id, n := range fill {
+		fill[id] = start
+		start += n
+	}
+	// Walking c in ascending order puts each id's own sets in set order.
+	for c, o := range setOwner {
+		occBuf[fill[o]] = occurrence{set: int32(c), count: setCnt[c]}
+		fill[o]++
+	}
+	for i := 0; i < len(overflow); {
+		j := i + 1
+		for j < len(overflow) && overflow[j] == overflow[i] {
+			j++
 		}
-		m.occ[id] = occBuf[start:len(occBuf):len(occBuf)]
+		id := overflow[i] >> 32
+		occBuf[fill[id]] = occurrence{set: int32(uint32(overflow[i])), count: int32(j - i)}
+		fill[id]++
+		i = j
+	}
+	// fill[id] now ends id's runs, where id+1's begin.
+	begin := int32(0)
+	for id, end := range fill {
+		if end > begin {
+			m.occ[id] = occBuf[begin:end:end]
+		}
+		begin = end
+	}
+	// An id with overflow runs has them after its own sets; re-sort it.
+	for i, v := range overflow {
+		if i == 0 || v>>32 != overflow[i-1]>>32 {
+			slices.SortFunc(m.occ[v>>32], func(a, b occurrence) int { return cmp.Compare(a.set, b.set) })
+		}
 	}
 	sc.occBuf = occBuf
-	sc.pairs = pairs[:0]
+	sc.overflow = overflow[:0]
 	if span != nil {
+		occurrences := s.N() - nu
 		span.SetAttr("n", s.N())
 		span.SetAttr("n_unique", nu)
 		span.SetAttr("distinct_sets", len(m.sets))
@@ -400,9 +452,78 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 		span.SetAttr("packed_sets", m.PackedSets())
 		span.SetAttr("compactions", compactions)
 		span.SetAttr("verify_ids", verifyIDs)
+		span.SetAttr("memo_hits", memoHits)
+		span.SetAttr("overflow_runs", overflowRuns)
 		span.End()
 	}
 	return nil
+}
+
+// dedupTable maps a window's dedup key to the newest set stored under
+// it: open addressing with linear probing over a power-of-two array of
+// set index + 1 (0 = empty). It stores heads only. A slot's key is
+// setKey of its set, and keys are hashID outputs, so their low bits index
+// the array directly. It grows at load ½ and keeps its capacity across
+// pooled builds.
+type dedupTable struct {
+	slots []int32
+	used  int
+}
+
+const dedupTableMin = 1 << 8
+
+// reset empties the table in place.
+func (t *dedupTable) reset() {
+	if t.slots == nil {
+		t.slots = make([]int32, dedupTableMin)
+	}
+	clear(t.slots)
+	t.used = 0
+}
+
+// find returns the slot holding key's newest set, or the empty slot key
+// would take.
+func (t *dedupTable) find(key uint64, setKey []uint64) int {
+	mask := len(t.slots) - 1
+	for i := int(key) & mask; ; i = (i + 1) & mask {
+		if h := t.slots[i]; h == 0 || setKey[h-1] == key {
+			return i
+		}
+	}
+}
+
+// head returns the set at slot i, -1 when it is empty.
+func (t *dedupTable) head(i int) int32 { return t.slots[i] - 1 }
+
+// push makes set idx the newest at slot i, which find returned for
+// setKey[idx], and returns the set it displaced, -1 when there was none.
+func (t *dedupTable) push(i int, idx int32, setKey []uint64) int32 {
+	old := t.slots[i] - 1
+	t.slots[i] = idx + 1
+	if old < 0 {
+		t.used++
+		if 2*t.used > len(t.slots) {
+			t.grow(setKey)
+		}
+	}
+	return old
+}
+
+// grow doubles the table and reinserts every head.
+func (t *dedupTable) grow(setKey []uint64) {
+	old := t.slots
+	t.slots = make([]int32, 2*len(old))
+	mask := len(t.slots) - 1
+	for _, h := range old {
+		if h == 0 {
+			continue
+		}
+		i := int(setKey[h-1]) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = h
+	}
 }
 
 // DedupHitRate is the fraction of non-cold occurrences whose conflict

@@ -9,15 +9,18 @@ import (
 	"github.com/example/cachedse/internal/trace"
 )
 
-// oracleScratch extends Scratch with the global LRU stack state the
-// stack-walk build needs: epoch stamps, per-id stack positions and the
-// stack itself. The production build keeps none of these.
+// oracleScratch extends Scratch with the state the stack-walk build needs
+// and the production build does not keep: the global LRU stack with its
+// epoch stamps and per-id positions, the dedup map and the flat
+// occurrence pairs.
 type oracleScratch struct {
 	Scratch
-	stamp []uint64 // epoch stamps for O(|C|) set equality
-	epoch uint64   // monotone across builds: stamps never need zeroing
-	pos   []int32  // LRU-stack position per id
-	stack []int    // the LRU stack itself
+	stamp     []uint64         // epoch stamps for O(|C|) set equality
+	epoch     uint64           // monotone across builds: stamps never need zeroing
+	pos       []int32          // LRU-stack position per id
+	stack     []int            // the LRU stack itself
+	dedupHead map[uint64]int32 // commutative hash -> newest set index
+	pairs     []uint64         // (id<<32 | set index) per non-cold occurrence
 }
 
 // buildMRCTStack builds a caller-owned table with the stack-walk oracle.

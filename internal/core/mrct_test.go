@@ -178,9 +178,9 @@ func TestMRCTMatchesStackOracle(t *testing.T) {
 	}
 }
 
-// mrctCompactions builds s's table under a span recorder and returns the
-// mrct span's compaction count.
-func mrctCompactions(t *testing.T, s *trace.Stripped) (*MRCT, int) {
+// mrctSpan builds s's table under a span recorder and returns the mrct
+// span's attributes.
+func mrctSpan(t *testing.T, s *trace.Stripped) (*MRCT, map[string]any) {
 	t.Helper()
 	rec := obs.NewRecorder(0)
 	m, err := BuildMRCTContext(obs.WithRecorder(context.Background(), rec), s)
@@ -191,7 +191,7 @@ func mrctCompactions(t *testing.T, s *trace.Stripped) (*MRCT, int) {
 	if len(spans) != 1 {
 		t.Fatalf("%d mrct spans, want 1", len(spans))
 	}
-	return m, spans[0].Attrs["compactions"].(int)
+	return m, spans[0].Attrs
 }
 
 // Trace lengths one before, exactly on and one after the first and the
@@ -212,8 +212,8 @@ func TestMRCTCompactionBoundaries(t *testing.T) {
 		for _, n := range []int{w, w + 1, w + 2, w + gap, w + gap + 1, w + gap + 2, w + 3*gap + 1} {
 			t.Run(fmt.Sprintf("nu%d/n%d", nu, n), func(t *testing.T) {
 				s := trace.Strip(cyclicTrace(nu, n))
-				m, got := mrctCompactions(t, s)
-				if got != want(n) {
+				m, attrs := mrctSpan(t, s)
+				if got := attrs["compactions"]; got != want(n) {
 					t.Errorf("%d compactions, want %d", got, want(n))
 				}
 				if d := mrctDiff(m, buildMRCTStack(s)); d != "" {
@@ -241,12 +241,89 @@ func TestMRCTPooledScratchReuse(t *testing.T) {
 	}
 }
 
+// pooledSeed is the trace pooledBuild runs first: its universe and set
+// table are far larger than the small traces built after it, so the dedup
+// table has grown and the per-set and per-id buffers hold stale entries.
+var pooledSeed = trace.Strip(tracegen.Uniform(rand.New(rand.NewSource(41)), 0, 500, 8000))
+
+// pooledBuild builds s through a Scratch that has already built
+// pooledSeed.
+func pooledBuild(t testing.TB, s *trace.Stripped) *MRCT {
+	t.Helper()
+	sc := &Scratch{}
+	for _, in := range []*trace.Stripped{pooledSeed, s} {
+		if err := buildMRCT(context.Background(), in, sc, &sc.mrct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &sc.mrct
+}
+
+// Each way a recurrence can find its set, and each way its occurrence can
+// be counted, on a trace small enough for the literal double loop: the
+// span counts show the path was taken, and the table must equal the
+// stack-walk oracle's, fresh and through a reused Scratch.
+func TestMRCTBookkeepingPaths(t *testing.T) {
+	cases := []struct {
+		name         string
+		ids          []int
+		memoHits     int
+		overflowRuns int
+	}{
+		// u x u w x w y w: w's first window {x} is u's set, so w counts it
+		// as an overflow run, listed before w's own later set {y}.
+		{"shared-window", []int{0, 1, 0, 2, 1, 2, 3, 2}, 0, 1},
+		// a's windows alternate {x}, {y}: its previous window never
+		// matches, so the dedup table finds the set; x and y repeat theirs.
+		{"alternating-windows", []int{0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2}, 2, 0},
+		// One window repeated: every recurrence after the first of each id
+		// is resolved by its previous window.
+		{"repeated-window", []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}, 6, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := trace.Strip(idTrace(c.ids...))
+			m, attrs := mrctSpan(t, s)
+			if got := attrs["memo_hits"]; got != c.memoHits {
+				t.Errorf("memo_hits = %v, want %d", got, c.memoHits)
+			}
+			if got := attrs["overflow_runs"]; got != c.overflowRuns {
+				t.Errorf("overflow_runs = %v, want %d", got, c.overflowRuns)
+			}
+			want := buildMRCTStack(s)
+			if d := mrctDiff(m, want); d != "" {
+				t.Fatal(d)
+			}
+			if d := mrctDiff(pooledBuild(t, s), want); d != "" {
+				t.Fatalf("pooled: %s", d)
+			}
+			checkNaive(t, m, s)
+		})
+	}
+}
+
+// checkNaive holds m's expanded conflict sets to the literal double loop
+// of Algorithm 2. ConflictSets groups an id's occurrences by set, so the
+// two expansions are compared as multisets.
+func checkNaive(t *testing.T, m *MRCT, s *trace.Stripped) {
+	t.Helper()
+	for id, want := range BuildMRCTNaive(s) {
+		got := m.ConflictSets(id)
+		slices.SortFunc(got, slices.Compare[[]int32])
+		slices.SortFunc(want, slices.Compare[[]int32])
+		if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
+			t.Fatalf("id %d: conflict sets %v, want %v", id, got, want)
+		}
+	}
+}
+
 // fuzzUniverse is the fixed address table fuzz bytes index into.
 const fuzzUniverse = 24
 
 // FuzzBuildMRCT drives the build with byte traces over a fixed universe:
-// the table must equal the stack-walk oracle's, and its expanded conflict
-// sets the literal double loop of Algorithm 2.
+// the table must equal the stack-walk oracle's, fresh and through a
+// Scratch reused after a larger build, and its expanded conflict sets the
+// literal double loop of Algorithm 2.
 func FuzzBuildMRCT(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5})
 	f.Add([]byte{3, 3, 3, 3})
@@ -256,47 +333,55 @@ func FuzzBuildMRCT(f *testing.F) {
 			b = b[:1024] // keep the O(N·N') naive build cheap
 		}
 		s := trace.Strip(traceFromBytes(b, fuzzUniverse))
-		m := BuildMRCT(s)
-		if d := mrctDiff(m, buildMRCTStack(s)); d != "" {
+		m, want := BuildMRCT(s), buildMRCTStack(s)
+		if d := mrctDiff(m, want); d != "" {
 			t.Fatal(d)
 		}
-		// ConflictSets groups an id's occurrences by set, so compare the
-		// two expansions as multisets.
-		for id, want := range BuildMRCTNaive(s) {
-			got := m.ConflictSets(id)
-			slices.SortFunc(got, slices.Compare[[]int32])
-			slices.SortFunc(want, slices.Compare[[]int32])
-			if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
-				t.Fatalf("id %d: conflict sets %v, want %v", id, got, want)
-			}
+		if d := mrctDiff(pooledBuild(t, s), want); d != "" {
+			t.Fatalf("pooled: %s", d)
 		}
+		checkNaive(t, m, s)
 	})
 }
 
-// BenchmarkBuildMRCT times the conflict-table build alone, the stack-walk
-// oracle against the Fenwick build, each through its own reused scratch:
-// a loop-heavy trace (deep windows, nearly all dedup hits) and a Zipf
-// trace with a large universe (many distinct windows).
+// BenchmarkBuildMRCT times the conflict-table build alone, each build
+// through its own reused scratch: a loop-heavy trace (deep windows, nearly
+// all dedup hits) and a Zipf trace with a large universe (many distinct
+// windows), each with the stack-walk oracle beside the Fenwick build; and
+// the two streams of the compiled compress kernel, where the compiled-stream
+// benchmark workload spends its time — compress.instr (N = 2.72 M, N' = 488)
+// resolves nearly every recurrence through the id's previous window,
+// compress.data (N = 1.18 M, 37 743 distinct sets) mostly through the
+// dedup table. The oracle's stack walk is too slow to run on those.
 func BenchmarkBuildMRCT(b *testing.B) {
 	rng := rand.New(rand.NewSource(37))
+	compress, err := minicbench.Get("compress").Run()
+	if err != nil {
+		b.Fatal(err)
+	}
 	inputs := []struct {
-		name string
-		tr   *trace.Trace
+		name   string
+		tr     *trace.Trace
+		oracle bool
 	}{
-		{"loop", tracegen.Mixed(tracegen.Loop(0, 600, 150), tracegen.Loop(10000, 40, 500))},
-		{"zipf", tracegen.Zipf(rng, 0, 20000, 60000, 1.2)},
+		{"loop", tracegen.Mixed(tracegen.Loop(0, 600, 150), tracegen.Loop(10000, 40, 500)), true},
+		{"zipf", tracegen.Zipf(rng, 0, 20000, 60000, 1.2), true},
+		{"compiled-compress.instr", compress.Instr, false},
+		{"compiled-compress.data", compress.Data, false},
 	}
 	for _, in := range inputs {
 		s := trace.Strip(in.tr)
-		b.Run(in.name+"/oracle", func(b *testing.B) {
-			sc := &oracleScratch{}
-			m := &MRCT{}
-			for i := 0; i < b.N; i++ {
-				if err := buildMRCTOracle(context.Background(), s, sc, m); err != nil {
-					b.Fatal(err)
+		if in.oracle {
+			b.Run(in.name+"/oracle", func(b *testing.B) {
+				sc := &oracleScratch{}
+				m := &MRCT{}
+				for i := 0; i < b.N; i++ {
+					if err := buildMRCTOracle(context.Background(), s, sc, m); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 		b.Run(in.name+"/fenwick", func(b *testing.B) {
 			sc := &Scratch{}
 			for i := 0; i < b.N; i++ {

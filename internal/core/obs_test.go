@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -74,6 +75,12 @@ func TestExploreContextRecordsPhaseSpans(t *testing.T) {
 	if got, want := mrctAttrs["verify_ids"], wantVerifyIDs(m); got != want {
 		t.Errorf("mrct span verify_ids = %v, want %d", got, want)
 	}
+	if got, want := mrctAttrs["memo_hits"], wantMemoHits(s); got != want {
+		t.Errorf("mrct span memo_hits = %v, want %d", got, want)
+	}
+	if got, want := mrctAttrs["overflow_runs"], wantOverflowRuns(m); got != want {
+		t.Errorf("mrct span overflow_runs = %v, want %d", got, want)
+	}
 
 	post := byName["postlude"][0]
 	if got := post.Attrs["algorithm"]; got != "dfs" {
@@ -130,6 +137,31 @@ func wantVerifyIDs(m *MRCT) int {
 	}
 	for _, set := range m.sets {
 		n -= len(set)
+	}
+	return n
+}
+
+// wantMemoHits counts the recurrences whose window equals the same id's
+// previous window, read off the literal double loop of Algorithm 2.
+func wantMemoHits(s *trace.Stripped) int {
+	n := 0
+	for _, sets := range BuildMRCTNaive(s) {
+		for k := 1; k < len(sets); k++ {
+			if slices.Equal(sets[k], sets[k-1]) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// wantOverflowRuns is the number of occurrence runs beyond one per set:
+// every set has exactly one run of the id that first listed it, and the
+// rest are the other ids' runs.
+func wantOverflowRuns(m *MRCT) int {
+	n := -len(m.sets)
+	for _, os := range m.occ {
+		n += len(os)
 	}
 	return n
 }

@@ -10,7 +10,7 @@ import (
 
 // This file holds the engine's pooled scratch: every allocation the
 // steady-state explore path used to make per request — the stripped form,
-// the MRCT build tables (dedup chains, last-access times and the Fenwick
+// the MRCT build tables (dedup table and chains, last-access times and the Fenwick
 // tree over them, conflict-set arenas, packed bit-vectors, occurrence
 // storage), the postlude's zero/one planes and row sets, and the parallel workers'
 // private histograms and queues — lives in a Scratch that a sync.Pool
@@ -43,16 +43,20 @@ type Scratch struct {
 	mrct MRCT
 
 	// MRCT build state (see buildMRCT).
-	dedupHead map[uint64]int32 // commutative hash -> newest set index
-	dedupNext []int32          // per set index, next older candidate or -1
-	idHash    []uint64         // hashID cache, extended monotonically
-	last      []int32          // per id, the logical time of its last access (0 = cold)
-	slot      []int32          // per logical time, the id holding it (-1 once it moved on)
-	fen       []fenNode        // Fenwick tree over logical times 1..W
-	pairs     []uint64         // (id<<32 | set index) per non-cold occurrence
-	occBuf    []occurrence     // backing storage m.occ[id] slices are carved from
-	i32       int32Arena       // sparse conflict-set storage
-	bs        bitset.Arena     // packed conflict-set storage
+	dedup     dedupTable   // dedup key -> newest set index
+	dedupNext []int32      // per set index, next older set under its key or -1
+	setKey    []uint64     // per set index, its dedup key
+	setOwner  []int32      // per set index, the id that first listed it
+	setCnt    []int32      // per set index, its owner's occurrences of it
+	prevSet   []int32      // per id, the set of its latest window (-1 before one)
+	overflow  []uint64     // (id<<32 | set index) per occurrence by a non-owner
+	idHash    []uint64     // hashID cache, extended monotonically
+	last      []int32      // per id, the logical time of its last access (0 = cold)
+	slot      []int32      // per logical time, the id holding it (-1 once it moved on)
+	fen       []fenNode    // Fenwick tree over logical times 1..W
+	occBuf    []occurrence // backing storage m.occ[id] slices are carved from
+	i32       int32Arena   // sparse conflict-set storage
+	bs        bitset.Arena // packed conflict-set storage
 
 	// Postlude freelist: row sets and zero/one planes, recycled via a
 	// cursor (resetSets) instead of being reallocated per engine run.
