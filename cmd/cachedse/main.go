@@ -467,20 +467,11 @@ func cmdSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	var repl cache.Replacement
-	switch strings.ToLower(*replName) {
-	case "lru":
-		repl = cache.LRU
-	case "fifo":
-		repl = cache.FIFO
-	case "random":
-		repl = cache.Random
-	case "plru":
-		repl = cache.PLRU
-	default:
-		return fmt.Errorf("unknown replacement policy %q", *replName)
+	policy, err := core.ParsePolicy(*replName)
+	if err != nil {
+		return err
 	}
-	cfg := cache.Config{Depth: *depth, Assoc: *assoc, LineWords: *line, Repl: repl, Allocate: true}
+	cfg := cache.Config{Depth: *depth, Assoc: *assoc, LineWords: *line, Repl: dse.ReplOf(policy), Allocate: true}
 	if *wt {
 		cfg.Write = cache.WriteThrough
 	}

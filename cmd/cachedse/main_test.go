@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"io"
@@ -200,6 +201,34 @@ func TestSubcommandsEndToEnd(t *testing.T) {
 	for _, c := range bad {
 		if err := c.run(); err == nil {
 			t.Errorf("%s: expected error", c.name)
+		}
+	}
+}
+
+// TestSimulatePolicyNamesMatchExplore: simulate -repl accepts exactly the
+// policy names explore -policy accepts.
+func TestSimulatePolicyNamesMatchExplore(t *testing.T) {
+	tr := trace.New(0)
+	for i := uint32(0); i < 64; i++ {
+		tr.Append(trace.Ref{Addr: i % 24, Kind: trace.DataRead})
+	}
+	path := filepath.Join(t.TempDir(), "w.din")
+	var buf bytes.Buffer
+	if err := trace.WriteText(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	devnull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	os.Stdout = devnull
+	defer func() { os.Stdout = old; devnull.Close() }()
+	for _, name := range []string{"lru", "FIFO", "random", "rand", "plru", "tree-plru", "mru", "zzz"} {
+		simErr := cmdSimulate([]string{"-depth", "8", "-repl", name, path})
+		expErr := cmdExplore([]string{"-k", "3", "-policy", name, "-maxdepth", "8", "-max-assoc", "2", path})
+		if (simErr == nil) != (expErr == nil) {
+			t.Errorf("policy %q: simulate error %v, explore error %v", name, simErr, expErr)
 		}
 	}
 }

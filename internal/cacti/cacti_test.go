@@ -75,16 +75,35 @@ func TestModelMonotoneInDepth(t *testing.T) {
 	}
 }
 
+// TestModelMonotoneInAssoc: at a fixed depth, line size and technology,
+// every cost the design-space front prices (area, read energy, access
+// time, and so the energy of a fixed traffic) rises as the associativity
+// grows one way at a time. The space evaluator's A_zero dominance cut
+// rests on this: a cell with no fewer misses and more ways is never
+// cheaper.
 func TestModelMonotoneInAssoc(t *testing.T) {
-	prev := Estimate{}
-	for a := 1; a <= 32; a *= 2 {
-		e := mustModel(t, cache.Config{Depth: 64, Assoc: a})
-		if a > 1 {
-			if e.AreaUM2 <= prev.AreaUM2 || e.ReadPJ <= prev.ReadPJ {
-				t.Fatalf("area/energy not increasing at assoc %d", a)
+	for _, tech := range []string{"sram", "nvm-hybrid"} {
+		p, err := DefaultParams().ForTechnology(tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := 1; d <= 1<<12; d *= 2 {
+			for lw := 1; lw <= 8; lw *= 2 {
+				var prev Estimate
+				for a := 1; a <= 64; a++ {
+					e, err := Model(cache.Config{Depth: d, Assoc: a, LineWords: lw}, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a > 1 && (e.AreaUM2 <= prev.AreaUM2 || e.ReadPJ <= prev.ReadPJ || e.AccessNS <= prev.AccessNS ||
+						AccessEnergy(e, 1000, 10, 0, 0) <= AccessEnergy(prev, 1000, 10, 0, 0)) {
+						t.Fatalf("%s depth %d line %d: assoc %d costs %+v, no more than assoc %d's %+v",
+							tech, d, lw, a, e, a-1, prev)
+					}
+					prev = e
+				}
 			}
 		}
-		prev = e
 	}
 }
 

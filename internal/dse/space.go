@@ -59,7 +59,9 @@ type SpaceOptions struct {
 	// Exhaustive is set: the α-threshold cut skips non-LRU cells within
 	// eps of the LRU floor even when one of them would be optimal. The
 	// cuts apply only to levels whose policy set includes LRU; without an
-	// LRU candidate nothing stands for the skipped cells.
+	// LRU candidate nothing stands for the skipped cells. Exhaustive does
+	// not lift the MaxL1Pairs cap: a split+l2 front is complete only when
+	// MaxL1Pairs < 0 is set as well.
 	Exhaustive bool
 }
 
@@ -93,11 +95,13 @@ func (c levelCand) sizeWords() int { return c.depth * c.assoc * c.line }
 
 // config renders the candidate as a simulator configuration.
 func (c levelCand) config() cache.Config {
-	return cache.Config{Depth: c.depth, Assoc: c.assoc, LineWords: c.line, Repl: replOf(c.policy)}
+	return cache.Config{Depth: c.depth, Assoc: c.assoc, LineWords: c.line, Repl: ReplOf(c.policy)}
 }
 
-// replOf maps the space vocabulary onto the simulator's.
-func replOf(p core.Policy) cache.Replacement {
+// ReplOf maps the space vocabulary onto the simulator's: the one
+// core.Policy → cache.Replacement mapping, shared by the space evaluator
+// and every simulate front end.
+func ReplOf(p core.Policy) cache.Replacement {
 	switch p {
 	case core.PolicyFIFO:
 		return cache.FIFO

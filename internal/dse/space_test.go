@@ -79,7 +79,7 @@ func TestCrossCheckPoliciesPowerStone(t *testing.T) {
 							t.Fatal(err)
 						}
 						for a := 1; a <= maxAssoc; a++ {
-							sim, err := cache.Simulate(cache.Config{Depth: depth, Assoc: a, Repl: replOf(pol)}, stream)
+							sim, err := cache.Simulate(cache.Config{Depth: depth, Assoc: a, Repl: ReplOf(pol)}, stream)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -202,7 +202,7 @@ func TestExploreSpaceJointFrontStableAndSound(t *testing.T) {
 			t.Fatalf("split+l2 point has %d levels: %s", len(p.Levels), p.Key())
 		}
 		cfgOf := func(lc core.LevelConfig) cache.Config {
-			return cache.Config{Depth: lc.Depth, Assoc: lc.Assoc, LineWords: lc.LineWords, Repl: replOf(lc.Policy)}
+			return cache.Config{Depth: lc.Depth, Assoc: lc.Assoc, LineWords: lc.LineWords, Repl: ReplOf(lc.Policy)}
 		}
 		filtered, err := FilterThroughSplitL1(tr, cfgOf(p.Levels[0]), cfgOf(p.Levels[1]))
 		if err != nil {

@@ -300,3 +300,34 @@ func TestSetNodeStampsRecords(t *testing.T) {
 		t.Fatalf("span node = %+v, want node-7", tr.Spans)
 	}
 }
+
+// FuzzTraceparent drives ParseTraceparent with arbitrary header values.
+// It must never panic, and an accepted header must name a trace and
+// re-render to a header that parses back to the same context.
+func FuzzTraceparent(f *testing.F) {
+	for _, s := range []string{
+		"00-deadbeefcafe00010203040506070809-0000000000000000-01",
+		"00-0123456789ABCDEF0123456789abcdef-0123456789abcdef-00",
+		"00-00000000000000000000000000000000-0000000000000001-01",
+		"01-deadbeefcafe00010203040506070809-0000000000000000-01",
+		"00-deadbeefcafe0001020304050607080g-0000000000000000-01",
+		"00-deadbeefcafe00010203040506070809-000000000000000-01",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("accepted %q with a zero trace ID", s)
+		}
+		hdr := sc.Traceparent()
+		again, ok := ParseTraceparent(hdr)
+		if !ok || again != sc {
+			t.Fatalf("%q parsed to %+v, re-rendered as %q, which parsed to %+v (ok=%v)", s, sc, hdr, again, ok)
+		}
+	})
+}

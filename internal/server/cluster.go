@@ -13,6 +13,7 @@ import (
 	"github.com/example/cachedse/internal/cluster"
 	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/pkg/client"
 )
 
 // Cluster layer: with Config.Cluster set, every node carries the full
@@ -96,11 +97,11 @@ func (s *Server) forwardToOwners(w http.ResponseWriter, r *http.Request, verb, d
 	}
 	w.Header().Set("Retry-After", "1")
 	if sawBusy {
-		httpError(w, http.StatusTooManyRequests, codeOverloaded,
+		httpError(w, http.StatusTooManyRequests, client.ErrOverloaded,
 			"owners of trace %q are at their forwarding limit; retry shortly", digest)
 		return
 	}
-	httpError(w, http.StatusServiceUnavailable, codeUnavailable,
+	httpError(w, http.StatusServiceUnavailable, client.ErrUnavailable,
 		"no owner of trace %q is reachable", digest)
 }
 
@@ -141,7 +142,7 @@ func (s *Server) uploadWriteThrough(w http.ResponseWriter, r *http.Request, dige
 	}
 	if !relayed {
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, codeUnavailable,
+		httpError(w, http.StatusServiceUnavailable, client.ErrUnavailable,
 			"no owner of trace %q accepted the upload", digest)
 	}
 	return true
@@ -300,22 +301,12 @@ func (s *Server) fetchObjectFromPeers(digest string) ([]byte, *trace.Trace, erro
 // peer. With clustering off the response is the degenerate single-node
 // topology, so clients can always ask.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	type nodeJSON struct {
-		ID      string `json:"id"`
-		URL     string `json:"url"`
-		Self    bool   `json:"self"`
-		Healthy bool   `json:"healthy"`
-	}
-	resp := struct {
-		Self     string     `json:"self"`
-		Replicas int        `json:"replicas"`
-		Nodes    []nodeJSON `json:"nodes"`
-	}{Replicas: 1, Nodes: []nodeJSON{}}
+	resp := client.ClusterInfo{Replicas: 1, Nodes: []client.ClusterNode{}}
 	if s.peers != nil {
 		resp.Self = s.peers.Self().ID
 		resp.Replicas = s.peers.Replicas()
 		for _, n := range s.peers.Nodes() {
-			resp.Nodes = append(resp.Nodes, nodeJSON{
+			resp.Nodes = append(resp.Nodes, client.ClusterNode{
 				ID:      n.ID,
 				URL:     n.URL,
 				Self:    n.ID == s.peers.Self().ID,
@@ -334,7 +325,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClusterObject(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "missing ?key=")
+		httpError(w, http.StatusBadRequest, client.ErrBadRequest, "missing ?key=")
 		return
 	}
 	if s.persist != nil {
@@ -353,5 +344,5 @@ func (s *Server) handleClusterObject(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	httpError(w, http.StatusNotFound, codeTraceNotFound, "no local copy of %q", key)
+	httpError(w, http.StatusNotFound, client.ErrTraceNotFound, "no local copy of %q", key)
 }

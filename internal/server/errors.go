@@ -3,34 +3,15 @@ package server
 import (
 	"fmt"
 	"net/http"
+
+	"github.com/example/cachedse/pkg/client"
 )
 
-// Stable machine-readable error codes carried in every v1 error envelope.
-// Clients branch on the code, never the message: messages are free to
-// change between releases, codes are part of the API contract (locked by
-// the golden-file compatibility tests and mirrored by pkg/client's typed
-// errors).
-const (
-	codeBadRequest        = "bad_request"
-	codePayloadTooLarge   = "payload_too_large"
-	codeTraceNotFound     = "trace_not_found"
-	codeJobNotFound       = "job_not_found"
-	codeTraceBusy         = "trace_busy"
-	codeQueueFull         = "queue_full"
-	codeOverloaded        = "overloaded"
-	codeInvalidSampleRate = "invalid_sample_rate"
-	codeInvalidSpace      = "invalid_space"
-	codeInvalidPolicy     = "invalid_policy"
-	codeDeadlineExceeded  = "deadline_exceeded"
-	codeCanceled          = "canceled"
-	codeUnavailable       = "unavailable"
-	codeInternal          = "internal"
-)
-
-// errorBody is the inner object of the uniform error envelope.
+// errorBody is the inner object of the uniform error envelope. Its code
+// is one of pkg/client's stable ErrorCode values, the one list of them.
 type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
+	Code    client.ErrorCode `json:"code"`
+	Message string           `json:"message"`
 }
 
 // errorEnvelope is the uniform v1 error shape:
@@ -44,7 +25,7 @@ type errorEnvelope struct {
 
 // httpError writes the uniform error envelope with the given HTTP status
 // and stable code.
-func httpError(w http.ResponseWriter, status int, code string, format string, args ...any) {
+func httpError(w http.ResponseWriter, status int, code client.ErrorCode, format string, args ...any) {
 	writeJSON(w, status, errorEnvelope{Error: errorBody{
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/core"
@@ -22,21 +21,12 @@ import (
 	"github.com/example/cachedse/internal/obs/profiler"
 	"github.com/example/cachedse/internal/sampling"
 	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/pkg/client"
 )
 
-// traceInfo is the JSON view of a stored trace.
-type traceInfo struct {
-	Digest    string    `json:"digest"`
-	N         int       `json:"n"`
-	NUnique   int       `json:"n_unique"`
-	MaxMisses int       `json:"max_misses"`
-	AddrBits  int       `json:"addr_bits"`
-	Kind      string    `json:"kind"`
-	Uploaded  time.Time `json:"uploaded"`
-}
-
-func infoOf(e *TraceEntry) traceInfo {
-	return traceInfo{
+// infoOf is the wire view of a stored trace.
+func infoOf(e *TraceEntry) client.TraceInfo {
+	return client.TraceInfo{
 		Digest:    e.Digest,
 		N:         e.Stats.N,
 		NUnique:   e.Stats.NUnique,
@@ -65,14 +55,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var limErr *trace.LimitError
 	switch {
 	case errors.As(err, &maxErr) || errors.As(err, &limErr):
-		httpError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge, "%v", err)
+		httpError(w, http.StatusRequestEntityTooLarge, client.ErrPayloadTooLarge, "%v", err)
 		return
 	case err != nil:
-		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
+		httpError(w, http.StatusBadRequest, client.ErrBadRequest, "%v", err)
 		return
 	}
 	if tr.Len() == 0 {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "empty trace")
+		httpError(w, http.StatusBadRequest, client.ErrBadRequest, "empty trace")
 		return
 	}
 	if s.clusterIngress(r) && s.uploadWriteThrough(w, r, TraceDigest(tr), raw) {
@@ -116,7 +106,7 @@ func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, codeBadRequest, "limit %q must be a positive integer", raw)
+			httpError(w, http.StatusBadRequest, client.ErrBadRequest, "limit %q must be a positive integer", raw)
 			return
 		}
 		limit = min(n, listTracesMaxLimit)
@@ -125,7 +115,7 @@ func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
 	switch kind {
 	case "", "instr", "data", "mixed":
 	default:
-		httpError(w, http.StatusBadRequest, codeBadRequest,
+		httpError(w, http.StatusBadRequest, client.ErrBadRequest,
 			`kind %q must be "instr", "data" or "mixed"`, kind)
 		return
 	}
@@ -133,8 +123,7 @@ func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
 
 	entries := s.store.List()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Digest < entries[j].Digest })
-	out := make([]traceInfo, 0, limit)
-	next := ""
+	page := client.TracePage{Traces: make([]client.TraceInfo, 0, limit)}
 	for _, e := range entries {
 		if cursor != "" && e.Digest <= cursor {
 			continue
@@ -142,18 +131,14 @@ func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
 		if kind != "" && e.Kind != kind {
 			continue
 		}
-		if len(out) == limit {
+		if len(page.Traces) == limit {
 			// One past the page: tell the client where to resume.
-			next = out[len(out)-1].Digest
+			page.NextCursor = page.Traces[limit-1].Digest
 			break
 		}
-		out = append(out, infoOf(e))
+		page.Traces = append(page.Traces, infoOf(e))
 	}
-	resp := map[string]any{"traces": out}
-	if next != "" {
-		resp["next_cursor"] = next
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, page)
 }
 
 func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
@@ -162,7 +147,7 @@ func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, ok := s.lookupTrace(r.PathValue("digest"))
 	if !ok {
-		httpError(w, http.StatusNotFound, codeTraceNotFound, "unknown trace %q", r.PathValue("digest"))
+		httpError(w, http.StatusNotFound, client.ErrTraceNotFound, "unknown trace %q", r.PathValue("digest"))
 		return
 	}
 	writeJSON(w, http.StatusOK, infoOf(entry))
@@ -197,16 +182,16 @@ func (s *Server) handleDeleteTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case busy:
-		httpError(w, http.StatusConflict, codeTraceBusy,
+		httpError(w, http.StatusConflict, client.ErrTraceBusy,
 			"trace %q is referenced by a queued or running job; retry when it finishes", digest)
 	case unreachable > 0:
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, codeUnavailable,
+		httpError(w, http.StatusServiceUnavailable, client.ErrUnavailable,
 			"%d owner(s) of trace %q unreachable; replica may survive, retry the delete", unreachable, digest)
 	case removed:
 		writeJSON(w, http.StatusOK, map[string]string{"deleted": digest})
 	default:
-		httpError(w, http.StatusNotFound, codeTraceNotFound, "unknown trace %q", digest)
+		httpError(w, http.StatusNotFound, client.ErrTraceNotFound, "unknown trace %q", digest)
 	}
 }
 
@@ -226,77 +211,15 @@ func (s *Server) deleteTraceLocal(digest string) (removed, busy bool) {
 	return removed, !idle
 }
 
-// instanceJSON is one emitted (D, A) pair with its derived columns. The
-// misses_* interval fields appear only on sampled (approximate)
-// explorations that did not degenerate to exact.
-type instanceJSON struct {
-	Depth     int `json:"depth"`
-	Assoc     int `json:"assoc"`
-	SizeWords int `json:"size_words"`
-	Misses    int `json:"misses"`
-	// MissesSE is the standard error of the estimated miss count;
-	// MissesLo/MissesHi bracket it at the estimator's confidence level.
-	MissesSE float64 `json:"misses_se,omitempty"`
-	MissesLo int     `json:"misses_lo,omitempty"`
-	MissesHi int     `json:"misses_hi,omitempty"`
-}
-
+// exploreRequest is the explore verb's body: the v1 wire request and the
+// server-side async flag. Async stays off client.ExploreRequest so
+// Client.Explore never decodes a 202 job status as an answer.
 type exploreRequest struct {
-	addressed
-	K        *int     `json:"k,omitempty"`
-	KPct     *float64 `json:"kpct,omitempty"`
-	MaxDepth int      `json:"max_depth,omitempty"`
-	Pareto   bool     `json:"pareto,omitempty"`
-	Parallel bool     `json:"parallel,omitempty"`
-	Verify   bool     `json:"verify,omitempty"`
-	// SampleRate, when non-zero, runs the spatially-sampled approximate
-	// engine at that rate (0 < rate <= 1); the ?sample= query parameter
-	// overrides it.
-	SampleRate float64 `json:"sample_rate,omitempty"`
-	// Space, when present, switches the request to a design-space
-	// exploration: the answer is the Pareto front of the space instead of
-	// the budget-K instance list, "k" becomes optional, and sampling and
-	// verify are rejected (the space evaluator is exact end to end).
-	Space *spaceJSON `json:"space,omitempty"`
+	client.ExploreRequest
+	Async bool `json:"async,omitempty"`
 }
 
-// sampleJSON summarises the sampling estimate attached to an approximate
-// exploration: rates, measured totals and the confidence level of the
-// per-instance intervals.
-type sampleJSON struct {
-	Mode          string  `json:"mode"`
-	RequestedRate float64 `json:"requested_rate"`
-	EffectiveRate float64 `json:"effective_rate"`
-	Confidence    float64 `json:"confidence"`
-	KeptRefs      int64   `json:"kept_refs"`
-	DroppedRefs   int64   `json:"dropped_refs"`
-	// Exact marks a sampled request that degenerated to the exact engine
-	// (rate 1, or the MinUnique floor clamped it): intervals are
-	// zero-width and the miss counts are not estimates.
-	Exact bool `json:"exact,omitempty"`
-}
-
-type exploreResponse struct {
-	Trace     string         `json:"trace"`
-	K         int            `json:"k"`
-	MaxMisses int            `json:"max_misses"`
-	Instances []instanceJSON `json:"instances"`
-	Table     string         `json:"table"`
-	Cached    bool           `json:"cached"`
-	Verified  bool           `json:"verified,omitempty"`
-	// Degraded marks a response served from a cached depth profile
-	// because the worker pool was saturated; the answer is exact (the
-	// profile is deterministic) but any requested verify step was skipped.
-	Degraded bool `json:"degraded,omitempty"`
-	// Sample is present iff the exploration was sampled.
-	Sample *sampleJSON `json:"sample,omitempty"`
-	// Space echoes the canonical key of the explored design space; Pareto
-	// and Prune carry its front and pruning tally. All three are present
-	// iff the request carried a space block (additive to the v1 shape).
-	Space  string            `json:"space,omitempty"`
-	Pareto []paretoPointJSON `json:"pareto,omitempty"`
-	Prune  *pruneJSON        `json:"prune,omitempty"`
-}
+func (r *exploreRequest) target() (string, bool) { return r.Trace, r.Async }
 
 // budget resolves the CLI's -k / -kpct convention against a trace's max
 // misses: an absolute budget wins; otherwise kpct percent of maxMisses.
@@ -312,9 +235,9 @@ func (r *exploreRequest) budget(maxMisses int) (k int, ok bool) {
 }
 
 // response starts the explore response both explore answers share.
-func (r *exploreRequest) response(entry *TraceEntry, cached, degraded bool) *exploreResponse {
+func (r *exploreRequest) response(entry *TraceEntry, cached, degraded bool) *client.ExploreResponse {
 	budget, _ := r.budget(entry.Stats.MaxMisses)
-	return &exploreResponse{Trace: entry.Digest, K: budget, MaxMisses: entry.Stats.MaxMisses, Cached: cached, Degraded: degraded}
+	return &client.ExploreResponse{Trace: entry.Digest, K: budget, MaxMisses: entry.Stats.MaxMisses, Cached: cached, Degraded: degraded}
 }
 
 // parseExplore is the explore verb's parse stage. A space block makes
@@ -323,7 +246,7 @@ func (r *exploreRequest) response(entry *TraceEntry, cached, degraded bool) *exp
 func parseExplore(body []byte, query url.Values) (computeRequest, *apiError) {
 	q := &exploreQuery{}
 	if err := decodeJSONBytes(body, &q.exploreRequest); err != nil {
-		return nil, badRequest(codeBadRequest, "%v", err)
+		return nil, badRequest(client.ErrBadRequest, "%v", err)
 	}
 	var space *core.Space
 	if q.Space != nil {
@@ -337,26 +260,26 @@ func parseExplore(body []byte, query url.Values) (computeRequest, *apiError) {
 	// the instance view, which a space answer replaces with its front.
 	if space == nil || q.K != nil || q.KPct != nil {
 		if _, ok := q.budget(0); !ok {
-			return q, badRequest(codeBadRequest, `explore needs "k" or "kpct"`)
+			return q, badRequest(client.ErrBadRequest, `explore needs "k" or "kpct"`)
 		}
 	}
 	if q.MaxDepth != 0 && (q.MaxDepth < 1 || q.MaxDepth&(q.MaxDepth-1) != 0) {
-		return q, badRequest(codeBadRequest, "max_depth %d is not a power of two >= 1", q.MaxDepth)
+		return q, badRequest(client.ErrBadRequest, "max_depth %d is not a power of two >= 1", q.MaxDepth)
 	}
 	// ?sample= overrides the body's sample_rate (the curl-friendly form).
 	if raw := query.Get("sample"); raw != "" {
 		f, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
-			return q, badRequest(codeInvalidSampleRate, "sample %q is not a number", raw)
+			return q, badRequest(client.ErrInvalidSampleRate, "sample %q is not a number", raw)
 		}
 		q.SampleRate = f
 	}
 	if q.SampleRate != 0 {
 		if err := (sampling.Config{Rate: q.SampleRate}).Validate(); err != nil {
-			return q, badRequest(codeInvalidSampleRate, "%v", err)
+			return q, badRequest(client.ErrInvalidSampleRate, "%v", err)
 		}
 		if q.Verify {
-			return q, badRequest(codeBadRequest,
+			return q, badRequest(client.ErrBadRequest,
 				"verify needs exact miss counts; drop sample_rate or verify the chosen instances separately")
 		}
 	}
@@ -364,10 +287,10 @@ func parseExplore(body []byte, query url.Values) (computeRequest, *apiError) {
 		return q, nil
 	}
 	if q.SampleRate != 0 {
-		return q, badRequest(codeBadRequest, "a space exploration is exact end to end; drop sample_rate")
+		return q, badRequest(client.ErrBadRequest, "a space exploration is exact end to end; drop sample_rate")
 	}
 	if q.Verify {
-		return q, badRequest(codeBadRequest,
+		return q, badRequest(client.ErrBadRequest,
 			"a space exploration has no budget to verify against; simulate chosen points instead")
 	}
 	return &spaceQuery{exploreRequest: q.exploreRequest, space: *space}, nil
@@ -419,10 +342,10 @@ func (q *exploreQuery) render(entry *TraceEntry, v any, cached, degraded bool) a
 	res := v.(*core.Result)
 	resp := q.response(entry, cached, degraded)
 	instances, tab := dse.InstanceTable(res, resp.K, resp.MaxMisses, q.Pareto)
-	resp.Instances = make([]instanceJSON, len(instances))
+	resp.Instances = make([]client.Instance, len(instances))
 	resp.Table = tab.Render()
 	for i, ins := range instances {
-		resp.Instances[i] = instanceJSON{
+		resp.Instances[i] = client.Instance{
 			Depth:     ins.Depth,
 			Assoc:     ins.Assoc,
 			SizeWords: ins.SizeWords(),
@@ -430,7 +353,7 @@ func (q *exploreQuery) render(entry *TraceEntry, v any, cached, degraded bool) a
 		}
 	}
 	if est := res.Sample; est != nil {
-		resp.Sample = &sampleJSON{
+		resp.Sample = &client.SampleInfo{
 			Mode:          est.Mode,
 			RequestedRate: est.RequestedRate,
 			EffectiveRate: est.EffectiveRate,
@@ -457,7 +380,7 @@ func (q *exploreQuery) check(ctx context.Context, entry *TraceEntry, v any) (boo
 	if !q.Verify {
 		return false, nil
 	}
-	resp := v.(*exploreResponse)
+	resp := v.(*client.ExploreResponse)
 	instances := make([]core.Instance, len(resp.Instances))
 	for i, ins := range resp.Instances {
 		instances[i] = core.Instance{Depth: ins.Depth, Assoc: ins.Assoc}
@@ -480,56 +403,29 @@ func verifyInstances(ctx context.Context, entry *TraceEntry, instances []core.In
 	return err
 }
 
-// simulateRequest asks for one configuration's simulated hit/miss counts.
+// simulateRequest asks for one configuration's simulated hit/miss
+// counts; cfg is its geometry as cache.Simulate takes it.
 type simulateRequest struct {
-	addressed
-	Depth        int    `json:"depth"`
-	Assoc        int    `json:"assoc,omitempty"`
-	LineWords    int    `json:"line_words,omitempty"`
-	Repl         string `json:"repl,omitempty"`
-	WriteThrough bool   `json:"write_through,omitempty"`
-	cfg          cache.Config
+	client.SimulateRequest
+	Async bool `json:"async,omitempty"`
+	cfg   cache.Config
 }
 
-type simulateResponse struct {
-	Trace      string  `json:"trace"`
-	Config     string  `json:"config"`
-	Accesses   int     `json:"accesses"`
-	Hits       int     `json:"hits"`
-	ColdMisses int     `json:"cold_misses"`
-	Misses     int     `json:"misses"`
-	Writebacks int     `json:"writebacks"`
-	MissRate   float64 `json:"miss_rate"`
-	Cached     bool    `json:"cached"`
-	Degraded   bool    `json:"degraded,omitempty"`
-}
-
-func replFromName(name string) (cache.Replacement, error) {
-	switch strings.ToLower(name) {
-	case "", "lru":
-		return cache.LRU, nil
-	case "fifo":
-		return cache.FIFO, nil
-	case "random":
-		return cache.Random, nil
-	case "plru":
-		return cache.PLRU, nil
-	}
-	return 0, fmt.Errorf("unknown replacement policy %q", name)
-}
+func (q *simulateRequest) target() (string, bool) { return q.Trace, q.Async }
 
 // parseSimulate is the simulate verb's parse stage: the body's geometry
 // becomes a cache.Config that cache.Simulate accepts.
 func parseSimulate(body []byte, _ url.Values) (computeRequest, *apiError) {
 	q := &simulateRequest{}
 	if err := decodeJSONBytes(body, q); err != nil {
-		return nil, badRequest(codeBadRequest, "%v", err)
+		return nil, badRequest(client.ErrBadRequest, "%v", err)
 	}
-	repl, err := replFromName(q.Repl)
+	// The policy names are a design space's: one parser for both verbs.
+	policy, err := core.ParsePolicy(q.Repl)
 	if err != nil {
-		return q, badRequest(codeBadRequest, "%v", err)
+		return q, badRequest(client.ErrBadRequest, "%v", err)
 	}
-	q.cfg = cache.Config{Depth: q.Depth, Assoc: q.Assoc, LineWords: q.LineWords, Repl: repl, Allocate: true}
+	q.cfg = cache.Config{Depth: q.Depth, Assoc: q.Assoc, LineWords: q.LineWords, Repl: dse.ReplOf(policy), Allocate: true}
 	if q.Assoc == 0 {
 		q.cfg.Assoc = 1
 	}
@@ -540,10 +436,10 @@ func parseSimulate(body []byte, _ url.Values) (computeRequest, *apiError) {
 		q.cfg.Write = cache.WriteThrough
 	}
 	if err := q.cfg.Validate(); err != nil {
-		return q, badRequest(codeBadRequest, "%v", err)
+		return q, badRequest(client.ErrBadRequest, "%v", err)
 	}
 	if !within(q.cfg.Depth, q.cfg.Assoc, maxCacheLines) {
-		return q, badRequest(codeBadRequest, "depth %d x assoc %d exceeds %d cache lines", q.cfg.Depth, q.cfg.Assoc, maxCacheLines)
+		return q, badRequest(client.ErrBadRequest, "depth %d x assoc %d exceeds %d cache lines", q.cfg.Depth, q.cfg.Assoc, maxCacheLines)
 	}
 	return q, nil
 }
@@ -571,7 +467,7 @@ func (q *simulateRequest) compute(ctx context.Context, entry *TraceEntry) (any, 
 	if err != nil {
 		return nil, err
 	}
-	return &simulateResponse{
+	return &client.SimulateResponse{
 		Trace:      entry.Digest,
 		Config:     fmt.Sprint(q.cfg),
 		Accesses:   res.Accesses,
@@ -584,44 +480,41 @@ func (q *simulateRequest) compute(ctx context.Context, entry *TraceEntry) (any, 
 }
 
 func (q *simulateRequest) render(_ *TraceEntry, v any, cached, degraded bool) any {
-	resp := *v.(*simulateResponse)
+	resp := *v.(*client.SimulateResponse)
 	resp.Cached, resp.Degraded = cached, degraded
 	return &resp
 }
 
 // verifyRequest asks whether every listed instance meets the budget under
-// simulation. The answer is not memoized.
+// simulation; instances are the wire's, checked and converted at parse.
+// The answer is not memoized.
 type verifyRequest struct {
-	addressed
-	K         int             `json:"k"`
-	Instances []core.Instance `json:"instances"` // keys "depth", "assoc"
+	client.VerifyRequest
+	Async     bool `json:"async,omitempty"`
+	instances []core.Instance
 }
 
-type verifyResponse struct {
-	Trace  string `json:"trace"`
-	K      int    `json:"k"`
-	OK     bool   `json:"ok"`
-	Reason string `json:"reason,omitempty"`
-}
+func (q *verifyRequest) target() (string, bool) { return q.Trace, q.Async }
 
 // parseVerify is the verify verb's parse stage.
 func parseVerify(body []byte, _ url.Values) (computeRequest, *apiError) {
 	q := &verifyRequest{}
 	if err := decodeJSONBytes(body, q); err != nil {
-		return nil, badRequest(codeBadRequest, "%v", err)
+		return nil, badRequest(client.ErrBadRequest, "%v", err)
 	}
 	if len(q.Instances) == 0 {
-		return q, badRequest(codeBadRequest, "verify needs at least one instance")
+		return q, badRequest(client.ErrBadRequest, "verify needs at least one instance")
 	}
 	for i, ins := range q.Instances {
 		if ins.Depth < 1 || ins.Depth&(ins.Depth-1) != 0 || ins.Assoc < 1 {
-			return q, badRequest(codeBadRequest,
+			return q, badRequest(client.ErrBadRequest,
 				"instance %d: depth must be a power of two >= 1 and assoc >= 1", i)
 		}
 		if !within(ins.Depth, ins.Assoc, maxCacheLines) {
-			return q, badRequest(codeBadRequest,
+			return q, badRequest(client.ErrBadRequest,
 				"instance %d: depth %d x assoc %d exceeds %d cache lines", i, ins.Depth, ins.Assoc, maxCacheLines)
 		}
+		q.instances = append(q.instances, core.Instance{Depth: ins.Depth, Assoc: ins.Assoc})
 	}
 	return q, nil
 }
@@ -631,11 +524,11 @@ func (q *verifyRequest) memo(string) (string, bool) { return "", false }
 // compute answers a budget miss as ok=false with the reason; only a
 // cancelled or timed-out verification fails the job.
 func (q *verifyRequest) compute(ctx context.Context, entry *TraceEntry) (any, error) {
-	err := verifyInstances(ctx, entry, q.Instances, q.K)
+	err := verifyInstances(ctx, entry, q.instances, q.K)
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return nil, err
 	}
-	resp := &verifyResponse{Trace: entry.Digest, K: q.K, OK: err == nil}
+	resp := &client.VerifyResponse{Trace: entry.Digest, K: q.K, OK: err == nil}
 	if err != nil {
 		resp.Reason = err.Error()
 	}
@@ -651,7 +544,7 @@ func (q *verifyRequest) render(_ *TraceEntry, v any, _, _ bool) any { return v }
 func (s *Server) localJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	job, ok := s.queue.Get(r.PathValue("id"))
 	if !ok && !s.proxyJobMiss(w, r) {
-		httpError(w, http.StatusNotFound, codeJobNotFound, "unknown job %q", r.PathValue("id"))
+		httpError(w, http.StatusNotFound, client.ErrJobNotFound, "unknown job %q", r.PathValue("id"))
 	}
 	return job, ok
 }
@@ -682,7 +575,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	tr, ok := job.TraceExport()
 	if !ok {
-		httpError(w, http.StatusNotFound, codeJobNotFound, "job %q has no trace recorded", job.ID())
+		httpError(w, http.StatusNotFound, client.ErrJobNotFound, "job %q has no trace recorded", job.ID())
 		return
 	}
 	if r.URL.Query().Get("cluster") == "1" {
@@ -738,7 +631,7 @@ func (s *Server) stitchTrace(ctx context.Context, tr obs.Trace) obs.Trace {
 func (s *Server) handleClusterSpans(w http.ResponseWriter, r *http.Request) {
 	traceID := r.URL.Query().Get("trace_id")
 	if traceID == "" {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "missing ?trace_id=")
+		httpError(w, http.StatusBadRequest, client.ErrBadRequest, "missing ?trace_id=")
 		return
 	}
 	frag, ok := s.frags.Get(traceID)
@@ -776,7 +669,7 @@ func (s *Server) handleDebugProfiles(w http.ResponseWriter, r *http.Request) {
 	if s.prof != nil {
 		snaps, err := s.prof.Snapshots()
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, codeInternal, "%v", err)
+			httpError(w, http.StatusInternalServerError, client.ErrInternal, "%v", err)
 			return
 		}
 		if snaps != nil {
@@ -791,12 +684,12 @@ func (s *Server) handleDebugProfiles(w http.ResponseWriter, r *http.Request) {
 // consumable directly by `go tool pprof`.
 func (s *Server) handleDebugProfile(w http.ResponseWriter, r *http.Request) {
 	if s.prof == nil {
-		httpError(w, http.StatusNotFound, codeJobNotFound, "continuous profiler is not enabled (-profile-dir)")
+		httpError(w, http.StatusNotFound, client.ErrJobNotFound, "continuous profiler is not enabled (-profile-dir)")
 		return
 	}
 	rc, err := s.prof.Open(r.PathValue("name"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, codeJobNotFound, "no profile %q", r.PathValue("name"))
+		httpError(w, http.StatusNotFound, client.ErrJobNotFound, "no profile %q", r.PathValue("name"))
 		return
 	}
 	defer rc.Close()

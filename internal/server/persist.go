@@ -12,6 +12,7 @@ import (
 	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/trace"
 	"github.com/example/cachedse/internal/tracestore"
+	"github.com/example/cachedse/pkg/client"
 )
 
 // Persistence: when Config.StoreDir is set, the server writes every upload
@@ -30,9 +31,9 @@ const (
 // persistedResult is the on-disk envelope for one memoized answer. Exactly
 // one of the payload fields is set, selected by Kind.
 type persistedResult struct {
-	Kind     string            `json:"kind"` // "explore" | "simulate"
-	Explore  *core.Result      `json:"explore,omitempty"`
-	Simulate *simulateResponse `json:"simulate,omitempty"`
+	Kind     string                   `json:"kind"` // "explore" | "simulate"
+	Explore  *core.Result             `json:"explore,omitempty"`
+	Simulate *client.SimulateResponse `json:"simulate,omitempty"`
 }
 
 // value returns the envelope's payload, the value the result LRU holds.
@@ -110,7 +111,7 @@ func (s *Server) persistResult(ctx context.Context, key string, v any) {
 	switch x := v.(type) {
 	case *core.Result:
 		env = persistedResult{Kind: "explore", Explore: x}
-	case *simulateResponse:
+	case *client.SimulateResponse:
 		env = persistedResult{Kind: "simulate", Simulate: x}
 	default:
 		return

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/pkg/client"
 )
 
 // startPersistent boots a server over dir and returns it with its test
@@ -56,7 +57,7 @@ func TestServerRestartPersistence(t *testing.T) {
 		t.Fatalf("upload: code %d", code)
 	}
 	body, _ := json.Marshal(map[string]any{"trace": info.Digest, "k": 25})
-	var exp1 exploreResponse
+	var exp1 client.ExploreResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/explore", body, &exp1); code != http.StatusOK {
 		t.Fatalf("explore: code %d", code)
 	}
@@ -64,7 +65,7 @@ func TestServerRestartPersistence(t *testing.T) {
 		t.Fatal("first explore reported cached")
 	}
 	simBody, _ := json.Marshal(map[string]any{"trace": info.Digest, "depth": 64, "assoc": 2})
-	var sim1 simulateResponse
+	var sim1 client.SimulateResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/simulate", simBody, &sim1); code != http.StatusOK {
 		t.Fatalf("simulate: code %d", code)
 	}
@@ -76,7 +77,7 @@ func TestServerRestartPersistence(t *testing.T) {
 	if n := srv2.store.Len(); n != 1 {
 		t.Fatalf("restarted server holds %d traces, want 1", n)
 	}
-	var got traceInfo
+	var got client.TraceInfo
 	if code := doJSON(t, "GET", ts2.URL+"/v1/traces/"+info.Digest, nil, &got); code != http.StatusOK {
 		t.Fatalf("restarted GET trace: code %d", code)
 	}
@@ -84,7 +85,7 @@ func TestServerRestartPersistence(t *testing.T) {
 		t.Fatalf("restarted trace info %+v, want %+v", got, info)
 	}
 
-	var exp2 exploreResponse
+	var exp2 client.ExploreResponse
 	if code := doJSON(t, "POST", ts2.URL+"/v1/explore", body, &exp2); code != http.StatusOK {
 		t.Fatalf("restarted explore: code %d", code)
 	}
@@ -95,7 +96,7 @@ func TestServerRestartPersistence(t *testing.T) {
 		t.Fatalf("restarted explore differs:\n%+v\nvs\n%+v", exp1, exp2)
 	}
 
-	var sim2 simulateResponse
+	var sim2 client.SimulateResponse
 	if code := doJSON(t, "POST", ts2.URL+"/v1/simulate", simBody, &sim2); code != http.StatusOK {
 		t.Fatalf("restarted simulate: code %d", code)
 	}
@@ -212,7 +213,7 @@ func TestServerEvictedTraceServedFromDisk(t *testing.T) {
 	}
 
 	// A was evicted by B's upload; the read-through re-promotes it.
-	var got traceInfo
+	var got client.TraceInfo
 	if code := doJSON(t, "GET", ts.URL+"/v1/traces/"+infoA.Digest, nil, &got); code != http.StatusOK {
 		t.Fatalf("GET evicted trace: code %d, want 200", code)
 	}

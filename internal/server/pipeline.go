@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/example/cachedse/internal/obs"
+	"github.com/example/cachedse/pkg/client"
 )
 
 // The compute pipeline: every verb runs parse → route → lookup → compute
@@ -23,11 +24,11 @@ import (
 // code and the message of the error envelope.
 type apiError struct {
 	status int
-	code   string
+	code   client.ErrorCode
 	msg    string
 }
 
-func badRequest(code, format string, args ...any) *apiError {
+func badRequest(code client.ErrorCode, format string, args ...any) *apiError {
 	return &apiError{status: http.StatusBadRequest, code: code, msg: fmt.Sprintf(format, args...)}
 }
 
@@ -54,14 +55,6 @@ type computeRequest interface {
 type checker interface {
 	check(ctx context.Context, entry *TraceEntry, resp any) (ran bool, err error)
 }
-
-// addressed is the part of every compute request body that routes it.
-type addressed struct {
-	Trace string `json:"trace"`
-	Async bool   `json:"async,omitempty"`
-}
-
-func (a *addressed) target() (string, bool) { return a.Trace, a.Async }
 
 // stageBuckets are the stage histogram's bounds in seconds: a decade per
 // bucket from a 10 µs LRU hit to a 10 s exploration.
@@ -103,7 +96,7 @@ func (s *Server) serve(verb string, parse func(body []byte, query url.Values) (c
 		var perr *apiError
 		raw, err := readBody(r)
 		if err != nil {
-			perr = badRequest(codeBadRequest, "%v", err)
+			perr = badRequest(client.ErrBadRequest, "%v", err)
 		} else {
 			req, perr = parse(raw, r.URL.Query())
 		}
@@ -121,7 +114,7 @@ func (s *Server) serve(verb string, parse func(body []byte, query url.Values) (c
 		t.end("route", nil)
 		switch {
 		case !ok:
-			httpError(w, http.StatusNotFound, codeTraceNotFound, "unknown trace %q", digest)
+			httpError(w, http.StatusNotFound, client.ErrTraceNotFound, "unknown trace %q", digest)
 		case perr != nil:
 			perr.write(w)
 		default:
@@ -221,7 +214,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, t stageTimer, 
 		return ok
 	})
 	if !retained {
-		httpError(w, http.StatusNotFound, codeTraceNotFound, "unknown trace %q", digest)
+		httpError(w, http.StatusNotFound, client.ErrTraceNotFound, "unknown trace %q", digest)
 		return
 	}
 	// Every job records its own span tree: a root "job" span whose
@@ -284,14 +277,14 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, t stageTimer, 
 				return
 			}
 			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, codeQueueFull, "%v", err)
+			httpError(w, http.StatusTooManyRequests, client.ErrQueueFull, "%v", err)
 			return
 		}
 		// The queue is closed (drain in progress) or otherwise refusing
 		// work: this instance is going away, tell the client to go
 		// elsewhere rather than retry here.
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, codeUnavailable, "%v", err)
+		httpError(w, http.StatusServiceUnavailable, client.ErrUnavailable, "%v", err)
 		return
 	}
 	job.SetRecorder(rec)
@@ -330,17 +323,17 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, t stageTimer, 
 		// A cancellation driven by the request's own deadline is a
 		// timeout, not a client disconnect.
 		if errors.Is(r.Context().Err(), context.DeadlineExceeded) {
-			httpError(w, http.StatusGatewayTimeout, codeDeadlineExceeded,
+			httpError(w, http.StatusGatewayTimeout, client.ErrDeadlineExceeded,
 				"request deadline exceeded: %s", st.Error)
 			return
 		}
-		httpError(w, httpStatusClientClosedRequest, codeCanceled, "exploration cancelled: %s", st.Error)
+		httpError(w, httpStatusClientClosedRequest, client.ErrCanceled, "exploration cancelled: %s", st.Error)
 	default:
 		if strings.Contains(st.Error, context.DeadlineExceeded.Error()) {
-			httpError(w, http.StatusGatewayTimeout, codeDeadlineExceeded, "%s", st.Error)
+			httpError(w, http.StatusGatewayTimeout, client.ErrDeadlineExceeded, "%s", st.Error)
 			return
 		}
-		httpError(w, http.StatusInternalServerError, codeInternal, "%s", st.Error)
+		httpError(w, http.StatusInternalServerError, client.ErrInternal, "%s", st.Error)
 	}
 }
 

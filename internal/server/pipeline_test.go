@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/pkg/client"
 )
 
 // histStats reads one histogram series' observation count and sum.
@@ -100,15 +102,6 @@ func TestStageMetricsPerRequest(t *testing.T) {
 	}
 }
 
-// lockedCodes is the set of stable error codes a rejection may carry.
-var lockedCodes = map[string]bool{
-	codeBadRequest: true, codePayloadTooLarge: true, codeTraceNotFound: true,
-	codeJobNotFound: true, codeTraceBusy: true, codeQueueFull: true,
-	codeOverloaded: true, codeInvalidSampleRate: true, codeInvalidSpace: true,
-	codeInvalidPolicy: true, codeDeadlineExceeded: true, codeCanceled: true,
-	codeUnavailable: true, codeInternal: true,
-}
-
 // FuzzComputeRequest drives the parse stage of every compute verb with
 // arbitrary bodies and ?sample= values, without computing anything. Parse
 // must never panic, every rejection must be a 4xx carrying a locked code,
@@ -117,7 +110,7 @@ var lockedCodes = map[string]bool{
 // would reject it as a 500.
 func FuzzComputeRequest(f *testing.F) {
 	const d = "0123456789abcdef0123456789abcdef"
-	// Verb 0 is explore, 1 simulate, 2 verify. The seeds are the 20
+	// Verb 0 is explore, 1 simulate, 2 verify. The seeds are the 22
 	// requests behind the v1 API goldens (bodiless and non-compute ones
 	// under verb 0), the three simulate geometries that once failed
 	// inside the job as 500s, and the three geometries that once passed
@@ -131,6 +124,7 @@ func FuzzComputeRequest(f *testing.F) {
 		{"trace_get", 0, "", ""},
 		{"trace_list", 0, "", ""},
 		{"trace_list_kind", 0, "", ""},
+		{"cluster", 0, "", ""},
 		{"explore", 0, `{"trace":"` + d + `","k":5}`, ""},
 		{"explore_cached", 0, `{"trace":"` + d + `","k":3}`, ""},
 		{"explore_sampled", 0, `{"trace":"` + d + `","k":5}`, "0.5"},
@@ -146,6 +140,7 @@ func FuzzComputeRequest(f *testing.F) {
 		{"error_sample_verify", 0, `{"trace":"` + d + `","k":5,"sample_rate":0.5,"verify":true}`, ""},
 		{"error_invalid_space", 0, `{"trace":"` + d + `","space":{"topology":"ring"}}`, ""},
 		{"error_invalid_policy", 0, `{"trace":"` + d + `","space":{"l1":{"policies":["mru"]}}}`, ""},
+		{"trace_list_page", 0, "", ""},
 		{"trace_delete", 0, "", ""},
 		{"", 1, `{"trace":"` + d + `","depth":4,"assoc":-1}`, ""},
 		{"", 1, `{"trace":"` + d + `","depth":4,"line_words":3}`, ""},
@@ -165,7 +160,7 @@ func FuzzComputeRequest(f *testing.F) {
 		}
 		req, perr := parsers[int(verb)%len(parsers)](body, query)
 		if perr != nil {
-			if perr.status < 400 || perr.status > 499 || !lockedCodes[perr.code] {
+			if perr.status < 400 || perr.status > 499 || !slices.Contains(stableCodes, perr.code) {
 				t.Fatalf("rejection %d %q is not a 4xx with a locked code: %s", perr.status, perr.code, perr.msg)
 			}
 			return
@@ -179,7 +174,7 @@ func FuzzComputeRequest(f *testing.F) {
 				t.Fatalf("accepted simulate config %+v past %d lines", q.cfg, maxCacheLines)
 			}
 		case *verifyRequest:
-			for _, ins := range q.Instances {
+			for _, ins := range q.instances {
 				if err := (cache.Config{Depth: ins.Depth, Assoc: ins.Assoc}).Validate(); err != nil {
 					t.Fatalf("accepted verify instance %v: %v", ins, err)
 				}
@@ -210,18 +205,18 @@ func TestParseBoundsGeometry(t *testing.T) {
 	}
 	for _, c := range []struct {
 		verb, body string
-		code       string // "" when the request is accepted
+		code       client.ErrorCode // "" when the request is accepted
 	}{
-		{"simulate", `{"depth":1073741824}`, codeBadRequest},
-		{"simulate", `{"depth":1048576,"assoc":5}`, codeBadRequest},
-		{"simulate", `{"depth":1,"assoc":9223372036854775807}`, codeBadRequest},
+		{"simulate", `{"depth":1073741824}`, client.ErrBadRequest},
+		{"simulate", `{"depth":1048576,"assoc":5}`, client.ErrBadRequest},
+		{"simulate", `{"depth":1,"assoc":9223372036854775807}`, client.ErrBadRequest},
 		{"simulate", `{"depth":1048576,"assoc":4}`, ""},
-		{"verify", `{"k":5,"instances":[{"depth":8,"assoc":2},{"depth":1073741824,"assoc":1}]}`, codeBadRequest},
+		{"verify", `{"k":5,"instances":[{"depth":8,"assoc":2},{"depth":1073741824,"assoc":1}]}`, client.ErrBadRequest},
 		{"verify", `{"k":5,"instances":[{"depth":4194304,"assoc":1}]}`, ""},
-		{"explore", `{"space":{"topology":"unified","l1":{"policies":["fifo"],"max_assoc":100000}}}`, codeInvalidSpace},
-		{"explore", `{"space":{"topology":"unified","l1":{"max_assoc":9223372036854775807}}}`, codeInvalidSpace},
-		{"explore", `{"space":{"topology":"unified","l1":{"max_depth":1048576,"max_assoc":7}}}`, codeInvalidSpace},
-		{"explore", `{"space":{"topology":"split+l2","l2":{"max_depth":1048576,"max_assoc":7}}}`, codeInvalidSpace},
+		{"explore", `{"space":{"topology":"unified","l1":{"policies":["fifo"],"max_assoc":100000}}}`, client.ErrInvalidSpace},
+		{"explore", `{"space":{"topology":"unified","l1":{"max_assoc":9223372036854775807}}}`, client.ErrInvalidSpace},
+		{"explore", `{"space":{"topology":"unified","l1":{"max_depth":1048576,"max_assoc":7}}}`, client.ErrInvalidSpace},
+		{"explore", `{"space":{"topology":"split+l2","l2":{"max_depth":1048576,"max_assoc":7}}}`, client.ErrInvalidSpace},
 		{"explore", `{"space":{"topology":"split","l2":{"max_depth":1048576,"max_assoc":7}}}`, ""},
 		{"explore", `{"space":{"topology":"unified","l1":{"max_depth":1048576,"max_assoc":5}}}`, ""},
 		{"explore", `{"space":{"topology":"split+l2","l1":{"policies":["lru","fifo","plru"]},"l2":{"policies":["lru","fifo","plru"]}}}`, ""},

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"testing"
 	"time"
 
 	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/pkg/client"
 )
 
 // errEnvelope mirrors the uniform v1 error shape for assertions.
@@ -100,8 +102,8 @@ func TestListTracesPagination(t *testing.T) {
 			t.Fatal(err)
 		}
 		var body struct {
-			Traces     []traceInfo `json:"traces"`
-			NextCursor string      `json:"next_cursor"`
+			Traces     []client.TraceInfo `json:"traces"`
+			NextCursor string             `json:"next_cursor"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatal(err)
@@ -151,7 +153,7 @@ func TestListTracesKindFilter(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var body struct {
-		Traces []traceInfo `json:"traces"`
+		Traces []client.TraceInfo `json:"traces"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
@@ -245,7 +247,7 @@ func TestDegradedReadOnSaturation(t *testing.T) {
 	info, _ := uploadTrace(t, ts, din.Bytes())
 
 	// Prime the result cache with a normal exploration.
-	var first exploreResponse
+	var first client.ExploreResponse
 	body, _ := json.Marshal(map[string]any{"trace": info.Digest, "k": 5})
 	if code := doJSON(t, "POST", ts.URL+"/v1/explore", body, &first); code != http.StatusOK {
 		t.Fatalf("priming explore: code %d", code)
@@ -273,7 +275,7 @@ func TestDegradedReadOnSaturation(t *testing.T) {
 	if resp.Header.Get("X-Degraded") != "true" {
 		t.Fatal("degraded response missing X-Degraded header")
 	}
-	var deg exploreResponse
+	var deg client.ExploreResponse
 	if err := json.NewDecoder(resp.Body).Decode(&deg); err != nil {
 		t.Fatal(err)
 	}
@@ -372,4 +374,29 @@ func TestMetricsExposeResilienceCounters(t *testing.T) {
 			t.Errorf("metrics output missing %s", name)
 		}
 	}
+}
+
+// FuzzRequestDeadline drives requestDeadline with arbitrary
+// X-Request-Deadline values. It must never panic, and a header it accepts
+// as a duration must put the deadline after now.
+func FuzzRequestDeadline(f *testing.F) {
+	for _, s := range []string{
+		"", "2s", "150ms", "0s", "-1s", "1h30m", "9223372036854775807ns",
+		"three fortnights", "2020-01-01T00:00:00Z", "2030-01-01T00:00:00.5+02:00",
+		"0001-01-01T00:00:00Z", ".5s", "1e3s",
+	} {
+		f.Add(s)
+	}
+	now := time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
+	f.Fuzz(func(t *testing.T, raw string) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/explore", nil)
+		r.Header.Set("X-Request-Deadline", raw)
+		dl, err := requestDeadline(r, now)
+		if err != nil {
+			return
+		}
+		if _, derr := time.ParseDuration(raw); derr == nil && !dl.After(now) {
+			t.Fatalf("duration %q gave deadline %v, not after now %v", raw, dl, now)
+		}
+	})
 }

@@ -28,6 +28,7 @@ import (
 	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/obs/profiler"
 	"github.com/example/cachedse/internal/tracestore"
+	"github.com/example/cachedse/pkg/client"
 )
 
 // Config tunes the service. The zero value gets sensible defaults from
@@ -390,7 +391,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			if p := recover(); p != nil {
 				s.cfg.Logger.ErrorContext(ctx, "panic in handler",
 					"endpoint", endpoint, "panic", fmt.Sprint(p))
-				httpError(sw, http.StatusInternalServerError, codeInternal, "internal error")
+				httpError(sw, http.StatusInternalServerError, client.ErrInternal, "internal error")
 			}
 			elapsed := time.Since(start)
 			s.reqTotal.With(endpoint, fmt.Sprintf("%d", sw.code)).Inc()
@@ -402,13 +403,13 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		defer logAndCount()
 		deadline, err := requestDeadline(r, start)
 		if err != nil {
-			httpError(sw, http.StatusBadRequest, codeBadRequest, "%v", err)
+			httpError(sw, http.StatusBadRequest, client.ErrBadRequest, "%v", err)
 			return
 		}
 		if !deadline.IsZero() {
 			if !deadline.After(start) {
 				s.shedTotal.With("deadline").Inc()
-				httpError(sw, http.StatusGatewayTimeout, codeDeadlineExceeded,
+				httpError(sw, http.StatusGatewayTimeout, client.ErrDeadlineExceeded,
 					"request deadline already passed")
 				return
 			}
@@ -426,7 +427,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			default:
 				s.shedTotal.With("gate").Inc()
 				sw.Header().Set("Retry-After", "1")
-				httpError(sw, http.StatusTooManyRequests, codeOverloaded,
+				httpError(sw, http.StatusTooManyRequests, client.ErrOverloaded,
 					"endpoint %q is at its concurrency limit; retry shortly", endpoint)
 				return
 			}
@@ -443,7 +444,7 @@ func (s *Server) instrumentProbe(endpoint string, h http.HandlerFunc) http.Handl
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
 			if p := recover(); p != nil {
-				httpError(sw, http.StatusInternalServerError, codeInternal, "internal error")
+				httpError(sw, http.StatusInternalServerError, client.ErrInternal, "internal error")
 			}
 			s.reqTotal.With(endpoint, fmt.Sprintf("%d", sw.code)).Inc()
 		}()

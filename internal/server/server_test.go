@@ -21,6 +21,7 @@ import (
 	"github.com/example/cachedse/internal/dse"
 	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/pkg/client"
 )
 
 // testTrace builds a deterministic trace with enough conflicts that the
@@ -83,9 +84,9 @@ func doJSON(t *testing.T, method, url string, body []byte, out any) int {
 	return resp.StatusCode
 }
 
-func uploadTrace(t *testing.T, ts *httptest.Server, body []byte) (traceInfo, int) {
+func uploadTrace(t *testing.T, ts *httptest.Server, body []byte) (client.TraceInfo, int) {
 	t.Helper()
-	var info traceInfo
+	var info client.TraceInfo
 	code := doJSON(t, "POST", ts.URL+"/v1/traces", body, &info)
 	return info, code
 }
@@ -122,12 +123,12 @@ func TestServerTraceLifecycle(t *testing.T) {
 	}
 
 	var list struct {
-		Traces []traceInfo `json:"traces"`
+		Traces []client.TraceInfo `json:"traces"`
 	}
 	if code := doJSON(t, "GET", ts.URL+"/v1/traces", nil, &list); code != http.StatusOK || len(list.Traces) != 1 {
 		t.Fatalf("list: code %d, %d traces", code, len(list.Traces))
 	}
-	var got traceInfo
+	var got client.TraceInfo
 	if code := doJSON(t, "GET", ts.URL+"/v1/traces/"+info.Digest, nil, &got); code != http.StatusOK || got.Digest != info.Digest {
 		t.Fatalf("get: code %d, digest %s", code, got.Digest)
 	}
@@ -213,7 +214,7 @@ func TestServerExploreMatchesCLI(t *testing.T) {
 	wantInstances, wantTab := dse.InstanceTable(want, k, st.MaxMisses, false)
 
 	body, _ := json.Marshal(map[string]any{"trace": info.Digest, "k": k})
-	var resp exploreResponse
+	var resp client.ExploreResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/explore", body, &resp); code != http.StatusOK {
 		t.Fatalf("explore: code %d", code)
 	}
@@ -240,7 +241,7 @@ func TestServerExploreMatchesCLI(t *testing.T) {
 	// A different budget K reuses the memoized depth profile.
 	k2 := st.MaxMisses / 4
 	body2, _ := json.Marshal(map[string]any{"trace": info.Digest, "k": k2})
-	var resp2 exploreResponse
+	var resp2 client.ExploreResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/explore", body2, &resp2); code != http.StatusOK {
 		t.Fatalf("second explore: code %d", code)
 	}
@@ -260,7 +261,7 @@ func TestServerExploreMatchesCLI(t *testing.T) {
 	body3, _ := json.Marshal(map[string]any{
 		"trace": info.Digest, "k": k, "parallel": true, "pareto": true, "verify": true,
 	})
-	var resp3 exploreResponse
+	var resp3 client.ExploreResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/explore", body3, &resp3); code != http.StatusOK {
 		t.Fatalf("pareto explore: code %d", code)
 	}
@@ -524,7 +525,7 @@ func TestServerSimulate(t *testing.T) {
 	info, _ := uploadTrace(t, ts, din.Bytes())
 
 	body, _ := json.Marshal(map[string]any{"trace": info.Digest, "depth": 64, "assoc": 2})
-	var resp simulateResponse
+	var resp client.SimulateResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/simulate", body, &resp); code != http.StatusOK {
 		t.Fatalf("simulate: code %d", code)
 	}
@@ -537,7 +538,7 @@ func TestServerSimulate(t *testing.T) {
 	if resp.Cached {
 		t.Fatal("first simulate reported cached")
 	}
-	var again simulateResponse
+	var again client.SimulateResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/simulate", body, &again); code != http.StatusOK || !again.Cached {
 		t.Fatalf("repeat simulate: code %d, cached %v", code, again.Cached)
 	}
@@ -572,7 +573,7 @@ func TestServerSimulateKeysLineSize(t *testing.T) {
 	info, _ := uploadTrace(t, ts, din.Bytes())
 	for _, lw := range []int{1, 4} {
 		body, _ := json.Marshal(map[string]any{"trace": info.Digest, "depth": 16, "line_words": lw})
-		var got simulateResponse
+		var got client.SimulateResponse
 		if code := doJSON(t, "POST", ts.URL+"/v1/simulate", body, &got); code != http.StatusOK {
 			t.Fatalf("simulate line_words=%d: code %d", lw, code)
 		}
@@ -601,7 +602,7 @@ func TestServerVerify(t *testing.T) {
 	// The instances the analytical explorer emits must verify under
 	// simulation at the same budget.
 	body, _ := json.Marshal(map[string]any{"trace": info.Digest, "k": k})
-	var exp exploreResponse
+	var exp client.ExploreResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/explore", body, &exp); code != http.StatusOK {
 		t.Fatalf("explore: code %d", code)
 	}
@@ -613,7 +614,7 @@ func TestServerVerify(t *testing.T) {
 		instances[i] = map[string]int{"depth": ins.Depth, "assoc": ins.Assoc}
 	}
 	vbody, _ := json.Marshal(map[string]any{"trace": info.Digest, "k": k, "instances": instances})
-	var vr verifyResponse
+	var vr client.VerifyResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/verify", vbody, &vr); code != http.StatusOK {
 		t.Fatalf("verify: code %d", code)
 	}
@@ -623,7 +624,7 @@ func TestServerVerify(t *testing.T) {
 
 	// The same instances cannot meet an impossible budget.
 	vbody2, _ := json.Marshal(map[string]any{"trace": info.Digest, "k": 0, "instances": instances})
-	var vr2 verifyResponse
+	var vr2 client.VerifyResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/verify", vbody2, &vr2); code != http.StatusOK {
 		t.Fatalf("verify k=0: code %d", code)
 	}
@@ -731,7 +732,7 @@ func TestServerSampledExplore(t *testing.T) {
 	}
 	info, _ := uploadTrace(t, ts, din.Bytes())
 
-	var exact exploreResponse
+	var exact client.ExploreResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/explore",
 		[]byte(`{"trace":"`+info.Digest+`","k":100,"max_depth":256}`), &exact); code != http.StatusOK {
 		t.Fatalf("exact explore: code %d", code)
@@ -740,7 +741,7 @@ func TestServerSampledExplore(t *testing.T) {
 		t.Fatal("exact exploration carries a sample summary")
 	}
 
-	var sampled exploreResponse
+	var sampled client.ExploreResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/explore?sample=0.5",
 		[]byte(`{"trace":"`+info.Digest+`","k":100,"max_depth":256}`), &sampled); code != http.StatusOK {
 		t.Fatalf("sampled explore: code %d", code)
@@ -771,7 +772,7 @@ func TestServerSampledExplore(t *testing.T) {
 
 	// The sampled profile memoizes under its own key: re-asking is a cache
 	// hit, and the exact profile above was never displaced.
-	var again exploreResponse
+	var again client.ExploreResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/explore",
 		[]byte(`{"trace":"`+info.Digest+`","k":100,"max_depth":256,"sample_rate":0.5}`), &again); code != http.StatusOK {
 		t.Fatalf("repeat sampled explore: code %d", code)

@@ -8,36 +8,18 @@ import (
 	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/dse"
 	"github.com/example/cachedse/internal/obs"
+	"github.com/example/cachedse/pkg/client"
 )
 
 // This file is the wire layer of the design-space API: the "space" block
-// a POST /v1/explore request may carry, its translation into a
-// core.Space, and the "pareto" result rendering. Space failures map to
+// a POST /v1/explore request may carry (client.Space), its translation
+// into a core.Space, and the "pareto" result rendering. Space failures map to
 // two stable codes — invalid_policy for an unknown replacement policy
 // name, invalid_space for every other shape problem (topology,
 // technology, geometry) — locked by the golden-file compatibility tests.
 
-// levelSpaceJSON is the wire form of one level's exploration axes.
-// Every field is optional; zeros take the engine defaults.
-type levelSpaceJSON struct {
-	MaxDepth     int      `json:"max_depth,omitempty"`
-	MaxAssoc     int      `json:"max_assoc,omitempty"`
-	LineWords    []int    `json:"line_words,omitempty"`
-	Policies     []string `json:"policies,omitempty"`
-	Technologies []string `json:"technologies,omitempty"`
-}
-
-// spaceJSON is the wire form of a declarative design space. An empty
-// block is valid and normalizes to the paper's model (one unified LRU
-// SRAM level); "l2" is meaningful only under the "split+l2" topology.
-type spaceJSON struct {
-	Topology string          `json:"topology,omitempty"`
-	L1       *levelSpaceJSON `json:"l1,omitempty"`
-	L2       *levelSpaceJSON `json:"l2,omitempty"`
-}
-
 // parseLevelSpace translates one level block.
-func parseLevelSpace(in *levelSpaceJSON, name string) (ls core.LevelSpace, _ *apiError) {
+func parseLevelSpace(in *client.SpaceLevel, name string) (ls core.LevelSpace, _ *apiError) {
 	if in == nil {
 		return ls, nil
 	}
@@ -47,14 +29,14 @@ func parseLevelSpace(in *levelSpaceJSON, name string) (ls core.LevelSpace, _ *ap
 	for _, s := range in.Policies {
 		p, err := core.ParsePolicy(s)
 		if err != nil {
-			return ls, badRequest(codeInvalidPolicy, "space %s: %v", name, err)
+			return ls, badRequest(client.ErrInvalidPolicy, "space %s: %v", name, err)
 		}
 		ls.Policies = append(ls.Policies, p)
 	}
 	for _, s := range in.Technologies {
 		t, err := core.ParseTechnology(s)
 		if err != nil {
-			return ls, badRequest(codeInvalidSpace, "space %s: %v", name, err)
+			return ls, badRequest(client.ErrInvalidSpace, "space %s: %v", name, err)
 		}
 		ls.Technologies = append(ls.Technologies, t)
 	}
@@ -62,11 +44,13 @@ func parseLevelSpace(in *levelSpaceJSON, name string) (ls core.LevelSpace, _ *ap
 }
 
 // parseSpace translates and validates a request's space block; a failure
-// carries codeInvalidPolicy or codeInvalidSpace.
-func parseSpace(in *spaceJSON) (sp core.Space, perr *apiError) {
+// carries client.ErrInvalidPolicy or client.ErrInvalidSpace. An empty
+// block is valid and normalizes to the paper's model (one unified LRU
+// SRAM level).
+func parseSpace(in *client.Space) (sp core.Space, perr *apiError) {
 	topo, err := core.ParseTopology(in.Topology)
 	if err != nil {
-		return sp, badRequest(codeInvalidSpace, "%v", err)
+		return sp, badRequest(client.ErrInvalidSpace, "%v", err)
 	}
 	sp.Topology = topo
 	if sp.L1, perr = parseLevelSpace(in.L1, "l1"); perr != nil {
@@ -76,7 +60,7 @@ func parseSpace(in *spaceJSON) (sp core.Space, perr *apiError) {
 		return sp, perr
 	}
 	if err := sp.Validate(); err != nil {
-		return sp, badRequest(codeInvalidSpace, "%v", err)
+		return sp, badRequest(client.ErrInvalidSpace, "%v", err)
 	}
 	n := sp.Normalized()
 	levels := []core.LevelSpace{n.L1}
@@ -88,43 +72,11 @@ func parseSpace(in *spaceJSON) (sp core.Space, perr *apiError) {
 		// is formed only below it, where it cannot overflow.
 		a := ls.MaxAssoc
 		if a >= 1<<13 || !within(ls.MaxDepth, a*(a+1)/2, maxSweepWays) {
-			return sp, badRequest(codeInvalidSpace, "space l%d: max_depth %d x max_assoc %d needs more than %d sweep ways",
+			return sp, badRequest(client.ErrInvalidSpace, "space l%d: max_depth %d x max_assoc %d needs more than %d sweep ways",
 				i+1, ls.MaxDepth, a, maxSweepWays)
 		}
 	}
 	return sp, nil
-}
-
-// paretoLevelJSON is one concrete cache level of a Pareto point.
-type paretoLevelJSON struct {
-	Level      string `json:"level"`
-	Depth      int    `json:"depth"`
-	Assoc      int    `json:"assoc"`
-	LineWords  int    `json:"line_words"`
-	SizeWords  int    `json:"size_words"`
-	Policy     string `json:"policy"`
-	Technology string `json:"technology"`
-}
-
-// paretoPointJSON is one point of the emitted Pareto front: the full
-// hierarchy configuration and its three objectives. Energy and area are
-// rounded to a tenth — the cost model's resolution — so the wire shape
-// does not lock float summation noise.
-type paretoPointJSON struct {
-	Levels   []paretoLevelJSON `json:"levels"`
-	Misses   int               `json:"misses"`
-	EnergyPJ float64           `json:"energy_pj"`
-	AreaUM2  float64           `json:"area_um2"`
-}
-
-// pruneJSON reports how much of the candidate grid the analytical cuts
-// (A_zero domination, α-threshold) skipped.
-type pruneJSON struct {
-	Candidates      int     `json:"candidates"`
-	Evaluated       int     `json:"evaluated"`
-	PrunedDominated int     `json:"pruned_dominated"`
-	PrunedThreshold int     `json:"pruned_threshold"`
-	Rate            float64 `json:"rate"`
 }
 
 // spaceQuery asks for the Pareto front of a design space. Fronts are
@@ -161,15 +113,17 @@ func round1(v float64) float64 { return math.Round(v*10) / 10 }
 
 // render projects a Pareto front into the explore response. Instances
 // stays present (and empty) so v1 clients keyed on the field keep
-// decoding; the design-space answer lives in pareto/prune/space.
+// decoding; the design-space answer lives in pareto/prune/space. Energy
+// and area are rounded to a tenth, the cost model's resolution, so the
+// wire shape does not lock float summation noise.
 func (q *spaceQuery) render(entry *TraceEntry, v any, cached, degraded bool) any {
 	front := v.(*core.Front)
 	resp := q.response(entry, cached, degraded)
-	resp.Instances = []instanceJSON{}
+	resp.Instances = []client.Instance{}
 	resp.Table = dse.FrontTable(front).Render()
 	resp.Space = q.space.Key()
-	resp.Pareto = make([]paretoPointJSON, 0, front.Len())
-	resp.Prune = &pruneJSON{
+	resp.Pareto = make([]client.ParetoPoint, 0, front.Len())
+	resp.Prune = &client.PruneInfo{
 		Candidates:      front.Stats.Candidates,
 		Evaluated:       front.Stats.Evaluated,
 		PrunedDominated: front.Stats.PrunedDominated,
@@ -177,14 +131,14 @@ func (q *spaceQuery) render(entry *TraceEntry, v any, cached, degraded bool) any
 		Rate:            round1(front.Stats.Rate()*100) / 100,
 	}
 	for _, p := range front.Points() {
-		pt := paretoPointJSON{
-			Levels:   make([]paretoLevelJSON, len(p.Levels)),
+		pt := client.ParetoPoint{
+			Levels:   make([]client.ParetoLevel, len(p.Levels)),
 			Misses:   p.Misses,
 			EnergyPJ: round1(p.EnergyPJ),
 			AreaUM2:  round1(p.AreaUM2),
 		}
 		for i, l := range p.Levels {
-			pt.Levels[i] = paretoLevelJSON{
+			pt.Levels[i] = client.ParetoLevel{
 				Level:      l.Level,
 				Depth:      l.Depth,
 				Assoc:      l.Assoc,

@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"testing"
 
+	"github.com/example/cachedse/internal/dse"
 	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/pkg/client"
 )
 
 // TestExploreSpaceEndpoint covers the design-space explore path end to
@@ -93,8 +95,40 @@ func TestExploreSpaceEndpoint(t *testing.T) {
 		var env errorEnvelope
 		if code := doJSON(t, "POST", ts.URL+"/v1/explore", []byte(bad), &env); code != http.StatusBadRequest {
 			t.Errorf("request %s: code %d, want 400", bad, code)
-		} else if env.Error.Code != codeBadRequest {
-			t.Errorf("request %s: code %q, want %q", bad, env.Error.Code, codeBadRequest)
+		} else if env.Error.Code != client.ErrBadRequest {
+			t.Errorf("request %s: code %q, want %q", bad, env.Error.Code, client.ErrBadRequest)
+		}
+	}
+}
+
+// policyNames are replacement-policy spellings, accepted and not, that
+// simulate's "repl" and a space's "policies" must treat alike.
+var policyNames = []string{
+	"", "lru", "LRU", " fifo ", "random", "rand", "plru", "tree-plru", "Tree-PLRU",
+	"mru", "lfu", "zzz", "lru,fifo",
+}
+
+// TestSimulatePolicyNamesMatchSpace: simulate accepts exactly the policy
+// names a design space accepts, and simulates the policy the space would.
+// A rejected name keeps each verb's code: bad_request for simulate,
+// invalid_policy for a space.
+func TestSimulatePolicyNamesMatchSpace(t *testing.T) {
+	const d = "0123456789abcdef0123456789abcdef"
+	for _, name := range policyNames {
+		sim, simErr := parseSimulate([]byte(fmt.Sprintf(`{"trace":%q,"depth":8,"repl":%q}`, d, name)), nil)
+		sp, spErr := parseExplore([]byte(fmt.Sprintf(`{"trace":%q,"space":{"l1":{"policies":[%q]}}}`, d, name)), nil)
+		switch {
+		case (simErr == nil) != (spErr == nil):
+			t.Errorf("policy %q: simulate error %v, space error %v", name, simErr, spErr)
+		case simErr != nil:
+			if simErr.code != client.ErrBadRequest || spErr.code != client.ErrInvalidPolicy {
+				t.Errorf("policy %q: codes %s and %s, want bad_request and invalid_policy", name, simErr.code, spErr.code)
+			}
+		default:
+			want := dse.ReplOf(sp.(*spaceQuery).space.L1.Policies[0])
+			if got := sim.(*simulateRequest).cfg.Repl; got != want {
+				t.Errorf("policy %q: simulate runs %v, the space %v", name, got, want)
+			}
 		}
 	}
 }

@@ -6,31 +6,35 @@ import (
 	"time"
 )
 
-// apiCode is a stable server error code usable as an errors.Is target.
-type apiCode string
-
-func (c apiCode) Error() string { return "cachedse: " + string(c) }
-
-// Sentinel errors, one per stable code in the server's error envelope.
-// Match with errors.Is:
+// ErrorCode is a stable machine-readable error code of the v1 error
+// envelope, and the one list of them: the server writes these values and
+// clients match them. Clients branch on the code, never the message:
+// messages may change between releases, codes are part of the API
+// contract. An ErrorCode is an error, so the codes below double as
+// errors.Is targets:
 //
 //	_, err := c.GetTrace(ctx, digest)
 //	if errors.Is(err, client.ErrTraceNotFound) { ... }
-var (
-	ErrBadRequest        error = apiCode("bad_request")
-	ErrPayloadTooLarge   error = apiCode("payload_too_large")
-	ErrTraceNotFound     error = apiCode("trace_not_found")
-	ErrJobNotFound       error = apiCode("job_not_found")
-	ErrTraceBusy         error = apiCode("trace_busy")
-	ErrQueueFull         error = apiCode("queue_full")
-	ErrOverloaded        error = apiCode("overloaded")
-	ErrInvalidSampleRate error = apiCode("invalid_sample_rate")
-	ErrInvalidSpace      error = apiCode("invalid_space")
-	ErrInvalidPolicy     error = apiCode("invalid_policy")
-	ErrDeadlineExceeded  error = apiCode("deadline_exceeded")
-	ErrCanceled          error = apiCode("canceled")
-	ErrUnavailable       error = apiCode("unavailable")
-	ErrInternal          error = apiCode("internal")
+type ErrorCode string
+
+func (c ErrorCode) Error() string { return "cachedse: " + string(c) }
+
+// The stable codes, one per failure class of the server's error envelope.
+const (
+	ErrBadRequest        ErrorCode = "bad_request"
+	ErrPayloadTooLarge   ErrorCode = "payload_too_large"
+	ErrTraceNotFound     ErrorCode = "trace_not_found"
+	ErrJobNotFound       ErrorCode = "job_not_found"
+	ErrTraceBusy         ErrorCode = "trace_busy"
+	ErrQueueFull         ErrorCode = "queue_full"
+	ErrOverloaded        ErrorCode = "overloaded"
+	ErrInvalidSampleRate ErrorCode = "invalid_sample_rate"
+	ErrInvalidSpace      ErrorCode = "invalid_space"
+	ErrInvalidPolicy     ErrorCode = "invalid_policy"
+	ErrDeadlineExceeded  ErrorCode = "deadline_exceeded"
+	ErrCanceled          ErrorCode = "canceled"
+	ErrUnavailable       ErrorCode = "unavailable"
+	ErrInternal          ErrorCode = "internal"
 )
 
 // APIError is a non-2xx response from the service, carrying the HTTP
@@ -52,10 +56,10 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("cachedse: %s (HTTP %d): %s", e.Code, e.StatusCode, e.Message)
 }
 
-// Is matches an APIError against the package's sentinel code errors, so
+// Is matches an APIError against the package's error codes, so
 // errors.Is(err, client.ErrQueueFull) works through wrapping.
 func (e *APIError) Is(target error) bool {
-	c, ok := target.(apiCode)
+	c, ok := target.(ErrorCode)
 	return ok && e.Code == string(c)
 }
 
