@@ -357,3 +357,52 @@ func TestAnalyticalMatchesSimulatorLoopyWorkload(t *testing.T) {
 		}
 	}
 }
+
+// FuzzExploreLRU checks the analytical engine against the policy
+// sweeper's bounded-stack LRU kernel, the engine space mode reads instead:
+// at every depth, for every source kind and both postludes, Misses(a)
+// must equal the sweep's MissByAssoc[a] over an axis long enough (N′
+// ways) to reach A_zero. Fuzz bytes index a fixed universe of spread-out
+// addresses, so deep levels still split.
+func FuzzExploreLRU(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7})
+	f.Add([]byte{3, 3, 3, 3})
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, the quick brown fox"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > 512 {
+			b = b[:512]
+		}
+		tr := trace.New(len(b))
+		for _, x := range b {
+			tr.Append(trace.Ref{Addr: uint32(x%fuzzUniverse) * 7, Kind: trace.DataRead})
+		}
+		s := trace.Strip(tr)
+		maxAssoc := max(1, s.NUnique())
+		var sw onepass.PolicySweeper
+		sources := map[string]func() Source{
+			"trace":   func() Source { return tr },
+			"reader":  func() Source { return trace.NewReader(tr) },
+			"prelude": func() Source { return Prelude{Stripped: s, MRCT: BuildMRCT(s)} },
+		}
+		for name, src := range sources {
+			for _, workers := range []int{1, 2} {
+				res, err := Explore(context.Background(), src(), Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, lr := range res.Levels {
+					lru, err := sw.SweepLines(s, lr.Depth, maxAssoc, onepass.ReplLRU)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for a := 1; a <= maxAssoc; a++ {
+						if got, want := lr.Misses(a), lru.MissByAssoc[a]; got != want {
+							t.Fatalf("%s workers=%d D=%d A=%d: Explore %d misses, LRU sweep %d",
+								name, workers, lr.Depth, a, got, want)
+						}
+					}
+				}
+			}
+		}
+	})
+}

@@ -470,37 +470,54 @@ func (f *Front) Len() int { return len(f.pts) }
 const DefaultAlphaEps = 0.05
 
 // AlphaThreshold computes the associativity threshold α* of an LRU level
-// profile over the axis 1..maxAssoc: the smallest associativity that
-// realizes at least (1-eps) of the improvement the axis can deliver,
-// i.e. the first a with
-//
-//	misses(a) - floor <= eps * (misses(1) - floor)
-//
-// where floor is the miss count at the end of the axis (min(maxAssoc,
-// A_zero) ways). Bender et al. (arXiv:2304.04954) show a set-associative
-// LRU cache behaves like a fully-associative one beyond a modest
-// threshold — additional ways past it buy negligible improvement. On an
-// analytical profile the threshold is exact, so associativities past it
-// are pruned for the approximating policies (FIFO/Random/PLRU track
-// LRU's diminishing returns there) — but only beside an LRU candidate
-// that stands for them on the front; the cut is approximate, not a
-// dominance proof. eps <= 0 uses DefaultAlphaEps.
+// profile over the axis 1..maxAssoc, ending at A_zero when that comes
+// first: AlphaThresholdMisses over the profile's miss counts. eps <= 0
+// uses DefaultAlphaEps.
 func AlphaThreshold(l *LevelResult, maxAssoc int, eps float64) int {
-	if eps <= 0 {
-		eps = DefaultAlphaEps
-	}
 	last := l.AZero
 	if maxAssoc >= 1 && maxAssoc < last {
 		last = maxAssoc
 	}
-	m1 := l.Misses(1)
-	floor := l.Misses(last)
+	miss := make([]int, last+1)
+	for a := 1; a <= last; a++ {
+		miss[a] = l.Misses(a)
+	}
+	return AlphaThresholdMisses(miss, eps)
+}
+
+// AlphaThresholdMisses computes the associativity threshold α* of an LRU
+// miss profile, missByAssoc[a] being the non-cold misses of an a-way
+// cache over the axis 1..len-1 (index 0 unused): the smallest
+// associativity that realizes at least (1-eps) of the improvement the
+// axis can deliver, i.e. the first a with
+//
+//	misses(a) - floor <= eps * (misses(1) - floor)
+//
+// where floor is the miss count at the end of the axis. Bender et al.
+// (arXiv:2304.04954) show a set-associative LRU cache behaves like a
+// fully-associative one beyond a modest threshold — additional ways past
+// it buy negligible improvement. On an exact profile the threshold is
+// exact, so associativities past it are pruned for the approximating
+// policies (FIFO/Random/PLRU track LRU's diminishing returns there) —
+// but only beside an LRU candidate that stands for them on the front;
+// the cut is approximate, not a dominance proof. The result never passes
+// A_zero, the first associativity with no misses. eps <= 0 uses
+// DefaultAlphaEps.
+func AlphaThresholdMisses(missByAssoc []int, eps float64) int {
+	if eps <= 0 {
+		eps = DefaultAlphaEps
+	}
+	last := len(missByAssoc) - 1
+	if last < 1 {
+		return 1
+	}
+	m1, floor := missByAssoc[1], missByAssoc[last]
 	if m1 <= floor {
 		return 1
 	}
 	budget := floor + int(eps*float64(m1-floor))
 	for a := 1; a < last; a++ {
-		if l.Misses(a) <= budget {
+		if missByAssoc[a] <= budget {
 			return a
 		}
 	}

@@ -136,4 +136,9 @@ func TestAlphaThreshold(t *testing.T) {
 	if got := AlphaThreshold(clean, 8, 0.01); got != 1 {
 		t.Errorf("AlphaThreshold(no misses) = %d, want 1", got)
 	}
+	// The misses-by-assoc form over an axis running past A_zero stops at
+	// A_zero, as the profile form does.
+	if got := AlphaThresholdMisses([]int{0, 100, 10, 1, 0, 0, 0, 0, 0}, 1e-9); got != 4 {
+		t.Errorf("AlphaThresholdMisses(eps~0, axis past A_zero) = %d, want 4", got)
+	}
 }

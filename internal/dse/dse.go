@@ -9,6 +9,12 @@
 // incurs at most K non-cold misses on the trace? They must agree on the
 // answer; they differ — dramatically — in how many trace simulations they
 // spend getting it, which the Outcome records.
+//
+// The package also hosts the design-space evaluator, ExploreSpace: the
+// Pareto front of a declarative core.Space over (misses, energy, area).
+// Every miss count it reads, LRU included, comes from internal/onepass's
+// one-pass policy sweeps; the LRU sweep is a bounded per-set stack, so a
+// space builds no MRCT, and core.Explore is that sweep's test oracle.
 package dse
 
 import (

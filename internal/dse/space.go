@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -17,14 +18,14 @@ import (
 
 // Design-space evaluation: walk a declarative core.Space — per-level
 // depth/associativity/line/policy/technology axes under a hierarchy
-// topology — and emit the Pareto front over (misses, energy, area). The
-// evaluator is analytical end to end: LRU levels come from the postlude's
-// histogram, non-LRU levels from the one-pass estimator, costs from the
-// cacti model; the only simulation is the L1 filter replay that derives
-// the L2 reference stream, one run per retained L1 pair. On levels whose
-// policy set includes LRU, the α-threshold and A_zero cuts prune the
-// associativity axis before any non-LRU evaluation, and core.Front.Stats
-// records how much work they skipped.
+// topology — and emit the Pareto front over (misses, energy, area). Miss
+// counts come from one-pass policy sweeps, one per (stream, line, depth,
+// policy), each exact for every associativity at once; costs come from
+// the cacti model. The only simulation is the L1 filter replay that
+// derives the L2 reference stream, one run per retained L1 pair. On
+// levels whose policy set includes LRU, the LRU sweep runs first and its
+// α-threshold and A_zero cuts prune the associativity axis before any
+// non-LRU sweep, and core.Front.Stats records how much work they skipped.
 
 // DefaultMissPenaltyPJ is the off-chip access energy charged per
 // last-level miss when SpaceOptions leaves the penalty zero. It matches
@@ -149,24 +150,74 @@ func (sc *spaceScratch) stripLines(ctx context.Context, stream *trace.Trace, lin
 	return s, err
 }
 
+// sweep runs policy p's one-pass sweeps of strip at the depths 1, 2, 4,
+// …, the sweep of depth 2^lvl over associativities 1..axis[lvl]. It
+// checks ctx between depths, and under a recorder it records one "sweep"
+// span with the number of depths and of (depth, assoc) cells swept.
+func (sc *spaceScratch) sweep(ctx context.Context, strip *trace.Stripped, p core.Policy, axis []int) ([]*onepass.AssocSweep, error) {
+	_, span := obs.StartSpan(ctx, "sweep")
+	defer span.End()
+	out := make([]*onepass.AssocSweep, len(axis))
+	cells := 0
+	for lvl, a := range axis {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		res, err := sc.sweeper.SweepLines(strip, 1<<lvl, a, onepassOf(p))
+		if err != nil {
+			return nil, err
+		}
+		out[lvl] = res
+		cells += a
+	}
+	if span != nil {
+		span.SetAttr("policy", p.String())
+		span.SetAttr("line", strip.LineWords)
+		span.SetAttr("depths", len(axis))
+		span.SetAttr("cells", cells)
+	}
+	return out, nil
+}
+
+// depthLevels returns the last level a strip is swept at: depths 1, 2,
+// …, 2^levels, capped at maxDepth and at the strip's address width, past
+// which no set splits further — the depths core.Explore profiles.
+func depthLevels(strip *trace.Stripped, maxDepth int) int {
+	return min(strip.AddrBits(), bits.Len(uint(maxDepth))-1)
+}
+
+// lruCaps reads the two associativity caps off an LRU sweep's misses by
+// associativity: A_zero, the first associativity with no non-cold miss
+// (the end of the swept axis if none), and the α-threshold over the
+// associativities up to it.
+func lruCaps(missByAssoc []int, eps float64) (capZero, capAlpha int) {
+	capZero = slices.Index(missByAssoc[1:], 0) + 1
+	if capZero == 0 {
+		capZero = len(missByAssoc) - 1
+	}
+	return capZero, core.AlphaThresholdMisses(missByAssoc[:capZero+1], eps)
+}
+
 // levelCandidates evaluates one level's axis grid on its reference
-// stream. The LRU profile of each (line, depth) is computed analytically
-// once. When LRU is in the level's policy set, that profile bounds the
-// associativity axis for every policy (A_zero: the LRU candidate already
-// reaches zero non-cold misses at no greater cost, so anything past it is
-// dominated for any policy; α-threshold: past it the level is within eps
-// of its compulsory floor, so the non-LRU axis is cut there). Without an
-// LRU candidate neither cut holds — FIFO is not a stack algorithm, and
-// its misses keep falling past LRU's A_zero — so every policy sweeps to
-// MaxAssoc. LRU itself contributes only its miss-count corners — plateau
-// associativities add size for identical misses and are dominated.
-// minLine drops line sizes below a floor (an L2 line must cover its L1
-// lines). stats tallies the cells skipped by each cut; o.Exhaustive
-// disables all three cuts and evaluates the full grid. Each line size
-// strips the stream once, into sc.strip; the LRU exploration and every
-// non-LRU sweep of that line read the one strip.
+// stream. Every cell comes from a one-pass sweep: for each line size and
+// policy, one sweep per depth (depthLevels) over the associativities
+// 1..MaxAssoc. When LRU is in the level's policy set, its sweep runs
+// first and bounds the associativity axis of every policy at that depth
+// (A_zero: the LRU candidate already reaches zero non-cold misses at no
+// greater cost, so anything past it is dominated for any policy;
+// α-threshold: past it the level is within eps of its compulsory floor,
+// so the non-LRU axis is cut there). Without an LRU candidate neither
+// cut holds — FIFO is not a stack algorithm, and its misses keep falling
+// past LRU's A_zero — so every policy sweeps to MaxAssoc. LRU itself
+// contributes only its miss-count corners — plateau associativities add
+// size for identical misses and are dominated. minLine drops line sizes
+// below a floor (an L2 line must cover its L1 lines). stats tallies the
+// cells skipped by each cut; o.Exhaustive disables all three cuts and
+// evaluates the full grid. Each line size strips the stream once, into
+// sc.strip, and every sweep of that line reads the one strip.
 func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpace, o SpaceOptions, minLine int, stats *core.PruneStats, sc *spaceScratch) ([]levelCand, error) {
-	cut := !o.Exhaustive && slices.Contains(ls.Policies, core.PolicyLRU)
+	hasLRU := slices.Contains(ls.Policies, core.PolicyLRU)
+	cut := !o.Exhaustive && hasLRU
 	var out []levelCand
 	for _, line := range ls.LineWords {
 		if line < minLine {
@@ -176,58 +227,67 @@ func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpac
 		if err != nil {
 			return nil, err
 		}
-		lru, err := core.Explore(ctx, strip, core.Options{MaxDepth: ls.MaxDepth})
-		if err != nil {
-			return nil, err
-		}
 		cold := strip.NUnique()
-		for _, l := range lru.Levels {
-			capZero := ls.MaxAssoc
-			if l.AZero < capZero {
-				capZero = l.AZero
+		// axis[lvl] is depth 2^lvl's full associativity axis. capZero[lvl]
+		// and capAlpha[lvl] bound it, every policy's at A_zero and the
+		// non-LRU policies' at the α-threshold; without the cuts they are
+		// the full axis.
+		axis := make([]int, depthLevels(strip, ls.MaxDepth)+1)
+		for lvl := range axis {
+			axis[lvl] = ls.MaxAssoc
+		}
+		capZero, capAlpha := axis, axis
+		if hasLRU {
+			lru, err := sc.sweep(ctx, strip, core.PolicyLRU, axis)
+			if err != nil {
+				return nil, err
 			}
-			capAlpha := core.AlphaThreshold(l, ls.MaxAssoc, o.Eps)
-			if capAlpha > capZero {
-				capAlpha = capZero
+			if cut {
+				capZero, capAlpha = make([]int, len(axis)), make([]int, len(axis))
+				for lvl, sw := range lru {
+					capZero[lvl], capAlpha[lvl] = lruCaps(sw.MissByAssoc, o.Eps)
+				}
 			}
-			if !cut {
-				capZero = ls.MaxAssoc
-				capAlpha = ls.MaxAssoc
+			for lvl, sw := range lru {
+				prev := -1
+				for a, m := range sw.MissByAssoc[1 : capZero[lvl]+1] {
+					if m == prev && !o.Exhaustive {
+						stats.PrunedDominated++
+						continue
+					}
+					prev = m
+					stats.Evaluated++
+					out = append(out, levelCand{
+						depth: sw.Depth, assoc: a + 1, line: line,
+						policy: core.PolicyLRU, cold: cold, nonCold: m,
+					})
+				}
 			}
+		}
+		for _, p := range ls.Policies {
+			if p == core.PolicyLRU {
+				continue
+			}
+			sweeps, err := sc.sweep(ctx, strip, p, capAlpha)
+			if err != nil {
+				return nil, err
+			}
+			for _, sw := range sweeps {
+				for a, m := range sw.MissByAssoc[1:] {
+					out = append(out, levelCand{
+						depth: sw.Depth, assoc: a + 1, line: line,
+						policy: p, cold: cold, nonCold: m,
+					})
+				}
+			}
+		}
+		for lvl := range axis {
 			for _, p := range ls.Policies {
 				stats.Candidates += ls.MaxAssoc
-				stats.PrunedDominated += ls.MaxAssoc - capZero
-				if p == core.PolicyLRU {
-					prev := -1
-					for a := 1; a <= capZero; a++ {
-						m := l.Misses(a)
-						if m == prev && !o.Exhaustive {
-							stats.PrunedDominated++
-							continue
-						}
-						prev = m
-						stats.Evaluated++
-						out = append(out, levelCand{
-							depth: l.Depth, assoc: a, line: line,
-							policy: p, cold: cold, nonCold: m,
-						})
-					}
-					continue
-				}
-				stats.PrunedThreshold += capZero - capAlpha
-				stats.Evaluated += capAlpha
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				res, err := sc.sweeper.SweepLines(strip, l.Depth, capAlpha, onepassOf(p))
-				if err != nil {
-					return nil, err
-				}
-				for a := 1; a <= capAlpha; a++ {
-					out = append(out, levelCand{
-						depth: l.Depth, assoc: a, line: line,
-						policy: p, cold: cold, nonCold: res.MissByAssoc[a],
-					})
+				stats.PrunedDominated += ls.MaxAssoc - capZero[lvl]
+				if p != core.PolicyLRU {
+					stats.PrunedThreshold += capZero[lvl] - capAlpha[lvl]
+					stats.Evaluated += capAlpha[lvl]
 				}
 			}
 		}

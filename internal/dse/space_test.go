@@ -2,6 +2,9 @@ package dse
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -10,9 +13,11 @@ import (
 
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/core"
+	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/onepass"
 	"github.com/example/cachedse/internal/powerstone"
 	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/internal/tracegen"
 )
 
 // kernelStreams runs a PowerStone kernel once per test binary and caches
@@ -394,5 +399,165 @@ func TestParetoPairsKeyOrder(t *testing.T) {
 	}
 	if got := paretoPairs(candsI, candsD); !reflect.DeepEqual(got, want) {
 		t.Fatalf("paretoPairs kept %d pairs, joined-key order %d:\n%v\nvs\n%v", len(got), len(want), got, want)
+	}
+}
+
+// TestSpaceLRUMatchesExplore makes the MRCT engine the oracle of the LRU
+// sweep the space evaluator reads instead of it: at every depth
+// core.Explore profiles, the sweep's misses by associativity, its A_zero
+// cap and its α cap equal what core.Explore's LevelResult gives, on the
+// 24 PowerStone streams and three synthetic low-reuse mixes, at three
+// line sizes and two associativity axes.
+func TestSpaceLRUMatchesExplore(t *testing.T) {
+	type stream struct {
+		name string
+		tr   *trace.Trace
+	}
+	var streams []stream
+	for _, name := range powerstone.Names() {
+		res := kernelStreams(t, name)
+		streams = append(streams, stream{name + "/instr", res.Instr}, stream{name + "/data", res.Data})
+	}
+	rng := rand.New(rand.NewSource(21))
+	streams = append(streams,
+		stream{"zipf", tracegen.Zipf(rng, 0, 4096, 40_000, 1.2)},
+		stream{"phases", tracegen.WorkingSetPhases(rng, 8, 5_000, 500)},
+		stream{"loop+uniform", tracegen.Mixed(tracegen.Loop(0x10000, 300, 50), tracegen.Uniform(rng, 0x40000, 2_000, 15_000))},
+	)
+	const maxDepth = 512
+	var sw onepass.PolicySweeper
+	var strip trace.Stripped
+	for _, s := range streams {
+		for _, line := range []int{1, 2, 4} {
+			l, err := trace.StripLines(s.tr, line, &strip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Explore(context.Background(), l, core.Options{MaxDepth: maxDepth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := depthLevels(l, maxDepth) + 1; got != len(want.Levels) {
+				t.Fatalf("%s line %d: %d depths swept, core.Explore profiles %d", s.name, line, got, len(want.Levels))
+			}
+			for _, lr := range want.Levels {
+				for _, maxAssoc := range []int{8, 64} {
+					lru, err := sw.SweepLines(l, lr.Depth, maxAssoc, onepass.ReplLRU)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for a := 1; a <= maxAssoc; a++ {
+						if lru.MissByAssoc[a] != lr.Misses(a) {
+							t.Fatalf("%s line %d D=%d A=%d: sweep %d misses, core.Explore %d",
+								s.name, line, lr.Depth, a, lru.MissByAssoc[a], lr.Misses(a))
+						}
+					}
+					for _, eps := range []float64{0.01, core.DefaultAlphaEps, 0.2} {
+						capZero, capAlpha := lruCaps(lru.MissByAssoc, eps)
+						wantZero := min(maxAssoc, lr.AZero)
+						wantAlpha := min(core.AlphaThreshold(lr, maxAssoc, eps), wantZero)
+						if capZero != wantZero || capAlpha != wantAlpha {
+							t.Fatalf("%s line %d D=%d maxA=%d eps=%g: caps (%d, %d), core.Explore gives (%d, %d)",
+								s.name, line, lr.Depth, maxAssoc, eps, capZero, capAlpha, wantZero, wantAlpha)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (n+1)-th call on, n < 0 never: a deterministic cancellation point inside
+// a run, which checks its context only through Err. calls counts them.
+type cancelAfter struct {
+	context.Context
+	n, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.n >= 0 && c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestExploreSpaceHonorsCancel checks that a cancelled context stops a
+// space exploration with context.Canceled, whether it was cancelled
+// before the call or during the L2 stage. The split topology runs the
+// same L1 stage as split+l2, so its count of context checks places the
+// cancellation past the L1 stage, halfway through the L2 sweeps.
+func TestExploreSpaceHonorsCancel(t *testing.T) {
+	res := kernelStreams(t, "crc")
+	tr := mergeStreams(res.Instr, res.Data)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ExploreSpace(ctx, tr, core.DefaultSpace(), SpaceOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+
+	count := func(sp core.Space) int {
+		c := &cancelAfter{Context: context.Background(), n: -1}
+		if _, err := ExploreSpace(c, tr, sp, SpaceOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return c.calls
+	}
+	l1Only := core.DefaultSpace()
+	l1Only.Topology = core.TopoSplit
+	l1, all := count(l1Only), count(core.DefaultSpace())
+	if all <= l1+1 {
+		t.Fatalf("the L2 stage checks the context %d times, want several", all-l1)
+	}
+	c := &cancelAfter{Context: context.Background(), n: (l1 + all) / 2}
+	if _, err := ExploreSpace(c, tr, core.DefaultSpace(), SpaceOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled in the L2 stage: err = %v, want context.Canceled", err)
+	}
+	if c.calls != c.n+1 {
+		t.Errorf("run went on for %d context checks after the cancellation", c.calls-c.n-1)
+	}
+}
+
+// TestExploreSpaceSweepSpans checks the spans a space exploration records
+// under a recorder: one "sweep" per (stream, line, policy), naming its
+// policy and line, with as many depths as the candidate grid has and the
+// LRU sweep covering every (depth, assoc) cell.
+func TestExploreSpaceSweepSpans(t *testing.T) {
+	res := kernelStreams(t, "crc")
+	sp := core.Space{L1: core.LevelSpace{
+		MaxDepth: 16, MaxAssoc: 4, LineWords: []int{1, 2},
+		Policies: []core.Policy{core.PolicyLRU, core.PolicyFIFO},
+	}}
+	rec := obs.NewRecorder(0)
+	front, err := ExploreSpace(obs.WithRecorder(context.Background(), rec), res.Data, sp, SpaceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	candidates := 0
+	for _, s := range rec.Export().Spans {
+		if s.Name != "sweep" {
+			continue
+		}
+		policy, _ := s.Attrs["policy"].(string)
+		line, _ := s.Attrs["line"].(int)
+		depths, _ := s.Attrs["depths"].(int)
+		cells, _ := s.Attrs["cells"].(int)
+		seen[fmt.Sprintf("%s/%d", policy, line)]++
+		candidates += depths * sp.L1.MaxAssoc
+		if depths < 1 || cells < depths || cells > depths*sp.L1.MaxAssoc {
+			t.Errorf("sweep span %v: cells outside [depths, depths·MaxAssoc]", s.Attrs)
+		}
+		if policy == "lru" && cells != depths*sp.L1.MaxAssoc {
+			t.Errorf("LRU sweep span %v: want every cell swept", s.Attrs)
+		}
+	}
+	want := map[string]int{"lru/1": 1, "fifo/1": 1, "lru/2": 1, "fifo/2": 1}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("sweep spans %v, want %v", seen, want)
+	}
+	if candidates != front.Stats.Candidates {
+		t.Errorf("sweep spans cover %d candidate cells, front tallies %d", candidates, front.Stats.Candidates)
 	}
 }

@@ -8,29 +8,37 @@ import (
 )
 
 // The Mattson profile in this package exploits LRU's inclusion property:
-// one stack walk yields every associativity at once. FIFO, Random and
-// PLRU have no such property (Belady's anomaly — more ways can miss
-// more), so their multi-associativity profile comes from this file's
-// sweep instead: one pass over the stream maintaining an independent
-// replica of the set state for every associativity 1..MaxAssoc. Each
-// replica performs exactly the probe/fill/victim sequence of
-// internal/cache's simulator, so the sweep's counts are bit-identical to
-// running the simulator MaxAssoc times — at one pass over the stream and
-// without the per-config allocation.
+// one stack walk yields every associativity at once. This file's sweep
+// evaluates the associativity axis 1..MaxAssoc of one (depth, line size,
+// policy) in one pass over the stream, bit-identical to running
+// internal/cache's simulator MaxAssoc times, for every policy.
 //
 // The sweep runs over dense line ids: a trace.Stripped made at the
 // sweep's line size, which numbers lines in first-touch order. One strip
 // serves every (depth, policy) sweep of its stream and line size, and a
 // reference is cold exactly when its id is the next new one, so no
-// seen-set is probed. Residency is one id-major table,
-// wayOf[(id+1)·maxAssoc + a-1] = way+1 (0: not resident in the a-way
-// replica), so a reference probes all its replicas in one cache line
-// and a hit costs O(1) per replica — nothing for FIFO and Random, a stamp
-// for LRU, one masked word update for PLRU. Ways fill in way order and are
-// never invalidated, so a set's fill counter says whether it is full and,
-// for FIFO, taken modulo a, names the victim: the ways arrive in order
-// 0..a-1 at distinct clock stamps and each refill makes its way the
-// newest, so internal/cache's minimum-arrival victim walks round-robin.
+// seen-set is probed.
+//
+// LRU is a stack algorithm, so its sweep keeps one bounded Mattson stack
+// per set: the set's most recently used lines, most recent first, at most
+// min(MaxAssoc, N′) of them. A reference found at position p (p lines of
+// its set used since it was) misses in every a-way cache with a ≤ p; a
+// warm reference that has fallen off the stack misses at every a ≤
+// MaxAssoc. By inclusion an a-way LRU set holds exactly the top a entries
+// of the stack, so the counts equal the simulator's.
+//
+// FIFO, Random and PLRU have no inclusion property (Belady's anomaly —
+// more ways can miss more), so their sweep keeps an independent replica
+// of the set state for every associativity, each performing exactly the
+// simulator's probe/fill/victim sequence. Residency is one id-major
+// table, wayOf[(id+1)·maxAssoc + a-1] = way+1 (0: not resident in the
+// a-way replica), so a reference probes all its replicas in one cache
+// line and a hit costs O(1) per replica — nothing for FIFO and Random,
+// one masked word update for PLRU. Ways fill in way order and are never
+// invalidated, so a set's fill counter says whether it is full and, for
+// FIFO, taken modulo a, names the victim: the ways arrive in order 0..a-1
+// at distinct clock stamps and each refill makes its way the newest, so
+// internal/cache's minimum-arrival victim walks round-robin.
 
 // ReplPolicy selects the replacement policy of a PolicySweep.
 type ReplPolicy uint8
@@ -97,6 +105,10 @@ func (s *AssocSweep) Misses(assoc int) int {
 // allocates for the largest rather than for each. The zero value is ready
 // to use; it is not safe for concurrent use.
 type PolicySweeper struct {
+	// stack[s·capacity : s·capacity+fill[s]] is LRU set s's Mattson
+	// stack, most recently used id first.
+	stack []int32
+	fill  []int32
 	// wayOf[(id+1)*maxAssoc + a-1] is way+1 of id in the a-way replica,
 	// 0 if not resident. Row 0 stands for "no id": evicting an empty way
 	// clears it, so the miss path needs no emptiness branch.
@@ -109,7 +121,6 @@ type PolicySweeper struct {
 	// has taken: its fill level until it reaches a; FIFO keeps it modulo
 	// a as the round-robin victim.
 	count []int32
-	stamp []int32      // LRU: last-use clock, laid out like ways
 	tree  []uint64     // PLRU: per set, every replica's tree back to back
 	rngs  []*rand.Rand // Random: one stream per replica
 }
@@ -169,13 +180,14 @@ func (s *PolicySweeper) SweepLines(l *trace.Stripped, depth, maxAssoc int, p Rep
 		Cold:        len(l.Unique),
 		MissByAssoc: make([]int, maxAssoc+1),
 	}
+	if p == ReplLRU {
+		s.sweepLRU(l, depth, maxAssoc, out.MissByAssoc)
+		return out, nil
+	}
 	s.wayOf = zeroed(s.wayOf, (len(l.Unique)+1)*maxAssoc)
 	s.ways = zeroed(s.ways, depth*maxAssoc*(maxAssoc+1)/2)
 	s.count = zeroed(s.count, depth*maxAssoc)
 	switch p {
-	case ReplLRU:
-		s.stamp = resize(s.stamp, len(s.ways))
-		s.sweepLRU(l, depth, maxAssoc, out.MissByAssoc)
 	case ReplFIFO:
 		s.sweepFIFO(l, depth, maxAssoc, out.MissByAssoc)
 	case ReplRandom:
@@ -209,9 +221,9 @@ func zeroed[T int32 | uint64](buf []T, n int) []T {
 	return buf
 }
 
-// The four kernels share one shape: per reference, classify it cold or
-// warm, find its set and its wayOf row, then walk the replicas a =
-// 1..maxAssoc. A hit does the policy's touch; a miss picks a way (the
+// The three replica kernels share one shape: per reference, classify it
+// cold or warm, find its set and its wayOf row, then walk the replicas
+// a = 1..maxAssoc. A hit does the policy's touch; a miss picks a way (the
 // next empty one while the set fills, else the policy's victim), clears
 // the evicted id's wayOf entry and installs the reference. Each policy
 // has its own loop so no replica pays a policy switch.
@@ -251,56 +263,49 @@ func (s *PolicySweeper) sweepFIFO(l *trace.Stripped, depth, maxAssoc int, miss [
 	}
 }
 
+// sweepLRU walks one bounded Mattson stack per set. miss[p] first counts
+// the warm references found at stack position p; one not found sits past
+// a full stack, so p = capacity = maxAssoc (a set never holds more than
+// N′ lines). The suffix sums then turn that histogram into misses by
+// associativity.
 func (s *PolicySweeper) sweepLRU(l *trace.Stripped, depth, maxAssoc int, miss []int) {
+	capacity := min(maxAssoc, len(l.Unique))
+	s.stack = resize(s.stack, depth*capacity)
+	s.fill = zeroed(s.fill, depth)
 	mask := uint32(depth - 1)
-	setWays := maxAssoc * (maxAssoc + 1) / 2
-	wayOf, ways, count, stamp := s.wayOf, s.ways, s.count, s.stamp
-	next, clock := int32(0), int32(0)
+	stack, fill := s.stack, s.fill
+	next := int32(0)
 	for _, id := range l.IDs {
-		clock++
-		warm := 1
+		set := int(l.Unique[id] & mask)
+		st := stack[set*capacity : set*capacity+capacity]
+		n := int(fill[set])
+		p := n
 		if id == next {
 			next++
-			warm = 0
-		}
-		set := int(l.Unique[id] & mask)
-		row := int(id+1) * maxAssoc
-		probe := wayOf[row : row+maxAssoc]
-		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]
-		base := set * setWays
-		for j, resident := range probe {
-			if resident != 0 {
-				stamp[base+int(resident)-1] = clock
-			} else {
-				var w int
-				if f := cnt[j]; int(f) <= j {
-					w = int(f)
-					cnt[j] = f + 1
-				} else {
-					w = oldest(stamp[base : base+j+1])
+		} else {
+			for i, resident := range st[:n] {
+				if resident == id {
+					p = i
+					break
 				}
-				k := base + w
-				wayOf[int(ways[k])*maxAssoc+j] = 0
-				ways[k] = id + 1
-				stamp[k] = clock
-				probe[j] = int32(w + 1)
-				miss[j+1] += warm
 			}
-			base += j + 1
+			miss[p]++
 		}
-	}
-}
-
-// oldest returns the way with the smallest stamp, the first on a tie, as
-// internal/cache's LRU victim scan does.
-func oldest(stamps []int32) int {
-	v, best := 0, stamps[0]
-	for w := 1; w < len(stamps); w++ {
-		if stamps[w] < best {
-			v, best = w, stamps[w]
+		if p == n {
+			// Not on the stack: push, dropping the bottom of a full stack.
+			if n < capacity {
+				fill[set]++
+			} else {
+				p--
+			}
 		}
+		copy(st[1:p+1], st[:p])
+		st[0] = id
 	}
-	return v
+	miss[0] = 0
+	for a := maxAssoc - 1; a >= 1; a-- {
+		miss[a] += miss[a+1]
+	}
 }
 
 func (s *PolicySweeper) sweepRandom(l *trace.Stripped, depth, maxAssoc int, miss []int) {

@@ -244,7 +244,8 @@ func TestPolicySweepEmptyTrace(t *testing.T) {
 // BenchmarkPolicySweep times one policy's sweeps of every depth 1..64 at
 // up to 8 ways over the crc instruction stream: the replica oracle, which
 // re-hashes the stream and scans tags per sweep, against the dense-id
-// kernel, which strips the stream once and probes each replica in O(1).
+// kernels, which strip the stream once and probe each replica in O(1),
+// or for LRU one bounded stack per set.
 func BenchmarkPolicySweep(b *testing.B) {
 	res, err := powerstone.Get("crc").Run()
 	if err != nil {
@@ -252,7 +253,7 @@ func BenchmarkPolicySweep(b *testing.B) {
 	}
 	tr := res.Instr
 	const maxAssoc = 8
-	for _, p := range []ReplPolicy{ReplFIFO, ReplPLRU} {
+	for _, p := range []ReplPolicy{ReplLRU, ReplFIFO, ReplPLRU} {
 		b.Run(p.String()+"/oracle", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for depth := 1; depth <= 64; depth *= 2 {

@@ -230,9 +230,9 @@ func childNames(n *obs.Node) map[string]int {
 
 // TestServerSpansNestUnderTheirStage checks that work done inside a job
 // stage is recorded under that stage's span, not beside it: a lookup's
-// result-store read under "lookup", and a space exploration's engine
-// phases under "space". Siblings would make the job's phases overlap and
-// their sum overstate its wall time.
+// result-store read under "lookup", and a space exploration's strip and
+// policy sweeps under "space". Siblings would make the job's phases
+// overlap and their sum overstate its wall time.
 func TestServerSpansNestUnderTheirStage(t *testing.T) {
 	_, ts, stop := startPersistent(t, t.TempDir(), Config{Logger: obs.NewLogger(io.Discard, "text", slog.LevelInfo)})
 	defer stop()
@@ -262,7 +262,7 @@ func TestServerSpansNestUnderTheirStage(t *testing.T) {
 	if top["space"] != 1 {
 		t.Fatalf("job children %v, want one space span", top)
 	}
-	for _, name := range []string{"strip", "mrct", "postlude"} {
+	for _, name := range []string{"strip", "sweep", "mrct", "postlude"} {
 		if top[name] != 0 {
 			t.Errorf("%s recorded beside space: job children %v", name, top)
 		}
@@ -271,10 +271,16 @@ func TestServerSpansNestUnderTheirStage(t *testing.T) {
 		if c.Name != "space" {
 			continue
 		}
+		// Every policy of a space goes through the sweeper, LRU included:
+		// one strip per (stream, line), one sweep per (stream, line,
+		// policy), and no MRCT build or postlude.
 		under := childNames(c)
-		for _, name := range []string{"strip", "mrct", "postlude"} {
-			if under[name] == 0 {
-				t.Errorf("space children %v, want %s among them", under, name)
+		if under["strip"] != 1 || under["sweep"] != 2 {
+			t.Errorf("space children %v, want one strip and two sweeps (lru, fifo)", under)
+		}
+		for _, name := range []string{"mrct", "postlude"} {
+			if under[name] != 0 {
+				t.Errorf("space children %v, want no %s", under, name)
 			}
 		}
 	}
