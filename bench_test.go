@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"github.com/example/cachedse/internal/bitset"
-	"github.com/example/cachedse/internal/bus"
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/cacti"
 	"github.com/example/cachedse/internal/core"
@@ -366,22 +365,6 @@ func BenchmarkAblationReplacementPolicies(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBusEncodings measures address-bus activity counting
-// under the low-power encodings on an instruction stream.
-func BenchmarkAblationBusEncodings(b *testing.B) {
-	s := suite(b)
-	tr := s.Get("des").Instr
-	for _, enc := range []bus.Encoder{bus.Binary{}, bus.Gray{}, &bus.T0{}, &bus.BusInvert{}} {
-		b.Run(enc.Name(), func(b *testing.B) {
-			var transitions int
-			for i := 0; i < b.N; i++ {
-				transitions = bus.Transitions(tr, enc)
-			}
-			b.ReportMetric(float64(transitions)/float64(tr.Len()), "toggles/access")
-		})
-	}
-}
-
 // BenchmarkEnergyAwareSelection measures the energy-aware design-point
 // selection over line size x depth x associativity: one unified LRU
 // design-space exploration and a scan of its front.
@@ -395,23 +378,6 @@ func BenchmarkEnergyAwareSelection(b *testing.B) {
 		if _, err := dse.EnergyAware(tr, k, []int{1, 2, 4}, 4096, cacti.DefaultParams(), 2000); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkHierarchy measures the two-level hierarchy simulator.
-func BenchmarkHierarchy(b *testing.B) {
-	s := suite(b)
-	tr := s.Get("compress").Data
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := cache.NewHierarchy(
-			cache.Config{Depth: 16, Assoc: 1},
-			cache.Config{Depth: 256, Assoc: 4},
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h.Run(tr)
 	}
 }
 

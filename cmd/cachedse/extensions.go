@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/example/cachedse/internal/bus"
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/cacti"
 	"github.com/example/cachedse/internal/core"
@@ -15,9 +14,9 @@ import (
 	"github.com/example/cachedse/internal/trace"
 )
 
-// Extension subcommands covering the paper's future-work axes: energy,
-// bus activity, two-level hierarchies and exact trace reduction. Line
-// sizes and replacement policies are axes of explore's design-space mode.
+// Extension subcommands: minimum-energy selection, exact trace reduction
+// and a trace's locality profile. Line sizes, replacement policies and
+// two-level hierarchies are axes of explore's design-space mode.
 
 func cmdEnergy(args []string) error {
 	fs := newFlagSet("energy", "energy [-k N] [-cap W] [-lines L1,L2,...] [-penalty PJ] TRACE")
@@ -56,62 +55,6 @@ func cmdEnergy(args []string) error {
 	fmt.Printf("  energy:       %.1f nJ over the trace\n", p.EnergyPJ/1000)
 	fmt.Printf("  area:         %.0f um^2, access %.2f ns, read %.2f pJ\n",
 		p.AreaUM2, est.AccessNS, est.ReadPJ)
-	return nil
-}
-
-func cmdBus(args []string) error {
-	fs := newFlagSet("bus", "bus TRACE")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("bus needs exactly one trace file")
-	}
-	tr, err := loadTrace(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("address-bus activity over %d references:\n", tr.Len())
-	for _, r := range bus.Compare(tr) {
-		fmt.Println(" ", r)
-	}
-	return nil
-}
-
-func cmdHierarchy(args []string) error {
-	fs := newFlagSet("hierarchy", "hierarchy [-l1depth D] [-l1assoc A] [-l2depth D] [-l2assoc A] [-lat l1,l2,mem] TRACE")
-	l1d := fs.Int("l1depth", 16, "L1 depth")
-	l1a := fs.Int("l1assoc", 1, "L1 associativity")
-	l2d := fs.Int("l2depth", 256, "L2 depth")
-	l2a := fs.Int("l2assoc", 4, "L2 associativity")
-	lat := fs.String("lat", "1,10,100", "latencies l1,l2,mem")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("hierarchy needs exactly one trace file")
-	}
-	tr, err := loadTrace(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	lats, err := parseInts(*lat)
-	if err != nil || len(lats) != 3 {
-		return fmt.Errorf("bad -lat %q, want three comma-separated numbers", *lat)
-	}
-	h, err := cache.NewHierarchy(
-		cache.Config{Depth: *l1d, Assoc: *l1a},
-		cache.Config{Depth: *l2d, Assoc: *l2a},
-	)
-	if err != nil {
-		return err
-	}
-	counts := h.Run(tr)
-	fmt.Printf("L1 hits:      %d\n", counts[1])
-	fmt.Printf("L2 hits:      %d\n", counts[2])
-	fmt.Printf("memory reads: %d\n", counts[0])
-	fmt.Printf("mem writes:   %d (dirty L2 evictions)\n", h.MemWrites)
-	fmt.Printf("AMAT:         %.3f\n", h.AMAT(float64(lats[0]), float64(lats[1]), float64(lats[2])))
 	return nil
 }
 

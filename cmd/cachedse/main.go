@@ -35,9 +35,11 @@
 //	                                   render a job's (cluster-wide) span tree
 //	cachedse energy   [-k N] [-cap W] [-lines L,...] [-penalty PJ] TRACE
 //	                                   minimum-energy configuration meeting K
+//	cachedse dedup    [-o OUT] TRACE   drop immediate repeats (exact reduction)
+//	cachedse profile  [-windows W,...] [-hist N] TRACE
+//	                                   working sets and reuse distances
 //
-// Further extension verbs (bus, hierarchy, dedup, profile) are listed by
-// cachedse help.
+// cachedse help lists the same verbs from the table main dispatches on.
 package main
 
 import (
@@ -51,6 +53,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -63,48 +66,40 @@ import (
 	"github.com/example/cachedse/internal/trace"
 )
 
+// verbs is the CLI's one verb table: main dispatches on it and usage
+// lists it.
+var verbs = map[string]func([]string) error{
+	"stats":    cmdStats,
+	"strip":    cmdStrip,
+	"explore":  cmdExplore,
+	"simulate": cmdSimulate,
+	"verify":   cmdVerify,
+	"serve":    cmdServe,
+	"trace":    cmdTrace,
+	"pack":     cmdPack,
+	"unpack":   cmdUnpack,
+	"energy":   cmdEnergy,
+	"dedup":    cmdDedup,
+	"profile":  cmdProfile,
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	var err error
 	switch os.Args[1] {
-	case "stats":
-		err = cmdStats(os.Args[2:])
-	case "strip":
-		err = cmdStrip(os.Args[2:])
-	case "explore":
-		err = cmdExplore(os.Args[2:])
-	case "simulate":
-		err = cmdSimulate(os.Args[2:])
-	case "verify":
-		err = cmdVerify(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "energy":
-		err = cmdEnergy(os.Args[2:])
-	case "bus":
-		err = cmdBus(os.Args[2:])
-	case "hierarchy":
-		err = cmdHierarchy(os.Args[2:])
-	case "pack":
-		err = cmdPack(os.Args[2:])
-	case "unpack":
-		err = cmdUnpack(os.Args[2:])
-	case "dedup":
-		err = cmdDedup(os.Args[2:])
-	case "profile":
-		err = cmdProfile(os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
-	default:
+		return
+	}
+	cmd, ok := verbs[os.Args[1]]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "cachedse: unknown subcommand %q\n", os.Args[1])
 		usage()
 		os.Exit(2)
 	}
+	err := cmd(os.Args[2:])
 	switch {
 	case err == nil:
 	case errors.Is(err, flag.ErrHelp):
@@ -120,12 +115,17 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: cachedse <subcommand> [flags] TRACE
+	names := make([]string, 0, len(verbs))
+	for name := range verbs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	fmt.Fprintf(os.Stderr, `usage: cachedse <subcommand> [flags] TRACE
 
-core:        stats  strip  explore  simulate  verify
-formats:     pack  unpack
-service:     serve  trace
-extensions:  energy  bus  hierarchy  dedup  profile`)
+subcommands: %s
+
+Run cachedse <subcommand> -h for its flags.
+`, strings.Join(names, "  "))
 }
 
 // errUsage signals a flag-parse failure that the subcommand's FlagSet has

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -119,8 +120,6 @@ func TestSubcommandsEndToEnd(t *testing.T) {
 		}},
 		{"verify", func() error { return cmdVerify([]string{"-k", "1000", path, "8:2", "16:1"}) }},
 		{"energy", func() error { return cmdEnergy([]string{"-k", "10", path}) }},
-		{"bus", func() error { return cmdBus([]string{path}) }},
-		{"hierarchy", func() error { return cmdHierarchy([]string{path}) }},
 		{"dedup", func() error { return cmdDedup([]string{"-o", filepath.Join(dir, "out.din"), path}) }},
 		{"profile", func() error { return cmdProfile([]string{"-windows", "8,32", path}) }},
 		{"pack", func() error { return cmdPack([]string{"-o", filepath.Join(dir, "w.ctz"), path}) }},
@@ -196,7 +195,6 @@ func TestSubcommandsEndToEnd(t *testing.T) {
 		{"simulate bad repl", func() error { return cmdSimulate([]string{"-repl", "zzz", path}) }},
 		{"verify bad instance", func() error { return cmdVerify([]string{"-k", "0", path, "whoops"}) }},
 		{"verify violated", func() error { return cmdVerify([]string{"-k", "0", path, "1:1"}) }},
-		{"hierarchy bad lat", func() error { return cmdHierarchy([]string{"-lat", "1,2", path}) }},
 	}
 	for _, c := range bad {
 		if err := c.run(); err == nil {
@@ -287,14 +285,7 @@ func TestParseFlagsErrorMapping(t *testing.T) {
 // Every subcommand must report unknown flags through its own usage text
 // (not the global one) and surface errUsage for the exit-2 path.
 func TestSubcommandsUnknownFlag(t *testing.T) {
-	cmds := map[string]func([]string) error{
-		"stats": cmdStats, "strip": cmdStrip, "explore": cmdExplore,
-		"simulate": cmdSimulate, "verify": cmdVerify, "serve": cmdServe,
-		"energy": cmdEnergy,
-		"bus":    cmdBus, "hierarchy": cmdHierarchy, "dedup": cmdDedup,
-		"profile": cmdProfile, "pack": cmdPack, "unpack": cmdUnpack,
-	}
-	for name, cmd := range cmds {
+	for name, cmd := range verbs {
 		var err error
 		out := captureStderr(t, func() { err = cmd([]string{"-definitely-not-a-flag"}) })
 		if !errors.Is(err, errUsage) {
@@ -306,11 +297,12 @@ func TestSubcommandsUnknownFlag(t *testing.T) {
 	}
 }
 
+// usage names every verb main dispatches on.
 func TestUsageListsServe(t *testing.T) {
-	out := captureStderr(t, usage)
-	for _, want := range []string{"serve", "explore", "simulate"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("usage() missing %q:\n%s", want, out)
+	out := strings.Fields(captureStderr(t, usage))
+	for name := range verbs {
+		if !slices.Contains(out, name) {
+			t.Errorf("usage() missing %q:\n%s", name, strings.Join(out, " "))
 		}
 	}
 }

@@ -139,34 +139,14 @@ func extensionExperiments(em *emitter) error {
 	if err := em.table(en); err != nil {
 		return err
 	}
-	if err := em.table(suite.BusTable(experiments.Instruction)); err != nil {
-		return err
-	}
 	if err := em.table(suite.DedupTable(experiments.Data)); err != nil {
-		return err
-	}
-	lc, err := suite.LoopCacheTable([]int{8, 16, 32, 64})
-	if err != nil {
-		return err
-	}
-	if err := em.table(lc); err != nil {
 		return err
 	}
 	ct, err := suite.CompilerTable()
 	if err != nil {
 		return err
 	}
-	if err := em.table(ct); err != nil {
-		return err
-	}
-	perf, err := suite.PerformanceTable(20)
-	if err != nil {
-		return err
-	}
-	if err := em.table(perf); err != nil {
-		return err
-	}
-	return nil
+	return em.table(ct)
 }
 
 // parseSelection parses "5,7-18,31" into a set of table numbers.

@@ -1,15 +1,14 @@
-// Energy: the paper's future-work axes in one flow. Trace the adpcm
+// Energy: the paper's energy future-work axis in one flow. Trace the adpcm
 // kernel's data stream, explore line size x depth x associativity
 // analytically, and pick the minimum-energy configuration meeting a miss
-// budget using the CACTI-flavoured cost model — then show what the miss
-// stream costs on the address bus under low-power encodings.
+// budget using the CACTI-flavoured cost model, once per off-chip miss
+// penalty.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"github.com/example/cachedse/internal/bus"
 	"github.com/example/cachedse/internal/cacti"
 	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/dse"
@@ -38,10 +37,5 @@ func main() {
 		l := p.Levels[0]
 		fmt.Printf("%12.0f  %5d  %-14v %8d %12.1f\n",
 			penalty, l.LineWords, core.Instance{Depth: l.Depth, Assoc: l.Assoc}, p.Misses, p.EnergyPJ/1000)
-	}
-
-	fmt.Println("\naddress-bus activity of the full data stream:")
-	for _, r := range bus.Compare(tr) {
-		fmt.Println(" ", r)
 	}
 }

@@ -31,26 +31,3 @@ func ExampleNewHierarchy() {
 	// Output:
 	// memory=2 L1=0 L2=2
 }
-
-// ExampleNewVictimCache shows a 1-entry victim buffer turning a
-// direct-mapped ping-pong into hits.
-func ExampleNewVictimCache() {
-	v, _ := cache.NewVictimCache(cache.Config{Depth: 8, Assoc: 1}, 1)
-	res := v.Run(trace.FromAddrs(trace.DataRead, []uint32{0, 8, 0, 8, 0, 8}))
-	fmt.Printf("victim hits: %d, misses: %d\n", res.VictimHits, res.Misses)
-	// Output:
-	// victim hits: 4, misses: 2
-}
-
-// ExampleNewLoopCache shows a tight loop being served after capture.
-func ExampleNewLoopCache() {
-	lc, _ := cache.NewLoopCache(16)
-	for iter := 0; iter < 5; iter++ {
-		for pc := uint32(100); pc < 104; pc++ {
-			lc.Fetch(pc)
-		}
-	}
-	fmt.Printf("served %d of %d fetches\n", lc.Served, lc.Served+lc.Forwarded)
-	// Output:
-	// served 12 of 20 fetches
-}

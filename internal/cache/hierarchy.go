@@ -8,9 +8,9 @@ import (
 
 // Hierarchy is a two-level cache: L1 misses are serviced by L2; L1 dirty
 // evictions are written through to L2; L2 misses and dirty evictions reach
-// main memory. It is the substrate for two-level exploration — the "cache
-// hierarchy and organization" tuning the paper's introduction motivates —
-// and for average-memory-access-time studies.
+// main memory. It is the reference model for two-level exploration: dse's
+// tests hold dse.FilterThroughL1 to the L2 traffic a Hierarchy produces,
+// and the split filter behind `explore -levels 2` to FilterThroughL1.
 type Hierarchy struct {
 	L1, L2 *Cache
 	// MemReads and MemWrites count main-memory transactions: L2 misses
@@ -80,19 +80,4 @@ func (h *Hierarchy) Run(t *trace.Trace) [3]int {
 		counts[h.Access(r)]++
 	}
 	return counts
-}
-
-// AMAT returns the average memory access time of the traffic simulated so
-// far, for the given per-level latencies (cycles or ns — any unit).
-// Writeback traffic is excluded: it is off the load-use critical path.
-func (h *Hierarchy) AMAT(l1, l2, mem float64) float64 {
-	r1 := h.L1.Results()
-	if r1.Accesses == 0 {
-		return 0
-	}
-	r2 := h.L2.Results()
-	l1Misses := float64(r1.TotalMisses())
-	l2Misses := float64(r2.TotalMisses())
-	total := float64(r1.Accesses)*l1 + l1Misses*l2 + l2Misses*mem
-	return total / float64(r1.Accesses)
 }

@@ -115,24 +115,6 @@ func TestHierarchyMemWritesOnDirtyL2Eviction(t *testing.T) {
 	}
 }
 
-func TestAMAT(t *testing.T) {
-	h, err := NewHierarchy(Config{Depth: 1, Assoc: 1}, Config{Depth: 4, Assoc: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.AMAT(1, 10, 100) != 0 {
-		t.Fatal("AMAT of idle hierarchy should be 0")
-	}
-	// 0 (mem), 0 (L1 hit): L1 accesses 2, L1 misses 1, L2 misses 1.
-	h.Access(trace.Ref{Addr: 0, Kind: trace.DataRead})
-	h.Access(trace.Ref{Addr: 0, Kind: trace.DataRead})
-	got := h.AMAT(1, 10, 100)
-	want := (2*1.0 + 1*10.0 + 1*100.0) / 2
-	if got != want {
-		t.Fatalf("AMAT = %v, want %v", got, want)
-	}
-}
-
 // Property: a hierarchy never hits less than its L1 alone, and the level
 // counters balance.
 func TestQuickHierarchyAccounting(t *testing.T) {

@@ -237,6 +237,8 @@ func TestCrossCheckEnginesBitIdentical(t *testing.T) {
 			"loop":    tracegen.Loop(uint32(rng.Intn(512)), 32+rng.Intn(64), 20+rng.Intn(40)),
 			"zipf":    tracegen.Zipf(rng, 0, 128+rng.Intn(256), 3000+rng.Intn(3000), 1.1+rng.Float64()),
 			"uniform": tracegen.Uniform(rng, 0, 64+rng.Intn(192), 2000+rng.Intn(2000)),
+			"hotcold": tracegen.HotCold(100 + rng.Intn(200)),
+			"pointer": tracegen.PointerChase(rng, 64+rng.Intn(192), 2000+rng.Intn(2000)),
 		}
 		for name, tr := range workloads {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {

@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +117,59 @@ func TestExploreL2MatchesHierarchy(t *testing.T) {
 				t.Errorf("L2 D=%d A=%d: analytical %d != hierarchy %d", depth, assoc, got, want)
 			}
 		}
+	}
+}
+
+// TestSplitFilterMatchesPerCacheFilters ties the split first level behind
+// explore -levels 2 to FilterThroughL1, which the two tests above hold to
+// cache.Hierarchy. Each L1 sees only its own kind, in order, and L1I
+// lines are never dirty, so the instruction-kind subsequence of the split
+// filter's output is FilterThroughL1 over the instruction stream and the
+// data-kind subsequence is FilterThroughL1 over the data stream.
+func TestSplitFilterMatchesPerCacheFilters(t *testing.T) {
+	writebacks := 0
+	for _, name := range []string{"crc", "des", "engine", "ucbqsort"} {
+		res := kernelStreams(t, name)
+		tr := mergeStreams(res.Instr, res.Data)
+		instr, data := tr.Split()
+		for _, pol := range []core.Policy{core.PolicyLRU, core.PolicyFIFO, core.PolicyRandom, core.PolicyPLRU} {
+			for _, geom := range []struct{ l1i, l1d cache.Config }{
+				{cache.Config{Depth: 8, Assoc: 1}, cache.Config{Depth: 8, Assoc: 1}},
+				{cache.Config{Depth: 16, Assoc: 2, LineWords: 4}, cache.Config{Depth: 4, Assoc: 4, LineWords: 2}},
+			} {
+				l1i, l1d := geom.l1i, geom.l1d
+				l1i.Repl, l1d.Repl = ReplOf(pol), ReplOf(pol)
+				split, err := FilterThroughSplitL1(tr, l1i, l1d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantI, err := FilterThroughL1(instr, l1i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantD, err := FilterThroughL1(data, l1d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotI, gotD := split.Split()
+				if !slices.Equal(gotI.Refs, wantI.Refs) {
+					t.Errorf("%s %v L1I %v: split filter's instruction refs (%d) != FilterThroughL1 (%d)",
+						name, pol, l1i, gotI.Len(), wantI.Len())
+				}
+				if !slices.Equal(gotD.Refs, wantD.Refs) {
+					t.Errorf("%s %v L1D %v: split filter's data refs (%d) != FilterThroughL1 (%d)",
+						name, pol, l1d, gotD.Len(), wantD.Len())
+				}
+				for _, r := range gotD.Refs {
+					if r.Kind == trace.DataWrite {
+						writebacks++
+					}
+				}
+			}
+		}
+	}
+	if writebacks == 0 {
+		t.Fatal("no L1D writeback reached L2; the data-side ordering went untested")
 	}
 }
 

@@ -100,24 +100,12 @@ func TestCrossCheckPoliciesPowerStone(t *testing.T) {
 	}
 }
 
-// hotCold is the trace 0,1,0,2,…,0,200: one hot word between 200 cold
-// ones. LRU keeps the hot word in any two-way set, so its A_zero at depth
-// 1 is 2; FIFO evicts it in turn and keeps losing fewer misses well past
-// that.
-func hotCold() *trace.Trace {
-	addrs := make([]uint32, 0, 400)
-	for i := uint32(1); i <= 200; i++ {
-		addrs = append(addrs, 0, i)
-	}
-	return trace.FromAddrs(trace.DataRead, addrs)
-}
-
 // TestExploreSpaceFIFOOnlyComplete: the A_zero and α cuts stand on an LRU
 // candidate that dominates or approximates the skipped cells. A space
 // without LRU has none, so its pruned front must equal the exhaustive
 // one point for point, and every point's misses must match simulation.
 func TestExploreSpaceFIFOOnlyComplete(t *testing.T) {
-	tr := hotCold()
+	tr := tracegen.HotCold(200)
 	space := core.Space{L1: core.LevelSpace{MaxDepth: 1, MaxAssoc: 8, Policies: []core.Policy{core.PolicyFIFO}}}
 	ctx := context.Background()
 	pruned, err := ExploreSpace(ctx, tr, space, SpaceOptions{})
@@ -406,8 +394,9 @@ func TestParetoPairsKeyOrder(t *testing.T) {
 // sweep the space evaluator reads instead of it: at every depth
 // core.Explore profiles, the sweep's misses by associativity, its A_zero
 // cap and its α cap equal what core.Explore's LevelResult gives, on the
-// 24 PowerStone streams and three synthetic low-reuse mixes, at three
-// line sizes and two associativity axes.
+// 24 PowerStone streams, three synthetic low-reuse mixes, the hot/cold
+// trace and a pointer chase, at three line sizes and two associativity
+// axes.
 func TestSpaceLRUMatchesExplore(t *testing.T) {
 	type stream struct {
 		name string
@@ -423,6 +412,8 @@ func TestSpaceLRUMatchesExplore(t *testing.T) {
 		stream{"zipf", tracegen.Zipf(rng, 0, 4096, 40_000, 1.2)},
 		stream{"phases", tracegen.WorkingSetPhases(rng, 8, 5_000, 500)},
 		stream{"loop+uniform", tracegen.Mixed(tracegen.Loop(0x10000, 300, 50), tracegen.Uniform(rng, 0x40000, 2_000, 15_000))},
+		stream{"hotcold", tracegen.HotCold(200)},
+		stream{"pointer", tracegen.PointerChase(rng, 3_000, 30_000)},
 	)
 	const maxDepth = 512
 	var sw onepass.PolicySweeper

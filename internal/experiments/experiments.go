@@ -49,9 +49,6 @@ type TraceSet struct {
 	Name  string
 	Instr *trace.Trace
 	Data  *trace.Trace
-	// Cycles is the base execution cycle count (vm.R3000Latencies), used
-	// by the performance extension table.
-	Cycles uint64
 }
 
 // Stream returns the requested stream.
@@ -102,7 +99,7 @@ func Load() (*Suite, error) {
 				loadErr = err
 				return
 			}
-			s.Sets = append(s.Sets, TraceSet{Name: name, Instr: res.Instr, Data: res.Data, Cycles: res.Cycles})
+			s.Sets = append(s.Sets, TraceSet{Name: name, Instr: res.Instr, Data: res.Data})
 		}
 		loaded = s
 	})
@@ -128,7 +125,7 @@ func LoadCompiled() (*Suite, error) {
 				loadCompiledErr = err
 				return
 			}
-			s.Sets = append(s.Sets, TraceSet{Name: name, Instr: res.Instr, Data: res.Data, Cycles: res.Cycles})
+			s.Sets = append(s.Sets, TraceSet{Name: name, Instr: res.Instr, Data: res.Data})
 		}
 		loadedCompiled = s
 	})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/example/cachedse/internal/bus"
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/cacti"
 	"github.com/example/cachedse/internal/core"
@@ -16,8 +15,9 @@ import (
 
 // Extension experiments: paper-style tables for the future-work axes (§4)
 // built on the same traced suite — replacement policies, energy-optimal
-// design points, and address-bus activity. These have no counterpart
-// table numbers in the paper; cmd/repro prints them under -extensions.
+// design points, trace reduction and compiled code shape. These have no
+// counterpart table numbers in the paper; cmd/repro prints them under
+// -extensions.
 
 // PolicyTable compares replacement policies at a fixed geometry across the
 // suite's chosen stream.
@@ -64,52 +64,6 @@ func (s *Suite) EnergyTable(stream Stream, capWords int, missPenaltyPJ float64) 
 	return t, nil
 }
 
-// BusTable reports address-bus transitions per access for each encoding.
-func (s *Suite) BusTable(stream Stream) *report.Table {
-	t := &report.Table{
-		Title:   fmt.Sprintf("Extension: address-bus toggles per access, %s traces", stream),
-		Headers: []string{"Benchmark", "binary", "gray", "t0", "bus-invert"},
-	}
-	for _, ts := range s.Sets {
-		tr := ts.Stream(stream)
-		row := []interface{}{ts.Name}
-		for _, r := range bus.Compare(tr) {
-			row = append(row, fmt.Sprintf("%.2f", r.PerAccess))
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-// LoopCacheTable reports the fraction of instruction fetches a tagless
-// loop cache of each size serves per benchmark — the Lee/Moyer/Arends
-// structure from the paper's related-work neighbourhood, driven by our
-// synthesised instruction traces.
-func (s *Suite) LoopCacheTable(sizes []int) (*report.Table, error) {
-	t := &report.Table{
-		Title:   "Extension: loop cache serve ratio, instruction traces",
-		Headers: []string{"Benchmark"},
-	}
-	for _, sz := range sizes {
-		t.Headers = append(t.Headers, fmt.Sprintf("%d-entry", sz))
-	}
-	for _, ts := range s.Sets {
-		row := []interface{}{ts.Name}
-		for _, sz := range sizes {
-			lc, err := cache.NewLoopCache(sz)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range ts.Instr.Refs {
-				lc.Fetch(r.Addr)
-			}
-			row = append(row, fmt.Sprintf("%.2f", lc.ServeRatio()))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
 // CompilerTable contrasts hand-assembly and minic-compiled variants of the
 // kernels that exist in both forms: same algorithm and inputs
 // (bit-identical checksums, enforced by minicbench's tests), different code
@@ -150,42 +104,6 @@ func (s *Suite) CompilerTable() (*report.Table, error) {
 			t.AddRow(k.Name, v.variant, st.N, st.NUnique, st.MaxMisses,
 				fmt.Sprintf("%v = %d words", best, best.SizeWords()))
 		}
-	}
-	return t, nil
-}
-
-// PerformanceTable estimates end-to-end execution time per benchmark: base
-// CPU cycles (vm.R3000Latencies) plus memory stall cycles from the
-// analytically-computed miss counts of the cheapest instruction and data
-// caches meeting a 10% miss budget. missPenalty is the stall per miss in
-// cycles. This closes the loop the paper's introduction opens — cache
-// tuning as a processor-performance problem.
-func (s *Suite) PerformanceTable(missPenalty uint64) (*report.Table, error) {
-	t := &report.Table{
-		Title: fmt.Sprintf("Extension: estimated execution time (K=10%%, %d-cycle miss penalty)", missPenalty),
-		Headers: []string{"Benchmark", "Base cycles", "I-cache", "I-stall",
-			"D-cache", "D-stall", "Total cycles", "CPI"},
-	}
-	for _, ts := range s.Sets {
-		var stalls [2]uint64
-		var chosen [2]string
-		for i, stream := range []Stream{Instruction, Data} {
-			tr := ts.Stream(stream)
-			st := trace.ComputeStats(tr)
-			r, err := core.Explore(context.Background(), tr, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			frontier := r.ParetoSet(st.MaxMisses / 10)
-			ins := frontier[0] // cheapest instance meeting the budget
-			misses := uint64(r.NUnique + r.Level(ins.Depth).Misses(ins.Assoc))
-			stalls[i] = misses * missPenalty
-			chosen[i] = ins.String()
-		}
-		total := ts.Cycles + stalls[0] + stalls[1]
-		cpi := float64(total) / float64(ts.Instr.Len())
-		t.AddRow(ts.Name, ts.Cycles, chosen[0], stalls[0], chosen[1], stalls[1],
-			total, fmt.Sprintf("%.2f", cpi))
 	}
 	return t, nil
 }

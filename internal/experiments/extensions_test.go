@@ -72,51 +72,6 @@ func TestEnergyTableBudgetsHold(t *testing.T) {
 	}
 }
 
-func TestBusTableOrdering(t *testing.T) {
-	s := loadSuite(t)
-	tab := s.BusTable(Instruction)
-	if len(tab.Rows) != 12 {
-		t.Fatalf("%d rows", len(tab.Rows))
-	}
-	// Instruction streams are run-dominated: gray must beat binary and t0
-	// must beat gray on every benchmark.
-	for _, row := range tab.Rows {
-		bin, _ := strconv.ParseFloat(row[1], 64)
-		gray, _ := strconv.ParseFloat(row[2], 64)
-		t0, _ := strconv.ParseFloat(row[3], 64)
-		if !(t0 < gray && gray < bin) {
-			t.Errorf("%s: expected t0 < gray < binary, got %v %v %v", row[0], t0, gray, bin)
-		}
-	}
-}
-
-func TestLoopCacheTable(t *testing.T) {
-	s := loadSuite(t)
-	tab, err := s.LoopCacheTable([]int{8, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 12 || len(tab.Headers) != 3 {
-		t.Fatalf("table shape %dx%d", len(tab.Rows), len(tab.Headers))
-	}
-	anyServed := false
-	for _, row := range tab.Rows {
-		small, _ := strconv.ParseFloat(row[1], 64)
-		big, _ := strconv.ParseFloat(row[2], 64)
-		if small < 0 || small > 1 || big < 0 || big > 1 {
-			t.Errorf("%s: ratios out of range: %v %v", row[0], small, big)
-		}
-		if big > 0.1 {
-			anyServed = true
-		}
-	}
-	// Loop-dominated embedded kernels: at least some benchmarks must be
-	// served substantially by a 64-entry loop cache.
-	if !anyServed {
-		t.Fatal("no benchmark is served by a 64-entry loop cache; traces are not loop-shaped")
-	}
-}
-
 func TestLoadCompiledSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiled suite in short mode")
@@ -178,35 +133,6 @@ func TestCompilerTable(t *testing.T) {
 		compN, _ := strconv.Atoi(tab.Rows[i+1][2])
 		if compN <= handN {
 			t.Errorf("%s: compiled N %d <= hand N %d", tab.Rows[i][0], compN, handN)
-		}
-	}
-}
-
-func TestPerformanceTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("performance sweep in short mode")
-	}
-	s := loadSuite(t)
-	tab, err := s.PerformanceTable(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 12 {
-		t.Fatalf("%d rows", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		base, _ := strconv.ParseUint(row[1], 10, 64)
-		total, _ := strconv.ParseUint(row[6], 10, 64)
-		cpi, _ := strconv.ParseFloat(row[7], 64)
-		if base == 0 {
-			t.Errorf("%s: zero base cycles", row[0])
-		}
-		if total < base {
-			t.Errorf("%s: total %d < base %d", row[0], total, base)
-		}
-		// Single-issue with >= 1-cycle instructions: CPI >= 1.
-		if cpi < 1 {
-			t.Errorf("%s: CPI %v < 1", row[0], cpi)
 		}
 	}
 }

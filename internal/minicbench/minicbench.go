@@ -33,8 +33,6 @@ type Result struct {
 	Out   []uint32
 	Instr *trace.Trace
 	Data  *trace.Trace
-	// Cycles is the base execution cycle count under vm.R3000Latencies.
-	Cycles uint64
 }
 
 // Run compiles (unoptimised) and executes the kernel with tracing.
@@ -59,13 +57,12 @@ func (k *Kernel) runCompiled(compile func(string) (string, error)) (*Result, err
 	}
 	cpu := prog.NewCPU(k.MemWords)
 	col := &vm.Collector{Trace: trace.New(0), IBase: 0}
-	cc := vm.NewCycleCounter(prog.Instrs, vm.R3000Latencies(), col)
-	cpu.Tracer = cc
+	cpu.Tracer = col
 	if err := cpu.Run(k.MaxSteps); err != nil {
 		return nil, fmt.Errorf("minicbench: %s: %v", k.Name, err)
 	}
 	instr, data := col.Trace.Split()
-	return &Result{Name: k.Name, Out: cpu.Out, Instr: instr, Data: data, Cycles: cc.Cycles}, nil
+	return &Result{Name: k.Name, Out: cpu.Out, Instr: instr, Data: data}, nil
 }
 
 // The shared LCG of the suite, in minic. Logical right shifts are built

@@ -8,6 +8,7 @@ import (
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/powerstone"
 	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/internal/tracegen"
 )
 
 func synthTrace(n int, seed int64) *trace.Trace {
@@ -117,21 +118,11 @@ func TestPolicySweepMatchesSimulator(t *testing.T) {
 	}
 }
 
-// hotCold is the trace 0,1,0,2,…,0,200: one hot word between 200 cold
-// ones, the FIFO-past-A_zero example of the design-space pruning rules.
-func hotCold() *trace.Trace {
-	addrs := make([]uint32, 0, 400)
-	for i := uint32(1); i <= 200; i++ {
-		addrs = append(addrs, 0, i)
-	}
-	return trace.FromAddrs(trace.DataRead, addrs)
-}
-
 // TestPolicySweepHotCold: at depth 1 every reference shares one set, so
 // the hot word's survival is all replacement policy. FIFO keeps losing
 // it, so its misses fall past LRU's A_zero of 2.
 func TestPolicySweepHotCold(t *testing.T) {
-	tr := hotCold()
+	tr := tracegen.HotCold(200)
 	for _, pol := range sweepPolicies {
 		checkAgainstOracles(t, tr, 1, 8, 1, pol.p, pol.r, assocRange(1, 8))
 	}
@@ -154,7 +145,7 @@ func TestPolicySweepHotCold(t *testing.T) {
 // a big stream and a small one interleaved through one PolicySweeper
 // give the same sweeps as fresh PolicySweep calls.
 func TestLinesReusedAcrossSweeps(t *testing.T) {
-	big, small := synthTrace(4000, 3), hotCold()
+	big, small := synthTrace(4000, 3), tracegen.HotCold(200)
 	var sw PolicySweeper
 	var strip trace.Stripped
 	for round := 0; round < 2; round++ {

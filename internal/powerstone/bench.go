@@ -44,9 +44,6 @@ type Result struct {
 	Name  string
 	Out   []uint32
 	Steps uint64
-	// Cycles is the base execution cycle count under vm.R3000Latencies
-	// (no memory stalls; the explorer supplies miss counts separately).
-	Cycles uint64
 	// Instr and Data are the separate reference streams. Instruction
 	// addresses are plain PCs (the collector offset is removed), data
 	// addresses are data-memory word addresses.
@@ -63,8 +60,7 @@ func (b *Benchmark) Run() (*Result, error) {
 	}
 	cpu := prog.NewCPU(b.MemWords)
 	col := &vm.Collector{Trace: trace.New(0), IBase: 0}
-	cc := vm.NewCycleCounter(prog.Instrs, vm.R3000Latencies(), col)
-	cpu.Tracer = cc
+	cpu.Tracer = col
 	if err := cpu.Run(b.MaxSteps); err != nil {
 		return nil, fmt.Errorf("powerstone: %s: %v", b.Name, err)
 	}
@@ -81,12 +77,11 @@ func (b *Benchmark) Run() (*Result, error) {
 	}
 	instr, data := col.Trace.Split()
 	return &Result{
-		Name:   b.Name,
-		Out:    cpu.Out,
-		Steps:  cpu.Steps(),
-		Cycles: cc.Cycles,
-		Instr:  instr,
-		Data:   data,
+		Name:  b.Name,
+		Out:   cpu.Out,
+		Steps: cpu.Steps(),
+		Instr: instr,
+		Data:  data,
 	}, nil
 }
 

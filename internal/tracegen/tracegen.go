@@ -1,6 +1,7 @@
 // Package tracegen produces synthetic memory reference traces with
 // controlled locality structure: loop nests, strided streams, Zipf-skewed
-// random access and Markov pointer chasing. They supplement the PowerStone
+// random access, Markov instruction streams, pointer chasing and the
+// hot/cold shape. They supplement the PowerStone
 // traces in property tests, ablation benchmarks and the scaling study of
 // Figure 4, where trace size and unique-reference count must be swept
 // independently.
@@ -152,6 +153,41 @@ func WorkingSetPhases(rng *rand.Rand, phases, perPhase, wsSize int) *trace.Trace
 		for i := 0; i < perPhase; i++ {
 			t.Append(trace.Ref{Addr: base + uint32(rng.Intn(int(math.Max(1, float64(wsSize))))), Kind: trace.DataRead})
 		}
+	}
+	return t
+}
+
+// HotCold emits 0,1,0,2,…,0,n: one hot address between n cold ones. LRU
+// keeps the hot word in any two-way set, so its A_zero at depth 1 is 2,
+// while FIFO evicts it in turn and keeps losing misses well past that —
+// the shape that exposed both of the design-space evaluator's cut bugs.
+func HotCold(n int) *trace.Trace {
+	t := trace.New(2 * max(n, 0))
+	for i := 1; i <= n; i++ {
+		t.Append(trace.Ref{Addr: 0, Kind: trace.DataRead})
+		t.Append(trace.Ref{Addr: uint32(i), Kind: trace.DataRead})
+	}
+	return t
+}
+
+// PointerChase emits steps references walking a linked structure of nodes
+// addresses: the successor of each node is fixed by one random cyclic
+// permutation, so the walk visits every node once per lap in the same
+// scattered order, the access shape of list and tree traversals.
+func PointerChase(rng *rand.Rand, nodes, steps int) *trace.Trace {
+	if nodes < 1 {
+		nodes = 1
+	}
+	order := rng.Perm(nodes)
+	next := make([]uint32, nodes)
+	for i, a := range order {
+		next[a] = uint32(order[(i+1)%nodes])
+	}
+	t := trace.New(steps)
+	at := uint32(order[0])
+	for i := 0; i < steps; i++ {
+		t.Append(trace.Ref{Addr: at, Kind: trace.DataRead})
+		at = next[at]
 	}
 	return t
 }

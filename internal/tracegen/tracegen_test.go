@@ -170,3 +170,57 @@ func TestQuickSizedTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestHotCold(t *testing.T) {
+	tr := HotCold(200)
+	if tr.Len() != 400 {
+		t.Fatalf("Len = %d, want 400", tr.Len())
+	}
+	for i, r := range tr.Refs {
+		want := uint32(0)
+		if i%2 == 1 {
+			want = uint32(i/2 + 1)
+		}
+		if r.Addr != want {
+			t.Fatalf("ref %d = %d, want %d", i, r.Addr, want)
+		}
+	}
+	if st := trace.ComputeStats(tr); st.NUnique != 201 {
+		t.Fatalf("NUnique = %d, want 201", st.NUnique)
+	}
+	if HotCold(0).Len() != 0 {
+		t.Fatal("HotCold(0) is not empty")
+	}
+}
+
+// The walk follows one cycle through every node: each lap visits all
+// nodes once, and every lap repeats the first.
+func TestPointerChase(t *testing.T) {
+	const nodes, laps = 50, 3
+	tr := PointerChase(rand.New(rand.NewSource(8)), nodes, nodes*laps)
+	if tr.Len() != nodes*laps {
+		t.Fatalf("Len = %d, want %d", tr.Len(), nodes*laps)
+	}
+	seen := map[uint32]bool{}
+	sequential := 0
+	for i, r := range tr.Refs {
+		if r.Addr >= nodes {
+			t.Fatalf("ref %d addr %d outside [0, %d)", i, r.Addr, nodes)
+		}
+		if i < nodes {
+			seen[r.Addr] = true
+		} else if r.Addr != tr.Refs[i-nodes].Addr {
+			t.Fatalf("ref %d = %d, lap before had %d", i, r.Addr, tr.Refs[i-nodes].Addr)
+		}
+		if i > 0 && r.Addr == tr.Refs[i-1].Addr+1 {
+			sequential++
+		}
+	}
+	if len(seen) != nodes {
+		t.Fatalf("first lap visits %d distinct nodes, want %d", len(seen), nodes)
+	}
+	// A random cycle is scattered, not a sequential sweep.
+	if sequential > nodes*laps/4 {
+		t.Fatalf("%d of %d steps are +1 strides; the walk is not scattered", sequential, tr.Len())
+	}
+}
