@@ -23,6 +23,20 @@ func traceFromBytes(bs []uint8, mod uint32) *trace.Trace {
 	return t
 }
 
+// bytesOfTrace renders a trace over addresses below fuzzUniverse as a
+// FuzzExploreLRU input: address x becomes byte x, which the fuzzer reads
+// back as address 7x.
+func bytesOfTrace(tr *trace.Trace) []byte {
+	b := make([]byte, tr.Len())
+	for i, r := range tr.Refs {
+		if r.Addr >= fuzzUniverse {
+			panic(fmt.Sprintf("bytesOfTrace: address %d outside the fuzz universe", r.Addr))
+		}
+		b[i] = byte(r.Addr)
+	}
+	return b
+}
+
 // The paper's central guarantee: the analytical model counts exactly the
 // non-cold misses of an LRU set-associative cache. Verify against the
 // event-driven simulator across random traces, depths and associativities.
@@ -370,6 +384,9 @@ func FuzzExploreLRU(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7})
 	f.Add([]byte{3, 3, 3, 3})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, the quick brown fox"))
+	// The shapes that broke the LRU cuts: hot/cold and a pointer chase.
+	f.Add(bytesOfTrace(tracegen.HotCold(fuzzUniverse - 1)))
+	f.Add(bytesOfTrace(tracegen.PointerChase(rand.New(rand.NewSource(1)), fuzzUniverse, 300)))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 512 {
 			b = b[:512]

@@ -1,15 +1,19 @@
 package dse
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
-	"sort"
+	"strings"
+	"sync"
 
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/cacti"
 	"github.com/example/cachedse/internal/core"
+	"github.com/example/cachedse/internal/faultinject"
 	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/onepass"
 	"github.com/example/cachedse/internal/report"
@@ -129,12 +133,22 @@ func onepassOf(p core.Policy) onepass.ReplPolicy {
 	}
 }
 
+// MaxSweepWays bounds, in int32 words, the tables a space exploration's
+// policy sweeps hold. The server rejects a level whose largest sweep,
+// max_depth·A(A+1)/2 replica ways for max_assoc A, would pass it, and a
+// sweep runs on more than one worker only while the ways and residency
+// tables of all the exploration's sweepers together stay within it.
+const MaxSweepWays = 1 << 24
+
 // spaceScratch is the working memory one ExploreSpace call reuses across
 // its level streams and line sizes: the strip of the current (stream,
-// line) and the policy sweeper's tables.
+// line) and one policy sweeper per sweep worker. ways and residency are
+// the largest ways and residency tables, in int32 words, any sweep of the
+// call has asked a sweeper for, so no sweeper holds more than their sum.
 type spaceScratch struct {
-	strip   trace.Stripped
-	sweeper onepass.PolicySweeper
+	strip           trace.Stripped
+	sweepers        []*onepass.PolicySweeper
+	ways, residency int
 }
 
 // stripLines strips stream at line words per line into sc.strip, inside
@@ -150,24 +164,88 @@ func (sc *spaceScratch) stripLines(ctx context.Context, stream *trace.Trace, lin
 	return s, err
 }
 
+// workers returns the sweepers for the sweeps of strip at the depths 2^lvl
+// over associativities 1..axis[lvl]: min(GOMAXPROCS, depths) of them, but
+// only as many as MaxSweepWays holds at the largest tables the call has
+// needed (a residency table of (N′+1)·a words, a ways table of
+// depth·a(a+1)/2), and at least one. Sweepers past that count are
+// dropped, so whenever there are two or more they hold at most
+// MaxSweepWays words of those tables together; a lone sweeper holds what
+// the serial sweep would.
+func (sc *spaceScratch) workers(strip *trace.Stripped, axis []int) []*onepass.PolicySweeper {
+	sc.residency = max(sc.residency, (strip.NUnique()+1)*slices.Max(axis))
+	for lvl, a := range axis {
+		sc.ways = max(sc.ways, (1<<lvl)*a*(a+1)/2)
+	}
+	fit := max(1, MaxSweepWays/(sc.ways+sc.residency))
+	if len(sc.sweepers) > fit {
+		clear(sc.sweepers[fit:])
+		sc.sweepers = sc.sweepers[:fit]
+	}
+	n := min(runtime.GOMAXPROCS(0), len(axis), fit)
+	for len(sc.sweepers) < n {
+		sc.sweepers = append(sc.sweepers, new(onepass.PolicySweeper))
+	}
+	return sc.sweepers[:n]
+}
+
 // sweep runs policy p's one-pass sweeps of strip at the depths 1, 2, 4,
-// …, the sweep of depth 2^lvl over associativities 1..axis[lvl]. It
-// checks ctx between depths, and under a recorder it records one "sweep"
-// span with the number of depths and of (depth, assoc) cells swept.
+// …, the sweep of depth 2^lvl over associativities 1..axis[lvl]. The
+// sweeps read the strip and nothing else, so they run on the workers
+// sc.workers grants, each with its own sweeper, and each writes its
+// result to its depth's slot: the answer does not depend on the worker
+// count. The calling goroutine feeds the depths in order over an
+// unbuffered channel and checks ctx once before each, so a cancellation
+// stops the feed at the next check; workers never read ctx. A sweep that
+// panics (or the dse.sweep failpoint) is re-raised on the calling
+// goroutine once every worker is done, as if the sweep had run there.
+// Under a recorder it records one "sweep" span with the number of depths
+// and of (depth, assoc) cells swept.
 func (sc *spaceScratch) sweep(ctx context.Context, strip *trace.Stripped, p core.Policy, axis []int) ([]*onepass.AssocSweep, error) {
 	_, span := obs.StartSpan(ctx, "sweep")
 	defer span.End()
 	out := make([]*onepass.AssocSweep, len(axis))
+	errs := make([]error, len(axis))
+	panics := make([]any, len(axis))
+	run := func(sw *onepass.PolicySweeper, lvl int) {
+		defer func() { panics[lvl] = recover() }()
+		if errs[lvl] = faultinject.Hit("dse.sweep"); errs[lvl] == nil {
+			out[lvl], errs[lvl] = sw.SweepLines(strip, 1<<lvl, axis[lvl], onepassOf(p))
+		}
+	}
+	levels := make(chan int)
+	var wg sync.WaitGroup
+	for _, sw := range sc.workers(strip, axis) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lvl := range levels {
+				run(sw, lvl)
+			}
+		}()
+	}
+	var err error
+	for lvl := range axis {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		levels <- lvl
+	}
+	close(levels)
+	wg.Wait()
+	for _, pv := range panics {
+		if pv != nil {
+			panic(pv)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
 	cells := 0
 	for lvl, a := range axis {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if errs[lvl] != nil {
+			return nil, errs[lvl]
 		}
-		res, err := sc.sweeper.SweepLines(strip, 1<<lvl, a, onepassOf(p))
-		if err != nil {
-			return nil, err
-		}
-		out[lvl] = res
 		cells += a
 	}
 	if span != nil {
@@ -321,8 +399,8 @@ func levelConfig(slot string, c levelCand, tech core.Technology) core.LevelConfi
 
 // ExploreSpace evaluates a design space over the trace and returns its
 // Pareto front over (misses to memory, energy, area). The front is
-// deterministic — bit-stable across runs — and Front.Stats carries the
-// pruning tally of every level stage.
+// deterministic — bit-stable across runs and GOMAXPROCS — and
+// Front.Stats carries the pruning tally of every level stage.
 func ExploreSpace(ctx context.Context, t *trace.Trace, space core.Space, o SpaceOptions) (*core.Front, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -476,12 +554,12 @@ func exploreSplit(ctx context.Context, t *trace.Trace, space core.Space, o Space
 // (combined misses, combined size) Pareto front, sorted by misses then
 // size then key, a pair's key being its two config strings joined by
 // "/". Ties on both objectives keep the lexically smallest key. Each
-// candidate's config string is rendered once; comparing the (L1I, L1D)
-// strings in turn orders the pairs as their joined keys do, because no
-// config string is a proper prefix of another (each ends in its write
-// policy).
+// candidate's config string is rendered and ranked once, and the pairs
+// compare the (L1I, L1D) ranks in turn: that orders them as their joined
+// keys do, because no config string is a proper prefix of another (each
+// ends in its write policy).
 func paretoPairs(candsI, candsD []levelCand) []l1Pair {
-	keysI, keysD := configKeys(candsI), configKeys(candsD)
+	rankI, rankD := keyRanks(candsI), keyRanks(candsD)
 	type ranked struct {
 		i, d         int // indices into candsI, candsD
 		misses, size int
@@ -492,18 +570,16 @@ func paretoPairs(candsI, candsD []levelCand) []l1Pair {
 			all = append(all, ranked{i, d, ci.misses() + cd.misses(), ci.sizeWords() + cd.sizeWords()})
 		}
 	}
-	sort.Slice(all, func(x, y int) bool {
-		a, b := &all[x], &all[y]
-		if a.misses != b.misses {
-			return a.misses < b.misses
+	slices.SortFunc(all, func(a, b ranked) int {
+		switch {
+		case a.misses != b.misses:
+			return cmp.Compare(a.misses, b.misses)
+		case a.size != b.size:
+			return cmp.Compare(a.size, b.size)
+		case rankI[a.i] != rankI[b.i]:
+			return cmp.Compare(rankI[a.i], rankI[b.i])
 		}
-		if a.size != b.size {
-			return a.size < b.size
-		}
-		if keysI[a.i] != keysI[b.i] {
-			return keysI[a.i] < keysI[b.i]
-		}
-		return keysD[a.d] < keysD[b.d]
+		return cmp.Compare(rankD[a.d], rankD[b.d])
 	})
 	var out []l1Pair
 	bestSize := -1
@@ -517,13 +593,27 @@ func paretoPairs(candsI, candsD []levelCand) []l1Pair {
 	return out
 }
 
-// configKeys renders each candidate's simulator configuration once.
-func configKeys(cands []levelCand) []string {
+// keyRanks renders each candidate's simulator configuration once and
+// ranks it among the list's: ranks order as the strings do, and equal
+// strings (candidates differing only in line size) share a rank.
+func keyRanks(cands []levelCand) []int {
 	keys := make([]string, len(cands))
+	order := make([]int, len(cands))
 	for i, c := range cands {
 		keys[i] = c.config().String()
+		order[i] = i
 	}
-	return keys
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
+	rank := make([]int, len(cands))
+	for k, i := range order {
+		if k > 0 {
+			rank[i] = rank[order[k-1]]
+			if keys[i] != keys[order[k-1]] {
+				rank[i]++
+			}
+		}
+	}
+	return rank
 }
 
 // subsamplePairs keeps n pairs evenly spaced along the sorted front,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/core"
+	"github.com/example/cachedse/internal/faultinject"
 	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/onepass"
 	"github.com/example/cachedse/internal/powerstone"
@@ -334,9 +336,9 @@ func TestExploreSpaceExhaustiveAgrees(t *testing.T) {
 	}
 }
 
-// TestParetoPairsKeyOrder: paretoPairs renders each candidate's config
-// once and compares the (L1I, L1D) strings in turn; the pairs it keeps,
-// in order, must be those of a sort on the joined "L1I/L1D" key. The
+// TestParetoPairsKeyOrder: paretoPairs ranks each candidate's config
+// string once and compares the (L1I, L1D) ranks in turn; the pairs it
+// keeps, in order, must be those of a sort on the joined "L1I/L1D" key. The
 // exhaustive grid over three line sizes is full of miss-and-size ties,
 // including candidates whose config strings coincide (line size is not
 // part of them).
@@ -507,6 +509,147 @@ func TestExploreSpaceHonorsCancel(t *testing.T) {
 	}
 	if c.calls != c.n+1 {
 		t.Errorf("run went on for %d context checks after the cancellation", c.calls-c.n-1)
+	}
+}
+
+// TestExploreSpaceSameAtAnyProcs: a policy's sweeps fan out over
+// min(GOMAXPROCS, depths) workers, and the answer must not depend on how
+// many. At GOMAXPROCS 1 (one worker) and 4 the fronts agree point for
+// point and the prune tallies are equal, on the default space pruned and
+// exhaustive and on a unified four-policy space over three line sizes.
+func TestExploreSpaceSameAtAnyProcs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	type named struct {
+		name string
+		tr   *trace.Trace
+	}
+	traces := []named{{"hotcold", tracegen.HotCold(200)}}
+	for _, k := range []string{"crc", "bcnt", "qurt"} {
+		res := kernelStreams(t, k)
+		traces = append(traces, named{k, mergeStreams(res.Instr, res.Data)})
+	}
+	unified := core.Space{L1: core.LevelSpace{
+		MaxDepth: 64, MaxAssoc: 8, LineWords: []int{1, 2, 4},
+		Policies: []core.Policy{core.PolicyLRU, core.PolicyFIFO, core.PolicyRandom, core.PolicyPLRU},
+	}}
+	spaces := []struct {
+		name string
+		sp   core.Space
+		o    SpaceOptions
+	}{
+		{"default", core.DefaultSpace(), SpaceOptions{}},
+		{"default-exhaustive", core.DefaultSpace(), SpaceOptions{Exhaustive: true}},
+		{"unified", unified, SpaceOptions{}},
+	}
+	for _, tr := range traces {
+		for _, c := range spaces {
+			fronts := make([]*core.Front, 2)
+			for i, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				f, err := ExploreSpace(context.Background(), tr.tr, c.sp, c.o)
+				if err != nil {
+					t.Fatalf("%s %s GOMAXPROCS %d: %v", tr.name, c.name, procs, err)
+				}
+				fronts[i] = f
+			}
+			one, four := fronts[0], fronts[1]
+			if one.Stats != four.Stats {
+				t.Errorf("%s %s: prune stats %+v at GOMAXPROCS 1, %+v at 4", tr.name, c.name, one.Stats, four.Stats)
+			}
+			p1, p4 := one.Points(), four.Points()
+			if len(p1) != len(p4) {
+				t.Errorf("%s %s: %d front points at GOMAXPROCS 1, %d at 4", tr.name, c.name, len(p1), len(p4))
+				continue
+			}
+			for i := range p1 {
+				a, b := p1[i], p4[i]
+				if a.Key() != b.Key() || a.Misses != b.Misses || a.EnergyPJ != b.EnergyPJ || a.AreaUM2 != b.AreaUM2 {
+					t.Errorf("%s %s point %d: %s %d %g %g at GOMAXPROCS 1, %s %d %g %g at 4", tr.name, c.name, i,
+						a.Key(), a.Misses, a.EnergyPJ, a.AreaUM2, b.Key(), b.Misses, b.EnergyPJ, b.AreaUM2)
+				}
+			}
+		}
+	}
+}
+
+// TestSweepWorkersWithinBudget: a sweep gets min(GOMAXPROCS, depths)
+// workers while their sweepers' tables fit dse.MaxSweepWays together,
+// one worker for a level at the server's admission bound, and a sweep
+// after such a level drops the sweepers the budget no longer admits.
+func TestSweepWorkersWithinBudget(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	strip, err := trace.StripLines(tracegen.Uniform(rand.New(rand.NewSource(1)), 0, 4096, 8192), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := func(depths, assoc int) []int {
+		axis := make([]int, depths)
+		for lvl := range axis {
+			axis[lvl] = assoc
+		}
+		return axis
+	}
+	held := func(sc *spaceScratch) int { return len(sc.sweepers) * (sc.ways + sc.residency) }
+	sc := &spaceScratch{}
+	if n := len(sc.workers(strip, full(11, 8))); n != 4 {
+		t.Fatalf("default-sized level: %d workers, want 4", n)
+	}
+	if n := len(sc.workers(strip, full(3, 8))); n != 3 {
+		t.Fatalf("three depths: %d workers, want 3", n)
+	}
+	// 1024·180·181/2 ways: the largest level the server admits.
+	if n := len(sc.workers(strip, full(11, 180))); n != 1 || len(sc.sweepers) != 1 {
+		t.Fatalf("level at the admission bound: %d workers, %d sweepers kept, want 1 and 1", n, len(sc.sweepers))
+	}
+	if n := len(sc.workers(strip, full(11, 8))); n != 1 {
+		t.Fatalf("after a level at the bound: %d workers, want 1", n)
+	}
+	sc = &spaceScratch{}
+	for _, assoc := range []int{8, 48, 64, 96} {
+		n := len(sc.workers(strip, full(11, assoc)))
+		if n < 1 || len(sc.sweepers) > 1 && held(sc) > MaxSweepWays {
+			t.Fatalf("assoc %d: %d workers, %d sweepers of up to %d words each, over the %d-word budget",
+				assoc, n, len(sc.sweepers), sc.ways+sc.residency, MaxSweepWays)
+		}
+	}
+	// At 96 ways a sweeper needs 1024·96·97/2 ways and about 3 500·96
+	// residency words, some 5.1M words: three fit the budget.
+	if n := len(sc.sweepers); n != 3 {
+		t.Fatalf("at assoc 96: %d sweepers kept, want 3", n)
+	}
+}
+
+// TestSweepPanicReachesCaller: a sweep that panics on a worker goroutine
+// panics ExploreSpace's caller, where a recover (the server's job panic
+// net) can catch it, instead of the process; an injected sweep error
+// comes back as ExploreSpace's error.
+func TestSweepPanicReachesCaller(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	t.Cleanup(faultinject.Disarm)
+	tr := tracegen.HotCold(200)
+	if err := faultinject.Arm("dse.sweep=error(boom)@1", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExploreSpace(context.Background(), tr, core.DefaultSpace(), SpaceOptions{}); !faultinject.IsInjected(err) {
+		t.Fatalf("injected sweep error: err = %v", err)
+	}
+	if err := faultinject.Arm("dse.sweep=panic(boom)@1", 1); err != nil {
+		t.Fatal(err)
+	}
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		ExploreSpace(context.Background(), tr, core.DefaultSpace(), SpaceOptions{})
+		return nil
+	}()
+	if s, _ := got.(string); !strings.Contains(s, "boom at dse.sweep") {
+		t.Fatalf("injected sweep panic: caller recovered %v", got)
+	}
+	faultinject.Disarm()
+	if _, err := ExploreSpace(context.Background(), tr, core.DefaultSpace(), SpaceOptions{}); err != nil {
+		t.Fatalf("after the panics: %v", err)
 	}
 }
 

@@ -1,11 +1,14 @@
 package onepass
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/internal/tracegen"
 )
 
 // fuzzUniverse is the number of word addresses fuzz bytes index into:
@@ -38,12 +41,44 @@ func fuzzSweepArgs(b []byte) (tr *trace.Trace, depth, maxAssoc, line int, p Repl
 	return tr, depth, maxAssoc, line, p
 }
 
+// fuzzRefs renders a trace over word addresses below fuzzUniverse as a
+// fuzz input: the header, then address x as byte x, which fuzzSweepArgs
+// reads back as address 7x.
+func fuzzRefs(header []byte, tr *trace.Trace) []byte {
+	b := append([]byte(nil), header...)
+	for _, r := range tr.Refs {
+		if r.Addr >= fuzzUniverse {
+			panic(fmt.Sprintf("fuzzRefs: address %d outside the fuzz universe", r.Addr))
+		}
+		b = append(b, byte(r.Addr))
+	}
+	return b
+}
+
 // FuzzPolicySweep checks the dense-id sweep differentially: every
 // associativity against a cache.Simulate run, and the whole sweep against
 // the replica oracle.
 func FuzzPolicySweep(f *testing.F) {
 	f.Add([]byte{0, 7, 0, 1, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9})
 	f.Add([]byte{2, 4, 1, 3, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
+	// The shapes that broke the LRU cuts, under every policy at 8 ways:
+	// hot/cold at depth 1 and a pointer chase at depth 4.
+	for p := range byte(4) {
+		f.Add(fuzzRefs([]byte{0, 7, 0, p}, tracegen.HotCold(95)))
+		f.Add(fuzzRefs([]byte{2, 7, 0, p}, tracegen.PointerChase(rand.New(rand.NewSource(1)), 40, 400)))
+	}
+	// Direct-mapped hits, which the replica kernels skip: at depth 4 and
+	// 4 ways (byte r is address 7r, in set 7r mod 4), each set's last line
+	// comes back after references to other sets, between misses enough to
+	// fill and evict every replica of set 0.
+	revisit := []byte{
+		0, 1, 0, 2, 0, 3, 0, 4, 5, 4, 6, 4, 8, 1, 8, 2, 8, 12, 3, 12,
+		0, 4, 8, 12, 16, 0, 7, 0, 16, 9, 16, 4, 10, 4, 20, 11, 20, 8,
+		0, 8, 24, 13, 24, 12, 1, 5, 9, 13, 1, 20, 2, 20, 0, 3, 0,
+	}
+	for _, p := range []ReplPolicy{ReplFIFO, ReplRandom, ReplPLRU} {
+		f.Add(append([]byte{2, 3, 0, byte(p)}, revisit...))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tr, depth, maxAssoc, line, p := fuzzSweepArgs(b)
 		sw, err := PolicySweep(tr, depth, maxAssoc, line, p)

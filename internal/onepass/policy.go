@@ -39,6 +39,15 @@ import (
 // FIFO, taken modulo a, names the victim: the ways arrive in order 0..a-1
 // at distinct clock stamps and each refill makes its way the newest, so
 // internal/cache's minimum-arrival victim walks round-robin.
+//
+// A reference that hits the 1-way replica is skipped whole. That replica
+// holds exactly the line last referenced in its set, so a hit there
+// means no other line has touched the set since this one did, and that
+// last reference left it resident in every replica: every replica hits.
+// A FIFO or Random hit changes no state (the Random streams are drawn
+// only on a full-set miss), and a PLRU hit rewrites the nodes on its
+// way's path to fixed values, which the last reference already wrote.
+// Skipping it leaves every replica exactly as the simulator would.
 
 // ReplPolicy selects the replacement policy of a PolicySweep.
 type ReplPolicy uint8
@@ -222,11 +231,12 @@ func zeroed[T int32 | uint64](buf []T, n int) []T {
 }
 
 // The three replica kernels share one shape: per reference, classify it
-// cold or warm, find its set and its wayOf row, then walk the replicas
-// a = 1..maxAssoc. A hit does the policy's touch; a miss picks a way (the
-// next empty one while the set fills, else the policy's victim), clears
-// the evicted id's wayOf entry and installs the reference. Each policy
-// has its own loop so no replica pays a policy switch.
+// cold or warm, find its set and its wayOf row, skip it if it hits the
+// 1-way replica, else walk the replicas a = 1..maxAssoc. A hit does the
+// policy's touch; a miss picks a way (the next empty one while the set
+// fills, else the policy's victim), clears the evicted id's wayOf entry
+// and installs the reference. Each policy has its own loop so no replica
+// pays a policy switch.
 
 func (s *PolicySweeper) sweepFIFO(l *trace.Stripped, depth, maxAssoc int, miss []int) {
 	mask := uint32(depth - 1)
@@ -242,6 +252,9 @@ func (s *PolicySweeper) sweepFIFO(l *trace.Stripped, depth, maxAssoc int, miss [
 		set := int(l.Unique[id] & mask)
 		row := int(id+1) * maxAssoc
 		probe := wayOf[row : row+maxAssoc]
+		if probe[0] != 0 {
+			continue // a direct-mapped hit hits every replica, unchanged
+		}
 		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]
 		base := set * setWays
 		for j, resident := range probe {
@@ -322,6 +335,9 @@ func (s *PolicySweeper) sweepRandom(l *trace.Stripped, depth, maxAssoc int, miss
 		set := int(l.Unique[id] & mask)
 		row := int(id+1) * maxAssoc
 		probe := wayOf[row : row+maxAssoc]
+		if probe[0] != 0 {
+			continue // a direct-mapped hit hits every replica, unchanged
+		}
 		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]
 		base := set * setWays
 		for j, resident := range probe {
@@ -450,6 +466,9 @@ func (s *PolicySweeper) sweepPLRU(l *trace.Stripped, depth, maxAssoc int, miss [
 		set := int(l.Unique[id] & mask)
 		row := int(id+1) * maxAssoc
 		probe := wayOf[row : row+maxAssoc]
+		if probe[0] != 0 {
+			continue // a direct-mapped hit hits every replica, unchanged
+		}
 		cnt := count[set*maxAssoc : set*maxAssoc+maxAssoc]
 		base := set * setWays
 		trees := tree[set*stride : set*stride+stride]

@@ -233,41 +233,46 @@ func TestPolicySweepEmptyTrace(t *testing.T) {
 }
 
 // BenchmarkPolicySweep times one policy's sweeps of every depth 1..64 at
-// up to 8 ways over the crc instruction stream: the replica oracle, which
-// re-hashes the stream and scans tags per sweep, against the dense-id
-// kernels, which strip the stream once and probe each replica in O(1),
-// or for LRU one bounded stack per set.
+// up to 8 ways over the crc instruction and data streams: the replica
+// oracle, which re-hashes the stream and scans tags per sweep, against
+// the dense-id kernels, which strip the stream once and probe each
+// replica in O(1), or for LRU one bounded stack per set.
 func BenchmarkPolicySweep(b *testing.B) {
 	res, err := powerstone.Get("crc").Run()
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := res.Instr
 	const maxAssoc = 8
-	for _, p := range []ReplPolicy{ReplLRU, ReplFIFO, ReplPLRU} {
-		b.Run(p.String()+"/oracle", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for depth := 1; depth <= 64; depth *= 2 {
-					if _, err := policySweepOracle(tr, depth, maxAssoc, 1, p); err != nil {
-						b.Fatal(err)
+	for _, st := range []struct {
+		name string
+		tr   *trace.Trace
+	}{{"instr", res.Instr}, {"data", res.Data}} {
+		tr := st.tr
+		for _, p := range []ReplPolicy{ReplLRU, ReplFIFO, ReplPLRU} {
+			b.Run(st.name+"/"+p.String()+"/oracle", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for depth := 1; depth <= 64; depth *= 2 {
+						if _, err := policySweepOracle(tr, depth, maxAssoc, 1, p); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
-			}
-		})
-		b.Run(p.String()+"/dense", func(b *testing.B) {
-			var sw PolicySweeper
-			var strip trace.Stripped
-			for i := 0; i < b.N; i++ {
-				l, err := trace.StripLines(tr, 1, &strip)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for depth := 1; depth <= 64; depth *= 2 {
-					if _, err := sw.SweepLines(l, depth, maxAssoc, p); err != nil {
+			})
+			b.Run(st.name+"/"+p.String()+"/dense", func(b *testing.B) {
+				var sw PolicySweeper
+				var strip trace.Stripped
+				for i := 0; i < b.N; i++ {
+					l, err := trace.StripLines(tr, 1, &strip)
+					if err != nil {
 						b.Fatal(err)
 					}
+					for depth := 1; depth <= 64; depth *= 2 {
+						if _, err := sw.SweepLines(l, depth, maxAssoc, p); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

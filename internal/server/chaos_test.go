@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -135,6 +136,45 @@ func TestChaosInjectedPanicIsContained(t *testing.T) {
 	}
 	if len(resp.Instances) == 0 {
 		t.Fatal("explore after disarm returned no instances")
+	}
+}
+
+// TestChaosSweepPanicIsContained: a space job's policy sweeps run on
+// goroutines of their own, and a panic on one of them must still fail
+// only that job. With the sweeps fanned out (GOMAXPROCS 4) and every
+// sweep panicking, the space request fails with a 500-coded error, and
+// once the fault is disarmed the same server answers it.
+func TestChaosSweepPanicIsContained(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	c := chaosClient(ts)
+
+	tr := testTrace(300, 1<<7)
+	var din bytes.Buffer
+	if err := trace.WriteText(&din, tr); err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.UploadTrace(context.Background(), din.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := client.ExploreRequest{Trace: info.Digest, Space: &client.Space{
+		L1: &client.SpaceLevel{MaxDepth: 64, MaxAssoc: 4, Policies: []string{"lru", "fifo", "plru"}},
+	}}
+
+	armFaults(t, "dse.sweep=panic()@1", 7)
+	if _, err := c.Explore(context.Background(), req); !errors.Is(err, client.ErrInternal) {
+		t.Fatalf("space explore with every sweep panicking: err = %v, want ErrInternal through retries", err)
+	}
+
+	faultinject.Disarm()
+	resp, err := c.Explore(context.Background(), req)
+	if err != nil {
+		t.Fatalf("space explore after disarm: %v (the server must survive sweep panics)", err)
+	}
+	if len(resp.Pareto) == 0 {
+		t.Fatal("space explore after disarm returned an empty front")
 	}
 }
 

@@ -446,11 +446,9 @@ func parseSimulate(body []byte, _ url.Values) (computeRequest, *apiError) {
 
 // The parse stages bound what a request may have a job allocate: a
 // simulated cache holds depth·assoc lines, and a policy sweep of one
-// space level holds max_depth·A(A+1)/2 ways for max_assoc A.
-const (
-	maxCacheLines = 1 << 22
-	maxSweepWays  = 1 << 24
-)
+// space level holds max_depth·A(A+1)/2 ways for max_assoc A, at most
+// dse.MaxSweepWays, which also bounds the space job's sweepers together.
+const maxCacheLines = 1 << 22
 
 // within reports whether a·b <= limit for a, b >= 1, without overflow.
 func within(a, b, limit int) bool { return b <= limit && a <= limit/b }

@@ -13,6 +13,7 @@ import (
 
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/core"
+	"github.com/example/cachedse/internal/dse"
 	"github.com/example/cachedse/internal/trace"
 	"github.com/example/cachedse/pkg/client"
 )
@@ -185,8 +186,8 @@ func FuzzComputeRequest(f *testing.F) {
 		case *spaceQuery:
 			n := q.space.Normalized()
 			for _, ls := range []core.LevelSpace{n.L1, n.L2} {
-				if a := float64(ls.MaxAssoc); float64(ls.MaxDepth)*a*(a+1)/2 > maxSweepWays {
-					t.Fatalf("accepted space level %+v past %d sweep ways", ls, maxSweepWays)
+				if a := float64(ls.MaxAssoc); float64(ls.MaxDepth)*a*(a+1)/2 > dse.MaxSweepWays {
+					t.Fatalf("accepted space level %+v past %d sweep ways", ls, dse.MaxSweepWays)
 				}
 			}
 		case nil:

@@ -71,9 +71,9 @@ func parseSpace(in *client.Space) (sp core.Space, perr *apiError) {
 		// Past 2^13 ways A(A+1)/2 alone exceeds the bound, so the product
 		// is formed only below it, where it cannot overflow.
 		a := ls.MaxAssoc
-		if a >= 1<<13 || !within(ls.MaxDepth, a*(a+1)/2, maxSweepWays) {
+		if a >= 1<<13 || !within(ls.MaxDepth, a*(a+1)/2, dse.MaxSweepWays) {
 			return sp, badRequest(client.ErrInvalidSpace, "space l%d: max_depth %d x max_assoc %d needs more than %d sweep ways",
-				i+1, ls.MaxDepth, a, maxSweepWays)
+				i+1, ls.MaxDepth, a, dse.MaxSweepWays)
 		}
 	}
 	return sp, nil
