@@ -10,13 +10,12 @@
 //	cachedse explore  [-k N | -kpct P] [-maxdepth D] [-workers W] [-verify]
 //	                  [-policy P[,P...]] [-levels 1|2] [-max-assoc A]
 //	                  [-tech T[,T...]] [-front table|csv]
-//	                  [-sample R] [-sample-floor N]
+//	                  [-sample R]
 //	                  [-cpuprofile F] [-memprofile F] [-store DIR]
 //	                  [-trace-json F] [-log-format text|json] TRACE
 //	                                   optimal (D, A) instances for budget K;
-//	                                   -sample R explores a spatial sample and
-//	                                   reports miss estimates with confidence
-//	                                   bounds; any -policy other than lru
+//	                                   -sample R is accepted and answered
+//	                                   exactly; any -policy other than lru
 //	                                   alone, -levels 2 or a -tech axis
 //	                                   switch to design-space mode and emit
 //	                                   the Pareto front over (misses,
@@ -49,7 +48,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/bits"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -62,7 +60,6 @@ import (
 	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/dse"
 	"github.com/example/cachedse/internal/obs"
-	"github.com/example/cachedse/internal/sampling"
 	"github.com/example/cachedse/internal/trace"
 )
 
@@ -242,14 +239,13 @@ func cmdStrip(args []string) error {
 }
 
 func cmdExplore(args []string) error {
-	fs := newFlagSet("explore", "explore [-k N | -kpct P] [-maxdepth D] [-workers W] [-pareto] [-verify] [-policy P[,P...]] [-levels 1|2] [-max-assoc A] [-tech T[,T...]] [-front table|csv] [-sample R] [-sample-floor N] [-cpuprofile F] [-memprofile F] [-store DIR] [-trace-json F] [-log-format text|json] TRACE")
+	fs := newFlagSet("explore", "explore [-k N | -kpct P] [-maxdepth D] [-workers W] [-pareto] [-verify] [-policy P[,P...]] [-levels 1|2] [-max-assoc A] [-tech T[,T...]] [-front table|csv] [-sample R] [-cpuprofile F] [-memprofile F] [-store DIR] [-trace-json F] [-log-format text|json] TRACE")
 	k := fs.Int("k", -1, "miss budget K (absolute)")
 	kpct := fs.Float64("kpct", -1, "miss budget as percent of max misses")
 	maxDepth := fs.Int("maxdepth", 0, "largest cache depth to explore (power of two)")
 	workers := fs.Int("workers", 1, "postlude worker count (0 = GOMAXPROCS, 1 = sequential)")
 	verify := fs.Bool("verify", false, "simulate each emitted instance")
-	sample := fs.Float64("sample", 0, "spatial sampling rate in (0, 1] for approximate exploration (0 = exact)")
-	sampleFloor := fs.Int("sample-floor", 0, "minimum expected sampled unique references (0 = default, negative = no floor)")
+	sample := fs.Float64("sample", 0, "spatial sampling rate in (0, 1]; a trace file is still explored exactly (0 = no sample summary)")
 	pareto := fs.Bool("pareto", false, "print only the size-Pareto frontier")
 	policy := fs.String("policy", "lru", "replacement policies to explore, comma-separated: lru, fifo, random, plru (anything but lru alone switches to design-space mode)")
 	levels := fs.Int("levels", 1, "hierarchy levels: 1 = unified, 2 = split L1I/L1D + shared L2 (design-space mode)")
@@ -384,7 +380,6 @@ func cmdExplore(args []string) error {
 	}
 	opts := core.Options{
 		MaxDepth: *maxDepth, Workers: *workers, SampleRate: *sample,
-		SampleFloor: *sampleFloor,
 	}
 	if *workers == 0 {
 		// The flag's historical default 0 meant "use every core".
@@ -399,14 +394,8 @@ func cmdExplore(args []string) error {
 		"trace", fs.Arg(0), "n", st.N, "n_unique", st.NUnique,
 		"levels", len(r.Levels), "duration", time.Since(start).String())
 	if est := r.Sample; est != nil {
-		if est.Exact() {
-			fmt.Printf("# sampled at rate %g: effective rate 1 (unique-count floor) — result is exact\n",
-				est.RequestedRate)
-		} else {
-			fmt.Printf("# sampled at rate %g (effective %.4g, %s mode): kept %d of %d refs; miss counts are %.0f%%-confidence estimates\n",
-				est.RequestedRate, est.EffectiveRate, est.Mode,
-				est.KeptRefs, est.KeptRefs+est.DroppedRefs, 100*sampling.ConfidenceLevel)
-		}
+		fmt.Printf("# sampled at rate %g: an in-memory trace is explored exactly — result is exact\n",
+			est.RequestedRate)
 	}
 	if rec != nil {
 		if err := writeTraceJSON(*traceJSON, fs.Arg(0), rec); err != nil {
@@ -429,16 +418,6 @@ func cmdExplore(args []string) error {
 		fmt.Print(tab.CSV())
 	} else {
 		fmt.Print(tab.Render())
-	}
-	if est := r.Sample; est != nil && !est.Exact() {
-		fmt.Println("Confidence bounds (95%) per instance:")
-		for _, ins := range instances {
-			lvl := bits.TrailingZeros(uint(ins.Depth))
-			misses := r.Level(ins.Depth).Misses(ins.Assoc)
-			lo, hi := est.CI95(lvl, ins.Assoc, misses)
-			fmt.Printf("  D=%-6d A=%-4d misses %d in [%d, %d] (se %.1f)\n",
-				ins.Depth, ins.Assoc, misses, lo, hi, est.SE(lvl, ins.Assoc))
-		}
 	}
 	if *verify {
 		if err := dse.Verify(tr, instances, budget); err != nil {

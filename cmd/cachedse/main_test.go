@@ -174,6 +174,24 @@ func TestSubcommandsEndToEnd(t *testing.T) {
 		t.Error("explore -store with an unknown digest succeeded")
 	}
 
+	// -sample answers a trace file exactly: the exact run's table under
+	// one line that says so. -sample-floor is gone: an unknown flag (exit 2).
+	exactOut, err := captureStdout(t, func() error { return cmdExplore([]string{"-k", "3", path}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampledOut, err := captureStdout(t, func() error { return cmdExplore([]string{"-k", "3", "-sample", "0.5", path}) })
+	if err != nil {
+		t.Fatalf("explore -sample 0.5: %v", err)
+	}
+	if header, table, _ := strings.Cut(sampledOut, "\n"); !strings.Contains(header, "result is exact") || table != exactOut {
+		t.Errorf("explore -sample 0.5 printed:\n%s\nwant one exact-result line over the exact table:\n%s", sampledOut, exactOut)
+	}
+	captureStderr(t, func() { err = cmdExplore([]string{"-k", "3", "-sample-floor", "-1", path}) })
+	if !errors.Is(err, errUsage) {
+		t.Errorf("explore -sample-floor -1: err = %v, want errUsage", err)
+	}
+
 	// Error paths.
 	bad := []struct {
 		name string

@@ -41,19 +41,17 @@ type Options struct {
 	// scaling BenchmarkAblationParallelExplore showed before the clamp).
 	// Results are bit-identical at every setting.
 	Workers int
-	// SampleRate switches the engine into SHARDS-style approximate mode:
-	// spatially hash-sample references at this rate, explore the sampled
-	// trace and rescale the miss counts back to full-trace magnitude with
-	// confidence bounds (Result.Sample). Zero is exact mode — the default
-	// path, byte-identical to an engine without sampling. Valid rates lie
-	// in (0, 1]; anything else fails with *sampling.ErrRate.
+	// SampleRate, when non-zero, asks for a spatially sampled answer at
+	// this rate; valid rates lie in (0, 1], anything else fails with
+	// *sampling.ErrRate. An in-memory source (*trace.Trace,
+	// *trace.Stripped or Prelude) is explored exactly all the same, and
+	// its Result.Sample is the degenerate rate-1 estimate. Only a
+	// trace.RefReader is thinned before the prelude and rescaled back
+	// (sampling.ModeStream). Zero is the exact path with no estimate.
 	SampleRate float64
-	// SampleSeed perturbs the sampling hash; zero uses sampling.DefaultSeed.
+	// SampleSeed perturbs the stream-mode sampling hash; zero uses
+	// sampling.DefaultSeed.
 	SampleSeed uint64
-	// SampleFloor floors the expected sampled unique-reference count
-	// (sampling.Config.MinUnique): zero means sampling.DefaultMinUnique,
-	// negative disables the floor.
-	SampleFloor int
 }
 
 // workerCount resolves Options.Workers: 0 and 1 are serial, negative is
@@ -129,10 +127,9 @@ type Result struct {
 	// the sampled subset's.
 	NUnique int
 	N       int
-	// Sample carries the sampling estimate when the exploration ran in
-	// approximate mode (Options.SampleRate > 0); nil for exact runs. Miss
-	// counts in Levels are then rescaled estimates, and Sample derives
-	// their standard errors and confidence intervals.
+	// Sample carries the sampling estimate when Options.SampleRate was
+	// set; nil otherwise. Unless Sample.Exact(), the miss counts in Levels
+	// are stream-mode estimates rescaled to full-trace magnitude.
 	Sample *sampling.Estimate `json:",omitempty"`
 }
 
@@ -213,20 +210,31 @@ func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 	}
 	sc := sharedScratch.Get(scratchHint(src))
 	defer sharedScratch.Put(sc)
+	cfg := sampling.Config{Rate: opts.SampleRate, Seed: opts.SampleSeed}
 	if opts.SampleRate != 0 {
-		return exploreSampled(ctx, src, opts, sc)
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		if rr, ok := src.(trace.RefReader); ok {
+			return exploreStreamSampled(ctx, rr, cfg, opts, sc)
+		}
 	}
 	s, m, err := resolveSource(ctx, src, sc)
 	if err != nil {
 		return nil, err
 	}
-	return runPostlude(ctx, s, m, opts, sc)
+	r, err := runPostlude(ctx, s, m, opts, sc)
+	if err != nil || opts.SampleRate == 0 {
+		return r, err
+	}
+	r.Sample = exactEstimate(cfg, r)
+	return r, nil
 }
 
 // runPostlude runs the serial or parallel postlude over the resolved
 // (stripped, MRCT) pair, drawing working memory from sc. Both the exact
-// and the sampled path funnel through here, so worker selection and the
-// postlude failpoint behave identically in both modes.
+// and the stream-sampled path funnel through here, so worker selection
+// and the postlude failpoint behave identically in both modes.
 func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, sc *Scratch) (*Result, error) {
 	if err := faultinject.Hit("core.postlude"); err != nil {
 		return nil, err

@@ -206,7 +206,7 @@ func TestStreamSampledEstimateSpan(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	ctx := obs.WithRecorder(context.Background(), rec)
 	r, err := Explore(ctx, trace.RefReader(trace.NewReader(tr)),
-		Options{MaxDepth: 256, SampleRate: 0.1, SampleFloor: -1})
+		Options{MaxDepth: 256, SampleRate: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

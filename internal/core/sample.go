@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"github.com/example/cachedse/internal/faultinject"
@@ -11,195 +10,33 @@ import (
 	"github.com/example/cachedse/internal/trace"
 )
 
-// exploreSampled is the approximate twin of Explore, in one of two modes
-// keyed by the source shape:
-//
-//   - *trace.Trace or *trace.Stripped — postlude sampling
-//     (sampling.ModePostlude): a trace is stripped, the full MRCT is built
-//     over every reference of the strip, then the postlude
-//     accumulates only the spatially-sampled identifiers' occurrences.
-//     Conflict distances are exact; only occurrence mass is rescaled.
-//     This is the accurate mode, but it buys little time: the full MRCT
-//     build is most of an exact pass, so on a 400 000-reference Zipf(1.2)
-//     trace (N' = 20 508, MaxDepth 256) it measured only 6–9 % faster
-//     than exact (6.9–7.4 s against 7.4–8.1 s), nowhere near 1/R.
-//
-//   - trace.RefReader — stream thinning (sampling.ModeStream): the
-//     filter drops references before the prelude, so memory scales with
-//     the sample — the mode for traces too large to materialise. Conflict
-//     sets are thinned too; the estimator stretches distances back and
-//     deconvolves small cardinalities, trading accuracy for the memory
-//     bound.
-//
-// A Prelude source is rejected; pass its Stripped instead, and the
-// sampled path builds the conflict table it filters.
-func exploreSampled(ctx context.Context, src Source, opts Options, sc *Scratch) (*Result, error) {
-	cfg := sampling.Config{Rate: opts.SampleRate, Seed: opts.SampleSeed, MinUnique: opts.SampleFloor}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := faultinject.Hit("core.sample"); err != nil {
-		return nil, err
-	}
-	switch v := src.(type) {
-	case *trace.Trace:
-		s, err := stripTrace(ctx, v, sc)
-		if err != nil {
-			return nil, err
-		}
-		return explorePostludeSampled(ctx, s, cfg, opts, sc)
-	case *trace.Stripped:
-		if v == nil {
-			return nil, fmt.Errorf("core: Explore given a nil *trace.Stripped")
-		}
-		return explorePostludeSampled(ctx, v, cfg, opts, sc)
-	case trace.RefReader:
-		if v == nil {
-			return nil, fmt.Errorf("core: Explore given a nil trace.RefReader")
-		}
-		return exploreStreamSampled(ctx, v, cfg, opts, sc)
-	case Prelude:
-		return nil, fmt.Errorf("core: sampled exploration needs a raw reference source, not a pre-built Prelude")
-	case nil:
-		return nil, fmt.Errorf("core: Explore given a nil Source")
-	default:
-		return nil, fmt.Errorf("core: unsupported Source type %T for sampled exploration (want *trace.Trace, *trace.Stripped or trace.RefReader)", src)
-	}
-}
-
-// explorePostludeSampled runs the exact MRCT build over the strip and a
-// spatially-sampled postlude (sampling.ModePostlude), stratified so that
-// heavy addresses — whose all-or-nothing inclusion would dominate the
-// estimator's variance — are certainty units while the flat remainder is
-// hash-sampled.
-func explorePostludeSampled(ctx context.Context, s *trace.Stripped, cfg sampling.Config, opts Options, sc *Scratch) (*Result, error) {
-	eff := cfg.EffectiveRate(s.NUnique())
-	seed := cfg.SeedValue()
-
-	// Per-identifier non-cold occurrence masses drive the stratum plan.
-	cnt := make([]int, s.NUnique())
-	for _, id := range s.IDs {
-		cnt[id]++
-	}
-	mass := make([]int, len(cnt))
-	for id, c := range cnt {
-		mass[id] = c - 1
-	}
-
-	est := &sampling.Estimate{
+// exactEstimate is the estimate an in-memory source's answer to a
+// sampled request carries. Such a source is explored exactly, so the
+// estimate is the degenerate one: rate 1, every reference kept, no
+// rescaling. Its mode keeps the v1 wire string "postlude".
+func exactEstimate(cfg sampling.Config, r *Result) *sampling.Estimate {
+	return &sampling.Estimate{
+		Mode:          sampling.ModePostlude,
 		RequestedRate: cfg.Rate,
-		EffectiveRate: eff,
-		Seed:          seed,
-		KnownUnique:   s.NUnique(),
+		EffectiveRate: 1,
+		Seed:          cfg.SeedValue(),
+		KeptRefs:      int64(r.N),
+		KeptUnique:    r.NUnique,
+		Scale:         1,
+		Stretch:       1,
 	}
-
-	if eff >= 1 {
-		// Degenerate exact run: the full postlude, with the estimate
-		// attached so callers still see rate/CI metadata (all zero-width).
-		m, err := buildPreludeMRCT(ctx, s, sc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := runPostlude(ctx, s, m, opts, sc)
-		if err != nil {
-			return nil, err
-		}
-		est.KeptRefs = int64(s.N())
-		est.KeptUnique = s.NUnique()
-		est.CertUnique = s.NUnique()
-		est.CalibratePostlude(0, 0)
-		est.Scale = 1
-		est.CertHist = rawHists(res)
-		res.Sample = est
-		return res, nil
-	}
-
-	cert, sampRate := sampling.PlanStrata(mass, eff*float64(s.NUnique()))
-	threshold := sampling.Threshold(sampRate)
-	keepSamp := make([]bool, s.NUnique())
-	certUnique, keptUnique := 0, 0
-	var keptRefs int64
-	for id := range keepSamp {
-		switch {
-		case cert[id]:
-			certUnique++
-			keptUnique++
-			keptRefs += int64(cnt[id])
-		case sampRate > 0 && sampling.Keep(s.Addr(id), seed, threshold):
-			keepSamp[id] = true
-			keptUnique++
-			keptRefs += int64(cnt[id])
-		}
-	}
-	est.KeptRefs = keptRefs
-	est.DroppedRefs = int64(s.N()) - keptRefs
-	est.KeptUnique = keptUnique
-	est.CertUnique = certUnique
-
-	_, span := obs.StartSpan(ctx, "sample")
-	if span != nil {
-		span.SetAttr("mode", sampling.ModePostlude)
-		span.SetAttr("requested_rate", cfg.Rate)
-		span.SetAttr("effective_rate", eff)
-		span.SetAttr("sampled_rate", sampRate)
-		span.SetAttr("kept", keptRefs)
-		span.SetAttr("dropped", int64(s.N())-keptRefs)
-		span.SetAttr("kept_unique", keptUnique)
-		span.SetAttr("cert_unique", certUnique)
-		span.End()
-	}
-
-	m, err := buildPreludeMRCT(ctx, s, sc)
-	if err != nil {
-		return nil, err
-	}
-
-	var certMass, sampMass int
-	levels := 0
-	if certUnique > 0 {
-		view, cm := m.FilterOcc(cert)
-		certRes, err := runPostlude(ctx, s, view, opts, sc)
-		if err != nil {
-			return nil, err
-		}
-		certMass = cm
-		est.CertHist = rawHists(certRes)
-		levels = len(certRes.Levels)
-	}
-	{
-		view, sm := m.FilterOcc(keepSamp)
-		sampRes, err := runPostlude(ctx, s, view, opts, sc)
-		if err != nil {
-			return nil, err
-		}
-		sampMass = sm
-		est.RawHist = rawHists(sampRes)
-		if len(sampRes.Levels) > levels {
-			levels = len(sampRes.Levels)
-		}
-	}
-	est.CalibratePostlude(certMass, sampMass)
-
-	r := &Result{
-		Levels:  make([]*LevelResult, levels),
-		N:       s.N(),
-		NUnique: s.NUnique(),
-		Sample:  est,
-	}
-	for i := range r.Levels {
-		r.Levels[i] = &LevelResult{Depth: 1 << uint(i), Hist: roundHist(est.RescaleLevel(i))}
-	}
-	finalize(r)
-	return r, nil
 }
 
 // exploreStreamSampled thins the reference stream before the prelude
-// (sampling.ModeStream).
+// (sampling.ModeStream), so memory scales with the sample: the mode for
+// traces too large to materialise. Conflict sets are thinned too; the
+// estimator stretches distances back and deconvolves small
+// cardinalities, trading accuracy for the memory bound.
 func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.Config, opts Options, sc *Scratch) (*Result, error) {
-	// A blind stream's unique count is unknown up front, so the MinUnique
-	// floor cannot engage and the requested rate is used as-is.
-	eff := cfg.EffectiveRate(0)
-	filter := sampling.NewFilter(rr, eff, cfg.SeedValue())
+	if err := faultinject.Hit("core.sample"); err != nil {
+		return nil, err
+	}
+	filter := sampling.NewFilter(rr, cfg.Rate, cfg.SeedValue())
 
 	// The sample span wraps the filtered strip: filtering happens lazily
 	// as the strip pass pulls references through, so kept/dropped totals
@@ -211,7 +48,7 @@ func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.
 	if span != nil {
 		span.SetAttr("mode", sampling.ModeStream)
 		span.SetAttr("requested_rate", cfg.Rate)
-		span.SetAttr("effective_rate", eff)
+		span.SetAttr("effective_rate", cfg.Rate)
 		span.SetAttr("kept", filter.Kept())
 		span.SetAttr("dropped", filter.Dropped())
 		span.End()
@@ -231,7 +68,7 @@ func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.
 
 	est := &sampling.Estimate{
 		RequestedRate: cfg.Rate,
-		EffectiveRate: eff,
+		EffectiveRate: cfg.Rate,
 		Seed:          cfg.SeedValue(),
 		KeptRefs:      filter.Kept(),
 		DroppedRefs:   filter.Dropped(),
@@ -275,10 +112,9 @@ func fullLevelCount(addrBits int, opts Options) int {
 // rescaleStream maps a stream-sampled Result to full-trace magnitude:
 // every histogram is rescaled through the estimator (stretch +
 // deconvolution/occupancy correction), levels the sampled trace was too
-// small to reach are padded with zero-conflict profiles, and N/NUnique
-// are restored to (or estimated at) their full-trace values. When the
-// rate degenerated to 1 the sampled result is already exact and passes
-// through untouched — the bit-identity the R=1 property test pins. The
+// small to reach are padded with zero-conflict profiles, N is restored to
+// its full-trace value and NUnique is estimated by the stretch. At rate 1
+// the sampled result is already exact and passes through untouched. The
 // deconvolution's work is added to tally.
 func rescaleStream(sampled *Result, est *sampling.Estimate, fullLevels int, tally *sampling.KernelTally) *Result {
 	est.RawHist = rawHists(sampled)
@@ -293,14 +129,10 @@ func rescaleStream(sampled *Result, est *sampling.Estimate, fullLevels int, tall
 		levels = fullLevels + 1
 	}
 	r := &Result{
-		Levels: make([]*LevelResult, levels),
-		N:      int(est.KeptRefs + est.DroppedRefs),
-		Sample: est,
-	}
-	if est.KnownUnique > 0 {
-		r.NUnique = est.KnownUnique
-	} else {
-		r.NUnique = int(math.Round(float64(est.KeptUnique) * est.Stretch))
+		Levels:  make([]*LevelResult, levels),
+		N:       int(est.KeptRefs + est.DroppedRefs),
+		NUnique: int(math.Round(float64(est.KeptUnique) * est.Stretch)),
+		Sample:  est,
 	}
 	for i := range r.Levels {
 		var hist []int

@@ -3,163 +3,151 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"github.com/example/cachedse/internal/powerstone"
 	"github.com/example/cachedse/internal/sampling"
 	"github.com/example/cachedse/internal/trace"
 	"github.com/example/cachedse/internal/tracegen"
 )
 
 // zipfTrace builds the deterministic zipfian workload the sampling
-// property tests run on; the tests disable the MinUnique floor to
-// exercise the literal requested rates.
+// tests run on: ~20k unique addresses, enough for a rate-R sample to keep
+// thousands of them.
 func zipfTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	return tracegen.Zipf(rand.New(rand.NewSource(7)), 0x1000, 20000, 200000, 1.2)
 }
 
+// TestSampleRateOneBitIdentical: a sampled request on an in-memory source
+// — a trace, a strip at one or four words per line, or a Prelude —
+// answers exactly what the same source answers without a rate, at every
+// rate and worker count, and carries the degenerate rate-1 estimate.
 func TestSampleRateOneBitIdentical(t *testing.T) {
-	tr := zipfTrace(t)
-	exact, err := Explore(context.Background(), tr, Options{MaxDepth: 256})
+	ctx := context.Background()
+	crc, err := powerstone.Get("crc").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Explore(context.Background(), tr, Options{MaxDepth: 256, SampleRate: 1})
-	if err != nil {
-		t.Fatal(err)
+	allRates := []float64{0.001, 0.1, 0.5, 1}
+	cases := []struct {
+		name     string
+		tr       *trace.Trace
+		maxDepth int
+		rates    []float64
+		workers  []int
+		sources  bool // every source shape, or the trace alone
+	}{
+		{"hotcold", tracegen.HotCold(2000), 0, allRates, []int{1, 2}, true},
+		{"crc/data", crc.Data, 0, allRates, []int{1, 2}, true},
+		// Its ~20k unique addresses once made a rate-0.5 sample genuinely
+		// approximate.
+		{"zipf", zipfTrace(t), 256, []float64{0.5}, []int{1}, false},
 	}
-	if sampled.Sample == nil || !sampled.Sample.Exact() {
-		t.Fatalf("rate-1 result's estimate not exact: %+v", sampled.Sample)
+	type namedSource struct {
+		name string
+		src  Source
 	}
-	if sampled.N != exact.N || sampled.NUnique != exact.NUnique {
-		t.Fatalf("rate-1 totals (%d, %d) differ from exact (%d, %d)",
-			sampled.N, sampled.NUnique, exact.N, exact.NUnique)
-	}
-	if !reflect.DeepEqual(sampled.Levels, exact.Levels) {
-		t.Fatal("rate-1 levels are not bit-identical to the exact engine")
+	for _, c := range cases {
+		srcs := []namedSource{{"trace", c.tr}}
+		if c.sources {
+			s4, err := trace.StripLines(c.tr, 4, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1 := trace.Strip(c.tr)
+			srcs = append(srcs, namedSource{"strip1", s1}, namedSource{"strip4", s4},
+				namedSource{"prelude", Prelude{Stripped: s1, MRCT: BuildMRCT(s1)}})
+		}
+		for _, src := range srcs {
+			for _, workers := range c.workers {
+				exact, err := Explore(ctx, src.src, Options{MaxDepth: c.maxDepth, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rate := range c.rates {
+					name := fmt.Sprintf("%s/%s/w%d/R%g", c.name, src.name, workers, rate)
+					got, err := Explore(ctx, src.src, Options{MaxDepth: c.maxDepth, Workers: workers, SampleRate: rate})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					est := got.Sample
+					switch {
+					case est == nil || !est.Exact():
+						t.Errorf("%s: estimate %+v is not exact", name, est)
+					case est.KeptRefs != int64(exact.N) || est.RequestedRate != rate:
+						t.Errorf("%s: estimate kept %d of %d refs at requested rate %v, want all at %v",
+							name, est.KeptRefs, exact.N, est.RequestedRate, rate)
+					}
+					if got.N != exact.N || got.NUnique != exact.NUnique {
+						t.Errorf("%s: totals (%d, %d), exact (%d, %d)", name, got.N, got.NUnique, exact.N, exact.NUnique)
+					}
+					if !reflect.DeepEqual(got.Levels, exact.Levels) {
+						t.Errorf("%s: levels are not bit-identical to the exact answer", name)
+					}
+				}
+			}
+		}
 	}
 }
 
-func TestSampleFloorClampsSmallTraceToExact(t *testing.T) {
-	// 500 uniques at R=0.01 would keep ~5; the default s_min floor must
-	// raise the effective rate — here all the way to exact — keeping the
-	// estimate usable on paper-scale traces.
-	tr := tracegen.Zipf(rand.New(rand.NewSource(3)), 0, 500, 5000, 1.1)
-	res, err := Explore(context.Background(), tr, Options{MaxDepth: 64, SampleRate: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sample == nil {
-		t.Fatal("sampled run returned no estimate")
-	}
-	if res.Sample.EffectiveRate < 0.5 {
-		t.Errorf("effective rate %v; the MinUnique floor should have raised it above 0.5",
-			res.Sample.EffectiveRate)
-	}
-	// And disabling the floor honours the literal rate.
-	res, err = Explore(context.Background(), tr, Options{MaxDepth: 64, SampleRate: 0.01, SampleFloor: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sample.EffectiveRate != 0.01 {
-		t.Errorf("floor-disabled effective rate %v, want 0.01", res.Sample.EffectiveRate)
-	}
-}
-
+// TestSampledTotalsConvergeMonotone: stream-mode samples nest, so the
+// kept reference count grows with the rate and reaches the whole trace
+// at rate 1, while every rate restores the full trace length.
 func TestSampledTotalsConvergeMonotone(t *testing.T) {
-	tr := zipfTrace(t)
-	exact, err := Explore(context.Background(), tr, Options{MaxDepth: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactMisses := exact.Levels[0].Misses(1)
-
-	rates := []float64{0.05, 0.2, 0.5, 1}
+	tr := tracegen.Zipf(rand.New(rand.NewSource(7)), 0x1000, 4000, 40000, 1.2)
 	var lastKept int64 = -1
-	var lastWidth = math.Inf(1)
-	for _, r := range rates {
-		res, err := Explore(context.Background(), tr, Options{MaxDepth: 256, SampleRate: r, SampleFloor: -1})
+	for _, r := range []float64{0.05, 0.2, 0.5, 1} {
+		res, err := Explore(context.Background(), trace.RefReader(trace.NewReader(tr)),
+			Options{MaxDepth: 16, SampleRate: r})
 		if err != nil {
 			t.Fatalf("rate %v: %v", r, err)
 		}
 		est := res.Sample
-
-		// Nested thresholds: the kept reference count is monotone in R.
 		if est.KeptRefs <= lastKept {
-			t.Errorf("rate %v kept %d refs, not more than %d at the lower rate",
-				r, est.KeptRefs, lastKept)
+			t.Errorf("rate %v kept %d refs, not more than %d at the lower rate", r, est.KeptRefs, lastKept)
 		}
 		lastKept = est.KeptRefs
-
-		// The scaled depth-1 miss total tracks the exact engine's; the CI
-		// half-width is the estimator's own claim about that error.
-		got := res.Levels[0].Misses(1)
-		lo, hi := est.CI95(0, 1, got)
-		if exactMisses < lo || exactMisses > hi {
-			relErr := math.Abs(float64(got-exactMisses)) / float64(exactMisses)
-			if relErr > 0.05 {
-				t.Errorf("rate %v: scaled misses %d vs exact %d (rel err %.3f), CI [%d, %d]",
-					r, got, exactMisses, relErr, lo, hi)
-			}
+		if res.N != tr.Len() || est.KeptRefs+est.DroppedRefs != int64(tr.Len()) {
+			t.Errorf("rate %v: N = %d, kept %d + dropped %d, want %d", r, res.N, est.KeptRefs, est.DroppedRefs, tr.Len())
 		}
-
-		// CI widths must shrink (weakly) as the rate grows.
-		width := float64(hi - lo)
-		if width > lastWidth {
-			t.Errorf("rate %v: CI width %v wider than %v at the lower rate", r, width, lastWidth)
-		}
-		lastWidth = width
-
-		// Totals are restored to full-trace values at every rate.
-		if res.N != tr.Len() {
-			t.Errorf("rate %v: N = %d, want %d", r, res.N, tr.Len())
-		}
+	}
+	if lastKept != int64(tr.Len()) {
+		t.Errorf("rate 1 kept %d of %d refs", lastKept, tr.Len())
 	}
 }
 
 func TestSampledDualModes(t *testing.T) {
-	// The two source shapes select the two estimator modes: an in-memory
-	// trace gets the exact-distance postlude sampler, a blind stream gets
-	// the thinning filter. Both must restore full-trace magnitude; the
-	// stream mode trades accuracy for its memory bound, so its tolerance
-	// is looser.
+	// The two source shapes select the two modes: an in-memory trace is
+	// explored exactly under the "postlude" label, a blind stream gets the
+	// thinning filter. Stream mode trades accuracy for its memory bound,
+	// so its tolerance is loose.
 	tr := zipfTrace(t)
-	exact, err := Explore(context.Background(), tr, Options{MaxDepth: 128})
+	fromTrace, err := Explore(context.Background(), tr, Options{MaxDepth: 128, SampleRate: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactMisses := exact.Levels[0].Misses(1)
-
-	fromTrace, err := Explore(context.Background(), tr, Options{MaxDepth: 128, SampleRate: 0.2, SampleFloor: -1})
-	if err != nil {
-		t.Fatal(err)
+	if fromTrace.Sample.Mode != sampling.ModePostlude || !fromTrace.Sample.Exact() {
+		t.Errorf("trace source estimate %+v, want an exact %q one", fromTrace.Sample, sampling.ModePostlude)
 	}
-	if fromTrace.Sample.Mode != sampling.ModePostlude {
-		t.Errorf("trace source mode = %q, want %q", fromTrace.Sample.Mode, sampling.ModePostlude)
-	}
-	if fromTrace.Sample.KnownUnique != exact.NUnique {
-		t.Errorf("trace source KnownUnique = %d, want %d", fromTrace.Sample.KnownUnique, exact.NUnique)
-	}
-	if fromTrace.Sample.Stretch != 1 {
-		t.Errorf("postlude mode stretch = %v, want 1 (distances are exact)", fromTrace.Sample.Stretch)
-	}
-	if rel := math.Abs(float64(fromTrace.Levels[0].Misses(1)-exactMisses)) / float64(exactMisses); rel > 0.05 {
-		t.Errorf("postlude-sampled depth-1 misses off by %.3f (>5%%)", rel)
-	}
+	// TestSampleRateOneBitIdentical pins the trace source's answer as the
+	// exact one.
+	exactMisses := fromTrace.Levels[0].Misses(1)
 
 	fromReader, err := Explore(context.Background(), trace.RefReader(trace.NewReader(tr)),
-		Options{MaxDepth: 128, SampleRate: 0.2, SampleFloor: -1})
+		Options{MaxDepth: 128, SampleRate: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fromReader.Sample.Mode != sampling.ModeStream {
 		t.Errorf("stream source mode = %q, want %q", fromReader.Sample.Mode, sampling.ModeStream)
 	}
-	if fromReader.Sample.KnownUnique != 0 {
-		t.Errorf("stream source claims KnownUnique = %d", fromReader.Sample.KnownUnique)
+	if fromReader.Sample.Exact() {
+		t.Error("stream source at rate 0.2 reports an exact estimate")
 	}
 	if fromReader.N != tr.Len() {
 		t.Errorf("stream source N = %d, want %d", fromReader.N, tr.Len())
@@ -167,22 +155,19 @@ func TestSampledDualModes(t *testing.T) {
 	if rel := math.Abs(float64(fromReader.Levels[0].Misses(1)-exactMisses)) / float64(exactMisses); rel > 0.25 {
 		t.Errorf("stream-sampled depth-1 misses off by %.3f (>25%%)", rel)
 	}
-	// Both modes draw the same spatial sample, so the stream's kept total
-	// can't exceed the postlude plan's non-certainty stratum plus its
-	// certainty refs.
-	if fromReader.Sample.KeptRefs+fromReader.Sample.DroppedRefs != fromTrace.Sample.KeptRefs+fromTrace.Sample.DroppedRefs {
-		t.Errorf("modes disagree on trace length: %d vs %d",
-			fromReader.Sample.KeptRefs+fromReader.Sample.DroppedRefs,
-			fromTrace.Sample.KeptRefs+fromTrace.Sample.DroppedRefs)
-	}
 }
 
 func TestSampledRejectsPreludeAndBadRates(t *testing.T) {
+	// A Prelude source is accepted and answered exactly; only rates
+	// outside (0, 1] are rejected.
 	tr := tracegen.Loop(0, 16, 8)
 	s := trace.Strip(tr)
 	m := BuildMRCT(s)
-	if _, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{SampleRate: 0.5}); err == nil {
-		t.Error("sampled exploration accepted a Prelude source")
+	res, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{SampleRate: 0.5})
+	if err != nil {
+		t.Errorf("sampled exploration of a Prelude source: %v", err)
+	} else if res.Sample == nil || !res.Sample.Exact() {
+		t.Errorf("sampled Prelude answer carries estimate %+v, want an exact one", res.Sample)
 	}
 	for _, bad := range []float64{-0.1, 1.5, math.NaN()} {
 		_, err := Explore(context.Background(), tr, Options{SampleRate: bad})

@@ -11,8 +11,8 @@ import (
 )
 
 // TestStrippedSourceMatchesTrace: a strip handed to Explore answers
-// exactly as the trace it was made from, in exact mode at every worker
-// count and in postlude-sampled mode.
+// exactly as the trace it was made from, at every worker count and under
+// a sample rate.
 func TestStrippedSourceMatchesTrace(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"crc", "fir", "qurt"} {
@@ -25,7 +25,7 @@ func TestStrippedSourceMatchesTrace(t *testing.T) {
 			{Workers: 1},
 			{Workers: 2},
 			{Workers: 4},
-			{SampleRate: 0.1, SampleSeed: 7, SampleFloor: -1},
+			{SampleRate: 0.1, SampleSeed: 7},
 		} {
 			want, err := Explore(ctx, tr, opts)
 			if err != nil {
@@ -35,8 +35,8 @@ func TestStrippedSourceMatchesTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if opts.SampleRate != 0 && (got.Sample == nil || got.Sample.EffectiveRate >= 1) {
-				t.Fatalf("%s %+v: strip source did not sample: %+v", name, opts, got.Sample)
+			if opts.SampleRate != 0 && (got.Sample == nil || !got.Sample.Exact()) {
+				t.Fatalf("%s %+v: strip source's sampled answer is not exact: %+v", name, opts, got.Sample)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %+v: strip source %+v, trace source %+v", name, opts, got, want)

@@ -4,40 +4,21 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/experiments"
-	"github.com/example/cachedse/internal/sampling"
 	"github.com/example/cachedse/internal/trace"
-	"github.com/example/cachedse/internal/tracegen"
 )
 
-// The crosscheck suite pins the sampled engine's accuracy contract over
-// the PowerStone workloads, which comes in two halves:
-//
-//   - Under the default MinUnique floor (SHARDS's s_min), every
-//     PowerStone trace — tens to a few thousand unique references —
-//     falls below s_min, so a sampled exploration at any rate must
-//     degenerate to the exact engine and agree cell-for-cell. This is
-//     the mechanism that bounds the estimator's error: per-cell accuracy
-//     scales with 1/sqrt(kept unique references), so workloads this
-//     small are simply not sampled.
-//
-//   - With the floor disabled (the literal fixed-rate estimator), the
-//     same traces quantify the error the floor exists to prevent; the
-//     test bounds it loosely on high-mass cells as a deterministic
-//     regression canary, not as an accuracy claim.
-//
-// Where sampling is statistically sound — kept unique counts at or
-// above s_min — TestCrosscheckSampledAccuracy pins sub-1% error on the
-// headline cells of a synthetic workload of that scale, and checks that
-// the reported standard errors are calibrated across every cell.
+// The crosscheck suite pins what a sampled request over the paper's
+// workloads answers: every PowerStone stream is an in-memory trace, so
+// core.Explore explores it exactly whatever the rate, and the answer
+// must agree with the exact engine cell for cell.
 
 // maxRelErrBigCells explores tr exactly and sampled, and returns the
 // worst relative miss-count error over cells whose exact count is at
-// least minMisses, along with the estimate.
+// least minMisses, along with the sampled result.
 func maxRelErrBigCells(t *testing.T, tr *trace.Trace, opts core.Options, minMisses int) (float64, *core.Result) {
 	t.Helper()
 	ctx := context.Background()
@@ -72,9 +53,8 @@ func maxRelErrBigCells(t *testing.T, tr *trace.Trace, opts core.Options, minMiss
 	return worst, sampled
 }
 
-// TestCrosscheckPowerStone: under the default floor, R = 1% over every
-// hand-assembly PowerStone trace must degenerate to exact and match the
-// exact engine cell-for-cell (0% error — well under the 1% contract).
+// TestCrosscheckPowerStone: R = 1% over every hand-assembly PowerStone
+// trace answers exactly and matches the exact engine cell for cell.
 func TestCrosscheckPowerStone(t *testing.T) {
 	suite, err := experiments.Load()
 	if err != nil {
@@ -84,9 +64,8 @@ func TestCrosscheckPowerStone(t *testing.T) {
 }
 
 // TestCrosscheckPowerStoneCompiled covers the compiled kernel variant —
-// much longer traces over a few hundred unique blocks, still all under
-// s_min. Skipped in -short runs: the exact baselines are the expensive
-// part.
+// much longer traces over a few hundred unique blocks. Skipped in -short
+// runs: the exact baselines are the expensive part.
 func TestCrosscheckPowerStoneCompiled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiled crosscheck needs full exact baselines")
@@ -112,104 +91,13 @@ func crosscheckExactDegeneration(t *testing.T, suite *experiments.Suite, rate fl
 				t.Parallel()
 				worst, sampled := maxRelErrBigCells(t, tr, core.Options{SampleRate: rate}, 1)
 				if !sampled.Sample.Exact() {
-					t.Fatalf("N' = %d is under s_min, but the sampled run did not degenerate to exact (effective rate %g)",
-						sampled.NUnique, sampled.Sample.EffectiveRate)
+					t.Fatalf("sampled run over an in-memory trace is not exact (effective rate %g)",
+						sampled.Sample.EffectiveRate)
 				}
 				if worst != 0 {
-					t.Errorf("floor-clamped run differs from exact: worst rel err %g", worst)
+					t.Errorf("sampled run differs from exact: worst rel err %g", worst)
 				}
 			})
 		}
 	}
-}
-
-// TestCrosscheckFloorDisabledCanary pins the literal fixed-rate
-// estimator's error on the largest hand-suite workload (g3fax's data
-// stream, N' = 2064) at the effective rate the old floor would have
-// chosen. Everything is deterministic (fixed seed), so this is a tight
-// regression canary: the bound documents that percent-level error on
-// sub-s_min workloads is expected — the reason the default floor exists.
-func TestCrosscheckFloorDisabledCanary(t *testing.T) {
-	suite, err := experiments.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := suite.Get("g3fax")
-	if set == nil {
-		t.Fatal("no g3fax set in the hand suite")
-	}
-	worst, sampled := maxRelErrBigCells(t, set.Data,
-		core.Options{SampleRate: 256.0 / 2064, SampleFloor: -1}, 1000)
-	if sampled.Sample.Exact() {
-		t.Fatal("floor-disabled run degenerated to exact")
-	}
-	if worst > 0.10 {
-		t.Errorf("floor-disabled g3fax/data worst big-cell rel err %.4f, want <= 0.10", worst)
-	}
-	t.Logf("g3fax/data at literal rate %.4f: worst big-cell rel err %.4f",
-		sampled.Sample.EffectiveRate, worst)
-}
-
-// TestCrosscheckSampledAccuracy pins the estimator where sampling
-// genuinely engages: a zipfian workload realizing ~20.5k unique blocks,
-// sampled at R = 50% under the DEFAULT floor (the kept unique count,
-// ~10.3k, clears s_min on its own). Two deterministic contracts:
-//
-//   - headline cells — exact misses of at least 10% of the trace — land
-//     within 1% of the exact engine (measured: 0.62% worst);
-//   - the reported standard errors are calibrated: every cell with at
-//     least 1000 exact misses lies within 4·SE of the exact count
-//     (measured max z: 2.98 over hundreds of cells — consistent with
-//     honest 95% intervals).
-func TestCrosscheckSampledAccuracy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs a full exact baseline over a 400k-reference trace")
-	}
-	tr := tracegen.Zipf(rand.New(rand.NewSource(17)), 0x1000, 40000, 400000, 1.2)
-	ctx := context.Background()
-	exact, err := core.Explore(ctx, tr, core.Options{MaxDepth: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := core.Explore(ctx, tr, core.Options{MaxDepth: 256, SampleRate: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := sampled.Sample
-	if est.Exact() {
-		t.Fatal("sampled run degenerated to exact")
-	}
-	if est.KeptUnique < sampling.DefaultMinUnique {
-		t.Fatalf("kept only %d uniques — below s_min, the scenario this test must clear", est.KeptUnique)
-	}
-	worstHeadline, maxZ := 0.0, 0.0
-	headline := tr.Len() / 10
-	for lvl := range exact.Levels {
-		for assoc := 1; assoc <= len(exact.Levels[lvl].Hist); assoc++ {
-			want := exact.Levels[lvl].Misses(assoc)
-			if want < 1000 {
-				continue
-			}
-			got := sampled.Levels[lvl].Misses(assoc)
-			diff := math.Abs(float64(got - want))
-			if se := est.SE(lvl, assoc); se > 0 {
-				if z := diff / se; z > maxZ {
-					maxZ = z
-				}
-			}
-			if want >= headline {
-				if rel := diff / float64(want); rel > worstHeadline {
-					worstHeadline = rel
-				}
-			}
-		}
-	}
-	if worstHeadline > 0.01 {
-		t.Errorf("worst headline-cell rel err %.4f, want <= 0.01", worstHeadline)
-	}
-	if maxZ > 4 {
-		t.Errorf("a cell sits %.2f standard errors from exact — the SE is miscalibrated", maxZ)
-	}
-	t.Logf("R=0.5 over %d uniques (kept %d): worst headline rel err %.4f, max z %.2f",
-		exact.NUnique, est.KeptUnique, worstHeadline, maxZ)
 }

@@ -2,34 +2,33 @@ package sampling
 
 import "math"
 
-// Estimate carries everything the rescaled exploration result needs to
-// explain itself: the rates actually used, the measured kept/dropped
-// totals the SHARDS-adj correction was calibrated from, and the raw
-// (sampled-space) per-level histograms that standard errors are derived
-// from. It is attached to core.Result, persisted with cached results and
-// serialized into API responses, so every field is exported with a stable
-// JSON name.
-// Estimator modes. ModePostlude samples which addresses' occurrences the
-// postlude accumulates over exact conflict sets built from the full
-// trace — conflict distances are exact, only occurrence mass is scaled,
-// and intervals are plain Horvitz-Thompson. ModeStream thins the
-// reference stream itself before the prelude — memory scales with the
-// sample, but conflict sets are thinned too, so distances must be
-// stretched back and small cardinalities deconvolved, with the accuracy
-// caveats DESIGN.md §10 spells out.
+// Estimator modes. ModeStream thins the reference stream itself before
+// the prelude: memory scales with the sample, but conflict sets are
+// thinned too, so distances must be stretched back and small
+// cardinalities deconvolved, with the accuracy caveats DESIGN.md §10
+// spells out. ModePostlude marks an in-memory source's answer to a
+// sampled request, which the engine explores exactly; the name is the
+// v1 wire string the mode has always carried.
 const (
 	ModePostlude = "postlude"
 	ModeStream   = "stream"
 )
 
+// Estimate carries everything a sampled exploration result needs to
+// explain itself: the rates actually used, the measured kept/dropped
+// totals the SHARDS-adj correction was calibrated from, and the raw
+// (sampled-space) per-level histograms the rescale started from. It is
+// attached to core.Result, persisted with cached results and serialized
+// into API responses, so every field is exported with a stable JSON
+// name.
 type Estimate struct {
 	// Mode records which estimator produced the result (ModePostlude or
 	// ModeStream).
 	Mode string `json:"mode"`
 	// RequestedRate is the rate the caller asked for.
 	RequestedRate float64 `json:"requested_rate"`
-	// EffectiveRate is the rate actually applied after the MinUnique
-	// floor; 1 means the sampled path degenerated to exact.
+	// EffectiveRate is the rate actually applied; 1 means the answer is
+	// the exact engine's.
 	EffectiveRate float64 `json:"effective_rate"`
 	// Seed is the resolved hash seed.
 	Seed uint64 `json:"seed"`
@@ -39,104 +38,38 @@ type Estimate struct {
 	DroppedRefs int64 `json:"dropped_refs"`
 	// KeptUnique is the sampled trace's unique-reference count N'_s.
 	KeptUnique int `json:"kept_unique"`
-	// KnownUnique is the full trace's unique-reference count N' when the
-	// caller knew it (in-memory trace or stored-trace stats); 0 when the
-	// source was a blind stream.
-	KnownUnique int `json:"known_unique,omitempty"`
 	// Scale is the occurrence-mass multiplier w applied to histogram
 	// bins (the SHARDS-adj correction); 1 when exact.
 	Scale float64 `json:"scale"`
 	// Stretch is the conflict-distance multiplier g mapping sampled
 	// intersection cardinalities back to full-trace ones; 1 when exact.
 	Stretch float64 `json:"stretch"`
-	// RawHist holds, per explored level, the sampled-stratum conflict
-	// histogram before rescaling — the counts the standard errors come
-	// from.
+	// RawHist holds, per explored level, the sampled conflict histogram
+	// before rescaling (stream mode only).
 	RawHist [][]int `json:"raw_hist,omitempty"`
-	// CertUnique counts the certainty-stratum identifiers of a postlude
-	// plan: addresses heavy enough that the estimator always keeps them
-	// (weight 1, zero variance contribution).
-	CertUnique int `json:"cert_unique,omitempty"`
-	// CertHist holds the certainty stratum's per-level histograms; they
-	// enter the rescaled result unscaled.
-	CertHist [][]int `json:"cert_hist,omitempty"`
-}
-
-// CalibratePostlude fills Scale and Stretch for ModePostlude: conflict
-// distances are exact (no stretch), and the occurrence-mass scale is the
-// ratio of the sampled stratum's true non-cold mass — the full trace's
-// N − N' minus the certainty stratum's — to its measured kept mass. This
-// is the SHARDS-adj rule of calibrating against measured totals rather
-// than the nominal rate, applied per stratum (the certainty stratum
-// needs no scale at all).
-func (e *Estimate) CalibratePostlude(certMass, sampledMass int) {
-	e.Mode = ModePostlude
-	e.Stretch = 1
-	stratumTrue := e.KeptRefs + e.DroppedRefs - int64(e.KnownUnique) - int64(certMass)
-	switch {
-	case sampledMass > 0 && stratumTrue > 0:
-		e.Scale = float64(stratumTrue) / float64(sampledMass)
-	case e.EffectiveRate > 0:
-		e.Scale = 1 / e.EffectiveRate
-	default:
-		e.Scale = 1
-	}
-	if e.Scale < 1 {
-		e.Scale = 1
-	}
-}
-
-// RescaleLevel produces one level's full-magnitude histogram in
-// ModePostlude: the certainty stratum's histogram enters unscaled, the
-// sampled stratum's is mass-scaled (RescaleHist with no stretch).
-func (e *Estimate) RescaleLevel(level int) []float64 {
-	var cert, samp []int
-	if level < len(e.CertHist) {
-		cert = e.CertHist[level]
-	}
-	if level < len(e.RawHist) {
-		samp = e.RawHist[level]
-	}
-	f := e.RescaleHist(samp, nil)
-	if len(cert) > len(f) {
-		g := make([]float64, len(cert))
-		copy(g, f)
-		f = g
-	}
-	for d, c := range cert {
-		f[d] += float64(c)
-	}
-	return f
 }
 
 // Calibrate fills Scale and Stretch from the measured totals for
 // ModeStream, applying the SHARDS-adj rule: prefer ratios of measured
 // quantities over the nominal rate. sampledN/sampledUnique are the
-// sampled engine's totals (N_s, N'_s); trueN is KeptRefs+DroppedRefs;
-// knownUnique may be 0.
+// sampled engine's totals (N_s, N'_s); the true N is
+// KeptRefs+DroppedRefs.
 func (e *Estimate) Calibrate(sampledN, sampledUnique int) {
 	e.Mode = ModeStream
 	e.KeptUnique = sampledUnique
 	trueN := e.KeptRefs + e.DroppedRefs
 
-	// Stretch g: sampled conflict distances are rate-thinned, so the
-	// inverse of the measured unique-set shrinkage recovers full-trace
-	// cardinality; without a known N' fall back to the nominal rate.
-	switch {
-	case e.KnownUnique > 0 && sampledUnique > 0:
-		e.Stretch = float64(e.KnownUnique) / float64(sampledUnique)
-	case e.EffectiveRate > 0:
+	// Stretch g: sampled conflict distances are rate-thinned, and a blind
+	// stream's full unique count is unknown, so the nominal rate is the
+	// inverse shrinkage.
+	e.Stretch = 1
+	if e.EffectiveRate > 0 {
 		e.Stretch = 1 / e.EffectiveRate
-	default:
-		e.Stretch = 1
 	}
 
-	// Scale w: histogram mass counts non-cold occurrences (N − N'), so
-	// calibrate against that difference when both sides are measurable;
-	// degrade to total-mass ratio, then to the nominal rate.
+	// Scale w: the ratio of the measured total masses, degrading to the
+	// nominal rate when nothing was kept.
 	switch {
-	case e.KnownUnique > 0 && sampledN > sampledUnique:
-		e.Scale = float64(trueN-int64(e.KnownUnique)) / float64(sampledN-sampledUnique)
 	case sampledN > 0:
 		e.Scale = float64(trueN) / float64(sampledN)
 	case e.EffectiveRate > 0:
@@ -153,8 +86,7 @@ func (e *Estimate) Calibrate(sampledN, sampledUnique int) {
 }
 
 // Exact reports whether the estimate is degenerate: every reference was
-// kept, so the result is the exact engine's answer and all intervals are
-// zero-width.
+// kept, so the result is the exact engine's answer.
 func (e *Estimate) Exact() bool {
 	return e.DroppedRefs == 0 && e.Scale <= 1 && e.Stretch <= 1
 }
@@ -174,8 +106,7 @@ func (e *Estimate) StretchIndex(d int) int {
 }
 
 // memberRate returns q, the survival probability of one conflict-set
-// member under the spatial sample — the measured unique-set shrinkage
-// (the inverse of Stretch).
+// member under the spatial sample: the inverse of Stretch.
 func (e *Estimate) memberRate() float64 {
 	if e.Stretch <= 1 {
 		return 1
@@ -246,58 +177,4 @@ func (e *Estimate) RescaleHist(src []int, tally *KernelTally) []float64 {
 		f[0] = rem
 	}
 	return f
-}
-
-// SampledMisses returns the sampled-space occurrence count that backs
-// the scaled miss estimate for (level, assoc): the mass of raw bins
-// whose stretched cardinality reaches assoc.
-func (e *Estimate) SampledMisses(level, assoc int) int {
-	if level < 0 || level >= len(e.RawHist) {
-		return 0
-	}
-	n := 0
-	for d, c := range e.RawHist[level] {
-		if e.StretchIndex(d) >= assoc {
-			n += c
-		}
-	}
-	return n
-}
-
-// SE returns the standard error of the scaled miss count for
-// (level, assoc). Each kept occurrence in bin k is a Horvitz-Thompson
-// draw with inclusion probability 1/BinWeight(k), so its variance
-// contribution is w_k·(w_k−1) and the tail's variance sums them; exact
-// runs (every weight 1) report zero. The derivation treats occurrences
-// as independent, which understates clustering within an address —
-// DESIGN.md §10 discusses the approximation.
-func (e *Estimate) SE(level, assoc int) float64 {
-	if e.Scale <= 1 || level < 0 || level >= len(e.RawHist) {
-		return 0
-	}
-	v := 0.0
-	for k, n := range e.RawHist[level] {
-		if n > 0 && e.StretchIndex(k) >= assoc {
-			if w := e.BinWeight(k); w > 1 {
-				v += float64(n) * w * (w - 1)
-			}
-		}
-	}
-	return math.Sqrt(v)
-}
-
-// CI95 returns the two-sided 95% confidence bounds around a scaled miss
-// count, clamped at zero.
-func (e *Estimate) CI95(level, assoc, scaledMisses int) (lo, hi int) {
-	se := e.SE(level, assoc)
-	if se == 0 {
-		return scaledMisses, scaledMisses
-	}
-	delta := z95 * se
-	lo = int(math.Floor(float64(scaledMisses) - delta))
-	if lo < 0 {
-		lo = 0
-	}
-	hi = int(math.Ceil(float64(scaledMisses) + delta))
-	return lo, hi
 }

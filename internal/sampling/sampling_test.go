@@ -72,35 +72,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestEffectiveRateFloor(t *testing.T) {
-	cases := []struct {
-		rate   float64
-		floor  int
-		unique int
-		want   float64
-	}{
-		// 0.01·100 = 1 < default floor 8192 → clamp to exact.
-		{0.01, 0, 100, 1},
-		// 0.01·100000 = 1000 < 8192 → the floor raises the rate to s_min/N'.
-		{0.01, 0, 100000, 8192.0 / 100000},
-		// 0.5·100000 = 50000 >= 8192 → requested rate survives.
-		{0.5, 0, 100000, 0.5},
-		// Explicit floor raises the rate to floor/unique.
-		{0.01, 2000, 100000, 0.02}, // 2000/100000
-		// Negative floor disables the guard entirely.
-		{0.01, -1, 100, 0.01},
-		// Unknown unique count: the floor cannot engage.
-		{0.01, 0, 0, 0.01},
-	}
-	for _, c := range cases {
-		got := Config{Rate: c.rate, MinUnique: c.floor}.EffectiveRate(c.unique)
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("EffectiveRate(rate=%v floor=%d unique=%d) = %v, want %v",
-				c.rate, c.floor, c.unique, got, c.want)
-		}
-	}
-}
-
 func TestFilterCountsAndSpatialConsistency(t *testing.T) {
 	// Build a trace where each address appears 3 times; spatial sampling
 	// must keep all 3 occurrences or none.
@@ -164,7 +135,7 @@ func TestFilterKeepAllAndAddrBits(t *testing.T) {
 }
 
 func TestEstimateExactIdentity(t *testing.T) {
-	e := &Estimate{RequestedRate: 1, EffectiveRate: 1, KeptRefs: 100, DroppedRefs: 0, KnownUnique: 10}
+	e := &Estimate{RequestedRate: 1, EffectiveRate: 1, KeptRefs: 100, DroppedRefs: 0}
 	e.Calibrate(100, 10)
 	if !e.Exact() {
 		t.Fatalf("rate-1 estimate not Exact: %+v", e)
@@ -172,164 +143,48 @@ func TestEstimateExactIdentity(t *testing.T) {
 	if e.Scale != 1 || e.Stretch != 1 {
 		t.Errorf("exact estimate scale=%v stretch=%v, want 1/1", e.Scale, e.Stretch)
 	}
-	e.RawHist = [][]int{{0, 50, 30}}
-	if se := e.SE(0, 1); se != 0 {
-		t.Errorf("exact SE = %v, want 0", se)
-	}
-	if lo, hi := e.CI95(0, 1, 80); lo != 80 || hi != 80 {
-		t.Errorf("exact CI = [%d, %d], want [80, 80]", lo, hi)
+	if got := e.RescaleHist([]int{0, 50, 30}, nil); len(got) != 3 || got[1] != 50 || got[2] != 30 {
+		t.Errorf("exact RescaleHist = %v, want the input unchanged", got)
 	}
 }
 
 func TestEstimateCalibrateSHARDSAdj(t *testing.T) {
-	// N = 1000, N' = 100; sampled kept 110 refs over 11 uniques at an
-	// effective rate of 0.1. SHARDS-adj scale = (1000-100)/(110-11) and
-	// stretch = 100/11 — measured ratios, not the nominal 10x.
-	e := &Estimate{RequestedRate: 0.1, EffectiveRate: 0.1, KeptRefs: 110, DroppedRefs: 890, KnownUnique: 100}
+	// N = 1000; the sampled stream kept 110 refs over 11 uniques at an
+	// effective rate of 0.1. SHARDS-adj scale = 1000/110 — the measured
+	// ratio, not the nominal 10x; a blind stream's stretch is 1/R.
+	e := &Estimate{RequestedRate: 0.1, EffectiveRate: 0.1, KeptRefs: 110, DroppedRefs: 890}
 	e.Calibrate(110, 11)
-	if want := 900.0 / 99.0; math.Abs(e.Scale-want) > 1e-12 {
+	if want := 1000.0 / 110.0; math.Abs(e.Scale-want) > 1e-12 {
 		t.Errorf("Scale = %v, want %v", e.Scale, want)
 	}
-	if want := 100.0 / 11.0; math.Abs(e.Stretch-want) > 1e-12 {
-		t.Errorf("Stretch = %v, want %v", e.Stretch, want)
+	if e.Stretch != 10 {
+		t.Errorf("Stretch = %v, want 10", e.Stretch)
+	}
+	if e.Mode != ModeStream || e.KeptUnique != 11 {
+		t.Errorf("mode %q kept_unique %d, want %q and 11", e.Mode, e.KeptUnique, ModeStream)
 	}
 	if e.Exact() {
 		t.Error("sampled estimate reports Exact")
 	}
 }
 
-func TestEstimateStretchAndSE(t *testing.T) {
-	e := &Estimate{EffectiveRate: 0.5, KeptRefs: 500, DroppedRefs: 500, KnownUnique: 20}
-	e.Calibrate(500, 10) // stretch 2, scale (1000-20)/(500-10) = 2
+func TestEstimateStretchAndBinWeight(t *testing.T) {
+	e := &Estimate{EffectiveRate: 0.5, KeptRefs: 500, DroppedRefs: 500}
+	e.Calibrate(500, 10) // stretch 2, scale 1000/500 = 2
 	if e.StretchIndex(0) != 0 {
 		t.Error("StretchIndex(0) must stay 0")
 	}
 	if got := e.StretchIndex(3); got != 6 {
 		t.Errorf("StretchIndex(3) = %d, want 6", got)
 	}
-	e.RawHist = [][]int{{40, 25, 10}}
-	// Bins stretch to {0, 2, 4}: assoc 1 sees sampled mass 35, assoc 3
-	// only the d=2 bin (10).
-	if got := e.SampledMisses(0, 1); got != 35 {
-		t.Errorf("SampledMisses(0,1) = %d, want 35", got)
+	// Bin 0 carries the plain mass scale; bin k >= 1 (d̂ = 2k) is
+	// inflated by the occupancy correction 1/(1 − (1−q)^d̂), q = 0.5.
+	if got := e.BinWeight(0); got != 2 {
+		t.Errorf("BinWeight(0) = %v, want 2", got)
 	}
-	if got := e.SampledMisses(0, 3); got != 10 {
-		t.Errorf("SampledMisses(0,3) = %d, want 10", got)
-	}
-	// Per-bin Horvitz-Thompson variance: bin k=1 (d̂=2) carries weight
-	// w=2/(1−0.5²), bin k=2 (d̂=4) w=2/(1−0.5⁴).
-	w1, w2 := e.BinWeight(1), e.BinWeight(2)
-	wantSE := math.Sqrt(25*w1*(w1-1) + 10*w2*(w2-1))
-	if got := e.SE(0, 1); math.Abs(got-wantSE) > 1e-9 {
-		t.Errorf("SE(0,1) = %v, want %v", got, wantSE)
-	}
-	lo, hi := e.CI95(0, 1, 70)
-	if lo >= hi || lo < 0 || lo > 70 || hi < 70 {
-		t.Errorf("CI95 = [%d, %d] does not bracket 70", lo, hi)
-	}
-	// Tiny estimates clamp at zero rather than going negative.
-	if lo, _ := e.CI95(0, 3, 1); lo != 0 {
-		t.Errorf("clamped CI lo = %d, want 0", lo)
-	}
-}
-
-func TestEstimateCIWidthShrinksWithScale(t *testing.T) {
-	width := func(scale float64) int {
-		e := &Estimate{Scale: scale, Stretch: 1, RawHist: [][]int{{0, 1000}}}
-		lo, hi := e.CI95(0, 1, int(scale*1000))
-		return hi - lo
-	}
-	// Larger scale (lower rate) → wider interval for the same sampled mass.
-	if w1, w2 := width(2), width(10); w1 >= w2 {
-		t.Errorf("CI width at scale 2 (%d) not narrower than at scale 10 (%d)", w1, w2)
-	}
-}
-
-func TestPlanStrataWaterfilling(t *testing.T) {
-	// One dominant identifier over a flat field: the heavy id must become
-	// a certainty unit and the remainder's rate must spend the rest of the
-	// expected-size budget.
-	mass := []int{1000, 10, 10, 10, 10, 10, 10, 10, 10, 10}
-	cert, rate := PlanStrata(mass, 4)
-	if !cert[0] {
-		t.Fatal("dominant identifier not a certainty unit")
-	}
-	for i := 1; i < len(mass); i++ {
-		if cert[i] {
-			t.Errorf("flat identifier %d promoted to certainty", i)
-		}
-	}
-	// Budget: 1 certainty + rate·9 sampled ≈ 4 expected keeps.
-	if want := 3.0 / 9.0; math.Abs(rate-want) > 1e-12 {
-		t.Errorf("remainder rate = %v, want %v", rate, want)
-	}
-}
-
-func TestPlanStrataFlatMassHasNoCertainty(t *testing.T) {
-	// A loop trace's masses are all equal: no identifier dominates, so the
-	// plan degenerates to plain spatial sampling at target/n.
-	mass := make([]int, 100)
-	for i := range mass {
-		mass[i] = 7
-	}
-	cert, rate := PlanStrata(mass, 10)
-	for i, c := range cert {
-		if c {
-			t.Fatalf("identifier %d is a certainty unit in a flat plan", i)
-		}
-	}
-	if math.Abs(rate-0.1) > 1e-12 {
-		t.Errorf("flat plan rate = %v, want 0.1", rate)
-	}
-}
-
-func TestPlanStrataDegenerateTargets(t *testing.T) {
-	mass := []int{5, 3, 2}
-	// Target at or above n keeps everything with certainty.
-	cert, rate := PlanStrata(mass, 3)
-	for i, c := range cert {
-		if !c {
-			t.Errorf("target=n: identifier %d not certain", i)
-		}
-	}
-	if rate != 0 {
-		t.Errorf("target=n: rate = %v, want 0", rate)
-	}
-	// Empty input.
-	cert, rate = PlanStrata(nil, 1)
-	if len(cert) != 0 || rate != 0 {
-		t.Errorf("empty plan = (%v, %v)", cert, rate)
-	}
-	// Steeply skewed: every id's mass clears the waterfilling bar, so all
-	// become certain even below target=n.
-	cert, _ = PlanStrata([]int{1 << 20, 1 << 10, 1}, 2.5)
-	if !cert[0] || !cert[1] {
-		t.Errorf("skewed plan certainty = %v, want the two heavy ids certain", cert)
-	}
-}
-
-func TestPlanStrataExpectedSizeBudget(t *testing.T) {
-	// Whatever the split, certainty count plus rate times the remainder
-	// must equal the requested expected size.
-	masses := [][]int{
-		{100, 50, 25, 12, 6, 3, 1, 1, 1, 1, 1, 1},
-		{9, 9, 9, 9, 9, 9},
-		{1000, 1, 1, 1},
-	}
-	for _, mass := range masses {
-		for _, target := range []float64{1, 2.5, 4, float64(len(mass)) - 0.5} {
-			cert, rate := PlanStrata(mass, target)
-			k := 0
-			for _, c := range cert {
-				if c {
-					k++
-				}
-			}
-			got := float64(k) + rate*float64(len(mass)-k)
-			if math.Abs(got-target) > 1e-9 {
-				t.Errorf("mass=%v target=%v: expected size %v (cert=%d rate=%v)",
-					mass, target, got, k, rate)
-			}
+	for k, want := range map[int]float64{1: 2 / (1 - 0.25), 2: 2 / (1 - 0.0625)} {
+		if got := e.BinWeight(k); math.Abs(got-want) > 1e-12 {
+			t.Errorf("BinWeight(%d) = %v, want %v", k, got, want)
 		}
 	}
 }

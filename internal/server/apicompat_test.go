@@ -121,9 +121,8 @@ func TestAPICompatGolden(t *testing.T) {
 		{"cluster", get("/v1/cluster"), 200},
 		{"explore", post("/v1/explore", fmt.Sprintf(`{"trace":%q,"k":5}`, digest)), 200},
 		{"explore_cached", post("/v1/explore", fmt.Sprintf(`{"trace":%q,"k":3}`, digest)), 200},
-		// 32 uniques sit far under the MinUnique floor, so the sampled
-		// request deterministically degenerates to exact — locking the
-		// sample summary's shape without locking estimator noise.
+		// An uploaded trace is in memory, so the sampled request is
+		// answered exactly — locking the sample summary's shape.
 		{"explore_sampled", post("/v1/explore?sample=0.5", fmt.Sprintf(`{"trace":%q,"k":5}`, digest)), 200},
 		// A space block switches explore to design-space mode: the pareto,
 		// prune and space blocks are additive to the v1 response shape and

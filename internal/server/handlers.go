@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net/http"
 	"net/url"
 	"sort"
@@ -302,29 +301,26 @@ func parseExplore(body []byte, query url.Values) (computeRequest, *apiError) {
 // hit.
 type exploreQuery struct{ exploreRequest }
 
-// memo keys one depth profile. Sampled profiles are keyed separately per
-// rate — an approximate answer must never be served where an exact one
-// was asked for (or vice versa), and the default seed makes a given rate
-// deterministic.
+// memo keys one depth profile. A sampled request keeps its own key per
+// rate, spelled "|rate=": its profile carries a sample summary the exact
+// one does not. The spelling also retires every "|sample=" key an older
+// server persisted, whose profiles may be approximate, so warm start
+// never serves one.
 func (q *exploreQuery) memo(digest string) (string, bool) {
 	key := fmt.Sprintf("explore|%s|d=%d", digest, q.MaxDepth)
 	if q.SampleRate != 0 {
-		key = fmt.Sprintf("%s|sample=%g", key, q.SampleRate)
+		key = fmt.Sprintf("%s|rate=%g", key, q.SampleRate)
 	}
 	return key, true
 }
 
+// compute explores the trace's memoized prelude. A sampled request runs
+// the same exact exploration: core.Explore answers an in-memory source
+// exactly and attaches the degenerate rate-1 estimate.
 func (q *exploreQuery) compute(ctx context.Context, entry *TraceEntry) (any, error) {
 	opts := core.Options{MaxDepth: q.MaxDepth, SampleRate: q.SampleRate}
 	if q.Parallel {
 		opts.Workers = -1
-	}
-	if q.SampleRate != 0 {
-		// The sampled engine needs the raw trace, not the memoized
-		// prelude: its stratification plan reads per-address occurrence
-		// masses and its estimate calibrates against the occurrence
-		// counts a stripped prelude no longer carries.
-		return core.Explore(ctx, entry.Trace, opts)
 	}
 	stripped, mrct, err := entry.Prelude(ctx)
 	if err != nil {
@@ -335,9 +331,7 @@ func (q *exploreQuery) compute(ctx context.Context, entry *TraceEntry) (any, err
 }
 
 // render projects a depth profile into the budget-K response rows.
-// Sampled profiles additionally carry the estimate summary and, unless
-// the sample degenerated to exact, per-instance standard errors and
-// confidence bounds derived from the estimator's raw histograms.
+// Sampled profiles additionally carry the estimate summary.
 func (q *exploreQuery) render(entry *TraceEntry, v any, cached, degraded bool) any {
 	res := v.(*core.Result)
 	resp := q.response(entry, cached, degraded)
@@ -357,18 +351,10 @@ func (q *exploreQuery) render(entry *TraceEntry, v any, cached, degraded bool) a
 			Mode:          est.Mode,
 			RequestedRate: est.RequestedRate,
 			EffectiveRate: est.EffectiveRate,
-			Confidence:    sampling.ConfidenceLevel,
+			Confidence:    0.95, // the v1 field's constant value
 			KeptRefs:      est.KeptRefs,
 			DroppedRefs:   est.DroppedRefs,
 			Exact:         est.Exact(),
-		}
-		if !est.Exact() {
-			for i := range resp.Instances {
-				lvl := bits.TrailingZeros(uint(resp.Instances[i].Depth))
-				resp.Instances[i].MissesSE = est.SE(lvl, resp.Instances[i].Assoc)
-				resp.Instances[i].MissesLo, resp.Instances[i].MissesHi =
-					est.CI95(lvl, resp.Instances[i].Assoc, resp.Instances[i].Misses)
-			}
 		}
 	}
 	return resp

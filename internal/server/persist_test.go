@@ -9,9 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/example/cachedse/internal/core"
+	"github.com/example/cachedse/internal/sampling"
 	"github.com/example/cachedse/internal/trace"
 	"github.com/example/cachedse/pkg/client"
 )
@@ -139,6 +142,69 @@ func TestServerDeleteIsDurable(t *testing.T) {
 	}
 	if code := doJSON(t, "GET", ts2.URL+"/v1/traces/"+info.Digest, nil, nil); code != http.StatusNotFound {
 		t.Fatalf("GET deleted trace after restart: code %d, want 404", code)
+	}
+}
+
+// TestServerIgnoresPersistedApproximateProfile: a profile persisted under
+// the retired "|sample=<R>" key may be an approximate estimate. After a
+// restart a sampled request must not be served from it: the answer is
+// computed afresh and exact. The rate-keyed result it persists is tied
+// to the trace, so deleting the trace removes it from disk.
+func TestServerIgnoresPersistedApproximateProfile(t *testing.T) {
+	dir := t.TempDir()
+	tr := testTrace(800, 1<<9)
+	var din bytes.Buffer
+	if err := trace.WriteText(&din, tr); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts, stop := startPersistent(t, dir, Config{})
+	info, _ := uploadTrace(t, ts, din.Bytes())
+	var exact client.ExploreResponse
+	if code := doJSON(t, "POST", ts.URL+"/v1/explore",
+		[]byte(`{"trace":"`+info.Digest+`","k":25}`), &exact); code != http.StatusOK {
+		t.Fatalf("exact explore: code %d", code)
+	}
+	// Seed the store with what an older server persisted for ?sample=0.5:
+	// a rescaled profile whose estimate dropped references.
+	stale, err := core.Explore(context.Background(), tr, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range stale.Levels {
+		for d := range l.Hist {
+			l.Hist[d] *= 2
+		}
+	}
+	stale.Sample = &sampling.Estimate{Mode: sampling.ModePostlude, RequestedRate: 0.5, EffectiveRate: 0.5,
+		KeptRefs: int64(tr.Len() / 2), DroppedRefs: int64(tr.Len() - tr.Len()/2), Scale: 2, Stretch: 1}
+	srv.persistResult(context.Background(), "explore|"+info.Digest+"|d=0|sample=0.5", stale)
+	stop()
+
+	srv2, ts2, stop2 := startPersistent(t, dir, Config{})
+	defer stop2()
+	var got client.ExploreResponse
+	if code := doJSON(t, "POST", ts2.URL+"/v1/explore?sample=0.5",
+		[]byte(`{"trace":"`+info.Digest+`","k":25}`), &got); code != http.StatusOK {
+		t.Fatalf("sampled explore after restart: code %d", code)
+	}
+	if got.Cached {
+		t.Error("sampled explore after restart was served from the cache")
+	}
+	if got.Sample == nil || !got.Sample.Exact || got.Sample.DroppedRefs != 0 {
+		t.Errorf("sample summary %+v, want exact", got.Sample)
+	}
+	if !reflect.DeepEqual(got.Instances, exact.Instances) {
+		t.Errorf("sampled instances %+v, want the exact %+v", got.Instances, exact.Instances)
+	}
+
+	if code := doJSON(t, "DELETE", ts2.URL+"/v1/traces/"+info.Digest, nil, nil); code != http.StatusOK {
+		t.Fatalf("delete: code %d", code)
+	}
+	for _, e := range srv2.persist.List(resultKeyPrefix) {
+		if strings.Contains(e.Key, info.Digest) {
+			t.Errorf("result %q outlived its deleted trace", e.Key)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -711,15 +712,19 @@ func TestTraceDigestFormatIndependent(t *testing.T) {
 	}
 }
 
+// TestServerSampledExplore: a sampled request answers exactly. Its
+// instances equal the exact request's, its sample summary says exact
+// with every reference kept, it carries no interval fields, it explores
+// the memoized prelude instead of rebuilding it, and its repeat is a
+// cache hit.
 func TestServerSampledExplore(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	// A sliding-window trace: ~23k unique addresses, so a 0.5 rate clears
-	// the MinUnique floor (s_min = 8192) and the exploration is genuinely
-	// approximate, while the short reuse distances (and the max_depth cap
-	// in the requests) keep the exact baseline sub-second.
+	// A sliding-window trace with ~12k unique addresses: enough that a
+	// rate-0.5 sample was once genuinely approximate, while the short
+	// reuse distances (and the max_depth cap) keep the exploration fast.
 	rng := rand.New(rand.NewSource(11))
-	tr := trace.New(72000)
-	for i := 0; i < 72000; i++ {
+	tr := trace.New(36000)
+	for i := 0; i < 36000; i++ {
 		kind := trace.DataRead
 		if i%7 == 0 {
 			kind = trace.DataWrite
@@ -731,43 +736,63 @@ func TestServerSampledExplore(t *testing.T) {
 		t.Fatal(err)
 	}
 	info, _ := uploadTrace(t, ts, din.Bytes())
+	body := `{"trace":"` + info.Digest + `","k":100,"max_depth":256}`
 
 	var exact client.ExploreResponse
-	if code := doJSON(t, "POST", ts.URL+"/v1/explore",
-		[]byte(`{"trace":"`+info.Digest+`","k":100,"max_depth":256}`), &exact); code != http.StatusOK {
+	if code := doJSON(t, "POST", ts.URL+"/v1/explore", []byte(body), &exact); code != http.StatusOK {
 		t.Fatalf("exact explore: code %d", code)
 	}
 	if exact.Sample != nil {
 		t.Fatal("exact exploration carries a sample summary")
 	}
 
-	var sampled client.ExploreResponse
-	if code := doJSON(t, "POST", ts.URL+"/v1/explore?sample=0.5",
-		[]byte(`{"trace":"`+info.Digest+`","k":100,"max_depth":256}`), &sampled); code != http.StatusOK {
-		t.Fatalf("sampled explore: code %d", code)
+	resp, err := http.Post(ts.URL+"/v1/explore?sample=0.5", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sampled.Sample == nil {
-		t.Fatal("sampled exploration has no sample summary")
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("sampled explore: code %d, err %v: %s", resp.StatusCode, err, raw)
 	}
-	if sampled.Sample.Exact {
-		t.Fatalf("rate 0.5 over %d uniques should not degenerate to exact", info.NUnique)
-	}
-	if sampled.Sample.Mode != "postlude" || sampled.Sample.Confidence != 0.95 {
-		t.Errorf("sample summary = %+v", sampled.Sample)
-	}
-	if sampled.Sample.KeptRefs+sampled.Sample.DroppedRefs != int64(info.N) {
-		t.Errorf("kept %d + dropped %d != N %d",
-			sampled.Sample.KeptRefs, sampled.Sample.DroppedRefs, info.N)
-	}
-	// Instances carry confidence bounds bracketing the estimate, and the
-	// estimates track the exact engine's picks on the same budget rows.
-	if len(sampled.Instances) != len(exact.Instances) {
-		t.Fatalf("sampled emitted %d instances, exact %d", len(sampled.Instances), len(exact.Instances))
-	}
-	for i, ins := range sampled.Instances {
-		if ins.MissesLo > ins.Misses || ins.MissesHi < ins.Misses {
-			t.Errorf("instance %d: CI [%d, %d] does not bracket %d", i, ins.MissesLo, ins.MissesHi, ins.Misses)
+	for _, field := range []string{"misses_se", "misses_lo", "misses_hi"} {
+		if bytes.Contains(raw, []byte(field)) {
+			t.Errorf("sampled response carries %q: %s", field, raw)
 		}
+	}
+	var sampled client.ExploreResponse
+	if err := json.Unmarshal(raw, &sampled); err != nil {
+		t.Fatal(err)
+	}
+	if sampled.Cached {
+		t.Error("first sampled exploration reported cached; its key must differ from the exact one")
+	}
+	if sum := sampled.Sample; sum == nil || !sum.Exact || sum.Mode != "postlude" ||
+		sum.KeptRefs != int64(info.N) || sum.DroppedRefs != 0 || sum.EffectiveRate != 1 {
+		t.Errorf("sample summary = %+v, want exact with all %d refs kept", sum, info.N)
+	}
+	if !reflect.DeepEqual(sampled.Instances, exact.Instances) || sampled.Table != exact.Table {
+		t.Errorf("sampled instances %+v differ from exact %+v", sampled.Instances, exact.Instances)
+	}
+
+	// The exact request built the trace's prelude; the sampled job reuses
+	// it and runs only the postlude, with no sampling pass.
+	spans := map[string]int{}
+	var walk func(ns []*obs.Node)
+	walk = func(ns []*obs.Node) {
+		for _, n := range ns {
+			spans[n.Name]++
+			walk(n.Children)
+		}
+	}
+	walk([]*obs.Node{jobTree(t, ts.URL, resp.Header.Get("X-Job-ID"))})
+	for _, rebuilt := range []string{"prelude", "strip", "mrct", "sample"} {
+		if spans[rebuilt] != 0 {
+			t.Errorf("sampled job ran %q: spans %v", rebuilt, spans)
+		}
+	}
+	if spans["postlude"] != 1 {
+		t.Errorf("sampled job spans %v, want one postlude", spans)
 	}
 
 	// The sampled profile memoizes under its own key: re-asking is a cache
@@ -780,12 +805,7 @@ func TestServerSampledExplore(t *testing.T) {
 	if !again.Cached {
 		t.Error("repeated sampled exploration missed the result cache")
 	}
-	if again.Sample == nil || again.Sample.EffectiveRate != sampled.Sample.EffectiveRate {
-		t.Errorf("cached sample summary differs: %+v vs %+v", again.Sample, sampled.Sample)
-	}
-	for i, ins := range again.Instances {
-		if ins != sampled.Instances[i] {
-			t.Errorf("cached instance %d = %+v, want %+v", i, ins, sampled.Instances[i])
-		}
+	if !reflect.DeepEqual(again.Sample, sampled.Sample) || !reflect.DeepEqual(again.Instances, exact.Instances) {
+		t.Errorf("cached sampled answer %+v / %+v differs from the first", again.Sample, again.Instances)
 	}
 }

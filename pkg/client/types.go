@@ -27,16 +27,16 @@ type ListOptions struct {
 	Kind   string // "instr", "data" or "mixed"; empty lists all
 }
 
-// Instance is one emitted (depth, assoc) cache configuration. The
-// MissesSE/MissesLo/MissesHi interval fields are present only on sampled
-// (approximate) explorations that did not degenerate to exact.
+// Instance is one emitted (depth, assoc) cache configuration.
 type Instance struct {
 	Depth     int `json:"depth"`
 	Assoc     int `json:"assoc"`
 	SizeWords int `json:"size_words"`
 	Misses    int `json:"misses"`
-	// MissesSE is the standard error of the estimated miss count;
-	// MissesLo/MissesHi bracket it at SampleInfo.Confidence.
+	// MissesSE/MissesLo/MissesHi are v1 interval fields for an estimated
+	// miss count: its standard error and bounds at
+	// SampleInfo.Confidence. This server answers every request exactly
+	// and no longer sets them; they stay for wire compatibility.
 	MissesSE float64 `json:"misses_se,omitempty"`
 	MissesLo int     `json:"misses_lo,omitempty"`
 	MissesHi int     `json:"misses_hi,omitempty"`
@@ -55,9 +55,11 @@ type ExploreRequest struct {
 	Pareto   bool     `json:"pareto,omitempty"`
 	Parallel bool     `json:"parallel,omitempty"`
 	Verify   bool     `json:"verify,omitempty"`
-	// SampleRate, when non-zero, asks for a spatially-sampled approximate
-	// exploration at that rate (0 < rate <= 1). Rates outside the range
-	// fail with ErrInvalidSampleRate; combining with Verify is rejected.
+	// SampleRate is a v1 field that once asked for a spatially sampled,
+	// approximate exploration at that rate (0 < rate <= 1). This server
+	// still validates it — rates outside the range fail with
+	// ErrInvalidSampleRate, and combining it with Verify is rejected — but
+	// answers exactly, with a Sample summary marked Exact.
 	SampleRate float64 `json:"sample_rate,omitempty"`
 	// Space, when present, asks for a design-space exploration: the
 	// response carries the Pareto front of the space (Pareto/Prune/Space
@@ -120,9 +122,9 @@ type PruneInfo struct {
 	Rate            float64 `json:"rate"`
 }
 
-// SampleInfo summarises the sampling estimate of an approximate
-// exploration: the rates used, the measured kept/dropped reference
-// totals, and the confidence level of the per-instance intervals.
+// SampleInfo summarises the sampling estimate of a request that carried a
+// sample rate: the rates used, the measured kept/dropped reference
+// totals, and the confidence level of the v1 per-instance intervals.
 type SampleInfo struct {
 	Mode          string  `json:"mode"`
 	RequestedRate float64 `json:"requested_rate"`
@@ -130,15 +132,15 @@ type SampleInfo struct {
 	Confidence    float64 `json:"confidence"`
 	KeptRefs      int64   `json:"kept_refs"`
 	DroppedRefs   int64   `json:"dropped_refs"`
-	// Exact marks a sampled request that degenerated to the exact engine
-	// (rate 1, or the server's unique-count floor clamped it).
+	// Exact marks an answer that is the exact engine's; this server sets
+	// it on every sampled answer (effective rate 1, nothing dropped).
 	Exact bool `json:"exact,omitempty"`
 }
 
 // ExploreResponse is the exploration's answer. Degraded marks an answer
 // served from cached results while the server was saturated — exact, but
 // any requested verification was skipped. Sample is present iff the
-// exploration was sampled.
+// request carried a sample rate.
 type ExploreResponse struct {
 	Trace     string      `json:"trace"`
 	K         int         `json:"k"`
