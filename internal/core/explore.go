@@ -39,7 +39,9 @@ type Options struct {
 	// Requests beyond GOMAXPROCS are clamped to it — extra workers on a
 	// saturated machine only add queue and merge overhead (the negative
 	// scaling BenchmarkAblationParallelExplore showed before the clamp).
-	// Results are bit-identical at every setting.
+	// Results are bit-identical at every setting. The option leaves the
+	// MRCT build alone: that splits by trace length whatever Workers says,
+	// one chunk per core and at least 64 Ki references per chunk.
 	Workers int
 	// SampleRate, when non-zero, asks for a spatially sampled answer at
 	// this rate; valid rates lie in (0, 1], anything else fails with

@@ -57,6 +57,10 @@ type Scratch struct {
 	occBuf    []occurrence // backing storage m.occ[id] slices are carved from
 	i32       int32Arena   // sparse conflict-set storage
 	bs        bitset.Arena // packed conflict-set storage
+	// chunks[j] builds chunk j of a chunked MRCT build; chunks[0] is this
+	// Scratch, the others are kept here so their buffers are reused too.
+	chunks    []mrctChunk
+	setMerged []int32 // per set index of a merged chunk, its merged index
 
 	// Postlude freelist: row sets and zero/one planes, recycled via a
 	// cursor (resetSets) instead of being reallocated per engine run.

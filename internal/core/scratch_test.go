@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
 
 	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/internal/tracegen"
 )
 
 // scratchTestTrace builds a mid-sized mixed trace whose exploration
@@ -47,6 +49,46 @@ func TestAllocsSteadyStateExplore(t *testing.T) {
 	const maxAllocs = 200
 	if allocs > maxAllocs {
 		t.Fatalf("steady-state Explore allocates %.0f objects/op, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// The chunked build keeps its chunks' scratch pooled too: 300 K
+// references in 60 working-set phases are built in at least two chunks,
+// and a warm Explore of them stays under the same gate as the
+// 20 K-reference one (measured: ~30). The phases give each chunk
+// thousands of distinct sets, so a chunk scratch made afresh per build
+// would cost ~270 objects and trip it.
+func TestAllocsSteadyStateExploreChunked(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	tr := tracegen.WorkingSetPhases(rand.New(rand.NewSource(19)), 60, 5000, 16)
+	if k := chunkCount(tr.Len()); k < 2 {
+		t.Fatalf("a %d-reference trace is built in %d chunk, want at least 2", tr.Len(), k)
+	}
+	run := func() {
+		if _, err := Explore(context.Background(), tr, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// testing.AllocsPerRun pins GOMAXPROCS to 1, which would build in one
+	// chunk, so the gate counts the mallocs of ten runs itself.
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	const maxAllocs = 200
+	if allocs > maxAllocs {
+		t.Fatalf("steady-state chunked Explore allocates %.0f objects/op, want <= %d", allocs, maxAllocs)
 	}
 }
 
