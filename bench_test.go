@@ -463,7 +463,7 @@ func BenchmarkSpaceExplore(b *testing.B) {
 	// sweep-cap: a FIFO-only level as large as dse.MaxSweepWays admits
 	// (1024·180·181/2 replica ways), at three line sizes over a stream
 	// whose lines reach every depth, so each sweep runs its full axis.
-	// Its B/op at -cpu 1 and -cpu 4 shows what the sweep fan-out adds to
+	// Its B/op at -cpu 1 and -cpu 4 shows what the sweep pool adds to
 	// the sweepers' tables.
 	capTrace := tracegen.Uniform(rand.New(rand.NewSource(1)), 0, 4096, 8192)
 	capSpace := core.Space{L1: core.LevelSpace{MaxDepth: 1024, MaxAssoc: 180, LineWords: []int{1, 2, 4}, Policies: []core.Policy{core.PolicyFIFO}}}

@@ -136,14 +136,21 @@ func BuildMRCT(s *trace.Stripped) *MRCT {
 // build checks ctx every few thousand references, and the build returns
 // ctx.Err() once it is done.
 //
-// The returned table is caller-owned: it is built through a throwaway
-// scratch, so it stays valid indefinitely (a Prelude can retain it across
-// explorations). The engine's internal path instead reuses a pooled
-// scratch via buildMRCT, whose output lives only until the scratch is
-// recycled.
+// The returned table is caller-owned, so it stays valid indefinitely (a
+// Prelude can retain it across explorations). It is built through a
+// scratch from the pool Explore draws from, so the build state — the
+// dedup table, times, tree, windows and per-set counts — is reused from
+// one build to the next. Only the table's own storage is new: the build
+// carves it from arenas and an occurrence buffer that go with the table,
+// while the scratch's arenas stay pooled for the next Explore.
 func BuildMRCTContext(ctx context.Context, s *trace.Stripped) (*MRCT, error) {
+	sc := sharedScratch.Get(s.N())
+	defer sharedScratch.Put(sc)
+	i32, bs, occBuf := sc.i32, sc.bs, sc.occBuf
+	sc.i32, sc.bs, sc.occBuf = int32Arena{}, bitset.Arena{}, nil
+	defer func() { sc.i32, sc.bs, sc.occBuf = i32, bs, occBuf }()
 	m := &MRCT{}
-	if err := buildMRCT(ctx, s, &Scratch{}, m); err != nil {
+	if err := buildMRCT(ctx, s, sc, m); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -354,8 +361,9 @@ func runChunks(ctx context.Context, s *trace.Stripped, m *MRCT, idHash []uint64,
 // the stack walk's Σ|C| over every occurrence.
 //
 // All of m's storage — sparse sets, packed bit-vectors, occurrence runs —
-// is carved from sc's arenas. A pooled caller must treat m as invalidated once sc is reused; BuildMRCTContext
-// passes a fresh scratch precisely so its output has no such lifetime.
+// is carved from sc's arenas. A pooled caller must treat m as
+// invalidated once sc is reused; BuildMRCTContext gives sc fresh arenas
+// for the build, which leave with the table.
 func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int, idHash []uint64, m *MRCT) (mrctWork, error) {
 	nu := s.NUnique()
 	sc.i32.reset()

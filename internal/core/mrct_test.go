@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -407,6 +408,33 @@ func TestMRCTChunkedOwnsItsStorage(t *testing.T) {
 	}
 }
 
+// TestBuildMRCTContextOwnsItsTable: BuildMRCTContext builds through a
+// pooled scratch but carves the table from storage of its own, so
+// explorations that draw the same scratch from the pool afterwards leave
+// the table it returned intact. On one P the pool hands the scratch
+// straight back.
+func TestBuildMRCTContextOwnsItsTable(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	rng := rand.New(rand.NewSource(43))
+	s := trace.Strip(tracegen.Uniform(rng, 0, 64, 20000))
+	m, err := BuildMRCTContext(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PackedSets() == 0 {
+		t.Fatal("no packed sets to cover")
+	}
+	for range 3 {
+		if _, err := Explore(context.Background(), tracegen.Uniform(rng, 0, 64, 20000), Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := mrctDiff(m, buildMRCTStack(s)); d != "" {
+		t.Fatal(d)
+	}
+}
+
 // pooledSeed is the trace pooledBuild runs first: its universe and set
 // table are far larger than the small traces built after it, so the dedup
 // table has grown and the per-set and per-id buffers hold stale entries.
@@ -526,7 +554,9 @@ func FuzzBuildMRCT(f *testing.F) {
 // id's previous window, compress.data (N = 1.18 M, 37 743 distinct sets)
 // mostly through the dedup table. The oracle's stack walk is too slow to
 // run on those; instead the chunked build, in chunkCount(N) chunks, runs
-// beside the serial one.
+// beside the serial one, and /context times BuildMRCTContext, the
+// server's prelude build: a pooled build whose table gets storage of its
+// own, which the caller keeps.
 func BenchmarkBuildMRCT(b *testing.B) {
 	rng := rand.New(rand.NewSource(37))
 	compress, err := minicbench.Get("compress").Run()
@@ -571,6 +601,14 @@ func BenchmarkBuildMRCT(b *testing.B) {
 			sc := &Scratch{}
 			for i := 0; i < b.N; i++ {
 				if err := buildMRCT(context.Background(), s, sc, &sc.mrct); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(in.name+"/context", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildMRCTContext(context.Background(), s); err != nil {
 					b.Fatal(err)
 				}
 			}

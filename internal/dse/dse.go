@@ -14,10 +14,10 @@
 // Pareto front of a declarative core.Space over (misses, energy, area).
 // Every miss count it reads, LRU included, comes from internal/onepass's
 // one-pass policy sweeps; the LRU sweep is a bounded per-set stack, so a
-// space builds no MRCT, and core.Explore is that sweep's test oracle. A
-// policy's sweeps at its depths run on up to min(GOMAXPROCS, depths)
-// workers, each with its own sweeper, as many as MaxSweepWays holds, and
-// the front does not depend on how many.
+// space builds no MRCT, and core.Explore is that sweep's test oracle.
+// Each call runs its filter replays, strips and sweeps on one pool of
+// GOMAXPROCS workers, with as many sweepers at once as MaxSweepWays
+// holds, and the front does not depend on how many.
 package dse
 
 import (

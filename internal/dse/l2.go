@@ -51,15 +51,25 @@ func FilterThroughL1(t *trace.Trace, l1 cache.Config) (*trace.Trace, error) {
 // exactly as in FilterThroughL1; the two caches' outputs interleave in
 // trace order because each reference is fully retired before the next.
 func FilterThroughSplitL1(t *trace.Trace, l1i, l1d cache.Config) (*trace.Trace, error) {
+	out := trace.New(0)
+	if err := filterSplitL1(t, l1i, l1d, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// filterSplitL1 is FilterThroughSplitL1 writing the stream into out,
+// whose references it replaces and whose capacity it reuses.
+func filterSplitL1(t *trace.Trace, l1i, l1d cache.Config, out *trace.Trace) error {
 	ci, err := cache.NewCache(l1i)
 	if err != nil {
-		return nil, fmt.Errorf("dse: L1I: %w", err)
+		return fmt.Errorf("dse: L1I: %w", err)
 	}
 	cd, err := cache.NewCache(l1d)
 	if err != nil {
-		return nil, fmt.Errorf("dse: L1D: %w", err)
+		return fmt.Errorf("dse: L1D: %w", err)
 	}
-	out := trace.New(0)
+	out.Refs = out.Refs[:0]
 	evict := func(lineShift uint) func(uint32, bool) {
 		return func(lineAddr uint32, dirty bool) {
 			if dirty {
@@ -78,7 +88,7 @@ func FilterThroughSplitL1(t *trace.Trace, l1i, l1d cache.Config) (*trace.Trace, 
 			out.Append(trace.Ref{Addr: r.Addr, Kind: readKind(r.Kind)})
 		}
 	}
-	return out, nil
+	return nil
 }
 
 func lineShiftOf(cfg cache.Config) uint {

@@ -5,15 +5,12 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/cacti"
 	"github.com/example/cachedse/internal/core"
-	"github.com/example/cachedse/internal/faultinject"
 	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/onepass"
 	"github.com/example/cachedse/internal/report"
@@ -27,9 +24,13 @@ import (
 // policy), each exact for every associativity at once; costs come from
 // the cacti model. The only simulation is the L1 filter replay that
 // derives the L2 reference stream, one run per retained L1 pair. On
-// levels whose policy set includes LRU, the LRU sweep runs first and its
-// α-threshold and A_zero cuts prune the associativity axis before any
-// non-LRU sweep, and core.Front.Stats records how much work they skipped.
+// levels whose policy set includes LRU, a depth's LRU sweep runs first
+// and its α-threshold and A_zero cuts prune the associativity axis before
+// any non-LRU sweep of that depth, and core.Front.Stats records how much
+// work they skipped. Each level stream is a levelStage, and every stage
+// of a call runs on the call's one sweep pool (pool.go): the L1I and L1D
+// stages side by side, then the retained pairs' L2 stages side by side,
+// with the front assembled in the order a serial walk would produce it.
 
 // DefaultMissPenaltyPJ is the off-chip access energy charged per
 // last-level miss when SpaceOptions leaves the penalty zero. It matches
@@ -133,130 +134,6 @@ func onepassOf(p core.Policy) onepass.ReplPolicy {
 	}
 }
 
-// MaxSweepWays bounds, in int32 words, the tables a space exploration's
-// policy sweeps hold. The server rejects a level whose largest sweep,
-// max_depth·A(A+1)/2 replica ways for max_assoc A, would pass it, and a
-// sweep runs on more than one worker only while the ways and residency
-// tables of all the exploration's sweepers together stay within it.
-const MaxSweepWays = 1 << 24
-
-// spaceScratch is the working memory one ExploreSpace call reuses across
-// its level streams and line sizes: the strip of the current (stream,
-// line) and one policy sweeper per sweep worker. ways and residency are
-// the largest ways and residency tables, in int32 words, any sweep of the
-// call has asked a sweeper for, so no sweeper holds more than their sum.
-type spaceScratch struct {
-	strip           trace.Stripped
-	sweepers        []*onepass.PolicySweeper
-	ways, residency int
-}
-
-// stripLines strips stream at line words per line into sc.strip, inside
-// the same "strip" span core.Explore records for a trace it strips.
-func (sc *spaceScratch) stripLines(ctx context.Context, stream *trace.Trace, line int) (*trace.Stripped, error) {
-	_, span := obs.StartSpan(ctx, "strip")
-	defer span.End()
-	s, err := trace.StripLines(stream, line, &sc.strip)
-	if err == nil && span != nil {
-		span.SetAttr("n", s.N())
-		span.SetAttr("n_unique", s.NUnique())
-	}
-	return s, err
-}
-
-// workers returns the sweepers for the sweeps of strip at the depths 2^lvl
-// over associativities 1..axis[lvl]: min(GOMAXPROCS, depths) of them, but
-// only as many as MaxSweepWays holds at the largest tables the call has
-// needed (a residency table of (N′+1)·a words, a ways table of
-// depth·a(a+1)/2), and at least one. Sweepers past that count are
-// dropped, so whenever there are two or more they hold at most
-// MaxSweepWays words of those tables together; a lone sweeper holds what
-// the serial sweep would.
-func (sc *spaceScratch) workers(strip *trace.Stripped, axis []int) []*onepass.PolicySweeper {
-	sc.residency = max(sc.residency, (strip.NUnique()+1)*slices.Max(axis))
-	for lvl, a := range axis {
-		sc.ways = max(sc.ways, (1<<lvl)*a*(a+1)/2)
-	}
-	fit := max(1, MaxSweepWays/(sc.ways+sc.residency))
-	if len(sc.sweepers) > fit {
-		clear(sc.sweepers[fit:])
-		sc.sweepers = sc.sweepers[:fit]
-	}
-	n := min(runtime.GOMAXPROCS(0), len(axis), fit)
-	for len(sc.sweepers) < n {
-		sc.sweepers = append(sc.sweepers, new(onepass.PolicySweeper))
-	}
-	return sc.sweepers[:n]
-}
-
-// sweep runs policy p's one-pass sweeps of strip at the depths 1, 2, 4,
-// …, the sweep of depth 2^lvl over associativities 1..axis[lvl]. The
-// sweeps read the strip and nothing else, so they run on the workers
-// sc.workers grants, each with its own sweeper, and each writes its
-// result to its depth's slot: the answer does not depend on the worker
-// count. The calling goroutine feeds the depths in order over an
-// unbuffered channel and checks ctx once before each, so a cancellation
-// stops the feed at the next check; workers never read ctx. A sweep that
-// panics (or the dse.sweep failpoint) is re-raised on the calling
-// goroutine once every worker is done, as if the sweep had run there.
-// Under a recorder it records one "sweep" span with the number of depths
-// and of (depth, assoc) cells swept.
-func (sc *spaceScratch) sweep(ctx context.Context, strip *trace.Stripped, p core.Policy, axis []int) ([]*onepass.AssocSweep, error) {
-	_, span := obs.StartSpan(ctx, "sweep")
-	defer span.End()
-	out := make([]*onepass.AssocSweep, len(axis))
-	errs := make([]error, len(axis))
-	panics := make([]any, len(axis))
-	run := func(sw *onepass.PolicySweeper, lvl int) {
-		defer func() { panics[lvl] = recover() }()
-		if errs[lvl] = faultinject.Hit("dse.sweep"); errs[lvl] == nil {
-			out[lvl], errs[lvl] = sw.SweepLines(strip, 1<<lvl, axis[lvl], onepassOf(p))
-		}
-	}
-	levels := make(chan int)
-	var wg sync.WaitGroup
-	for _, sw := range sc.workers(strip, axis) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for lvl := range levels {
-				run(sw, lvl)
-			}
-		}()
-	}
-	var err error
-	for lvl := range axis {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		levels <- lvl
-	}
-	close(levels)
-	wg.Wait()
-	for _, pv := range panics {
-		if pv != nil {
-			panic(pv)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	cells := 0
-	for lvl, a := range axis {
-		if errs[lvl] != nil {
-			return nil, errs[lvl]
-		}
-		cells += a
-	}
-	if span != nil {
-		span.SetAttr("policy", p.String())
-		span.SetAttr("line", strip.LineWords)
-		span.SetAttr("depths", len(axis))
-		span.SetAttr("cells", cells)
-	}
-	return out, nil
-}
-
 // depthLevels returns the last level a strip is swept at: depths 1, 2,
 // …, 2^levels, capped at maxDepth and at the strip's address width, past
 // which no set splits further — the depths core.Explore profiles.
@@ -276,101 +153,252 @@ func lruCaps(missByAssoc []int, eps float64) (capZero, capAlpha int) {
 	return capZero, core.AlphaThresholdMisses(missByAssoc[:capZero+1], eps)
 }
 
-// levelCandidates evaluates one level's axis grid on its reference
-// stream. Every cell comes from a one-pass sweep: for each line size and
-// policy, one sweep per depth (depthLevels) over the associativities
-// 1..MaxAssoc. When LRU is in the level's policy set, its sweep runs
-// first and bounds the associativity axis of every policy at that depth
+// stripLines strips stream at line words per line into dst, inside the
+// same "strip" span core.Explore records for a trace it strips.
+func stripLines(ctx context.Context, stream *trace.Trace, line int, dst *trace.Stripped) (*trace.Stripped, error) {
+	_, span := obs.StartSpan(ctx, "strip")
+	defer span.End()
+	s, err := trace.StripLines(stream, line, dst)
+	if err == nil && span != nil {
+		span.SetAttr("n", s.N())
+		span.SetAttr("n_unique", s.NUnique())
+	}
+	return s, err
+}
+
+// levelStage evaluates one level's axis grid on its reference stream.
+// Every cell comes from a one-pass sweep: for each line size and policy,
+// one sweep per depth (depthLevels) over the associativities
+// 1..MaxAssoc. When LRU is in the level's policy set, its sweep at a
+// depth bounds the associativity axis of every policy at that depth
 // (A_zero: the LRU candidate already reaches zero non-cold misses at no
 // greater cost, so anything past it is dominated for any policy;
 // α-threshold: past it the level is within eps of its compulsory floor,
-// so the non-LRU axis is cut there). Without an LRU candidate neither
-// cut holds — FIFO is not a stack algorithm, and its misses keep falling
-// past LRU's A_zero — so every policy sweeps to MaxAssoc. LRU itself
-// contributes only its miss-count corners — plateau associativities add
-// size for identical misses and are dominated. minLine drops line sizes
-// below a floor (an L2 line must cover its L1 lines). stats tallies the
-// cells skipped by each cut; o.Exhaustive disables all three cuts and
-// evaluates the full grid. Each line size strips the stream once, into
-// sc.strip, and every sweep of that line reads the one strip.
-func levelCandidates(ctx context.Context, stream *trace.Trace, ls core.LevelSpace, o SpaceOptions, minLine int, stats *core.PruneStats, sc *spaceScratch) ([]levelCand, error) {
-	hasLRU := slices.Contains(ls.Policies, core.PolicyLRU)
-	cut := !o.Exhaustive && hasLRU
-	var out []levelCand
+// so the non-LRU axis is cut there), and the non-LRU sweeps of the depth
+// wait for it. Without an LRU candidate neither cut holds — FIFO is not
+// a stack algorithm, and its misses keep falling past LRU's A_zero — so
+// every policy sweeps to MaxAssoc. LRU itself contributes only its
+// miss-count corners — plateau associativities add size for identical
+// misses and are dominated. minLine drops line sizes below a floor (an
+// L2 line must cover its L1 lines). stats tallies the cells skipped by
+// each cut; o.Exhaustive disables all three cuts and evaluates the full
+// grid.
+//
+// An L2 stage first makes its stream: the filter replay of the trace
+// through its L1 pair. The stage takes its line sizes in turn, and each
+// strips the stream once into the stage's slot; every sweep of that line
+// reads the one strip. The sweeps run on the pool (sweepPool), and cands
+// holds the stage's candidates, line by line in the order a serial walk
+// produces them, once the pool has run it.
+type levelStage struct {
+	ls       core.LevelSpace
+	o        SpaceOptions
+	stats    *core.PruneStats
+	lines    []int // the line sizes at or above minLine
+	hasLRU   bool
+	cut      bool
+	src      *trace.Trace // L2: the trace filtered through pair
+	pair     l1Pair
+	stream   *trace.Trace // the level's reference stream
+	refs     int          // L2: the filtered stream's length
+	slot     *stageSlot
+	line     int // index into lines of the line in progress
+	strip    *trace.Stripped
+	runs     []*policyRun // the line's sweeps: LRU's first, if present
+	capZero  []int        // per depth, every policy's associativity cap
+	capAlpha []int        // per depth, the non-LRU policies' cap
+	left     int          // sweeps of the line not yet done
+	cands    []levelCand
+}
+
+// policyRun is one policy's sweeps of a stage's line, one per depth, and
+// the "sweep" span they record under: the policy, line, number of depths
+// and of (depth, assoc) cells swept.
+type policyRun struct {
+	policy              core.Policy
+	out                 []*onepass.AssocSweep // per depth level
+	queued, left, cells int
+	span                *obs.Span
+}
+
+// newLevelStage returns the stage evaluating ls on stream, its line sizes
+// from minLine up, tallying into stats.
+func newLevelStage(stream *trace.Trace, ls core.LevelSpace, o SpaceOptions, minLine int, stats *core.PruneStats) *levelStage {
+	st := &levelStage{ls: ls, o: o, stats: stats, stream: stream}
 	for _, line := range ls.LineWords {
-		if line < minLine {
-			continue
+		if line >= minLine {
+			st.lines = append(st.lines, line)
 		}
-		strip, err := sc.stripLines(ctx, stream, line)
+	}
+	st.hasLRU = slices.Contains(ls.Policies, core.PolicyLRU)
+	st.cut = st.hasLRU && !o.Exhaustive
+	return st
+}
+
+// newL2Stage returns the stage evaluating the L2 space on t's stream
+// through the L1 pair pr.
+func newL2Stage(t *trace.Trace, pr l1Pair, ls core.LevelSpace, o SpaceOptions, stats *core.PruneStats) *levelStage {
+	st := newLevelStage(nil, ls, o, max(pr.i.line, pr.d.line), stats)
+	st.src, st.pair = t, pr
+	return st
+}
+
+// filters reports whether the stage's next preparation is its filter
+// replay.
+func (st *levelStage) filters() bool { return st.src != nil && st.line == 0 }
+
+// start gives the stage its slot and queues its first preparation.
+func (st *levelStage) start(p *sweepPool, slot *stageSlot) {
+	st.slot = slot
+	p.preps = append(p.preps, &poolJob{st: st})
+}
+
+// prepare runs on a worker: the filter replay of an L2 stage's first
+// preparation, then the strip of the current line into the slot. Under a
+// recorder the replay records an "l2_filter" span with the references in
+// and out.
+func (st *levelStage) prepare(ctx context.Context) error {
+	if st.filters() {
+		_, span := obs.StartSpan(ctx, "l2_filter")
+		f := &st.slot.filtered
+		err := filterSplitL1(st.src, st.pair.i.config(), st.pair.d.config(), f)
+		if span != nil {
+			span.SetAttr("refs_in", st.src.Len())
+			span.SetAttr("refs_out", f.Len())
+			span.End()
+		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		cold := strip.NUnique()
-		// axis[lvl] is depth 2^lvl's full associativity axis. capZero[lvl]
-		// and capAlpha[lvl] bound it, every policy's at A_zero and the
-		// non-LRU policies' at the α-threshold; without the cuts they are
-		// the full axis.
-		axis := make([]int, depthLevels(strip, ls.MaxDepth)+1)
-		for lvl := range axis {
-			axis[lvl] = ls.MaxAssoc
+		st.stream, st.refs = f, f.Len()
+	}
+	if st.line == len(st.lines) {
+		return nil
+	}
+	var err error
+	st.strip, err = stripLines(ctx, st.stream, st.lines[st.line], &st.slot.strip)
+	return err
+}
+
+// prepared queues the sweeps of the line just stripped: LRU's and, with
+// no cut to wait for, every other policy's, at every depth over the full
+// axis.
+func (st *levelStage) prepared(p *sweepPool) {
+	if st.line == len(st.lines) {
+		st.complete(p)
+		return
+	}
+	n := depthLevels(st.strip, st.ls.MaxDepth) + 1
+	st.capZero, st.capAlpha = make([]int, n), make([]int, n)
+	for lvl := range n {
+		st.capZero[lvl], st.capAlpha[lvl] = st.ls.MaxAssoc, st.ls.MaxAssoc
+	}
+	st.runs = st.runs[:0]
+	if st.hasLRU {
+		st.runs = append(st.runs, &policyRun{policy: core.PolicyLRU})
+	}
+	for _, pol := range st.ls.Policies {
+		if pol != core.PolicyLRU {
+			st.runs = append(st.runs, &policyRun{policy: pol})
 		}
-		capZero, capAlpha := axis, axis
-		if hasLRU {
-			lru, err := sc.sweep(ctx, strip, core.PolicyLRU, axis)
-			if err != nil {
-				return nil, err
-			}
-			if cut {
-				capZero, capAlpha = make([]int, len(axis)), make([]int, len(axis))
-				for lvl, sw := range lru {
-					capZero[lvl], capAlpha[lvl] = lruCaps(sw.MissByAssoc, o.Eps)
-				}
-			}
-			for lvl, sw := range lru {
-				prev := -1
-				for a, m := range sw.MissByAssoc[1 : capZero[lvl]+1] {
-					if m == prev && !o.Exhaustive {
-						stats.PrunedDominated++
-						continue
-					}
-					prev = m
-					stats.Evaluated++
-					out = append(out, levelCand{
-						depth: sw.Depth, assoc: a + 1, line: line,
-						policy: core.PolicyLRU, cold: cold, nonCold: m,
-					})
-				}
-			}
-		}
-		for _, p := range ls.Policies {
-			if p == core.PolicyLRU {
-				continue
-			}
-			sweeps, err := sc.sweep(ctx, strip, p, capAlpha)
-			if err != nil {
-				return nil, err
-			}
-			for _, sw := range sweeps {
-				for a, m := range sw.MissByAssoc[1:] {
-					out = append(out, levelCand{
-						depth: sw.Depth, assoc: a + 1, line: line,
-						policy: p, cold: cold, nonCold: m,
-					})
-				}
-			}
-		}
-		for lvl := range axis {
-			for _, p := range ls.Policies {
-				stats.Candidates += ls.MaxAssoc
-				stats.PrunedDominated += ls.MaxAssoc - capZero[lvl]
-				if p != core.PolicyLRU {
-					stats.PrunedThreshold += capZero[lvl] - capAlpha[lvl]
-					stats.Evaluated += capAlpha[lvl]
-				}
+	}
+	for _, r := range st.runs {
+		r.out, r.left = make([]*onepass.AssocSweep, n), n
+	}
+	st.left = len(st.runs) * n
+	for _, r := range st.runs {
+		if r.policy == core.PolicyLRU || !st.cut {
+			for lvl := range n {
+				p.queue(st, r, lvl, st.ls.MaxAssoc)
 			}
 		}
 	}
-	return out, nil
+}
+
+// swept files a finished sweep in its depth's slot. An LRU sweep under
+// the cuts sets its depth's caps and queues the depth's non-LRU sweeps
+// up to the α-threshold. The line's last sweep collects its candidates
+// and moves the stage to its next line.
+func (st *levelStage) swept(p *sweepPool, j *poolJob) {
+	r := j.run
+	r.out[j.lvl] = j.out
+	if r.left--; r.left == 0 && r.span != nil {
+		r.span.SetAttr("policy", r.policy.String())
+		r.span.SetAttr("line", st.strip.LineWords)
+		r.span.SetAttr("depths", len(r.out))
+		r.span.SetAttr("cells", r.cells)
+		r.span.End()
+	}
+	if r.policy == core.PolicyLRU && st.cut {
+		st.capZero[j.lvl], st.capAlpha[j.lvl] = lruCaps(j.out.MissByAssoc, st.o.Eps)
+		for _, q := range st.runs[1:] {
+			p.queue(st, q, j.lvl, st.capAlpha[j.lvl])
+		}
+	}
+	if st.left--; st.left > 0 {
+		return
+	}
+	st.collect()
+	if st.line++; st.line < len(st.lines) {
+		p.preps = append(p.preps, &poolJob{st: st})
+		return
+	}
+	st.complete(p)
+}
+
+// collect appends the line's candidates and tallies its cells: LRU's
+// corners depth by depth, then each other policy's cells depth by depth.
+func (st *levelStage) collect() {
+	line, cold := st.lines[st.line], st.strip.NUnique()
+	runs := st.runs
+	if st.hasLRU {
+		for lvl, sw := range runs[0].out {
+			prev := -1
+			for a, m := range sw.MissByAssoc[1 : st.capZero[lvl]+1] {
+				if m == prev && !st.o.Exhaustive {
+					st.stats.PrunedDominated++
+					continue
+				}
+				prev = m
+				st.stats.Evaluated++
+				st.cands = append(st.cands, levelCand{
+					depth: sw.Depth, assoc: a + 1, line: line,
+					policy: core.PolicyLRU, cold: cold, nonCold: m,
+				})
+			}
+		}
+		runs = runs[1:]
+	}
+	for _, r := range runs {
+		for _, sw := range r.out {
+			for a, m := range sw.MissByAssoc[1:] {
+				st.cands = append(st.cands, levelCand{
+					depth: sw.Depth, assoc: a + 1, line: line,
+					policy: r.policy, cold: cold, nonCold: m,
+				})
+			}
+		}
+	}
+	for lvl := range st.capZero {
+		for _, p := range st.ls.Policies {
+			st.stats.Candidates += st.ls.MaxAssoc
+			st.stats.PrunedDominated += st.ls.MaxAssoc - st.capZero[lvl]
+			if p != core.PolicyLRU {
+				st.stats.PrunedThreshold += st.capZero[lvl] - st.capAlpha[lvl]
+				st.stats.Evaluated += st.capAlpha[lvl]
+			}
+		}
+	}
+}
+
+// complete hands the stage's slot to the next stage and drops what only
+// its lines needed.
+func (st *levelStage) complete(p *sweepPool) {
+	p.sc.release(st.slot)
+	st.slot, st.strip, st.runs = nil, nil, nil
+	if st.src != nil {
+		st.stream = nil
+	}
 }
 
 // levelCost prices one level: the cacti estimate under the candidate's
@@ -400,7 +428,8 @@ func levelConfig(slot string, c levelCand, tech core.Technology) core.LevelConfi
 // ExploreSpace evaluates a design space over the trace and returns its
 // Pareto front over (misses to memory, energy, area). The front is
 // deterministic — bit-stable across runs and GOMAXPROCS — and
-// Front.Stats carries the pruning tally of every level stage.
+// Front.Stats carries the pruning tally of every level stage. Every
+// stage runs on the call's one sweep pool (sweepPool).
 func ExploreSpace(ctx context.Context, t *trace.Trace, space core.Space, o SpaceOptions) (*core.Front, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -408,14 +437,15 @@ func ExploreSpace(ctx context.Context, t *trace.Trace, space core.Space, o Space
 	space = space.Normalized()
 	o = o.normalized()
 	front := &core.Front{}
-	sc := &spaceScratch{}
+	p := newSweepPool(ctx)
+	defer p.close()
 	switch space.Topology {
 	case core.TopoUnified:
-		cands, err := levelCandidates(ctx, t, space.L1, o, 1, &front.Stats, sc)
-		if err != nil {
+		st := newLevelStage(t, space.L1, o, 1, &front.Stats)
+		if err := p.run(st); err != nil {
 			return nil, err
 		}
-		for _, c := range cands {
+		for _, c := range st.cands {
 			for _, tech := range space.L1.Technologies {
 				area, energy, err := levelCost(c, tech, t.Len(), o.Params)
 				if err != nil {
@@ -430,7 +460,7 @@ func ExploreSpace(ctx context.Context, t *trace.Trace, space core.Space, o Space
 			}
 		}
 	case core.TopoSplit, core.TopoSplitL2:
-		if err := exploreSplit(ctx, t, space, o, front, sc); err != nil {
+		if err := exploreSplit(ctx, p, t, space, o, front); err != nil {
 			return nil, err
 		}
 	default:
@@ -446,19 +476,18 @@ type l1Pair struct {
 }
 
 // exploreSplit handles the two split topologies: candidate L1I and L1D
-// grids are evaluated independently on the split streams, paired, and —
+// grids are evaluated side by side on the split streams, paired, and —
 // under split+l2 — the Pareto-optimal pairs seed a second-level
-// exploration of the filtered stream each pair produces.
-func exploreSplit(ctx context.Context, t *trace.Trace, space core.Space, o SpaceOptions, front *core.Front, sc *spaceScratch) error {
+// exploration of the filtered stream each pair produces, all pairs side
+// by side.
+func exploreSplit(ctx context.Context, p *sweepPool, t *trace.Trace, space core.Space, o SpaceOptions, front *core.Front) error {
 	instr, data := t.Split()
-	candsI, err := levelCandidates(ctx, instr, space.L1, o, 1, &front.Stats, sc)
-	if err != nil {
+	stI := newLevelStage(instr, space.L1, o, 1, &front.Stats)
+	stD := newLevelStage(data, space.L1, o, 1, &front.Stats)
+	if err := p.run(stI, stD); err != nil {
 		return err
 	}
-	candsD, err := levelCandidates(ctx, data, space.L1, o, 1, &front.Stats, sc)
-	if err != nil {
-		return err
-	}
+	candsI, candsD := stI.cands, stD.cands
 
 	if space.Topology == core.TopoSplit {
 		for _, ci := range candsI {
@@ -494,28 +523,29 @@ func exploreSplit(ctx context.Context, t *trace.Trace, space core.Space, o Space
 	// costs a filter replay of the trace — so only the (misses, size)
 	// Pareto front of pairs goes forward, subsampled to MaxL1Pairs evenly
 	// along the miss axis so both the small-and-missy and the
-	// big-and-clean ends stay represented.
+	// big-and-clean ends stay represented. Under a recorder the choice
+	// records an "l1_pairs" span with the pairs on the front and the pairs
+	// kept.
+	_, span := obs.StartSpan(ctx, "l1_pairs")
 	pairs := paretoPairs(candsI, candsD)
+	onFront := len(pairs)
 	if o.MaxL1Pairs > 0 && len(pairs) > o.MaxL1Pairs {
 		pairs = subsamplePairs(pairs, o.MaxL1Pairs)
 	}
-	for _, pr := range pairs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		filtered, err := FilterThroughSplitL1(t, pr.i.config(), pr.d.config())
-		if err != nil {
-			return err
-		}
-		minLine := pr.i.line
-		if pr.d.line > minLine {
-			minLine = pr.d.line
-		}
-		candsL2, err := levelCandidates(ctx, filtered, space.L2, o, minLine, &front.Stats, sc)
-		if err != nil {
-			return err
-		}
-		for _, c2 := range candsL2 {
+	if span != nil {
+		span.SetAttr("pairs", onFront)
+		span.SetAttr("kept", len(pairs))
+		span.End()
+	}
+	stages := make([]*levelStage, len(pairs))
+	for k, pr := range pairs {
+		stages[k] = newL2Stage(t, pr, space.L2, o, &front.Stats)
+	}
+	if err := p.run(stages...); err != nil {
+		return err
+	}
+	for k, pr := range pairs {
+		for _, c2 := range stages[k].cands {
 			misses := c2.misses()
 			for _, techI := range space.L1.Technologies {
 				areaI, energyI, err := levelCost(pr.i, techI, instr.Len(), o.Params)
@@ -528,7 +558,7 @@ func exploreSplit(ctx context.Context, t *trace.Trace, space core.Space, o Space
 						return err
 					}
 					for _, tech2 := range space.L2.Technologies {
-						area2, energy2, err := levelCost(c2, tech2, filtered.Len(), o.Params)
+						area2, energy2, err := levelCost(c2, tech2, stages[k].refs, o.Params)
 						if err != nil {
 							return err
 						}

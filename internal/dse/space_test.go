@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -336,6 +337,19 @@ func TestExploreSpaceExhaustiveAgrees(t *testing.T) {
 	}
 }
 
+// levelCandidates evaluates one level's grid on stream as a stage of its
+// own sweep pool and returns the stage's candidates.
+func levelCandidates(t *testing.T, stream *trace.Trace, ls core.LevelSpace, o SpaceOptions) []levelCand {
+	t.Helper()
+	p := newSweepPool(context.Background())
+	defer p.close()
+	st := newLevelStage(stream, ls, o, 1, new(core.PruneStats))
+	if err := p.run(st); err != nil {
+		t.Fatal(err)
+	}
+	return st.cands
+}
+
 // TestParetoPairsKeyOrder: paretoPairs ranks each candidate's config
 // string once and compares the (L1I, L1D) ranks in turn; the pairs it
 // keeps, in order, must be those of a sort on the joined "L1I/L1D" key. The
@@ -349,16 +363,7 @@ func TestParetoPairsKeyOrder(t *testing.T) {
 		Policies: []core.Policy{core.PolicyLRU, core.PolicyFIFO, core.PolicyPLRU},
 	}
 	o := SpaceOptions{Exhaustive: true}.normalized()
-	var stats core.PruneStats
-	sc := &spaceScratch{}
-	candsI, err := levelCandidates(context.Background(), res.Instr, ls, o, 1, &stats, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	candsD, err := levelCandidates(context.Background(), res.Data, ls, o, 1, &stats, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	candsI, candsD := levelCandidates(t, res.Instr, ls, o), levelCandidates(t, res.Data, ls, o)
 
 	key := func(p l1Pair) string { return p.i.config().String() + "/" + p.d.config().String() }
 	all := make([]l1Pair, 0, len(candsI)*len(candsD))
@@ -512,11 +517,13 @@ func TestExploreSpaceHonorsCancel(t *testing.T) {
 	}
 }
 
-// TestExploreSpaceSameAtAnyProcs: a policy's sweeps fan out over
-// min(GOMAXPROCS, depths) workers, and the answer must not depend on how
-// many. At GOMAXPROCS 1 (one worker) and 4 the fronts agree point for
-// point and the prune tallies are equal, on the default space pruned and
-// exhaustive and on a unified four-policy space over three line sizes.
+// TestExploreSpaceSameAtAnyProcs: every stage of a call runs on one pool
+// of GOMAXPROCS workers, and the answer must not depend on how many. At
+// GOMAXPROCS 1 (one worker), 2 and 4 the fronts agree point for point
+// and the prune tallies are equal, on the default space pruned,
+// exhaustive and with every L1 pair kept (so every L2 pair is in flight
+// with the others) and on a unified four-policy space over three line
+// sizes.
 func TestExploreSpaceSameAtAnyProcs(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -540,43 +547,49 @@ func TestExploreSpaceSameAtAnyProcs(t *testing.T) {
 	}{
 		{"default", core.DefaultSpace(), SpaceOptions{}},
 		{"default-exhaustive", core.DefaultSpace(), SpaceOptions{Exhaustive: true}},
+		{"default-all-pairs", core.DefaultSpace(), SpaceOptions{MaxL1Pairs: -1}},
 		{"unified", unified, SpaceOptions{}},
 	}
 	for _, tr := range traces {
 		for _, c := range spaces {
-			fronts := make([]*core.Front, 2)
-			for i, procs := range []int{1, 4} {
+			var one *core.Front
+			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
 				f, err := ExploreSpace(context.Background(), tr.tr, c.sp, c.o)
 				if err != nil {
 					t.Fatalf("%s %s GOMAXPROCS %d: %v", tr.name, c.name, procs, err)
 				}
-				fronts[i] = f
-			}
-			one, four := fronts[0], fronts[1]
-			if one.Stats != four.Stats {
-				t.Errorf("%s %s: prune stats %+v at GOMAXPROCS 1, %+v at 4", tr.name, c.name, one.Stats, four.Stats)
-			}
-			p1, p4 := one.Points(), four.Points()
-			if len(p1) != len(p4) {
-				t.Errorf("%s %s: %d front points at GOMAXPROCS 1, %d at 4", tr.name, c.name, len(p1), len(p4))
-				continue
-			}
-			for i := range p1 {
-				a, b := p1[i], p4[i]
-				if a.Key() != b.Key() || a.Misses != b.Misses || a.EnergyPJ != b.EnergyPJ || a.AreaUM2 != b.AreaUM2 {
-					t.Errorf("%s %s point %d: %s %d %g %g at GOMAXPROCS 1, %s %d %g %g at 4", tr.name, c.name, i,
-						a.Key(), a.Misses, a.EnergyPJ, a.AreaUM2, b.Key(), b.Misses, b.EnergyPJ, b.AreaUM2)
+				if procs == 1 {
+					one = f
+					continue
+				}
+				if one.Stats != f.Stats {
+					t.Errorf("%s %s: prune stats %+v at GOMAXPROCS 1, %+v at %d", tr.name, c.name, one.Stats, f.Stats, procs)
+				}
+				p1, pn := one.Points(), f.Points()
+				if len(p1) != len(pn) {
+					t.Errorf("%s %s: %d front points at GOMAXPROCS 1, %d at %d", tr.name, c.name, len(p1), len(pn), procs)
+					continue
+				}
+				for i := range p1 {
+					a, b := p1[i], pn[i]
+					if a.Key() != b.Key() || a.Misses != b.Misses || a.EnergyPJ != b.EnergyPJ || a.AreaUM2 != b.AreaUM2 {
+						t.Errorf("%s %s point %d: %s %d %g %g at GOMAXPROCS 1, %s %d %g %g at %d", tr.name, c.name, i,
+							a.Key(), a.Misses, a.EnergyPJ, a.AreaUM2, b.Key(), b.Misses, b.EnergyPJ, b.AreaUM2, procs)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestSweepWorkersWithinBudget: a sweep gets min(GOMAXPROCS, depths)
-// workers while their sweepers' tables fit dse.MaxSweepWays together,
-// one worker for a level at the server's admission bound, and a sweep
-// after such a level drops the sweepers the budget no longer admits.
+// TestSweepWorkersWithinBudget: the sweeps of a level get
+// min(GOMAXPROCS, depths) sweepers at once while their tables fit
+// dse.MaxSweepWays together, one for a level at the server's admission
+// bound, and a level after such a level gets what the budget still
+// admits, the sweepers past it dropped. workers grants a level's sweeps
+// deepest first, so its largest tables count from the first grant, as
+// many as take admits, and gives them back.
 func TestSweepWorkersWithinBudget(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -591,33 +604,108 @@ func TestSweepWorkersWithinBudget(t *testing.T) {
 		}
 		return axis
 	}
-	held := func(sc *spaceScratch) int { return len(sc.sweepers) * (sc.ways + sc.residency) }
-	sc := &spaceScratch{}
-	if n := len(sc.workers(strip, full(11, 8))); n != 4 {
+	workers := func(sc *spaceScratch, axis []int) int {
+		var got []*onepass.PolicySweeper
+		for lvl := len(axis) - 1; lvl >= 0; lvl-- {
+			sw := sc.take(strip, 1<<lvl, axis[lvl])
+			if sw == nil {
+				break
+			}
+			got = append(got, sw)
+		}
+		for _, sw := range got {
+			sc.give(sw)
+		}
+		return len(got)
+	}
+	held := func(sc *spaceScratch) int { return len(sc.idle) * (sc.ways + sc.residency) }
+	sc := newSpaceScratch()
+	if n := workers(sc, full(11, 8)); n != 4 {
 		t.Fatalf("default-sized level: %d workers, want 4", n)
 	}
-	if n := len(sc.workers(strip, full(3, 8))); n != 3 {
+	if n := workers(sc, full(3, 8)); n != 3 {
 		t.Fatalf("three depths: %d workers, want 3", n)
 	}
 	// 1024·180·181/2 ways: the largest level the server admits.
-	if n := len(sc.workers(strip, full(11, 180))); n != 1 || len(sc.sweepers) != 1 {
-		t.Fatalf("level at the admission bound: %d workers, %d sweepers kept, want 1 and 1", n, len(sc.sweepers))
+	if n := workers(sc, full(11, 180)); n != 1 || len(sc.idle) != 1 {
+		t.Fatalf("level at the admission bound: %d workers, %d sweepers kept, want 1 and 1", n, len(sc.idle))
 	}
-	if n := len(sc.workers(strip, full(11, 8))); n != 1 {
+	if n := workers(sc, full(11, 8)); n != 1 {
 		t.Fatalf("after a level at the bound: %d workers, want 1", n)
 	}
-	sc = &spaceScratch{}
+	sc = newSpaceScratch()
 	for _, assoc := range []int{8, 48, 64, 96} {
-		n := len(sc.workers(strip, full(11, assoc)))
-		if n < 1 || len(sc.sweepers) > 1 && held(sc) > MaxSweepWays {
+		n := workers(sc, full(11, assoc))
+		if n < 1 || len(sc.idle) > 1 && held(sc) > MaxSweepWays {
 			t.Fatalf("assoc %d: %d workers, %d sweepers of up to %d words each, over the %d-word budget",
-				assoc, n, len(sc.sweepers), sc.ways+sc.residency, MaxSweepWays)
+				assoc, n, len(sc.idle), sc.ways+sc.residency, MaxSweepWays)
 		}
 	}
 	// At 96 ways a sweeper needs 1024·96·97/2 ways and about 3 500·96
 	// residency words, some 5.1M words: three fit the budget.
-	if n := len(sc.sweepers); n != 3 {
+	if n := len(sc.idle); n != 3 {
 		t.Fatalf("at assoc 96: %d sweepers kept, want 3", n)
+	}
+}
+
+// TestSweepersInUseWithinBudget drives take and give through a seeded
+// mix of sweeps, from a direct-mapped sweep of 64 lines to a 1024-deep
+// 200-way sweep of 47 000, grants and returns interleaved as a pool's
+// are. After every step the sweepers alive number at most GOMAXPROCS,
+// and whenever two or more are alive — in particular whenever two or
+// more are in use — their tables, at the largest size any granted sweep
+// could give them, fit MaxSweepWays together. A sweep is refused only
+// while another is in use.
+func TestSweepersInUseWithinBudget(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	rng := rand.New(rand.NewSource(26))
+	var strips []*trace.Stripped
+	for _, universe := range []int{64, 4096, 50_000} {
+		s, err := trace.StripLines(tracegen.Uniform(rng, 0, universe, 3*universe), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strips = append(strips, s)
+	}
+	for round := range 20 {
+		sc := newSpaceScratch()
+		var inUse []*onepass.PolicySweeper
+		refused := 0
+		for step := range 400 {
+			if len(inUse) > 0 && rng.Intn(3) == 0 {
+				k := rng.Intn(len(inUse))
+				sc.give(inUse[k])
+				inUse = slices.Delete(inUse, k, k+1)
+			} else {
+				strip := strips[rng.Intn(len(strips))]
+				depth, assoc := 1<<rng.Intn(11), 1+rng.Intn(8)
+				if rng.Intn(4) == 0 {
+					assoc = 1 + rng.Intn(200)
+				}
+				sw := sc.take(strip, depth, assoc)
+				switch {
+				case sw != nil:
+					inUse = append(inUse, sw)
+				case len(inUse) == 0:
+					t.Fatalf("round %d step %d: a sweep refused with no sweeper in use", round, step)
+				default:
+					refused++
+				}
+			}
+			alive := sc.busy + len(sc.idle)
+			words := sc.ways + sc.residency
+			if sc.busy != len(inUse) || alive > 4 {
+				t.Fatalf("round %d step %d: %d busy for %d in use, %d alive at GOMAXPROCS 4", round, step, sc.busy, len(inUse), alive)
+			}
+			if alive >= 2 && alive*words > MaxSweepWays {
+				t.Fatalf("round %d step %d: %d sweepers alive (%d in use) of up to %d words each, over the %d-word budget",
+					round, step, alive, len(inUse), words, MaxSweepWays)
+			}
+		}
+		if round == 0 && refused == 0 {
+			t.Fatal("no sweep was ever refused: the budget never bound")
+		}
 	}
 }
 
@@ -693,5 +781,53 @@ func TestExploreSpaceSweepSpans(t *testing.T) {
 	}
 	if candidates != front.Stats.Candidates {
 		t.Errorf("sweep spans cover %d candidate cells, front tallies %d", candidates, front.Stats.Candidates)
+	}
+}
+
+// TestExploreSpaceStageSpans checks the spans a split+l2 exploration
+// records under a recorder, all children of the caller's span: one
+// "l1_pairs" naming the pairs on the L1 pair front and the pairs kept,
+// one "l2_filter" per kept pair replaying the whole trace, one "strip"
+// per level stream (L1I, L1D and each pair's L2 stream, one line size
+// each) and one "sweep" per stream and policy.
+func TestExploreSpaceStageSpans(t *testing.T) {
+	res := kernelStreams(t, "crc")
+	tr := mergeStreams(res.Instr, res.Data)
+	rec := obs.NewRecorder(0)
+	ctx, root := obs.StartSpan(obs.WithRecorder(context.Background(), rec), "root")
+	if _, err := ExploreSpace(ctx, tr, core.DefaultSpace(), SpaceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	seen := map[string]int{}
+	kept, pairs := -1, -1
+	for _, s := range rec.Export().Spans {
+		if s.Name == "root" {
+			continue
+		}
+		seen[s.Name]++
+		if s.Parent != root.ID() {
+			t.Errorf("%s span %v is not a child of the caller's span", s.Name, s.Attrs)
+		}
+		switch s.Name {
+		case "l1_pairs":
+			pairs, _ = s.Attrs["pairs"].(int)
+			kept, _ = s.Attrs["kept"].(int)
+		case "l2_filter":
+			in, _ := s.Attrs["refs_in"].(int)
+			out, _ := s.Attrs["refs_out"].(int)
+			if in != tr.Len() || out < 1 || out > 2*in {
+				t.Errorf("l2_filter span %v: want refs_in %d and 1..2·refs_in refs out", s.Attrs, tr.Len())
+			}
+		}
+	}
+	if seen["l1_pairs"] != 1 || kept < 2 || kept > DefaultMaxL1Pairs || pairs < kept {
+		t.Fatalf("%d l1_pairs spans, %d pairs on the front, %d kept: want one span keeping 2..%d",
+			seen["l1_pairs"], pairs, kept, DefaultMaxL1Pairs)
+	}
+	policies := len(core.DefaultSpace().L1.Policies)
+	want := map[string]int{"l1_pairs": 1, "l2_filter": kept, "strip": 2 + kept, "sweep": policies * (2 + kept)}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("spans %v, want %v", seen, want)
 	}
 }

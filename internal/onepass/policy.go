@@ -434,6 +434,18 @@ func treeTouch(tree []uint64, n, w int) {
 	}
 }
 
+// plruVictims[a][bits] is the victim of an a-way tree, a ≤ 8, whose
+// node bits 0..6 are bits: such a tree has no node past 6, so its victim
+// is one table read instead of treeVictim's walk of up to three levels.
+var plruVictims = func() (v [9][128]uint8) {
+	for a := 1; a < len(v); a++ {
+		for bits := range v[a] {
+			v[a][bits] = uint8(treeVictim([]uint64{uint64(bits)}, a))
+		}
+	}
+	return v
+}()
+
 // treeVictim follows the tree bits of an n-way set to its victim.
 func treeVictim(tree []uint64, n int) int {
 	node, lo, hi := 0, 0, n
@@ -479,6 +491,8 @@ func (s *PolicySweeper) sweepPLRU(l *trace.Stripped, depth, maxAssoc int, miss [
 				if f := cnt[j]; int(f) <= j {
 					w = int(f)
 					cnt[j] = f + 1
+				} else if j < 8 {
+					w = int(plruVictims[j+1][trees[j]&127])
 				} else {
 					w = treeVictim(trees[j:j+1], j+1)
 				}

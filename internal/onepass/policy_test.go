@@ -232,6 +232,24 @@ func TestPolicySweepEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestPLRUVictimTable pins plruVictims to treeVictim: for every tree of
+// at most 8 ways and every pattern of its node bits 0..6, the table names
+// the way the walk does, and so does the walk with every higher bit of
+// the word set, which the sweep masks off before the lookup.
+func TestPLRUVictimTable(t *testing.T) {
+	for a := 1; a <= 8; a++ {
+		for bits := uint64(0); bits < 128; bits++ {
+			want := treeVictim([]uint64{bits}, a)
+			if got := int(plruVictims[a][bits]); got != want {
+				t.Errorf("a=%d bits=%07b: table %d, treeVictim %d", a, bits, got, want)
+			}
+			if high := treeVictim([]uint64{bits | ^uint64(127)}, a); high != want {
+				t.Errorf("a=%d bits=%07b: treeVictim reads bits past node 6 (%d, want %d)", a, bits, high, want)
+			}
+		}
+	}
+}
+
 // BenchmarkPolicySweep times one policy's sweeps of every depth 1..64 at
 // up to 8 ways over the crc instruction and data streams: the replica
 // oracle, which re-hashes the stream and scans tags per sweep, against

@@ -10,27 +10,37 @@
 #      largest Table 31 workload. The pre-pooling engine allocated
 #      ~98,000 objects per exploration there; the pooled engine sits
 #      around 25. The threshold (default 500, override via MAX_ALLOCS)
-#      is set far above steady-state noise and far below any pooling
-#      regression, so it trips on the failure mode it exists for.
+#      is set far above steady-state noise and far below the unpooled
+#      engine. It is not below a fresh scratch per exploration (~456
+#      allocs/op); check 1 catches that one. The engine's scratch lives
+#      in a sync.Pool, which a collection mid-run empties: a run that
+#      rebuilds it reads ~175 instead of ~25. The gate reads the minimum
+#      over five runs, the figure of a run whose pool survived, so it
+#      has one mode.
 #
 # CI runs this as the alloc-smoke job; it is equally runnable locally.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 max_allocs=${MAX_ALLOCS:-500}
+runs=5
 
 echo "alloc_smoke: AllocsPerRun gates"
 go test ./internal/core -run 'TestAllocsSteadyState' -count=1 -v
 
-echo "alloc_smoke: benchmark threshold (allocs/op <= $max_allocs)"
-out=$(go test -run '^$' -bench 'BenchmarkTable31/compress' -benchtime 3x -benchmem .)
+echo "alloc_smoke: benchmark threshold (min allocs/op over $runs runs <= $max_allocs)"
+out=$(go test -run '^$' -bench 'BenchmarkTable31/compress' -benchtime 3x -benchmem -count "$runs" .)
 echo "$out"
 allocs=$(echo "$out" | awk '
   $1 ~ /^BenchmarkTable31\/compress/ {
-    for (f = 3; f + 1 <= NF; f++) if ($(f + 1) == "allocs/op") { print $f; exit }
-  }')
+    for (f = 3; f + 1 <= NF; f++) if ($(f + 1) == "allocs/op") {
+      if (min == "" || $f + 0 < min + 0) min = $f
+      n++
+    }
+  }
+  END { if (n == '"$runs"') print min }')
 [ -n "$allocs" ] ||
-  { echo "alloc_smoke: no allocs/op figure in benchmark output" >&2; exit 1; }
+  { echo "alloc_smoke: want $runs allocs/op figures in benchmark output" >&2; exit 1; }
 if [ "$allocs" -gt "$max_allocs" ]; then
   echo "alloc_smoke: FAIL — $allocs allocs/op exceeds threshold $max_allocs" >&2
   exit 1
