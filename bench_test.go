@@ -220,33 +220,6 @@ func BenchmarkAblationOnePassVsAnalytical(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallelExplore measures the shared-memory parallel
-// postlude (§2.4's distributed-sets observation) against the sequential
-// DFS. Workers clamp to GOMAXPROCS, so on a single-core host every series
-// collapses onto the sequential DFS and the numbers coincide — by design:
-// oversubscribing a small host with queue and merge overhead produced
-// negative scaling, never speedup. Genuine scaling needs multiple CPUs;
-// correctness (bit-identical results) is enforced by the core package's
-// property tests under -race.
-func BenchmarkAblationParallelExplore(b *testing.B) {
-	rng := rand.New(rand.NewSource(37))
-	tr, err := tracegen.Sized(rng, 40000, 1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := trace.Strip(tr)
-	m := core.BuildMRCT(s)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Explore(context.Background(), core.Prelude{Stripped: s, MRCT: m}, core.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMicroIntersect isolates the three |S ∩ C| kernels the postlude
 // chooses between: the per-element Contains loop the engine used before the
 // hybrid representation, the sparse word-probe kernel

@@ -7,7 +7,7 @@
 //
 //	cachedse stats    TRACE            trace statistics (N, N', max misses)
 //	cachedse strip    TRACE            stripped trace (unique refs + ids)
-//	cachedse explore  [-k N | -kpct P] [-maxdepth D] [-workers W] [-verify]
+//	cachedse explore  [-k N | -kpct P] [-maxdepth D] [-verify]
 //	                  [-policy P[,P...]] [-levels 1|2] [-max-assoc A]
 //	                  [-tech T[,T...]] [-front table|csv]
 //	                  [-sample R]
@@ -239,11 +239,10 @@ func cmdStrip(args []string) error {
 }
 
 func cmdExplore(args []string) error {
-	fs := newFlagSet("explore", "explore [-k N | -kpct P] [-maxdepth D] [-workers W] [-pareto] [-verify] [-policy P[,P...]] [-levels 1|2] [-max-assoc A] [-tech T[,T...]] [-front table|csv] [-sample R] [-cpuprofile F] [-memprofile F] [-store DIR] [-trace-json F] [-log-format text|json] TRACE")
+	fs := newFlagSet("explore", "explore [-k N | -kpct P] [-maxdepth D] [-pareto] [-verify] [-policy P[,P...]] [-levels 1|2] [-max-assoc A] [-tech T[,T...]] [-front table|csv] [-sample R] [-cpuprofile F] [-memprofile F] [-store DIR] [-trace-json F] [-log-format text|json] TRACE")
 	k := fs.Int("k", -1, "miss budget K (absolute)")
 	kpct := fs.Float64("kpct", -1, "miss budget as percent of max misses")
 	maxDepth := fs.Int("maxdepth", 0, "largest cache depth to explore (power of two)")
-	workers := fs.Int("workers", 1, "postlude worker count (0 = GOMAXPROCS, 1 = sequential)")
 	verify := fs.Bool("verify", false, "simulate each emitted instance")
 	sample := fs.Float64("sample", 0, "spatial sampling rate in (0, 1]; a trace file is still explored exactly (0 = no sample summary)")
 	pareto := fs.Bool("pareto", false, "print only the size-Pareto frontier")
@@ -378,14 +377,7 @@ func cmdExplore(args []string) error {
 		}
 		return nil
 	}
-	opts := core.Options{
-		MaxDepth: *maxDepth, Workers: *workers, SampleRate: *sample,
-	}
-	if *workers == 0 {
-		// The flag's historical default 0 meant "use every core".
-		opts.Workers = -1
-	}
-	r, err := core.Explore(ctx, tr, opts)
+	r, err := core.Explore(ctx, tr, core.Options{MaxDepth: *maxDepth, SampleRate: *sample})
 	if err != nil {
 		return err
 	}

@@ -261,39 +261,6 @@ func (s *Set) ForEach(fn func(i int) bool) {
 	}
 }
 
-// ForEachRange calls fn for every element e with lo <= e < hi in ascending
-// order. Iteration stops if fn returns false. Bounds outside [0, Cap()] are
-// clamped. The parallel postlude uses it to carve one large row set into
-// independently accumulable chunks without copying the set.
-func (s *Set) ForEachRange(lo, hi int, fn func(i int) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.n {
-		hi = s.n
-	}
-	if lo >= hi {
-		return
-	}
-	loWord, hiWord := lo/wordBits, (hi-1)/wordBits
-	for wi := loWord; wi <= hiWord; wi++ {
-		w := s.words[wi]
-		if wi == loWord {
-			w &= ^uint64(0) << uint(lo%wordBits)
-		}
-		if wi == hiWord && hi%wordBits != 0 {
-			w &= ^uint64(0) >> uint(wordBits-hi%wordBits)
-		}
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + b) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
-
 // Elems returns the elements in ascending order.
 func (s *Set) Elems() []int {
 	out := make([]int, 0, s.Count())

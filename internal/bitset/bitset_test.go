@@ -389,77 +389,6 @@ func TestQuickIntersectCountSparseMatchesDense(t *testing.T) {
 	}
 }
 
-func TestForEachRange(t *testing.T) {
-	s := FromSlice(200, []int{0, 5, 63, 64, 70, 140, 190, 199})
-	collect := func(lo, hi int) []int {
-		var out []int
-		s.ForEachRange(lo, hi, func(i int) bool { out = append(out, i); return true })
-		return out
-	}
-	cases := []struct {
-		lo, hi int
-		want   []int
-	}{
-		{0, 200, []int{0, 5, 63, 64, 70, 140, 190, 199}},
-		{0, 0, nil},
-		{5, 64, []int{5, 63}},
-		{5, 65, []int{5, 63, 64}},
-		{64, 128, []int{64, 70}},
-		{64, 64, nil},
-		{141, 199, []int{190}},
-		{-10, 6, []int{0, 5}},
-		{190, 1000, []int{190, 199}},
-		{199, 200, []int{199}},
-	}
-	for _, c := range cases {
-		got := collect(c.lo, c.hi)
-		if len(got) != len(c.want) {
-			t.Errorf("ForEachRange(%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
-			continue
-		}
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Errorf("ForEachRange(%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
-				break
-			}
-		}
-	}
-	// Early stop.
-	count := 0
-	s.ForEachRange(0, 200, func(i int) bool { count++; return count < 3 })
-	if count != 3 {
-		t.Fatalf("ForEachRange early stop visited %d, want 3", count)
-	}
-}
-
-// Property: splitting the element range at any boundary partitions ForEach.
-func TestQuickForEachRangePartitions(t *testing.T) {
-	f := func(xs []uint8, cut uint8) bool {
-		const n = 256
-		s := New(n)
-		for _, x := range xs {
-			s.Add(int(x))
-		}
-		var split []int
-		s.ForEachRange(0, int(cut), func(i int) bool { split = append(split, i); return true })
-		s.ForEachRange(int(cut), n, func(i int) bool { split = append(split, i); return true })
-		elems := s.Elems()
-		if len(split) != len(elems) {
-			return false
-		}
-		for i := range elems {
-			if split[i] != elems[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: De Morgan within universe — |a ∪ b| = |a| + |b| - |a ∩ b|.
 func TestQuickInclusionExclusion(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		const n = 256

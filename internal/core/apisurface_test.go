@@ -60,8 +60,7 @@ func TestAPISurfaceOneExploreEntryPoint(t *testing.T) {
 
 // TestAPISurfaceLRUOnlyOptions locks Explore to the one question it
 // answers — the exact (or sampled) LRU miss profile. core.Options carries
-// exactly the depth cap, the postlude parallelism and the two sampling
-// knobs; replacement policies, associativity caps and engine selection
+// exactly the depth cap and the two sampling knobs; replacement policies, associativity caps and engine selection
 // belong to the design-space evaluator (dse.ExploreSpace), and no
 // exported top-level identifier naming an Engine may return.
 func TestAPISurfaceLRUOnlyOptions(t *testing.T) {
@@ -106,7 +105,7 @@ func TestAPISurfaceLRUOnlyOptions(t *testing.T) {
 			}
 		}
 	}
-	want := []string{"MaxDepth", "Workers", "SampleRate", "SampleSeed"}
+	want := []string{"MaxDepth", "SampleRate", "SampleSeed"}
 	if strings.Join(fields, ",") != strings.Join(want, ",") {
 		t.Errorf("core.Options fields = %v, want exactly %v", fields, want)
 	}

@@ -12,8 +12,8 @@ import (
 
 // exploreBCAT runs Algorithm 3 over a materialised BCAT, the literal
 // formulation of the paper. It is the oracle the crosscheck tests hold
-// the production postludes (serial DFS and work-stealing parallel) to:
-// all three must produce exactly the same Result.
+// the production depth-first postlude to: both must produce exactly the
+// same Result.
 func exploreBCAT(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options) (*Result, error) {
 	t := BuildBCAT(s, 0)
 	levels, err := levelCount(s, opts)

@@ -12,6 +12,30 @@ func stripPaper() *trace.Stripped {
 	return trace.Strip(paperex.Trace())
 }
 
+// resultsIdentical reports whether two explorations agree on every
+// level's depth, A_zero and miss count up to one way past A_zero.
+func resultsIdentical(a, b *Result) bool {
+	if len(a.Levels) != len(b.Levels) {
+		return false
+	}
+	for i := range a.Levels {
+		la, lb := a.Levels[i], b.Levels[i]
+		if la.Depth != lb.Depth || la.AZero != lb.AZero {
+			return false
+		}
+		hi := la.AZero
+		if lb.AZero > hi {
+			hi = lb.AZero
+		}
+		for d := 1; d <= hi+1; d++ {
+			if la.Misses(d) != lb.Misses(d) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // ---- BCAT (Algorithm 1, Figure 3) ----
 
 func TestBCATPaperLevels(t *testing.T) {
@@ -338,16 +362,29 @@ func TestExploreBadMaxDepth(t *testing.T) {
 	}
 }
 
+// TestExploreEmptyTrace: an empty trace explores to one depth-1 level, a
+// single-line trace to one level per address bit, and neither has a
+// non-cold miss at any depth.
 func TestExploreEmptyTrace(t *testing.T) {
-	r, err := Explore(context.Background(), trace.New(0), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Levels) != 1 || r.Levels[0].Depth != 1 {
-		t.Fatalf("empty trace levels = %+v", r.Levels)
-	}
-	if got := r.Levels[0].MinAssoc(0); got != 1 {
-		t.Fatalf("MinAssoc = %d, want 1", got)
+	for _, c := range []struct {
+		tr     *trace.Trace
+		levels int
+	}{
+		{trace.New(0), 1},
+		{trace.FromAddrs(trace.DataRead, []uint32{7, 7, 7}), 4},
+	} {
+		r, err := Explore(context.Background(), c.tr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Levels) != c.levels {
+			t.Fatalf("%d-ref trace: %d levels, want %d", c.tr.Len(), len(r.Levels), c.levels)
+		}
+		for i, l := range r.Levels {
+			if l.Depth != 1<<i || l.MinAssoc(0) != 1 || l.Misses(1) != 0 {
+				t.Fatalf("%d-ref trace level %d = %+v, want depth %d with no miss", c.tr.Len(), i, l, 1<<i)
+			}
+		}
 	}
 }
 

@@ -238,12 +238,11 @@ func diffResults(a, b *Result) string {
 	return ""
 }
 
-// The optimized engines must stay bit-identical across every execution
-// strategy: sequential DFS, materialised BCAT, and the work-stealing
-// parallel postlude at several worker counts, over loop-, zipf-, and
-// uniform-shaped synthetic workloads with fixed seeds. This is the
-// regression gate for the hybrid conflict-set representation, the
-// hash-deduped MRCT, and the parallel split/steal rework.
+// The optimized engine must stay bit-identical with the materialised
+// BCAT oracle: the depth-first postlude against the tree built level by
+// level, over loop-, zipf-, uniform-, hot/cold- and pointer-chase-shaped
+// synthetic workloads with fixed seeds. This is the regression gate for
+// the hybrid conflict-set representation and the hash-deduped MRCT.
 func TestCrossCheckEnginesBitIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 7, 4242} {
 		rng := rand.New(rand.NewSource(seed))
@@ -268,15 +267,6 @@ func TestCrossCheckEnginesBitIdentical(t *testing.T) {
 				}
 				if d := diffResults(seq, mat); d != "" {
 					t.Fatalf("BCAT vs DFS: %s", d)
-				}
-				for _, workers := range []int{2, 3, 4, 8} {
-					par, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := diffResults(seq, par); d != "" {
-						t.Fatalf("parallel(workers=%d) vs DFS: %s", workers, d)
-					}
 				}
 
 				// The ctz1 pack/unpack cycle must be invisible to the
@@ -376,7 +366,7 @@ func TestAnalyticalMatchesSimulatorLoopyWorkload(t *testing.T) {
 
 // FuzzExploreLRU checks the analytical engine against the policy
 // sweeper's bounded-stack LRU kernel, the engine space mode reads instead:
-// at every depth, for every source kind and both postludes, Misses(a)
+// at every depth and for every source kind, Misses(a)
 // must equal the sweep's MissByAssoc[a] over an axis long enough (N′
 // ways) to reach A_zero. Fuzz bytes index a fixed universe of spread-out
 // addresses, so deep levels still split.
@@ -404,21 +394,19 @@ func FuzzExploreLRU(f *testing.F) {
 			"prelude": func() Source { return Prelude{Stripped: s, MRCT: BuildMRCT(s)} },
 		}
 		for name, src := range sources {
-			for _, workers := range []int{1, 2} {
-				res, err := Explore(context.Background(), src(), Options{Workers: workers})
+			res, err := Explore(context.Background(), src(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lr := range res.Levels {
+				lru, err := sw.SweepLines(s, lr.Depth, maxAssoc, onepass.ReplLRU)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, lr := range res.Levels {
-					lru, err := sw.SweepLines(s, lr.Depth, maxAssoc, onepass.ReplLRU)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for a := 1; a <= maxAssoc; a++ {
-						if got, want := lr.Misses(a), lru.MissByAssoc[a]; got != want {
-							t.Fatalf("%s workers=%d D=%d A=%d: Explore %d misses, LRU sweep %d",
-								name, workers, lr.Depth, a, got, want)
-						}
+				for a := 1; a <= maxAssoc; a++ {
+					if got, want := lr.Misses(a), lru.MissByAssoc[a]; got != want {
+						t.Fatalf("%s D=%d A=%d: Explore %d misses, LRU sweep %d",
+							name, lr.Depth, a, got, want)
 					}
 				}
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -33,16 +32,6 @@ type Options struct {
 	// explores up to 2^AddrBits, where every unique reference has its own
 	// row.
 	MaxDepth int
-	// Workers sets the postlude parallelism: 0 or 1 runs the serial
-	// depth-first postlude, n > 1 fans the postlude out over n
-	// work-stealing workers, and any negative value uses GOMAXPROCS.
-	// Requests beyond GOMAXPROCS are clamped to it — extra workers on a
-	// saturated machine only add queue and merge overhead (the negative
-	// scaling BenchmarkAblationParallelExplore showed before the clamp).
-	// Results are bit-identical at every setting. The option leaves the
-	// MRCT build alone: that splits by trace length whatever Workers says,
-	// one chunk per core and at least 64 Ki references per chunk.
-	Workers int
 	// SampleRate, when non-zero, asks for a spatially sampled answer at
 	// this rate; valid rates lie in (0, 1], anything else fails with
 	// *sampling.ErrRate. An in-memory source (*trace.Trace,
@@ -54,22 +43,6 @@ type Options struct {
 	// SampleSeed perturbs the stream-mode sampling hash; zero uses
 	// sampling.DefaultSeed.
 	SampleSeed uint64
-}
-
-// workerCount resolves Options.Workers: 0 and 1 are serial, negative is
-// GOMAXPROCS, anything else is clamped to GOMAXPROCS.
-func (o Options) workerCount() int {
-	max := runtime.GOMAXPROCS(0)
-	if o.Workers < 0 {
-		return max
-	}
-	if o.Workers == 0 {
-		return 1
-	}
-	if o.Workers > max {
-		return max
-	}
-	return o.Workers
 }
 
 // LevelResult holds the analytical profile of one cache depth.
@@ -202,10 +175,10 @@ func (r *Result) ParetoSet(k int) []Instance {
 //	trace.RefReader  — streaming: the prelude consumes the reference
 //	                   stream without materialising a *trace.Trace
 //
-// Options.Workers picks the serial depth-first or the work-stealing
-// parallel postlude; results are bit-identical across worker counts and
-// with the materialised-tree oracle of the tests
-// (TestCrossCheckEnginesBitIdentical pins this).
+// The postlude is one depth-first walk over the BCAT levels (exploreDFS);
+// its results are bit-identical with the materialised-tree oracle of the
+// tests (TestCrossCheckEnginesBitIdentical pins this). The cores work in
+// the prelude: the MRCT build splits the trace into one chunk per core.
 func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -233,16 +206,13 @@ func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 	return r, nil
 }
 
-// runPostlude runs the serial or parallel postlude over the resolved
-// (stripped, MRCT) pair, drawing working memory from sc. Both the exact
-// and the stream-sampled path funnel through here, so worker selection
-// and the postlude failpoint behave identically in both modes.
+// runPostlude runs the postlude over the resolved (stripped, MRCT) pair,
+// drawing working memory from sc. Both the exact and the stream-sampled
+// path funnel through here, so the postlude failpoint behaves identically
+// in both modes.
 func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, sc *Scratch) (*Result, error) {
 	if err := faultinject.Hit("core.postlude"); err != nil {
 		return nil, err
-	}
-	if workers := opts.workerCount(); workers > 1 {
-		return exploreParallel(ctx, s, m, opts, workers, sc)
 	}
 	return exploreDFS(ctx, s, m, opts, sc)
 }
@@ -287,7 +257,7 @@ func exploreDFS(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, s
 	r := newResult(s, m, levels)
 	if s.NUnique() == 0 {
 		finalize(r)
-		endPostludeSpan(span, "dfs", r, nil, nil)
+		endPostludeSpan(span, r, nil, nil)
 		return r, nil
 	}
 	sc.resetSets()
@@ -344,7 +314,7 @@ func exploreDFS(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, s
 		return nil, chk.err
 	}
 	finalize(r)
-	endPostludeSpan(span, "dfs", r, lvlRows, lvlNS)
+	endPostludeSpan(span, r, lvlRows, lvlNS)
 	return r, nil
 }
 
@@ -354,7 +324,7 @@ func exploreDFS(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, s
 // the accumulated duration and refs/sec. Level spans are aggregates: the
 // DFS interleaves levels, so each child's duration is summed work, not a
 // contiguous wall-clock interval.
-func endPostludeSpan(span *obs.Span, algorithm string, r *Result, lvlRows []int, lvlNS []int64) {
+func endPostludeSpan(span *obs.Span, r *Result, lvlRows []int, lvlNS []int64) {
 	if span == nil {
 		return
 	}
@@ -383,7 +353,7 @@ func endPostludeSpan(span *obs.Span, algorithm string, r *Result, lvlRows []int,
 		}
 		span.Child("level", span.Start(), dur, attrs...)
 	}
-	span.SetAttr("algorithm", algorithm)
+	span.SetAttr("algorithm", "dfs")
 	span.SetAttr("levels", len(r.Levels))
 	span.SetAttr("refs", totalRefs)
 	if lvlRows != nil {
@@ -412,25 +382,12 @@ func newLevelResult(level int, m *MRCT) *LevelResult {
 
 // accumulate folds one row set S into a level's histogram: for every
 // non-cold occurrence of every reference in S, bump Hist[|S ∩ C|] by the
-// occurrence's multiplicity.
+// occurrence's multiplicity. The intersection runs through the hybrid
+// kernel: packed word-wise AND+popcount for dense conflict sets, the
+// sparse element-probe kernel otherwise.
 func accumulate(lr *LevelResult, set *bitset.Set, m *MRCT) {
-	accumulateRange(lr, set, m, 0, set.Cap())
-}
-
-// accumulateRange is accumulate restricted to the references in [lo, hi);
-// the conflict sets still intersect with the whole row set, so summing
-// disjoint ranges reproduces accumulate exactly. The intersection runs
-// through the hybrid kernel: packed word-wise AND+popcount for dense
-// conflict sets, the sparse element-probe kernel otherwise.
-func accumulateRange(lr *LevelResult, set *bitset.Set, m *MRCT, lo, hi int) {
-	accumulateRangeHist(lr.Hist, set, m, lo, hi)
-}
-
-// accumulateRangeHist is accumulateRange into a bare histogram slice (the
-// parallel workers' private histograms live in a flat pooled buffer, not
-// in LevelResults).
-func accumulateRangeHist(hist []int, set *bitset.Set, m *MRCT, lo, hi int) {
-	set.ForEachRange(lo, hi, func(e int) bool {
+	hist := lr.Hist
+	set.ForEach(func(e int) bool {
 		for _, o := range m.occ[e] {
 			var d int
 			if p := m.packed[o.set]; p != nil {

@@ -93,7 +93,7 @@ func shiftedTrace(t *trace.Trace, lineWords int) *trace.Trace {
 // FuzzLineStrip drives line strips with byte traces over a fixed,
 // spread-out universe: the first byte picks a line size of 1–16 words.
 // The strip must equal the one-word strip of the shifted trace, Explore
-// must give the same Result on either source at every worker count, and
+// must give the same Result on either source, and
 // LineSizes must report the strip's N' as its cold misses.
 func FuzzLineStrip(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5})
@@ -121,18 +121,16 @@ func FuzzLineStrip(f *testing.F) {
 			t.Fatalf("lw=%d: strip lines %v ids %v, shifted strip lines %v ids %v", lw, s.Unique, s.IDs, want.Unique, want.IDs)
 		}
 		ctx := context.Background()
-		for _, w := range []int{1, 2} {
-			got, err := Explore(ctx, s, Options{Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			exp, err := Explore(ctx, shifted, Options{Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, exp) {
-				t.Fatalf("lw=%d workers=%d: strip %+v, shifted trace %+v", lw, w, got, exp)
-			}
+		got, err := Explore(ctx, s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := Explore(ctx, shifted, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, exp) {
+			t.Fatalf("lw=%d: strip %+v, shifted trace %+v", lw, got, exp)
 		}
 		lrs, err := LineSizes(ctx, tr, Options{}, []int{lw})
 		if err != nil {

@@ -228,36 +228,6 @@ func TestChunkedMRCTSpan(t *testing.T) {
 	}
 }
 
-// TestExploreParallelContextRecordsSplitSpan checks the parallel path's
-// phase taxonomy: a split span (the BCAT walk) ahead of the postlude, and
-// level children carrying row counts but no per-level timing.
-func TestExploreParallelContextRecordsSplitSpan(t *testing.T) {
-	raiseGOMAXPROCS(t, 4)
-	tr := obsTestTrace(4_000, 1<<7)
-	rec := obs.NewRecorder(0)
-	ctx := obs.WithRecorder(context.Background(), rec)
-	if _, err := Explore(ctx, tr, Options{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	byName := spansByName(rec.Export())
-	for _, want := range []string{"strip", "mrct", "split", "postlude"} {
-		if len(byName[want]) != 1 {
-			t.Fatalf("%d %q spans, want 1", len(byName[want]), want)
-		}
-	}
-	if got := byName["postlude"][0].Attrs["algorithm"]; got != "parallel" {
-		t.Errorf("postlude algorithm = %v, want parallel", got)
-	}
-	for _, lv := range byName["level"] {
-		if _, ok := lv.Attrs["rows"]; !ok {
-			t.Errorf("parallel level span missing rows attr: %v", lv.Attrs)
-		}
-		if _, ok := lv.Attrs["refs_per_sec"]; ok {
-			t.Errorf("parallel level span carries refs_per_sec, but per-level timing is undefined across workers")
-		}
-	}
-}
-
 // TestStreamSampledEstimateSpan locks the stream estimator's span: one
 // "estimate" span beside "sample", "mrct" and "postlude", whose tallies
 // account for every level with a non-empty sampled histogram — each one
@@ -323,7 +293,7 @@ func TestStreamSampledEstimateSpan(t *testing.T) {
 
 // TestExploreSameResultWithRecorder guards against instrumentation ever
 // perturbing the answer: the histograms must be bit-identical with and
-// without a recorder installed, sequential and parallel.
+// without a recorder installed.
 func TestExploreSameResultWithRecorder(t *testing.T) {
 	tr := paperex.Trace()
 	plain, err := Explore(context.Background(), tr, Options{})
@@ -336,14 +306,7 @@ func TestExploreSameResultWithRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !resultsIdentical(plain, traced) {
-		t.Fatal("recorded sequential exploration differs from plain run")
-	}
-	tracedPar, err := Explore(ctx, tr, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsIdentical(plain, tracedPar) {
-		t.Fatal("recorded parallel exploration differs from plain run")
+		t.Fatal("recorded exploration differs from plain run")
 	}
 }
 

@@ -26,7 +26,7 @@ func zipfTrace(t *testing.T) *trace.Trace {
 // TestSampleRateOneBitIdentical: a sampled request on an in-memory source
 // — a trace, a strip at one or four words per line, or a Prelude —
 // answers exactly what the same source answers without a rate, at every
-// rate and worker count, and carries the degenerate rate-1 estimate.
+// rate, and carries the degenerate rate-1 estimate.
 func TestSampleRateOneBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	crc, err := powerstone.Get("crc").Run()
@@ -39,14 +39,13 @@ func TestSampleRateOneBitIdentical(t *testing.T) {
 		tr       *trace.Trace
 		maxDepth int
 		rates    []float64
-		workers  []int
 		sources  bool // every source shape, or the trace alone
 	}{
-		{"hotcold", tracegen.HotCold(2000), 0, allRates, []int{1, 2}, true},
-		{"crc/data", crc.Data, 0, allRates, []int{1, 2}, true},
+		{"hotcold", tracegen.HotCold(2000), 0, allRates, true},
+		{"crc/data", crc.Data, 0, allRates, true},
 		// Its ~20k unique addresses once made a rate-0.5 sample genuinely
 		// approximate.
-		{"zipf", zipfTrace(t), 256, []float64{0.5}, []int{1}, false},
+		{"zipf", zipfTrace(t), 256, []float64{0.5}, false},
 	}
 	type namedSource struct {
 		name string
@@ -64,31 +63,29 @@ func TestSampleRateOneBitIdentical(t *testing.T) {
 				namedSource{"prelude", Prelude{Stripped: s1, MRCT: BuildMRCT(s1)}})
 		}
 		for _, src := range srcs {
-			for _, workers := range c.workers {
-				exact, err := Explore(ctx, src.src, Options{MaxDepth: c.maxDepth, Workers: workers})
+			exact, err := Explore(ctx, src.src, Options{MaxDepth: c.maxDepth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rate := range c.rates {
+				name := fmt.Sprintf("%s/%s/R%g", c.name, src.name, rate)
+				got, err := Explore(ctx, src.src, Options{MaxDepth: c.maxDepth, SampleRate: rate})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				for _, rate := range c.rates {
-					name := fmt.Sprintf("%s/%s/w%d/R%g", c.name, src.name, workers, rate)
-					got, err := Explore(ctx, src.src, Options{MaxDepth: c.maxDepth, Workers: workers, SampleRate: rate})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					est := got.Sample
-					switch {
-					case est == nil || !est.Exact():
-						t.Errorf("%s: estimate %+v is not exact", name, est)
-					case est.KeptRefs != int64(exact.N) || est.RequestedRate != rate:
-						t.Errorf("%s: estimate kept %d of %d refs at requested rate %v, want all at %v",
-							name, est.KeptRefs, exact.N, est.RequestedRate, rate)
-					}
-					if got.N != exact.N || got.NUnique != exact.NUnique {
-						t.Errorf("%s: totals (%d, %d), exact (%d, %d)", name, got.N, got.NUnique, exact.N, exact.NUnique)
-					}
-					if !reflect.DeepEqual(got.Levels, exact.Levels) {
-						t.Errorf("%s: levels are not bit-identical to the exact answer", name)
-					}
+				est := got.Sample
+				switch {
+				case est == nil || !est.Exact():
+					t.Errorf("%s: estimate %+v is not exact", name, est)
+				case est.KeptRefs != int64(exact.N) || est.RequestedRate != rate:
+					t.Errorf("%s: estimate kept %d of %d refs at requested rate %v, want all at %v",
+						name, est.KeptRefs, exact.N, est.RequestedRate, rate)
+				}
+				if got.N != exact.N || got.NUnique != exact.NUnique {
+					t.Errorf("%s: totals (%d, %d), exact (%d, %d)", name, got.N, got.NUnique, exact.N, exact.NUnique)
+				}
+				if !reflect.DeepEqual(got.Levels, exact.Levels) {
+					t.Errorf("%s: levels are not bit-identical to the exact answer", name)
 				}
 			}
 		}

@@ -10,14 +10,14 @@ import (
 
 // This file holds the engine's pooled scratch: every allocation the
 // steady-state explore path used to make per request — the stripped form,
-// the MRCT build tables (dedup table and chains, last-access times and the Fenwick
-// tree over them, conflict-set arenas, packed bit-vectors, occurrence
-// storage), the postlude's zero/one planes and row sets, and the parallel workers'
-// private histograms and queues — lives in a Scratch that a sync.Pool
-// recycles across explorations. A warm pool drives the data plane's
-// allocs/op to the Result envelope alone (BenchmarkSteadyStateAllocs and
-// the alloc-smoke CI gate pin this), which is what keeps GC pause time
-// out of the p99 under sustained load.
+// the MRCT build tables (dedup table and chains, last-access times and
+// the Fenwick tree over them, conflict-set arenas, packed bit-vectors,
+// occurrence storage) and the postlude's zero/one planes and row sets —
+// lives in a Scratch that a sync.Pool recycles across explorations. A
+// warm pool drives the data plane's allocs/op to the Result envelope
+// alone (the TestAllocsSteadyState* tests and the alloc-smoke CI gate pin
+// this), which is what keeps GC pause time out of the p99 under
+// sustained load.
 //
 // Ownership contract: everything a Scratch hands out (arena-backed
 // conflict sets, freelist bit-vectors, the pooled MRCT) is valid only
@@ -68,12 +68,6 @@ type Scratch struct {
 	setCursor int
 	dfsL      []*bitset.Set // per-level left/right children of the DFS —
 	dfsR      []*bitset.Set // one pair per level is live at a time
-
-	// Parallel postlude state.
-	histBuf []int         // flat per-worker private histograms
-	items   []workItem    // split output
-	queues  []*stealQueue // per-worker queues (pointers stable across runs)
-	qitems  [][]workItem  // per-queue item storage
 }
 
 // note records a trace dimension for pool classing.
@@ -114,18 +108,6 @@ func (sc *Scratch) dfsPairs(n int) (l, r []*bitset.Set) {
 		l[i], r[i] = nil, nil
 	}
 	return l, r
-}
-
-// ints returns a zeroed int slice of length n backed by histBuf.
-func (sc *Scratch) ints(n int) []int {
-	if cap(sc.histBuf) < n {
-		sc.histBuf = make([]int, n)
-	}
-	sc.histBuf = sc.histBuf[:n]
-	for i := range sc.histBuf {
-		sc.histBuf[i] = 0
-	}
-	return sc.histBuf
 }
 
 // int32Arena carves []int32 runs (sorted sparse conflict sets) out of

@@ -11,8 +11,7 @@ import (
 )
 
 // TestStrippedSourceMatchesTrace: a strip handed to Explore answers
-// exactly as the trace it was made from, at every worker count and under
-// a sample rate.
+// exactly as the trace it was made from, with and without a sample rate.
 func TestStrippedSourceMatchesTrace(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"crc", "fir", "qurt"} {
@@ -22,9 +21,7 @@ func TestStrippedSourceMatchesTrace(t *testing.T) {
 		}
 		tr := res.Data
 		for _, opts := range []Options{
-			{Workers: 1},
-			{Workers: 2},
-			{Workers: 4},
+			{},
 			{SampleRate: 0.1, SampleSeed: 7},
 		} {
 			want, err := Explore(ctx, tr, opts)

@@ -319,9 +319,6 @@ func (q *exploreQuery) memo(digest string) (string, bool) {
 // exactly and attaches the degenerate rate-1 estimate.
 func (q *exploreQuery) compute(ctx context.Context, entry *TraceEntry) (any, error) {
 	opts := core.Options{MaxDepth: q.MaxDepth, SampleRate: q.SampleRate}
-	if q.Parallel {
-		opts.Workers = -1
-	}
 	stripped, mrct, err := entry.Prelude(ctx)
 	if err != nil {
 		return nil, err

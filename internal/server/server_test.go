@@ -257,8 +257,9 @@ func TestServerExploreMatchesCLI(t *testing.T) {
 		t.Fatalf("cache hit counter did not increase: %v -> %v", hitsBefore, hitsAfter)
 	}
 
-	// Parallel + pareto + verify exercise the remaining request knobs and
-	// must agree with the serial profile.
+	// Pareto + verify exercise the remaining request knobs and must agree
+	// with the plain profile; the v1 parallel flag rides along and, being
+	// accepted without effect, must not change the answer.
 	body3, _ := json.Marshal(map[string]any{
 		"trace": info.Digest, "k": k, "parallel": true, "pareto": true, "verify": true,
 	})

@@ -53,8 +53,12 @@ type ExploreRequest struct {
 	KPct     *float64 `json:"kpct,omitempty"`
 	MaxDepth int      `json:"max_depth,omitempty"`
 	Pareto   bool     `json:"pareto,omitempty"`
-	Parallel bool     `json:"parallel,omitempty"`
-	Verify   bool     `json:"verify,omitempty"`
+	// Parallel is a v1 field that once asked for a multi-worker postlude.
+	// This server still accepts it for v1 compatibility, but it has no
+	// effect: every exploration runs the one depth-first postlude and
+	// answers the same either way.
+	Parallel bool `json:"parallel,omitempty"`
+	Verify   bool `json:"verify,omitempty"`
 	// SampleRate is a v1 field that once asked for a spatially sampled,
 	// approximate exploration at that rate (0 < rate <= 1). This server
 	// still validates it — rates outside the range fail with
