@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -339,9 +340,11 @@ func runChunks(ctx context.Context, s *trace.Stripped, m *MRCT, idHash []uint64,
 // in cs: exactly p distinct ids have a last access after t0, so such a cs
 // is the window itself. The check is exact and read-only, and at most one
 // candidate can pass it, so the order candidates are tried in cannot
-// affect the result. The first candidate is the set of id's previous
-// window (prevSet), when its key matches: loops repeat an id's window far
-// more often than they move it. Next come the sets stored under the
+// affect the result. The first candidate is the set S of id's previous
+// window (prevSet): loops repeat an id's window far more often than they
+// move it. S is certified without reading it (see peakAfter): it is the
+// window iff len(S) == p and no reference since id's previous occurrence
+// had a conflict set larger than p. Next come the sets stored under the
 // window's key in the dedup table, newest first through dedupNext. Only a
 // window never seen before is listed, by reading slot[t0+1..now-1], and
 // stored sorted: read out of its packed bit vector when it is dense enough
@@ -356,7 +359,7 @@ func runChunks(ctx context.Context, s *trace.Stripped, m *MRCT, idHash []uint64,
 // When the times run out at W, the live ids are renumbered 1..L in time
 // order and the tree is rebuilt in O(W). W = 2N' leaves at least N' fresh
 // times after each compaction, so compactions cost O(1) per reference.
-// The build's work is O(N·log N'), plus Σ|C| over the candidates it
+// The build's work is O(N·log N'), plus Σ|C| over the dedup candidates it
 // verifies, plus a scan of at most W slots per distinct window, instead of
 // the stack walk's Σ|C| over every occurrence.
 //
@@ -389,11 +392,19 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 	}
 	fen := sc.fen[:w+1]
 	now, total := seedChunk(s.IDs[:lo], nu, last, slot, fen, idHash)
-	// prevSet[id] is the set of id's latest window, -1 before its first.
+	// prevSet[id] is the set of id's latest window, -1 before its first,
+	// and pos[id] the chunk position of that window's occurrence. peaks
+	// holds the suffix maxima of the conflict-set sizes of the chunk's
+	// references so far (see peakAfter); it never exceeds N'+1 entries.
 	prevSet := growInt32(&sc.prevSet, nu)
 	for i := range prevSet {
 		prevSet[i] = -1
 	}
+	pos := growInt32(&sc.pos, nu)
+	if cap(sc.peaks) < nu+1 {
+		sc.peaks = make([]peak, nu+1)
+	}
+	peaks, top := sc.peaks[:nu+1], 0
 	overflow := sc.overflow[:0] // id<<32 | set, per occurrence by a non-owner
 	compactions, verifyIDs, memoHits := 0, 0, 0
 
@@ -418,30 +429,24 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 			total.hxor ^= h
 			last[id], slot[now] = now, id
 			now++
+			// A cold reference climbs past every id: it tops the peaks.
+			peaks[0], top = peak{int32(i), coldPeak}, 1
 			continue
 		}
 		// Conflict set = the ids last accessed after t0: the totals minus
 		// the prefix up to t0 (which holds id itself).
 		pre := fenPrefix(fen, int(t0))
 		p := int(total.cnt - pre.cnt)
-		hsum := total.hsum - pre.hsum
-		hxor := total.hxor ^ pre.hxor
-		key := hashID(hsum ^ (hxor << 1) ^ uint64(p))
 		idx := int32(-1)
 		memo := prevSet[id]
-		if memo >= 0 && setKey[memo] == key {
-			if cs := m.sets[memo]; len(cs) == p {
-				verifyIDs += p
-				if accessedAfter(cs, last, t0) {
-					idx = memo
-					memoHits++
-				}
-			}
-		} else {
-			memo = -1
+		if memo >= 0 && len(m.sets[memo]) == p && peakAfter(peaks[:top], pos[id]) <= int32(p) {
+			idx = memo
+			memoHits++
 		}
+		var key uint64
 		var at int // key's slot in the dedup table
 		if idx < 0 {
+			key = hashID((total.hsum - pre.hsum) ^ ((total.hxor ^ pre.hxor) << 1) ^ uint64(p))
 			at = dedup.find(key, setKey)
 			for cand := dedup.head(at); cand >= 0; cand = dedupNext[cand] {
 				cs := m.sets[cand]
@@ -499,7 +504,12 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 		default:
 			overflow = append(overflow, uint64(id)<<32|uint64(idx))
 		}
-		prevSet[id] = idx
+		prevSet[id], pos[id] = idx, int32(i)
+		for top > 0 && peaks[top-1].p <= int32(p) {
+			top--
+		}
+		peaks[top] = peak{int32(i), int32(p)}
+		top++
 		// Move id from t0 to now; the totals do not change.
 		fenMove(fen, int(t0), int(now), h)
 		slot[t0] = -1
@@ -509,6 +519,46 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 	sc.setKey, sc.setOwner, sc.setCnt, sc.dedupNext = setKey, setOwner, setCnt, dedupNext
 	sc.overflow = overflow
 	return mrctWork{compactions, verifyIDs, memoHits}, nil
+}
+
+// peak is an entry of buildChunk's suffix-maximum stack: the chunk
+// position of a reference and the size of its conflict set, coldPeak for
+// a cold reference.
+type peak struct{ pos, p int32 }
+
+// coldPeak stands for a cold reference's conflict set: larger than any.
+const coldPeak = math.MaxInt32
+
+// peakAfter returns the largest conflict-set size among the chunk's
+// references after position b, -1 when there are none. peaks holds, in
+// ascending position, every reference no later one matched or exceeded,
+// so their sizes strictly decrease and the first entry after b is the
+// maximum: a binary search, O(log N').
+//
+// This certifies an id's previous window S, recorded at b, as its window
+// W at its next occurrence: W = S iff |W| = |S| = p and peakAfter(b) ≤ p.
+// After b, id tops the LRU stack with S just below it. id is a barrier:
+// the ids referenced since b climb above it, and the others keep their
+// order below it. While every id referenced since b belongs to S, the
+// depths 1..p+1 hold only id and S, so a reference at depth ≤ p+1 (a
+// conflict set of at most p) keeps W inside S; and |W| = |S| then makes
+// them equal. Conversely, if W = S, every reference since b was to an id
+// of S, at depth ≤ p+1. A reference deeper than p+1, or a cold one,
+// brings in an id outside S, which stays in W.
+func peakAfter(peaks []peak, b int32) int32 {
+	lo, hi := 0, len(peaks)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if peaks[mid].pos <= b {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(peaks) {
+		return -1
+	}
+	return peaks[lo].p
 }
 
 // seedChunk sets the build's times to the LRU order at the end of

@@ -496,6 +496,70 @@ func TestMRCTBookkeepingPaths(t *testing.T) {
 	}
 }
 
+// The certificate that resolves a recurrence by its id's previous window
+// S, recorded at b, without reading S: |S| = p and no reference in
+// (b, c) had a conflict set larger than p, a cold one counting as larger
+// than any. Each trace is built in k chunks and held to the stack-walk
+// oracle and the literal double loop, and memo_hits counts exactly the
+// recurrences the certificate resolves. Ids are written a=0, b=1, c=2,
+// d=3, e=4.
+func TestMRCTMemoCertificate(t *testing.T) {
+	cases := []struct {
+		name     string
+		ids      []int
+		k        int
+		memoHits int
+	}{
+		// a b c a c b a: the last a has S = W = {b, c}, p = 2; between its
+		// occurrences c reaches 1 and b exactly 2.
+		{"reaches-p", []int{0, 1, 2, 0, 2, 1, 0}, 1, 1},
+		// a b c a b c a d c a: the third a is a hit. d, cold, right after
+		// it swaps into the windows of the next c ({a, d}, S = {a, b})
+		// and the last a ({d, c}, S = {b, c}): equal sizes, no hit.
+		{"cold-right-after", []int{0, 1, 2, 0, 1, 2, 0, 3, 2, 0}, 1, 1},
+		// a b c a b c a c d a: the cold d lands one reference later, so
+		// the last a's window {c, d} is no longer its b+1's.
+		{"cold-later", []int{0, 1, 2, 0, 1, 2, 0, 2, 3, 0}, 1, 1},
+		// e a b c a b c a e c a: e recurs from outside S at depth 4 (a
+		// conflict set of 3 > p = 2) and swaps into the next windows of c
+		// and a as d did above.
+		{"outside", []int{4, 0, 1, 2, 0, 1, 2, 0, 4, 2, 0}, 1, 1},
+		// a a a and a b b b a b: back-to-back recurrences have an empty
+		// window, certified by the empty range (b, c). The last b's window
+		// {a} is not its empty previous one.
+		{"back-to-back", []int{0, 0, 0}, 1, 1},
+		{"back-to-back-then-not", []int{0, 1, 1, 1, 0, 1}, 1, 1},
+		// a b c a b c | a b c a b c: chunk 1 starts with every id's
+		// previous window in chunk 0, so its first recurrences have no
+		// memo; the second ones are hits, as in the serial build.
+		{"straddle-k1", []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}, 1, 6},
+		{"straddle-k2", []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}, 2, 3},
+		// e a b c a b c a | b c a e c a b c: in chunk 1, e is seeded, not
+		// cold, and recurs with a conflict set of 3 > 2, which bars the
+		// previous windows of c, a and c after it.
+		{"straddle-seeded-k1", []int{4, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 4, 2, 0, 1, 2}, 1, 4},
+		{"straddle-seeded-k2", []int{4, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 4, 2, 0, 1, 2}, 2, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := trace.Strip(idTrace(c.ids...))
+			rec := obs.NewRecorder(0)
+			m := &MRCT{}
+			if err := buildMRCTChunks(obs.WithRecorder(context.Background(), rec), s, &Scratch{}, m, c.k); err != nil {
+				t.Fatal(err)
+			}
+			attrs := spansByName(rec.Export())["mrct"][0].Attrs
+			if got := attrs["memo_hits"]; got != c.memoHits {
+				t.Errorf("memo_hits = %v, want %d", got, c.memoHits)
+			}
+			if d := mrctDiff(m, buildMRCTStack(s)); d != "" {
+				t.Fatal(d)
+			}
+			checkNaive(t, m, s)
+		})
+	}
+}
+
 // checkNaive holds m's expanded conflict sets to the literal double loop
 // of Algorithm 2. ConflictSets groups an id's occurrences by set, so the
 // two expansions are compared as multisets.

@@ -73,7 +73,7 @@ func TestExploreContextRecordsPhaseSpans(t *testing.T) {
 	if got, want := mrctAttrs["compactions"], wantCompactions(s); got != want {
 		t.Errorf("mrct span compactions = %v, want %d", got, want)
 	}
-	if got, want := mrctAttrs["verify_ids"], wantVerifyIDs(m); got != want {
+	if got, want := mrctAttrs["verify_ids"], wantVerifyIDs(m, s); got != want {
 		t.Errorf("mrct span verify_ids = %v, want %d", got, want)
 	}
 	if got, want := mrctAttrs["memo_hits"], wantMemoHits(s); got != want {
@@ -126,10 +126,12 @@ func wantCompactions(s *trace.Stripped) int {
 	return n
 }
 
-// wantVerifyIDs is Σ|C| over the dedup hits: every occurrence of a set
-// but its first sighting reads the whole set once (the traces here have
-// no 64-bit hash collisions, so no other candidate is read).
-func wantVerifyIDs(m *MRCT) int {
+// wantVerifyIDs is Σ|C| over the dedup-table hits: every occurrence of a
+// set but its first sighting reads the whole set once, except a memo hit
+// (a window equal to the same id's previous one, as wantMemoHits counts
+// them), which is certified without reading it. The traces here have no
+// 64-bit hash collisions, so no other candidate is read.
+func wantVerifyIDs(m *MRCT, s *trace.Stripped) int {
 	n := 0
 	for _, os := range m.occ {
 		for _, o := range os {
@@ -139,21 +141,28 @@ func wantVerifyIDs(m *MRCT) int {
 	for _, set := range m.sets {
 		n -= len(set)
 	}
+	for _, card := range memoHitCards(s) {
+		n -= card
+	}
 	return n
 }
 
 // wantMemoHits counts the recurrences whose window equals the same id's
-// previous window, read off the literal double loop of Algorithm 2.
-func wantMemoHits(s *trace.Stripped) int {
-	n := 0
+// previous window.
+func wantMemoHits(s *trace.Stripped) int { return len(memoHitCards(s)) }
+
+// memoHitCards lists |C| of every recurrence whose window equals the same
+// id's previous window, read off the literal double loop of Algorithm 2.
+func memoHitCards(s *trace.Stripped) []int {
+	var cards []int
 	for _, sets := range BuildMRCTNaive(s) {
 		for k := 1; k < len(sets); k++ {
 			if slices.Equal(sets[k], sets[k-1]) {
-				n++
+				cards = append(cards, len(sets[k]))
 			}
 		}
 	}
-	return n
+	return cards
 }
 
 // wantOverflowRuns is the number of occurrence runs beyond one per set:

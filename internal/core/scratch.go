@@ -49,6 +49,8 @@ type Scratch struct {
 	setOwner  []int32      // per set index, the id that first listed it
 	setCnt    []int32      // per set index, its owner's occurrences of it
 	prevSet   []int32      // per id, the set of its latest window (-1 before one)
+	pos       []int32      // per id, the chunk position of that window
+	peaks     []peak       // suffix maxima of conflict-set sizes, by position
 	overflow  []uint64     // (id<<32 | set index) per occurrence by a non-owner
 	idHash    []uint64     // hashID cache, extended monotonically
 	last      []int32      // per id, the logical time of its last access (0 = cold)

@@ -102,7 +102,7 @@ func TestServerJobTraceBreakdown(t *testing.T) {
 	for _, p := range sum.Phases {
 		phases[p.Name] = true
 	}
-	for _, want := range []string{"lookup", "prelude", "postlude", "emit"} {
+	for _, want := range []string{"lookup", "prelude", "postlude", "memoize", "emit"} {
 		if !phases[want] {
 			t.Errorf("summary missing phase %q: %+v", want, sum.Phases)
 		}
@@ -179,14 +179,14 @@ func TestServerJobPhasesCoverWallTime(t *testing.T) {
 		body       map[string]any
 		phases     []string
 	}{
-		{"cold simulate", "/v1/simulate", simulate, []string{"lookup", "simulate", "emit"}},
+		{"cold simulate", "/v1/simulate", simulate, []string{"lookup", "simulate", "memoize", "emit"}},
 		{"cached simulate", "/v1/simulate", simulate, []string{"lookup", "emit"}},
 		{"verify", "/v1/verify", map[string]any{"trace": info.Digest, "k": 1 << 20, "async": true,
 			"instances": []map[string]int{{"depth": 64, "assoc": 2}, {"depth": 128, "assoc": 1}}},
 			[]string{"verify", "emit"}},
 		{"space", "/v1/explore", map[string]any{"trace": info.Digest, "async": true,
 			"space": map[string]any{"l1": map[string]any{"max_depth": 16, "max_assoc": 2, "policies": []string{"lru", "fifo"}}}},
-			[]string{"lookup", "space", "emit"}},
+			[]string{"lookup", "space", "memoize", "emit"}},
 	}
 	for _, c := range cases {
 		st, _ := runAsyncJob(t, ts.URL, c.path, c.body)

@@ -163,17 +163,24 @@ func (s *Server) emit(ctx context.Context, t *stageTimer, req computeRequest, en
 }
 
 // answer runs a job's stages: lookup, compute on a miss (memoizing what
-// it computed), emit, and the cross-check the request may ask for.
+// it computed under a "memoize" span), emit, and the cross-check the
+// request may ask for.
 func (s *Server) answer(ctx context.Context, t *stageTimer, req computeRequest, entry *TraceEntry) (any, error) {
 	key, durable := req.memo(entry.Digest)
 	v, cached := s.lookup(ctx, t, key, durable)
 	if !cached {
 		var err error
 		v, err = req.compute(ctx, entry)
+		// Filing the answer ends the compute stage: an LRU insert and, for
+		// a durable answer, its encoding and store write. Its span keeps
+		// that time inside the job's phases.
+		var span *obs.Span
 		if err == nil && key != "" {
-			s.memoize(ctx, key, v, durable)
+			var mctx context.Context
+			mctx, span = obs.StartSpan(ctx, "memoize")
+			s.memoize(mctx, key, v, durable)
 		}
-		t.end("compute", nil)
+		t.end("compute", span)
 		if err != nil {
 			return nil, err
 		}
