@@ -153,21 +153,21 @@ func BenchmarkAblationTraditionalVsAnalytical(b *testing.B) {
 	const maxDepth = 256
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dse.Exhaustive(tr, k, maxDepth, 64); err != nil {
+			if _, err := dse.Exhaustive(context.Background(), tr, k, maxDepth, 64); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("iterative", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dse.Iterative(tr, k, maxDepth, 64); err != nil {
+			if _, err := dse.Iterative(context.Background(), tr, k, maxDepth, 64); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("analytical", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dse.Analytical(tr, k, core.Options{MaxDepth: maxDepth}); err != nil {
+			if _, err := dse.Analytical(context.Background(), tr, k, core.Options{MaxDepth: maxDepth}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -436,8 +436,8 @@ func BenchmarkSpaceExplore(b *testing.B) {
 	// sweep-cap: a FIFO-only level as large as dse.MaxSweepWays admits
 	// (1024·180·181/2 replica ways), at three line sizes over a stream
 	// whose lines reach every depth, so each sweep runs its full axis.
-	// Its B/op at -cpu 1 and -cpu 4 shows what the sweep pool adds to
-	// the sweepers' tables.
+	// Its B/op at -cpu 1 and -cpu 4 shows what running the sweeps side by
+	// side adds to the sweepers' tables.
 	capTrace := tracegen.Uniform(rand.New(rand.NewSource(1)), 0, 4096, 8192)
 	capSpace := core.Space{L1: core.LevelSpace{MaxDepth: 1024, MaxAssoc: 180, LineWords: []int{1, 2, 4}, Policies: []core.Policy{core.PolicyFIFO}}}
 	b.Run("sweep-cap", func(b *testing.B) {

@@ -10,6 +10,7 @@ import (
 	"github.com/example/cachedse/internal/cacti"
 	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/dse"
+	"github.com/example/cachedse/internal/onepass"
 	"github.com/example/cachedse/internal/report"
 	"github.com/example/cachedse/internal/trace"
 )
@@ -121,19 +122,28 @@ func cmdProfile(args []string) error {
 	}
 	fmt.Println(tab.Render())
 
-	hist, cold := trace.ReuseHistogram(tr)
-	fmt.Printf("Reuse distances (cold refs: %d):\n", cold)
-	for d := 0; d < *histMax && d < len(hist); d++ {
-		fmt.Printf("  d=%-4d %8d\n", d, hist[d])
+	// At depth 1 the per-set stack distances are the global reuse
+	// distances: the fully-associative LRU profile.
+	p, err := onepass.Run(tr, 1)
+	if err != nil {
+		return err
 	}
-	if len(hist) > *histMax {
-		tail := trace.MissesAtCapacity(hist, *histMax)
+	fmt.Printf("Reuse distances (cold refs: %d):\n", p.Cold)
+	for d := 0; d < *histMax && d < len(p.Hist); d++ {
+		fmt.Printf("  d=%-4d %8d\n", d, p.Hist[d])
+	}
+	if len(p.Hist) > *histMax {
+		tail := p.Accesses - p.Cold // at capacity 0 every reuse misses
+		if *histMax >= 1 {
+			tail = p.Misses(*histMax)
+		}
 		fmt.Printf("  d>=%-3d %8d\n", *histMax, tail)
 	}
 	fmt.Printf("\nfully-associative LRU misses by capacity:\n")
 	for c := 1; c <= st.NUnique*2; c *= 2 {
-		fmt.Printf("  %5d lines: %d\n", c, trace.MissesAtCapacity(hist, c))
-		if trace.MissesAtCapacity(hist, c) == 0 {
+		m := p.Misses(c)
+		fmt.Printf("  %5d lines: %d\n", c, m)
+		if m == 0 {
 			break
 		}
 	}

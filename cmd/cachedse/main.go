@@ -412,7 +412,7 @@ func cmdExplore(args []string) error {
 		fmt.Print(tab.Render())
 	}
 	if *verify {
-		if err := dse.Verify(tr, instances, budget); err != nil {
+		if err := dse.Verify(ctx, tr, instances, budget); err != nil {
 			return err
 		}
 		fmt.Println("verified: all instances meet the budget under simulation")
@@ -486,7 +486,7 @@ func cmdVerify(args []string) error {
 		}
 		instances = append(instances, core.Instance{Depth: depth, Assoc: assoc})
 	}
-	if err := dse.Verify(tr, instances, *k); err != nil {
+	if err := dse.Verify(context.Background(), tr, instances, *k); err != nil {
 		return err
 	}
 	fmt.Printf("ok: %d instances meet budget K=%d\n", len(instances), *k)

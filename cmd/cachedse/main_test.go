@@ -122,6 +122,7 @@ func TestSubcommandsEndToEnd(t *testing.T) {
 		{"energy", func() error { return cmdEnergy([]string{"-k", "10", path}) }},
 		{"dedup", func() error { return cmdDedup([]string{"-o", filepath.Join(dir, "out.din"), path}) }},
 		{"profile", func() error { return cmdProfile([]string{"-windows", "8,32", path}) }},
+		{"profile hist 0", func() error { return cmdProfile([]string{"-hist", "0", path}) }},
 		{"pack", func() error { return cmdPack([]string{"-o", filepath.Join(dir, "w.ctz"), path}) }},
 		{"unpack packed", func() error {
 			return cmdUnpack([]string{"-o", filepath.Join(dir, "w2.din"), filepath.Join(dir, "w.ctz")})

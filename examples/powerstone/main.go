@@ -44,7 +44,7 @@ func main() {
 				ins.Depth, ins.Assoc, ins.SizeWords())
 		}
 		// Certify analytically-derived instances by simulation.
-		if err := dse.Verify(stream.tr, instances, k); err != nil {
+		if err := dse.Verify(context.Background(), stream.tr, instances, k); err != nil {
 			log.Fatalf("verification failed: %v", err)
 		}
 		fmt.Println("  verified against the cache simulator")

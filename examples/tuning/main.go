@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -31,15 +32,15 @@ func main() {
 	maxDepth, maxAssoc := 256, 256
 	fmt.Printf("workload: N=%d N'=%d max misses=%d budget K=%d\n\n", st.N, st.NUnique, st.MaxMisses, k)
 
-	exhaustive, err := dse.Exhaustive(tr, k, maxDepth, maxAssoc)
+	exhaustive, err := dse.Exhaustive(context.Background(), tr, k, maxDepth, maxAssoc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	iterative, err := dse.Iterative(tr, k, maxDepth, maxAssoc)
+	iterative, err := dse.Iterative(context.Background(), tr, k, maxDepth, maxAssoc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	analytical, err := dse.Analytical(tr, k, core.Options{MaxDepth: maxDepth})
+	analytical, err := dse.Analytical(context.Background(), tr, k, core.Options{MaxDepth: maxDepth})
 	if err != nil {
 		log.Fatal(err)
 	}

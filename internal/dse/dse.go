@@ -15,9 +15,9 @@
 // Every miss count it reads, LRU included, comes from internal/onepass's
 // one-pass policy sweeps; the LRU sweep is a bounded per-set stack, so a
 // space builds no MRCT, and core.Explore is that sweep's test oracle.
-// Each call runs its filter replays, strips and sweeps on one pool of
-// GOMAXPROCS workers, with as many sweepers at once as MaxSweepWays
-// holds, and the front does not depend on how many.
+// Each call runs its level stages and sweeps on goroutines of their own,
+// with as many sweepers at once as GOMAXPROCS and MaxSweepWays admit, and
+// the front does not depend on how many.
 package dse
 
 import (
@@ -44,14 +44,8 @@ type Outcome struct {
 }
 
 // Analytical runs the paper's approach (Figure 1b): prelude + postlude,
-// no simulation.
-func Analytical(t *trace.Trace, k int, opts core.Options) (Outcome, error) {
-	return AnalyticalContext(context.Background(), t, k, opts)
-}
-
-// AnalyticalContext is Analytical with cancellation threaded into the
-// prelude and postlude.
-func AnalyticalContext(ctx context.Context, t *trace.Trace, k int, opts core.Options) (Outcome, error) {
+// no simulation, with cancellation threaded into both.
+func Analytical(ctx context.Context, t *trace.Trace, k int, opts core.Options) (Outcome, error) {
 	start := time.Now()
 	r, err := core.Explore(ctx, t, opts)
 	if err != nil {
@@ -68,14 +62,10 @@ func AnalyticalContext(ctx context.Context, t *trace.Trace, k int, opts core.Opt
 // minimum associativity per depth meeting the budget. maxAssoc bounds the
 // grid; if no associativity within the bound meets the budget at some
 // depth, the returned instance carries the smallest associativity whose
-// miss count is minimal (i.e. maxAssoc, by LRU monotonicity).
-func Exhaustive(t *trace.Trace, k, maxDepth, maxAssoc int) (Outcome, error) {
-	return ExhaustiveContext(context.Background(), t, k, maxDepth, maxAssoc)
-}
-
-// ExhaustiveContext is Exhaustive with cancellation checked between
-// simulations, the unit of work of the traditional loop.
-func ExhaustiveContext(ctx context.Context, t *trace.Trace, k, maxDepth, maxAssoc int) (Outcome, error) {
+// miss count is minimal (i.e. maxAssoc, by LRU monotonicity). Cancellation
+// is checked between simulations, the unit of work of the traditional
+// loop.
+func Exhaustive(ctx context.Context, t *trace.Trace, k, maxDepth, maxAssoc int) (Outcome, error) {
 	if err := checkGrid(maxDepth, maxAssoc); err != nil {
 		return Outcome{}, err
 	}
@@ -107,14 +97,9 @@ func ExhaustiveContext(ctx context.Context, t *trace.Trace, k, maxDepth, maxAsso
 // bisection, re-simulating after every adjustment. It finds the same
 // configurations as Exhaustive in O(log maxAssoc) simulations per depth —
 // faster than brute force, but still simulation-bound, which is the gap the
-// analytical approach removes.
-func Iterative(t *trace.Trace, k, maxDepth, maxAssoc int) (Outcome, error) {
-	return IterativeContext(context.Background(), t, k, maxDepth, maxAssoc)
-}
-
-// IterativeContext is Iterative with cancellation checked between
+// analytical approach removes. Cancellation is checked between
 // simulations.
-func IterativeContext(ctx context.Context, t *trace.Trace, k, maxDepth, maxAssoc int) (Outcome, error) {
+func Iterative(ctx context.Context, t *trace.Trace, k, maxDepth, maxAssoc int) (Outcome, error) {
 	if err := checkGrid(maxDepth, maxAssoc); err != nil {
 		return Outcome{}, err
 	}
@@ -172,14 +157,9 @@ func checkGrid(maxDepth, maxAssoc int) error {
 // Verify simulates each instance and reports the first one whose non-cold
 // miss count exceeds the budget, or nil if all meet it. It closes the
 // Figure 1 loop for the analytical strategy: designers can certify the
-// emitted set with one simulation per instance.
-func Verify(t *trace.Trace, instances []core.Instance, k int) error {
-	return VerifyContext(context.Background(), t, instances, k)
-}
-
-// VerifyContext is Verify with cancellation checked between the per-
-// instance simulations.
-func VerifyContext(ctx context.Context, t *trace.Trace, instances []core.Instance, k int) error {
+// emitted set with one simulation per instance, cancellation checked
+// between them.
+func Verify(ctx context.Context, t *trace.Trace, instances []core.Instance, k int) error {
 	for _, ins := range instances {
 		if err := ctx.Err(); err != nil {
 			return err

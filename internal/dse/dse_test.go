@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -22,15 +23,15 @@ func TestStrategiesAgree(t *testing.T) {
 	tr := testTrace()
 	st := trace.ComputeStats(tr)
 	for _, k := range []int{0, st.MaxMisses / 10, st.MaxMisses / 4} {
-		an, err := Analytical(tr, k, core.Options{MaxDepth: 64})
+		an, err := Analytical(context.Background(), tr, k, core.Options{MaxDepth: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := Exhaustive(tr, k, 64, 64)
+		ex, err := Exhaustive(context.Background(), tr, k, 64, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := Iterative(tr, k, 64, 64)
+		it, err := Iterative(context.Background(), tr, k, 64, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,14 +51,14 @@ func TestStrategiesAgree(t *testing.T) {
 
 func TestSimulationCounts(t *testing.T) {
 	tr := testTrace()
-	an, err := Analytical(tr, 0, core.Options{MaxDepth: 64})
+	an, err := Analytical(context.Background(), tr, 0, core.Options{MaxDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if an.Simulations != 0 {
 		t.Fatalf("analytical performed %d simulations, want 0", an.Simulations)
 	}
-	ex, err := Exhaustive(tr, 0, 64, 16)
+	ex, err := Exhaustive(context.Background(), tr, 0, 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestSimulationCounts(t *testing.T) {
 	if ex.Simulations != 7*16 {
 		t.Fatalf("exhaustive simulations = %d, want %d", ex.Simulations, 7*16)
 	}
-	it, err := Iterative(tr, 0, 64, 16)
+	it, err := Iterative(context.Background(), tr, 0, 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +82,14 @@ func TestExhaustiveUnreachableBudget(t *testing.T) {
 	// With maxAssoc 1 and a conflicting trace, budget 0 is unreachable at
 	// depth 1; the strategy reports the bound rather than failing.
 	tr := trace.FromAddrs(trace.DataRead, []uint32{1, 2, 1, 2, 1, 2})
-	ex, err := Exhaustive(tr, 0, 1, 1)
+	ex, err := Exhaustive(context.Background(), tr, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ex.Instances) != 1 || ex.Instances[0].Assoc != 1 {
 		t.Fatalf("instances = %v", ex.Instances)
 	}
-	it, err := Iterative(tr, 0, 1, 1)
+	it, err := Iterative(context.Background(), tr, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,16 +100,16 @@ func TestExhaustiveUnreachableBudget(t *testing.T) {
 
 func TestGridValidation(t *testing.T) {
 	tr := testTrace()
-	if _, err := Exhaustive(tr, 0, 3, 4); err == nil {
+	if _, err := Exhaustive(context.Background(), tr, 0, 3, 4); err == nil {
 		t.Error("Exhaustive accepted non-power-of-two depth")
 	}
-	if _, err := Exhaustive(tr, 0, 4, 0); err == nil {
+	if _, err := Exhaustive(context.Background(), tr, 0, 4, 0); err == nil {
 		t.Error("Exhaustive accepted maxAssoc 0")
 	}
-	if _, err := Iterative(tr, 0, 5, 4); err == nil {
+	if _, err := Iterative(context.Background(), tr, 0, 5, 4); err == nil {
 		t.Error("Iterative accepted non-power-of-two depth")
 	}
-	if _, err := Iterative(tr, 0, 4, -1); err == nil {
+	if _, err := Iterative(context.Background(), tr, 0, 4, -1); err == nil {
 		t.Error("Iterative accepted negative maxAssoc")
 	}
 }
@@ -117,11 +118,11 @@ func TestVerifyAcceptsAnalyticalOutput(t *testing.T) {
 	tr := testTrace()
 	st := trace.ComputeStats(tr)
 	k := st.MaxMisses / 20
-	an, err := Analytical(tr, k, core.Options{})
+	an, err := Analytical(context.Background(), tr, k, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, an.Instances, k); err != nil {
+	if err := Verify(context.Background(), tr, an.Instances, k); err != nil {
 		t.Fatalf("Verify rejected analytical instances: %v", err)
 	}
 }
@@ -129,7 +130,7 @@ func TestVerifyAcceptsAnalyticalOutput(t *testing.T) {
 func TestVerifyRejectsBadInstance(t *testing.T) {
 	tr := trace.FromAddrs(trace.DataRead, []uint32{1, 2, 1, 2, 1, 2})
 	// Depth 1, assoc 1 misses 4 times; budget 0 must be rejected.
-	err := Verify(tr, []core.Instance{{Depth: 1, Assoc: 1}}, 0)
+	err := Verify(context.Background(), tr, []core.Instance{{Depth: 1, Assoc: 1}}, 0)
 	if err == nil {
 		t.Fatal("Verify accepted an instance violating the budget")
 	}
@@ -137,7 +138,7 @@ func TestVerifyRejectsBadInstance(t *testing.T) {
 
 func TestVerifyPropagatesConfigError(t *testing.T) {
 	tr := testTrace()
-	if err := Verify(tr, []core.Instance{{Depth: 3, Assoc: 1}}, 100); err == nil {
+	if err := Verify(context.Background(), tr, []core.Instance{{Depth: 3, Assoc: 1}}, 100); err == nil {
 		t.Fatal("Verify accepted invalid depth")
 	}
 }
@@ -155,15 +156,15 @@ func TestQuickStrategiesAgree(t *testing.T) {
 		}
 		st := trace.ComputeStats(tr)
 		k := int(kRaw) % (st.MaxMisses + 1)
-		an, err := Analytical(tr, k, core.Options{MaxDepth: 32})
+		an, err := Analytical(context.Background(), tr, k, core.Options{MaxDepth: 32})
 		if err != nil {
 			return false
 		}
-		ex, err := Exhaustive(tr, k, 32, 32)
+		ex, err := Exhaustive(context.Background(), tr, k, 32, 32)
 		if err != nil {
 			return false
 		}
-		it, err := Iterative(tr, k, 32, 32)
+		it, err := Iterative(context.Background(), tr, k, 32, 32)
 		if err != nil {
 			return false
 		}

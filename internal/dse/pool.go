@@ -5,35 +5,34 @@ import (
 	"runtime"
 	"sync"
 
+	"github.com/example/cachedse/internal/core"
 	"github.com/example/cachedse/internal/faultinject"
 	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/onepass"
 	"github.com/example/cachedse/internal/trace"
 )
 
-// The sweep pool: each ExploreSpace call runs every job of its level
-// stages — a stage's filter replay and strips, and its one-pass sweeps —
-// on one set of GOMAXPROCS worker goroutines. The calling goroutine
-// schedules. It starts stages while a stage slot is free, hands ready
-// jobs to idle workers, and on each finished job moves its stage on: an
-// LRU sweep's caps queue the non-LRU sweeps of its depth at once, and a
-// line whose sweeps are all in gets its candidates and the next line's
-// strip. So the policies of a line, the L1I and L1D streams and the
-// retained L2 pairs all overlap, and nothing waits at a barrier but the
-// L2 stage for the L1 pairs it is seeded with.
+// Space mode's concurrency. Each level stage of an ExploreSpace call runs
+// on a goroutine of its own (levelStage.run), and each line of a stage
+// starts one goroutine per depth (levelStage.sweepLine), which runs the
+// depth's LRU sweep, reads its caps and starts the depth's non-LRU sweeps
+// on goroutines of their own. So the policies of a line, the L1I and L1D
+// streams and the retained L2 pairs all overlap; only a line waits for
+// its sweeps, and the L2 stages for the L1 pairs they are seeded with.
 //
-// The answer does not depend on the schedule. A sweep's result lands in
-// its depth's slot of its policy, a line's candidates are assembled in
-// policy and depth order once all of them are in, and the caller reads
-// each stage's candidates in stage order; the front is built from those
-// exactly as a serial walk builds it.
+// The Go scheduler bounds the CPU, so a run bounds only memory: a stage
+// holds one of GOMAXPROCS stage slots, taken in stage order, and a sweep
+// holds a sweeper spaceScratch.take grants under MaxSweepWays, waiting on
+// a sync.Cond while take refuses. The answer does not depend on the
+// schedule: each sweep lands in its own depth's slot, each stage tallies
+// its own PruneStats, and the caller reads the stages in stage order.
 //
-// Only the calling goroutine reads ctx: once before it hands out each
-// sweep and each L2 filter replay, the work units a cancellation stops
-// between. The first failure — a cancelled ctx, a job's error or a job's
-// panic — stops all dispatch and ctx checks; the pool waits for the jobs
-// in flight, then returns the error or raises the panic again on the
-// calling goroutine, as if the job had run there.
+// ctx is read under the run's mutex, once before each sweep and each L2
+// filter replay. The first failure — a cancelled ctx, an error or a
+// panic — sticks: no ctx read, replay, strip or sweep starts after it.
+// Every goroutine recovers its own panic; once all have returned, the
+// caller raises the first panic again, as if the sweep had run there, or
+// returns the first error.
 
 // MaxSweepWays bounds, in int32 words, the tables a space exploration's
 // policy sweeps hold. The server rejects a level whose largest sweep,
@@ -44,55 +43,24 @@ import (
 // sweep would.
 const MaxSweepWays = 1 << 24
 
-// spaceScratch is the working memory of one ExploreSpace call, reused
-// across its level stages and touched only by the calling goroutine. A
-// stage in flight holds a slot: the strip of its current line and, for an
-// L2 stage, the filtered stream it strips. There are at most procs
-// slots, so no more stages are in flight than there are workers, and at
-// GOMAXPROCS 1 one slot serves every stage in turn. The policy sweepers
+// spaceScratch holds the policy sweepers of one ExploreSpace call. They
 // are granted per sweep and returned after it: busy are out, idle wait
 // for the next sweep. ways and residency are the largest ways and
 // residency tables, in int32 words, any granted sweep could ask its
 // sweeper for, so no sweeper holds more than their sum.
 type spaceScratch struct {
 	procs           int
-	free            []*stageSlot // slots no stage holds
 	idle            []*onepass.PolicySweeper
 	busy            int
 	ways, residency int
 }
 
-// stageSlot is the reusable memory of one stage in flight.
-type stageSlot struct {
-	strip    trace.Stripped
-	filtered trace.Trace
-}
-
 func newSpaceScratch() *spaceScratch {
-	sc := &spaceScratch{procs: runtime.GOMAXPROCS(0)}
-	for range sc.procs {
-		sc.free = append(sc.free, new(stageSlot))
-	}
-	return sc
+	return &spaceScratch{procs: runtime.GOMAXPROCS(0)}
 }
-
-// slot returns a free stage slot, or nil when procs stages are in
-// flight.
-func (sc *spaceScratch) slot() *stageSlot {
-	n := len(sc.free)
-	if n == 0 {
-		return nil
-	}
-	s := sc.free[n-1]
-	sc.free = sc.free[:n-1]
-	return s
-}
-
-// release returns a slot for the next stage.
-func (sc *spaceScratch) release(s *stageSlot) { sc.free = append(sc.free, s) }
 
 // sweepLimit is how many sweepers may be alive at once when each holds
-// tables of ways+residency words: one per worker, as many as
+// tables of ways+residency words: one per processor, as many as
 // MaxSweepWays holds, and at least one.
 func (sc *spaceScratch) sweepLimit(ways, residency int) int {
 	return min(sc.procs, max(1, MaxSweepWays/(ways+residency)))
@@ -138,177 +106,163 @@ func (sc *spaceScratch) give(sw *onepass.PolicySweeper) {
 	}
 }
 
-// poolJob is one unit of a stage's work on a worker: a sweep of the
-// stage's strip by run's policy at depth 2^lvl, or, with run nil, the
-// stage's preparation of its current line (levelStage.prepare).
-type poolJob struct {
-	st    *levelStage
-	run   *policyRun
-	lvl   int
-	assoc int
-	strip *trace.Stripped
-	sw    *onepass.PolicySweeper
-	out   *onepass.AssocSweep
-	err   error
-	panic any
+// stageSlot is the reusable memory of one stage in flight: the strip of
+// its current line and, for an L2 stage, the filtered stream it strips.
+type stageSlot struct {
+	strip    trace.Stripped
+	filtered trace.Trace
 }
 
-// do runs the job, catching its panic for the caller to raise again.
-func (j *poolJob) do(ctx context.Context) {
-	defer func() { j.panic = recover() }()
-	if j.run == nil {
-		j.err = j.st.prepare(ctx)
-		return
-	}
-	if j.err = faultinject.Hit("dse.sweep"); j.err == nil {
-		j.out, j.err = j.sw.SweepLines(j.strip, 1<<j.lvl, j.assoc, onepassOf(j.run.policy))
-	}
-}
-
-// sweepPool is one ExploreSpace call's workers and schedule. Its fields
-// other than the channels belong to the calling goroutine.
-type sweepPool struct {
+// spaceRun is one ExploreSpace call's limits and failure: its stage
+// slots and, under mu, its sweepers and its first error and panic.
+type spaceRun struct {
 	ctx      context.Context
+	slots    chan *stageSlot
+	mu       sync.Mutex
+	freed    sync.Cond // on mu: a sweeper came back
 	sc       *spaceScratch
-	jobs     chan *poolJob
-	done     chan *poolJob
-	wg       sync.WaitGroup
-	inflight int
-	preps    []*poolJob // ready line preparations, run before sweeps
-	sweeps   []*poolJob // ready sweeps, in the order they became ready
 	err      error
 	panicked any
 }
 
-// newSweepPool starts one worker per processor for an ExploreSpace call
-// under ctx. close stops them.
-func newSweepPool(ctx context.Context) *sweepPool {
-	sc := newSpaceScratch()
-	// At most procs jobs are in flight, so with procs slots each a
-	// dispatch never waits for a worker and a worker never waits to hand
-	// a job back.
-	p := &sweepPool{
-		ctx:  ctx,
-		sc:   sc,
-		jobs: make(chan *poolJob, sc.procs),
-		done: make(chan *poolJob, sc.procs),
+// newSpaceRun returns the run of an ExploreSpace call under ctx, with
+// GOMAXPROCS stage slots.
+func newSpaceRun(ctx context.Context) *spaceRun {
+	r := &spaceRun{ctx: ctx, sc: newSpaceScratch()}
+	r.freed.L = &r.mu
+	r.slots = make(chan *stageSlot, r.sc.procs)
+	for range r.sc.procs {
+		r.slots <- new(stageSlot)
 	}
-	p.wg.Add(sc.procs)
-	for range sc.procs {
-		go func() {
-			defer p.wg.Done()
-			for j := range p.jobs {
-				j.do(ctx)
-				p.done <- j
-			}
-		}()
-	}
-	return p
+	return r
 }
 
-// close stops the workers and waits for them; no job is in flight once
-// run has returned or panicked.
-func (p *sweepPool) close() {
-	close(p.jobs)
-	p.wg.Wait()
-}
-
-// failed reports whether a failure has stopped the pool.
-func (p *sweepPool) failed() bool { return p.err != nil || p.panicked != nil }
-
-// run evaluates the stages, starting each in order as a slot frees, and
-// returns once all are done. After a failure it returns once the jobs in
-// flight are, with the first error, or raises the first job panic again.
-func (p *sweepPool) run(stages ...*levelStage) error {
-	for {
-		for len(stages) > 0 && !p.failed() {
-			slot := p.sc.slot()
-			if slot == nil {
-				break
-			}
-			stages[0].start(p, slot)
-			stages = stages[1:]
-		}
-		p.dispatch()
-		if p.inflight == 0 {
+// run evaluates the stages, each on its own goroutine once it holds a
+// slot, and adds their tallies to stats in stage order. It returns once
+// every goroutine it started has, with the run's first error, or raises
+// its first panic again.
+func (r *spaceRun) run(stats *core.PruneStats, stages ...*levelStage) error {
+	var wg sync.WaitGroup
+	for _, st := range stages {
+		slot := <-r.slots
+		if r.failed() {
+			r.slots <- slot
 			break
 		}
-		p.finish(<-p.done)
+		r.spawn(&wg, func() {
+			defer func() { r.slots <- slot }()
+			st.run(r, slot)
+		})
 	}
-	if p.panicked != nil {
-		panic(p.panicked)
+	wg.Wait()
+	if r.panicked != nil {
+		panic(r.panicked)
 	}
-	return p.err
+	if r.err != nil {
+		return r.err
+	}
+	for _, st := range stages {
+		stats.Candidates += st.stats.Candidates
+		stats.Evaluated += st.stats.Evaluated
+		stats.PrunedDominated += st.stats.PrunedDominated
+		stats.PrunedThreshold += st.stats.PrunedThreshold
+	}
+	return nil
 }
 
-// dispatch hands ready jobs to idle workers, line preparations first, and
-// sweeps in order while take grants them a sweeper. It reads ctx before
-// each sweep and each L2 filter replay.
-func (p *sweepPool) dispatch() {
-	for !p.failed() && p.inflight < p.sc.procs {
-		var j *poolJob
-		switch {
-		case len(p.preps) > 0:
-			j = p.preps[0]
-			if j.st.filters() && !p.live() {
-				return
+// spawn runs f on a goroutine of wg, recording its panic as the run's.
+func (r *spaceRun) spawn(wg *sync.WaitGroup, f func()) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() {
+			if p := recover(); p != nil {
+				r.fail(nil, p)
 			}
-			p.preps = p.preps[1:]
-		case len(p.sweeps) > 0:
-			j = p.sweeps[0]
-			if j.sw = p.sc.take(j.strip, 1<<j.lvl, j.assoc); j.sw == nil {
-				return
-			}
-			if !p.live() {
-				p.sc.give(j.sw)
-				return
-			}
-			p.sweeps = p.sweeps[1:]
-		default:
-			return
-		}
-		p.inflight++
-		p.jobs <- j
+		}()
+		f()
+	}()
+}
+
+// fail records err or the panic p, keeping the first of each.
+func (r *spaceRun) fail(err error, p any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil {
+		r.err = err
+	}
+	if r.panicked == nil {
+		r.panicked = p
 	}
 }
 
-// live checks ctx, recording its error as the pool's failure.
-func (p *sweepPool) live() bool {
-	p.err = p.ctx.Err()
-	return p.err == nil
+// stopped reports whether the run has failed, reading no ctx. r.mu must
+// be held.
+func (r *spaceRun) stopped() bool { return r.err != nil || r.panicked != nil }
+
+// failed is stopped for a caller not holding r.mu.
+func (r *spaceRun) failed() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.stopped()
 }
 
-// finish takes a job back from a worker and moves its stage on.
-func (p *sweepPool) finish(j *poolJob) {
-	p.inflight--
-	if j.sw != nil {
-		p.sc.give(j.sw)
-		j.sw = nil
+// live reads ctx, unless the run has failed, recording its error as the
+// run's, and reports whether the run goes on. r.mu must be held.
+func (r *spaceRun) live() bool {
+	if !r.stopped() {
+		r.err = r.ctx.Err()
 	}
-	switch {
-	case j.panic != nil:
-		if p.panicked == nil {
-			p.panicked = j.panic
-		}
-	case j.err != nil:
-		if p.err == nil {
-			p.err = j.err
-		}
-	case p.failed():
-	case j.run == nil:
-		j.st.prepared(p)
-	default:
-		j.st.swept(p, j)
-	}
+	return !r.stopped()
 }
 
-// queue makes run's sweep at depth 2^lvl over associativities 1..assoc
-// ready. Under a recorder, run's "sweep" span starts with its first.
-func (p *sweepPool) queue(st *levelStage, run *policyRun, lvl, assoc int) {
-	if run.queued == 0 {
-		_, run.span = obs.StartSpan(p.ctx, "sweep")
+// sweep runs q's sweep of strip at depth 2^lvl over the associativities
+// 1..assoc once take grants it a sweeper, reading ctx then, and files it
+// in q.out; q's first sweep starts q's "sweep" span. It returns the
+// sweep, or nil once the run has failed. take refuses only while another
+// sweeper is busy, and each comes back with a broadcast, so a waiting
+// sweep always wakes, and sees a failure then.
+func (r *spaceRun) sweep(q *policyRun, strip *trace.Stripped, lvl, assoc int) (out *onepass.AssocSweep) {
+	r.mu.Lock()
+	sw := r.sc.take(strip, 1<<lvl, assoc)
+	for sw == nil && !r.stopped() {
+		r.freed.Wait()
+		sw = r.sc.take(strip, 1<<lvl, assoc)
 	}
-	run.queued++
-	run.cells += assoc
-	p.sweeps = append(p.sweeps, &poolJob{st: st, run: run, lvl: lvl, assoc: assoc, strip: st.strip})
+	if sw == nil {
+		r.mu.Unlock()
+		return nil
+	}
+	defer func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.sc.give(sw)
+		r.freed.Broadcast()
+		if q.left--; out != nil && q.left == 0 && q.span != nil {
+			q.span.SetAttr("policy", q.policy.String())
+			q.span.SetAttr("line", strip.LineWords)
+			q.span.SetAttr("depths", len(q.out))
+			q.span.SetAttr("cells", q.cells)
+			q.span.End()
+		}
+	}()
+	live := r.live()
+	if live && q.cells == 0 {
+		_, q.span = obs.StartSpan(r.ctx, "sweep")
+	}
+	q.cells += assoc
+	r.mu.Unlock()
+	if !live {
+		return nil
+	}
+	err := faultinject.Hit("dse.sweep")
+	if err == nil {
+		out, err = sw.SweepLines(strip, 1<<lvl, assoc, onepassOf(q.policy))
+	}
+	if err != nil {
+		r.fail(err, nil)
+		return nil
+	}
+	q.out[lvl] = out
+	return out
 }

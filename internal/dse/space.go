@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/cacti"
@@ -27,10 +28,10 @@ import (
 // levels whose policy set includes LRU, a depth's LRU sweep runs first
 // and its α-threshold and A_zero cuts prune the associativity axis before
 // any non-LRU sweep of that depth, and core.Front.Stats records how much
-// work they skipped. Each level stream is a levelStage, and every stage
-// of a call runs on the call's one sweep pool (pool.go): the L1I and L1D
-// stages side by side, then the retained pairs' L2 stages side by side,
-// with the front assembled in the order a serial walk would produce it.
+// work they skipped. Each level stream is a levelStage on a goroutine of
+// its own (pool.go): the L1I and L1D stages side by side, then the
+// retained pairs' L2 stages side by side, with the front assembled in the
+// order a serial walk would produce it.
 
 // DefaultMissPenaltyPJ is the off-chip access energy charged per
 // last-level miss when SpaceOptions leaves the penalty zero. It matches
@@ -43,9 +44,6 @@ const DefaultMaxL1Pairs = 6
 // SpaceOptions tunes a design-space evaluation. The zero value is fully
 // usable.
 type SpaceOptions struct {
-	// Eps is the α-threshold slack (core.AlphaThreshold); zero means
-	// core.DefaultAlphaEps.
-	Eps float64
 	// Params is the cost model calibration; the zero value means
 	// cacti.DefaultParams(). Technology axes scale it per level.
 	Params cacti.Params
@@ -63,7 +61,8 @@ type SpaceOptions struct {
 	// bit-equal to internal/cache simulation. The front is complete —
 	// every Pareto-optimal cell of the space present — only when
 	// Exhaustive is set: the α-threshold cut skips non-LRU cells within
-	// eps of the LRU floor even when one of them would be optimal. The
+	// core.DefaultAlphaEps of the LRU floor even when one of them would
+	// be optimal. The
 	// cuts apply only to levels whose policy set includes LRU; without an
 	// LRU candidate nothing stands for the skipped cells. Exhaustive does
 	// not lift the MaxL1Pairs cap: a split+l2 front is complete only when
@@ -72,9 +71,6 @@ type SpaceOptions struct {
 }
 
 func (o SpaceOptions) normalized() SpaceOptions {
-	if o.Eps == 0 {
-		o.Eps = core.DefaultAlphaEps
-	}
 	if o.Params.AddressBits == 0 {
 		o.Params = cacti.DefaultParams()
 	}
@@ -143,14 +139,14 @@ func depthLevels(strip *trace.Stripped, maxDepth int) int {
 
 // lruCaps reads the two associativity caps off an LRU sweep's misses by
 // associativity: A_zero, the first associativity with no non-cold miss
-// (the end of the swept axis if none), and the α-threshold over the
-// associativities up to it.
-func lruCaps(missByAssoc []int, eps float64) (capZero, capAlpha int) {
+// (the end of the swept axis if none), and the α-threshold at
+// core.DefaultAlphaEps over the associativities up to it.
+func lruCaps(missByAssoc []int) (capZero, capAlpha int) {
 	capZero = slices.Index(missByAssoc[1:], 0) + 1
 	if capZero == 0 {
 		capZero = len(missByAssoc) - 1
 	}
-	return capZero, core.AlphaThresholdMisses(missByAssoc[:capZero+1], eps)
+	return capZero, core.AlphaThresholdMisses(missByAssoc[:capZero+1], core.DefaultAlphaEps)
 }
 
 // stripLines strips stream at line words per line into dst, inside the
@@ -173,58 +169,51 @@ func stripLines(ctx context.Context, stream *trace.Trace, line int, dst *trace.S
 // depth bounds the associativity axis of every policy at that depth
 // (A_zero: the LRU candidate already reaches zero non-cold misses at no
 // greater cost, so anything past it is dominated for any policy;
-// α-threshold: past it the level is within eps of its compulsory floor,
-// so the non-LRU axis is cut there), and the non-LRU sweeps of the depth
-// wait for it. Without an LRU candidate neither cut holds — FIFO is not
-// a stack algorithm, and its misses keep falling past LRU's A_zero — so
-// every policy sweeps to MaxAssoc. LRU itself contributes only its
-// miss-count corners — plateau associativities add size for identical
-// misses and are dominated. minLine drops line sizes below a floor (an
-// L2 line must cover its L1 lines). stats tallies the cells skipped by
-// each cut; o.Exhaustive disables all three cuts and evaluates the full
-// grid.
+// α-threshold: past it the level is within core.DefaultAlphaEps of its
+// compulsory floor, so the non-LRU axis is cut there), and the non-LRU
+// sweeps of the depth wait for it. Without an LRU candidate neither cut
+// holds — FIFO is not a stack algorithm, and its misses keep falling past
+// LRU's A_zero — so every policy sweeps to MaxAssoc. LRU itself
+// contributes only its miss-count corners — plateau associativities add
+// size for identical misses and are dominated. minLine drops line sizes
+// below a floor (an L2 line must cover its L1 lines). stats tallies the
+// cells skipped by each cut; o.Exhaustive disables all three cuts and
+// evaluates the full grid.
 //
 // An L2 stage first makes its stream: the filter replay of the trace
 // through its L1 pair. The stage takes its line sizes in turn, and each
 // strips the stream once into the stage's slot; every sweep of that line
-// reads the one strip. The sweeps run on the pool (sweepPool), and cands
-// holds the stage's candidates, line by line in the order a serial walk
-// produces them, once the pool has run it.
+// reads the one strip. cands holds the stage's candidates, line by line
+// in the order a serial walk produces them, once run has returned.
 type levelStage struct {
-	ls       core.LevelSpace
-	o        SpaceOptions
-	stats    *core.PruneStats
-	lines    []int // the line sizes at or above minLine
-	hasLRU   bool
-	cut      bool
-	src      *trace.Trace // L2: the trace filtered through pair
-	pair     l1Pair
-	stream   *trace.Trace // the level's reference stream
-	refs     int          // L2: the filtered stream's length
-	slot     *stageSlot
-	line     int // index into lines of the line in progress
-	strip    *trace.Stripped
-	runs     []*policyRun // the line's sweeps: LRU's first, if present
-	capZero  []int        // per depth, every policy's associativity cap
-	capAlpha []int        // per depth, the non-LRU policies' cap
-	left     int          // sweeps of the line not yet done
-	cands    []levelCand
+	ls     core.LevelSpace
+	o      SpaceOptions
+	stats  core.PruneStats
+	lines  []int // the line sizes at or above minLine
+	hasLRU bool
+	cut    bool
+	src    *trace.Trace // L2: the trace filtered through pair
+	pair   l1Pair
+	stream *trace.Trace // the level's reference stream
+	refs   int          // L2: the filtered stream's length
+	cands  []levelCand
 }
 
 // policyRun is one policy's sweeps of a stage's line, one per depth, and
-// the "sweep" span they record under: the policy, line, number of depths
-// and of (depth, assoc) cells swept.
+// the "sweep" span they record under, from the first sweep's start to the
+// last one's end: the policy, line, number of depths and of (depth,
+// assoc) cells swept. Its counts belong to the run's mutex.
 type policyRun struct {
-	policy              core.Policy
-	out                 []*onepass.AssocSweep // per depth level
-	queued, left, cells int
-	span                *obs.Span
+	policy      core.Policy
+	out         []*onepass.AssocSweep // per depth level
+	left, cells int
+	span        *obs.Span
 }
 
 // newLevelStage returns the stage evaluating ls on stream, its line sizes
-// from minLine up, tallying into stats.
-func newLevelStage(stream *trace.Trace, ls core.LevelSpace, o SpaceOptions, minLine int, stats *core.PruneStats) *levelStage {
-	st := &levelStage{ls: ls, o: o, stats: stats, stream: stream}
+// from minLine up.
+func newLevelStage(stream *trace.Trace, ls core.LevelSpace, o SpaceOptions, minLine int) *levelStage {
+	st := &levelStage{ls: ls, o: o, stream: stream}
 	for _, line := range ls.LineWords {
 		if line >= minLine {
 			st.lines = append(st.lines, line)
@@ -237,30 +226,26 @@ func newLevelStage(stream *trace.Trace, ls core.LevelSpace, o SpaceOptions, minL
 
 // newL2Stage returns the stage evaluating the L2 space on t's stream
 // through the L1 pair pr.
-func newL2Stage(t *trace.Trace, pr l1Pair, ls core.LevelSpace, o SpaceOptions, stats *core.PruneStats) *levelStage {
-	st := newLevelStage(nil, ls, o, max(pr.i.line, pr.d.line), stats)
+func newL2Stage(t *trace.Trace, pr l1Pair, ls core.LevelSpace, o SpaceOptions) *levelStage {
+	st := newLevelStage(nil, ls, o, max(pr.i.line, pr.d.line))
 	st.src, st.pair = t, pr
 	return st
 }
 
-// filters reports whether the stage's next preparation is its filter
-// replay.
-func (st *levelStage) filters() bool { return st.src != nil && st.line == 0 }
-
-// start gives the stage its slot and queues its first preparation.
-func (st *levelStage) start(p *sweepPool, slot *stageSlot) {
-	st.slot = slot
-	p.preps = append(p.preps, &poolJob{st: st})
-}
-
-// prepare runs on a worker: the filter replay of an L2 stage's first
-// preparation, then the strip of the current line into the slot. Under a
+// run evaluates the stage in slot: an L2 stage's filter replay, then each
+// line's strip and sweeps. It stops at the run's first failure. Under a
 // recorder the replay records an "l2_filter" span with the references in
 // and out.
-func (st *levelStage) prepare(ctx context.Context) error {
-	if st.filters() {
-		_, span := obs.StartSpan(ctx, "l2_filter")
-		f := &st.slot.filtered
+func (st *levelStage) run(r *spaceRun, slot *stageSlot) {
+	if st.src != nil {
+		r.mu.Lock()
+		live := r.live()
+		r.mu.Unlock()
+		if !live {
+			return
+		}
+		_, span := obs.StartSpan(r.ctx, "l2_filter")
+		f := &slot.filtered
 		err := filterSplitL1(st.src, st.pair.i.config(), st.pair.d.config(), f)
 		if span != nil {
 			span.SetAttr("refs_in", st.src.Len())
@@ -268,93 +253,80 @@ func (st *levelStage) prepare(ctx context.Context) error {
 			span.End()
 		}
 		if err != nil {
-			return err
+			r.fail(err, nil)
+			return
 		}
 		st.stream, st.refs = f, f.Len()
+		defer func() { st.stream = nil }()
 	}
-	if st.line == len(st.lines) {
-		return nil
+	for _, line := range st.lines {
+		if r.failed() {
+			return
+		}
+		strip, err := stripLines(r.ctx, st.stream, line, &slot.strip)
+		if err != nil {
+			r.fail(err, nil)
+			return
+		}
+		st.sweepLine(r, strip)
 	}
-	var err error
-	st.strip, err = stripLines(ctx, st.stream, st.lines[st.line], &st.slot.strip)
-	return err
 }
 
-// prepared queues the sweeps of the line just stripped: LRU's and, with
-// no cut to wait for, every other policy's, at every depth over the full
-// axis.
-func (st *levelStage) prepared(p *sweepPool) {
-	if st.line == len(st.lines) {
-		st.complete(p)
-		return
-	}
-	n := depthLevels(st.strip, st.ls.MaxDepth) + 1
-	st.capZero, st.capAlpha = make([]int, n), make([]int, n)
-	for lvl := range n {
-		st.capZero[lvl], st.capAlpha[lvl] = st.ls.MaxAssoc, st.ls.MaxAssoc
-	}
-	st.runs = st.runs[:0]
+// sweepLine sweeps strip by every policy at every depth, one goroutine
+// per depth, and collects the line's candidates. Under the cuts a depth's
+// goroutine runs its LRU sweep first and starts the depth's non-LRU
+// sweeps, up to the α-threshold, once it has the caps; otherwise it
+// starts every policy's sweep at once over the full axis. It collects
+// nothing once the run has failed.
+func (st *levelStage) sweepLine(r *spaceRun, strip *trace.Stripped) {
+	n := depthLevels(strip, st.ls.MaxDepth) + 1
+	var runs []*policyRun // LRU's first, if present
 	if st.hasLRU {
-		st.runs = append(st.runs, &policyRun{policy: core.PolicyLRU})
+		runs = append(runs, &policyRun{policy: core.PolicyLRU})
 	}
 	for _, pol := range st.ls.Policies {
 		if pol != core.PolicyLRU {
-			st.runs = append(st.runs, &policyRun{policy: pol})
+			runs = append(runs, &policyRun{policy: pol})
 		}
 	}
-	for _, r := range st.runs {
-		r.out, r.left = make([]*onepass.AssocSweep, n), n
+	for _, q := range runs {
+		q.out, q.left = make([]*onepass.AssocSweep, n), n
 	}
-	st.left = len(st.runs) * n
-	for _, r := range st.runs {
-		if r.policy == core.PolicyLRU || !st.cut {
-			for lvl := range n {
-				p.queue(st, r, lvl, st.ls.MaxAssoc)
+	capZero, capAlpha := make([]int, n), make([]int, n)
+	var wg sync.WaitGroup
+	for lvl := range n {
+		capZero[lvl], capAlpha[lvl] = st.ls.MaxAssoc, st.ls.MaxAssoc
+		r.spawn(&wg, func() {
+			rest := runs
+			if st.cut {
+				lru := r.sweep(runs[0], strip, lvl, st.ls.MaxAssoc)
+				if lru == nil {
+					return
+				}
+				capZero[lvl], capAlpha[lvl] = lruCaps(lru.MissByAssoc)
+				rest = runs[1:]
 			}
-		}
+			for _, q := range rest {
+				r.spawn(&wg, func() { r.sweep(q, strip, lvl, capAlpha[lvl]) })
+			}
+		})
 	}
-}
-
-// swept files a finished sweep in its depth's slot. An LRU sweep under
-// the cuts sets its depth's caps and queues the depth's non-LRU sweeps
-// up to the α-threshold. The line's last sweep collects its candidates
-// and moves the stage to its next line.
-func (st *levelStage) swept(p *sweepPool, j *poolJob) {
-	r := j.run
-	r.out[j.lvl] = j.out
-	if r.left--; r.left == 0 && r.span != nil {
-		r.span.SetAttr("policy", r.policy.String())
-		r.span.SetAttr("line", st.strip.LineWords)
-		r.span.SetAttr("depths", len(r.out))
-		r.span.SetAttr("cells", r.cells)
-		r.span.End()
+	wg.Wait()
+	if !r.failed() {
+		st.collect(strip, runs, capZero, capAlpha)
 	}
-	if r.policy == core.PolicyLRU && st.cut {
-		st.capZero[j.lvl], st.capAlpha[j.lvl] = lruCaps(j.out.MissByAssoc, st.o.Eps)
-		for _, q := range st.runs[1:] {
-			p.queue(st, q, j.lvl, st.capAlpha[j.lvl])
-		}
-	}
-	if st.left--; st.left > 0 {
-		return
-	}
-	st.collect()
-	if st.line++; st.line < len(st.lines) {
-		p.preps = append(p.preps, &poolJob{st: st})
-		return
-	}
-	st.complete(p)
 }
 
 // collect appends the line's candidates and tallies its cells: LRU's
 // corners depth by depth, then each other policy's cells depth by depth.
-func (st *levelStage) collect() {
-	line, cold := st.lines[st.line], st.strip.NUnique()
-	runs := st.runs
+// capZero holds, per depth, every policy's associativity cap and
+// capAlpha the non-LRU policies'.
+func (st *levelStage) collect(strip *trace.Stripped, runs []*policyRun, capZero, capAlpha []int) {
+	line, cold := strip.LineWords, strip.NUnique()
 	if st.hasLRU {
 		for lvl, sw := range runs[0].out {
 			prev := -1
-			for a, m := range sw.MissByAssoc[1 : st.capZero[lvl]+1] {
+			for a, m := range sw.MissByAssoc[1 : capZero[lvl]+1] {
 				if m == prev && !st.o.Exhaustive {
 					st.stats.PrunedDominated++
 					continue
@@ -379,25 +351,15 @@ func (st *levelStage) collect() {
 			}
 		}
 	}
-	for lvl := range st.capZero {
+	for lvl := range capZero {
 		for _, p := range st.ls.Policies {
 			st.stats.Candidates += st.ls.MaxAssoc
-			st.stats.PrunedDominated += st.ls.MaxAssoc - st.capZero[lvl]
+			st.stats.PrunedDominated += st.ls.MaxAssoc - capZero[lvl]
 			if p != core.PolicyLRU {
-				st.stats.PrunedThreshold += st.capZero[lvl] - st.capAlpha[lvl]
-				st.stats.Evaluated += st.capAlpha[lvl]
+				st.stats.PrunedThreshold += capZero[lvl] - capAlpha[lvl]
+				st.stats.Evaluated += capAlpha[lvl]
 			}
 		}
-	}
-}
-
-// complete hands the stage's slot to the next stage and drops what only
-// its lines needed.
-func (st *levelStage) complete(p *sweepPool) {
-	p.sc.release(st.slot)
-	st.slot, st.strip, st.runs = nil, nil, nil
-	if st.src != nil {
-		st.stream = nil
 	}
 }
 
@@ -425,11 +387,56 @@ func levelConfig(slot string, c levelCand, tech core.Technology) core.LevelConfi
 	}
 }
 
+// pricedLevel is one level of the points addPoints prices: its slot
+// name, candidate and technology axis, and the accesses it sees.
+type pricedLevel struct {
+	slot     string
+	c        levelCand
+	techs    []core.Technology
+	accesses int
+}
+
+// addPoints adds to front one point per technology choice of the levels,
+// the first level's axis outermost, each with the given misses to memory.
+// A point's energy and area sum its levels' in level order, then the
+// energy adds the miss penalty.
+func addPoints(front *core.Front, o SpaceOptions, misses int, levels ...pricedLevel) error {
+	var configs [3]core.LevelConfig
+	return addPointsAfter(front, o, misses, levels, configs[:0], 0, 0)
+}
+
+// addPointsAfter is addPoints past the technology choices already in
+// configs, whose energies and areas sum to energy and area.
+func addPointsAfter(front *core.Front, o SpaceOptions, misses int, levels []pricedLevel, configs []core.LevelConfig, energy, area float64) error {
+	k := len(configs)
+	if k == len(levels) {
+		front.Add(core.Point{
+			Levels:   slices.Clone(configs),
+			Misses:   misses,
+			EnergyPJ: energy + float64(misses)*o.MissPenaltyPJ,
+			AreaUM2:  area,
+		})
+		return nil
+	}
+	l := levels[k]
+	for _, tech := range l.techs {
+		a, e, err := levelCost(l.c, tech, l.accesses, o.Params)
+		if err != nil {
+			return err
+		}
+		if err := addPointsAfter(front, o, misses, levels, append(configs, levelConfig(l.slot, l.c, tech)), energy+e, area+a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ExploreSpace evaluates a design space over the trace and returns its
 // Pareto front over (misses to memory, energy, area). The front is
 // deterministic — bit-stable across runs and GOMAXPROCS — and
 // Front.Stats carries the pruning tally of every level stage. Every
-// stage runs on the call's one sweep pool (sweepPool).
+// stage runs on a goroutine of its own under the call's memory limits
+// (spaceRun).
 func ExploreSpace(ctx context.Context, t *trace.Trace, space core.Space, o SpaceOptions) (*core.Front, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -437,30 +444,20 @@ func ExploreSpace(ctx context.Context, t *trace.Trace, space core.Space, o Space
 	space = space.Normalized()
 	o = o.normalized()
 	front := &core.Front{}
-	p := newSweepPool(ctx)
-	defer p.close()
+	r := newSpaceRun(ctx)
 	switch space.Topology {
 	case core.TopoUnified:
-		st := newLevelStage(t, space.L1, o, 1, &front.Stats)
-		if err := p.run(st); err != nil {
+		st := newLevelStage(t, space.L1, o, 1)
+		if err := r.run(&front.Stats, st); err != nil {
 			return nil, err
 		}
 		for _, c := range st.cands {
-			for _, tech := range space.L1.Technologies {
-				area, energy, err := levelCost(c, tech, t.Len(), o.Params)
-				if err != nil {
-					return nil, err
-				}
-				front.Add(core.Point{
-					Levels:   []core.LevelConfig{levelConfig("L1", c, tech)},
-					Misses:   c.misses(),
-					EnergyPJ: energy + float64(c.misses())*o.MissPenaltyPJ,
-					AreaUM2:  area,
-				})
+			if err := addPoints(front, o, c.misses(), pricedLevel{"L1", c, space.L1.Technologies, t.Len()}); err != nil {
+				return nil, err
 			}
 		}
 	case core.TopoSplit, core.TopoSplitL2:
-		if err := exploreSplit(ctx, p, t, space, o, front); err != nil {
+		if err := exploreSplit(r, t, space, o, front); err != nil {
 			return nil, err
 		}
 	default:
@@ -480,39 +477,26 @@ type l1Pair struct {
 // under split+l2 — the Pareto-optimal pairs seed a second-level
 // exploration of the filtered stream each pair produces, all pairs side
 // by side.
-func exploreSplit(ctx context.Context, p *sweepPool, t *trace.Trace, space core.Space, o SpaceOptions, front *core.Front) error {
+func exploreSplit(r *spaceRun, t *trace.Trace, space core.Space, o SpaceOptions, front *core.Front) error {
 	instr, data := t.Split()
-	stI := newLevelStage(instr, space.L1, o, 1, &front.Stats)
-	stD := newLevelStage(data, space.L1, o, 1, &front.Stats)
-	if err := p.run(stI, stD); err != nil {
+	stI := newLevelStage(instr, space.L1, o, 1)
+	stD := newLevelStage(data, space.L1, o, 1)
+	if err := r.run(&front.Stats, stI, stD); err != nil {
 		return err
 	}
 	candsI, candsD := stI.cands, stD.cands
+	levels := []pricedLevel{
+		{slot: "L1I", techs: space.L1.Technologies, accesses: instr.Len()},
+		{slot: "L1D", techs: space.L1.Technologies, accesses: data.Len()},
+		{slot: "L2", techs: space.L2.Technologies},
+	}
 
 	if space.Topology == core.TopoSplit {
 		for _, ci := range candsI {
 			for _, cd := range candsD {
-				misses := ci.misses() + cd.misses()
-				for _, techI := range space.L1.Technologies {
-					areaI, energyI, err := levelCost(ci, techI, instr.Len(), o.Params)
-					if err != nil {
-						return err
-					}
-					for _, techD := range space.L1.Technologies {
-						areaD, energyD, err := levelCost(cd, techD, data.Len(), o.Params)
-						if err != nil {
-							return err
-						}
-						front.Add(core.Point{
-							Levels: []core.LevelConfig{
-								levelConfig("L1I", ci, techI),
-								levelConfig("L1D", cd, techD),
-							},
-							Misses:   misses,
-							EnergyPJ: energyI + energyD + float64(misses)*o.MissPenaltyPJ,
-							AreaUM2:  areaI + areaD,
-						})
-					}
+				levels[0].c, levels[1].c = ci, cd
+				if err := addPoints(front, o, ci.misses()+cd.misses(), levels[:2]...); err != nil {
+					return err
 				}
 			}
 		}
@@ -526,7 +510,7 @@ func exploreSplit(ctx context.Context, p *sweepPool, t *trace.Trace, space core.
 	// big-and-clean ends stay represented. Under a recorder the choice
 	// records an "l1_pairs" span with the pairs on the front and the pairs
 	// kept.
-	_, span := obs.StartSpan(ctx, "l1_pairs")
+	_, span := obs.StartSpan(r.ctx, "l1_pairs")
 	pairs := paretoPairs(candsI, candsD)
 	onFront := len(pairs)
 	if o.MaxL1Pairs > 0 && len(pairs) > o.MaxL1Pairs {
@@ -539,41 +523,17 @@ func exploreSplit(ctx context.Context, p *sweepPool, t *trace.Trace, space core.
 	}
 	stages := make([]*levelStage, len(pairs))
 	for k, pr := range pairs {
-		stages[k] = newL2Stage(t, pr, space.L2, o, &front.Stats)
+		stages[k] = newL2Stage(t, pr, space.L2, o)
 	}
-	if err := p.run(stages...); err != nil {
+	if err := r.run(&front.Stats, stages...); err != nil {
 		return err
 	}
 	for k, pr := range pairs {
+		levels[0].c, levels[1].c, levels[2].accesses = pr.i, pr.d, stages[k].refs
 		for _, c2 := range stages[k].cands {
-			misses := c2.misses()
-			for _, techI := range space.L1.Technologies {
-				areaI, energyI, err := levelCost(pr.i, techI, instr.Len(), o.Params)
-				if err != nil {
-					return err
-				}
-				for _, techD := range space.L1.Technologies {
-					areaD, energyD, err := levelCost(pr.d, techD, data.Len(), o.Params)
-					if err != nil {
-						return err
-					}
-					for _, tech2 := range space.L2.Technologies {
-						area2, energy2, err := levelCost(c2, tech2, stages[k].refs, o.Params)
-						if err != nil {
-							return err
-						}
-						front.Add(core.Point{
-							Levels: []core.LevelConfig{
-								levelConfig("L1I", pr.i, techI),
-								levelConfig("L1D", pr.d, techD),
-								levelConfig("L2", c2, tech2),
-							},
-							Misses:   misses,
-							EnergyPJ: energyI + energyD + energy2 + float64(misses)*o.MissPenaltyPJ,
-							AreaUM2:  areaI + areaD + area2,
-						})
-					}
-				}
+			levels[2].c = c2
+			if err := addPoints(front, o, c2.misses(), levels...); err != nil {
+				return err
 			}
 		}
 	}

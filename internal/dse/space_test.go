@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/example/cachedse/internal/cache"
 	"github.com/example/cachedse/internal/core"
@@ -337,14 +338,12 @@ func TestExploreSpaceExhaustiveAgrees(t *testing.T) {
 	}
 }
 
-// levelCandidates evaluates one level's grid on stream as a stage of its
-// own sweep pool and returns the stage's candidates.
+// levelCandidates evaluates one level's grid on stream as the one stage
+// of its own run and returns the stage's candidates.
 func levelCandidates(t *testing.T, stream *trace.Trace, ls core.LevelSpace, o SpaceOptions) []levelCand {
 	t.Helper()
-	p := newSweepPool(context.Background())
-	defer p.close()
-	st := newLevelStage(stream, ls, o, 1, new(core.PruneStats))
-	if err := p.run(st); err != nil {
+	st := newLevelStage(stream, ls, o, 1)
+	if err := newSpaceRun(context.Background()).run(new(core.PruneStats), st); err != nil {
 		t.Fatal(err)
 	}
 	return st.cands
@@ -450,13 +449,19 @@ func TestSpaceLRUMatchesExplore(t *testing.T) {
 								s.name, line, lr.Depth, a, lru.MissByAssoc[a], lr.Misses(a))
 						}
 					}
-					for _, eps := range []float64{0.01, core.DefaultAlphaEps, 0.2} {
-						capZero, capAlpha := lruCaps(lru.MissByAssoc, eps)
-						wantZero := min(maxAssoc, lr.AZero)
-						wantAlpha := min(core.AlphaThreshold(lr, maxAssoc, eps), wantZero)
-						if capZero != wantZero || capAlpha != wantAlpha {
-							t.Fatalf("%s line %d D=%d maxA=%d eps=%g: caps (%d, %d), core.Explore gives (%d, %d)",
-								s.name, line, lr.Depth, maxAssoc, eps, capZero, capAlpha, wantZero, wantAlpha)
+					capZero, capAlpha := lruCaps(lru.MissByAssoc)
+					wantZero := min(maxAssoc, lr.AZero)
+					if want := min(core.AlphaThreshold(lr, maxAssoc, core.DefaultAlphaEps), wantZero); capZero != wantZero || capAlpha != want {
+						t.Fatalf("%s line %d D=%d maxA=%d: caps (%d, %d), core.Explore gives (%d, %d)",
+							s.name, line, lr.Depth, maxAssoc, capZero, capAlpha, wantZero, want)
+					}
+					// The α cap read off the sweep's misses at any slack is
+					// core.Explore's.
+					for _, eps := range []float64{0.01, 0.2} {
+						got := core.AlphaThresholdMisses(lru.MissByAssoc[:capZero+1], eps)
+						if want := min(core.AlphaThreshold(lr, maxAssoc, eps), wantZero); got != want {
+							t.Fatalf("%s line %d D=%d maxA=%d eps=%g: α cap %d, core.Explore gives %d",
+								s.name, line, lr.Depth, maxAssoc, eps, got, want)
 						}
 					}
 				}
@@ -738,6 +743,101 @@ func TestSweepPanicReachesCaller(t *testing.T) {
 	faultinject.Disarm()
 	if _, err := ExploreSpace(context.Background(), tr, core.DefaultSpace(), SpaceOptions{}); err != nil {
 		t.Fatalf("after the panics: %v", err)
+	}
+}
+
+// settledGoroutines waits up to a second for the goroutine count to fall
+// to base and returns it: a goroutine that has signalled its WaitGroup
+// may take a moment more to exit.
+func settledGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestExploreSpaceLeavesNoGoroutines: however ExploreSpace ends — with a
+// front, cancelled before the call or during it, on an injected sweep
+// error or on an injected sweep panic — every goroutine it started has
+// returned with it.
+func TestExploreSpaceLeavesNoGoroutines(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	t.Cleanup(faultinject.Disarm)
+	res := kernelStreams(t, "crc")
+	tr := mergeStreams(res.Instr, res.Data)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name, fault string
+		ctx         context.Context
+		ok          func(err error, panicked any) bool
+	}{
+		{"success", "", context.Background(), func(err error, p any) bool { return err == nil && p == nil }},
+		{"pre-cancel", "", cancelled, func(err error, p any) bool { return errors.Is(err, context.Canceled) }},
+		{"mid-run cancel", "", &cancelAfter{Context: context.Background(), n: 20},
+			func(err error, p any) bool { return errors.Is(err, context.Canceled) }},
+		{"sweep error", "dse.sweep=error(boom)@1", context.Background(),
+			func(err error, p any) bool { return faultinject.IsInjected(err) }},
+		{"sweep panic", "dse.sweep=panic(boom)@1", context.Background(),
+			func(err error, p any) bool { return p != nil }},
+	}
+	for _, c := range cases {
+		faultinject.Disarm()
+		if c.fault != "" {
+			if err := faultinject.Arm(c.fault, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		base := runtime.NumGoroutine()
+		var err error
+		panicked := func() (p any) {
+			defer func() { p = recover() }()
+			_, err = ExploreSpace(c.ctx, tr, core.DefaultSpace(), SpaceOptions{})
+			return nil
+		}()
+		if !c.ok(err, panicked) {
+			t.Errorf("%s: err %v, panic %v", c.name, err, panicked)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("%s: %d goroutines after ExploreSpace returned, %d before", c.name, n, base)
+		}
+	}
+}
+
+// TestExploreSpaceCancelWhileWaiting: on a FIFO level as large as
+// MaxSweepWays admits (the sweep-cap shape: depth 1 024, 180 ways), at
+// GOMAXPROCS 4, once a deep sweep is granted no second sweeper is, so the
+// other sweeps of its line wait for it. A cancellation seen at the n-th
+// context check must end the call with context.Canceled, with no context
+// check after it, rather than leave those sweeps waiting.
+func TestExploreSpaceCancelWhileWaiting(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	tr := tracegen.Uniform(rand.New(rand.NewSource(1)), 0, 4096, 8192)
+	sp := core.Space{L1: core.LevelSpace{
+		MaxDepth: 1024, MaxAssoc: 180, LineWords: []int{1},
+		Policies: []core.Policy{core.PolicyFIFO},
+	}}
+	for _, n := range []int{1, 2, 6} {
+		c := &cancelAfter{Context: context.Background(), n: n}
+		done := make(chan error, 1)
+		go func() {
+			_, err := ExploreSpace(c, tr, sp, SpaceOptions{})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled at check %d: err = %v, want context.Canceled", n+1, err)
+			}
+			if c.calls != n+1 {
+				t.Errorf("cancelled at check %d: %d context checks", n+1, c.calls)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("cancelled at check %d: ExploreSpace has not returned after a minute", n+1)
+		}
 	}
 }
 

@@ -217,12 +217,25 @@ func TestControlledScalingIsLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing study in short mode")
 	}
+	// Each point keeps its fastest of three studies: under a parallel
+	// go test ./..., other packages' tests steal the CPU for stretches
+	// longer than one point's best-of-3, and a stolen stretch inflates
+	// one point, not all three studies' copies of it.
 	timings, err := ControlledScaling(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(timings) != 12 {
 		t.Fatalf("%d points, want 12", len(timings))
+	}
+	for range 2 {
+		again, err := ControlledScaling(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range timings {
+			timings[i].Seconds = min(timings[i].Seconds, again[i].Seconds)
+		}
 	}
 	fit, _, err := Figure4(timings)
 	if err != nil {

@@ -133,6 +133,30 @@ func TestSweepRejectsBadMax(t *testing.T) {
 	}
 }
 
+// Property: at every depth each reference is either cold or counted once
+// in the histogram, and the direct-mapped misses are the histogram's mass
+// past distance 0.
+func TestQuickHistogramMass(t *testing.T) {
+	f := func(addrBytes []uint8, depthPow uint8) bool {
+		tr := trace.New(len(addrBytes))
+		for _, b := range addrBytes {
+			tr.Append(trace.Ref{Addr: uint32(b % 32), Kind: trace.DataRead})
+		}
+		p, err := Run(tr, 1<<(depthPow%5))
+		if err != nil {
+			return false
+		}
+		mass := 0
+		for _, c := range p.Hist {
+			mass += c
+		}
+		return mass+p.Cold == tr.Len() && (len(p.Hist) == 0 || p.Misses(1) == mass-p.Hist[0])
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: for random traces, depths and associativities, the one-pass
 // miss count equals the event-driven LRU simulator's non-cold miss count.
 func TestQuickMatchesSimulator(t *testing.T) {

@@ -379,7 +379,7 @@ func (q *exploreQuery) check(ctx context.Context, entry *TraceEntry, v any) (boo
 // span and fails on the first that misses more than k times.
 func verifyInstances(ctx context.Context, entry *TraceEntry, instances []core.Instance, k int) error {
 	_, span := obs.StartSpan(ctx, "verify")
-	err := dse.VerifyContext(ctx, entry.Trace, instances, k)
+	err := dse.Verify(ctx, entry.Trace, instances, k)
 	span.SetAttr("instances", len(instances))
 	span.SetAttr("ok", err == nil)
 	span.End()

@@ -1,11 +1,10 @@
 package trace
 
-// Workload profiling helpers: the working-set and reuse-distance views of
-// a trace that designers read before picking a budget K. Both quantities
-// underlie the paper's machinery — the reuse-distance histogram at depth 1
-// is exactly the conflict-set-cardinality histogram the postlude computes
-// for the whole-cache row — and are exposed here as first-class analysis
-// tools for the CLI.
+// Workload profiling helpers: the working-set view of a trace that
+// designers read before picking a budget K, exposed as a first-class
+// analysis tool for the CLI. Its companion, the reuse-distance histogram,
+// is onepass.Run at depth 1 — exactly the conflict-set-cardinality
+// histogram the postlude computes for the whole-cache row.
 
 // WorkingSetPoint is one sample of Denning's working-set function: the
 // number of distinct addresses touched in a window of the given length.
@@ -51,52 +50,4 @@ func WorkingSet(t *Trace, windows []int) []WorkingSetPoint {
 		out = append(out, p)
 	}
 	return out
-}
-
-// ReuseHistogram returns the global LRU reuse-distance histogram: hist[d]
-// counts non-cold references with exactly d distinct addresses touched
-// since their previous occurrence, and cold is the first-touch count.
-// This is the fully-associative miss profile: a fully-associative LRU
-// cache of capacity c misses exactly sum(hist[d] for d >= c) non-cold
-// references.
-func ReuseHistogram(t *Trace) (hist []int, cold int) {
-	stack := make([]uint32, 0, 1024)
-	for _, r := range t.Refs {
-		pos := -1
-		for i, a := range stack {
-			if a == r.Addr {
-				pos = i
-				break
-			}
-		}
-		if pos < 0 {
-			cold++
-			stack = append(stack, 0)
-			copy(stack[1:], stack)
-			stack[0] = r.Addr
-			continue
-		}
-		if pos >= len(hist) {
-			grown := make([]int, pos+1)
-			copy(grown, hist)
-			hist = grown
-		}
-		hist[pos]++
-		copy(stack[1:pos+1], stack[:pos])
-		stack[0] = r.Addr
-	}
-	return hist, cold
-}
-
-// MissesAtCapacity folds a reuse histogram into the non-cold miss count of
-// a fully-associative LRU cache with the given capacity in lines.
-func MissesAtCapacity(hist []int, capacity int) int {
-	if capacity < 0 {
-		capacity = 0
-	}
-	m := 0
-	for d := capacity; d < len(hist); d++ {
-		m += hist[d]
-	}
-	return m
 }

@@ -44,43 +44,6 @@ func TestWorkingSetPartialTail(t *testing.T) {
 	}
 }
 
-func TestReuseHistogram(t *testing.T) {
-	// 1 2 3 1: the re-reference of 1 has distance 2.
-	hist, cold := ReuseHistogram(FromAddrs(DataRead, []uint32{1, 2, 3, 1}))
-	if cold != 3 {
-		t.Fatalf("cold = %d", cold)
-	}
-	if len(hist) != 3 || hist[2] != 1 {
-		t.Fatalf("hist = %v", hist)
-	}
-	if MissesAtCapacity(hist, 2) != 1 || MissesAtCapacity(hist, 3) != 0 {
-		t.Fatal("MissesAtCapacity wrong")
-	}
-	if MissesAtCapacity(hist, -1) != 1 {
-		t.Fatal("negative capacity should clamp to 0")
-	}
-}
-
-// Property: the reuse histogram's mass equals N - cold, and capacity-0
-// misses equal all non-cold references.
-func TestQuickReuseHistogramMass(t *testing.T) {
-	f := func(bs []uint8) bool {
-		tr := New(0)
-		for _, b := range bs {
-			tr.Append(Ref{Addr: uint32(b % 32), Kind: DataRead})
-		}
-		hist, cold := ReuseHistogram(tr)
-		mass := 0
-		for _, c := range hist {
-			mass += c
-		}
-		return mass+cold == tr.Len() && MissesAtCapacity(hist, 0) == mass
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: working set sizes are bounded by window length and by N'.
 func TestQuickWorkingSetBounds(t *testing.T) {
 	f := func(bs []uint8, wRaw uint8) bool {
