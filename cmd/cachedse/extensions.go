@@ -102,6 +102,9 @@ func cmdProfile(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("profile needs exactly one trace file")
 	}
+	if *histMax < 0 {
+		return fmt.Errorf("-hist must be >= 0, got %d", *histMax)
+	}
 	tr, err := loadTrace(fs.Arg(0))
 	if err != nil {
 		return err

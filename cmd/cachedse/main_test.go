@@ -214,6 +214,7 @@ func TestSubcommandsEndToEnd(t *testing.T) {
 		{"simulate bad repl", func() error { return cmdSimulate([]string{"-repl", "zzz", path}) }},
 		{"verify bad instance", func() error { return cmdVerify([]string{"-k", "0", path, "whoops"}) }},
 		{"verify violated", func() error { return cmdVerify([]string{"-k", "0", path, "1:1"}) }},
+		{"profile negative hist", func() error { return cmdProfile([]string{"-hist", "-2", path}) }},
 	}
 	for _, c := range bad {
 		if err := c.run(); err == nil {

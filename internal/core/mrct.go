@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -235,9 +236,7 @@ func buildMRCTChunks(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRC
 		if j > 0 {
 			sc.mergeChunk(m, c.sc)
 		}
-		work.compactions += c.work.compactions
-		work.verifyIDs += c.work.verifyIDs
-		work.memoHits += c.work.memoHits
+		work.add(c.work)
 	}
 	overflowRuns := sc.packOcc(m)
 	if span != nil {
@@ -253,6 +252,8 @@ func buildMRCTChunks(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRC
 		span.SetAttr("compactions", work.compactions)
 		span.SetAttr("verify_ids", work.verifyIDs)
 		span.SetAttr("memo_hits", work.memoHits)
+		span.SetAttr("folded", work.folded)
+		span.SetAttr("repeats", work.repeats)
 		span.SetAttr("overflow_runs", overflowRuns)
 		span.End()
 	}
@@ -260,9 +261,19 @@ func buildMRCTChunks(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRC
 }
 
 // mrctWork counts a build's work: tree compactions, ids read to verify
-// candidates, and recurrences resolved by the id's previous window.
+// candidates, recurrences resolved by the id's previous window, references
+// counted inside a folded loop period, and same-word repeats.
 type mrctWork struct {
-	compactions, verifyIDs, memoHits int
+	compactions, verifyIDs, memoHits, folded, repeats int
+}
+
+// add sums o's counters into w.
+func (w *mrctWork) add(o mrctWork) {
+	w.compactions += o.compactions
+	w.verifyIDs += o.verifyIDs
+	w.memoHits += o.memoHits
+	w.folded += o.folded
+	w.repeats += o.repeats
 }
 
 // mrctChunk is one chunk of a chunked build: the scratch it builds
@@ -363,6 +374,20 @@ func runChunks(ctx context.Context, s *trace.Stripped, m *MRCT, idHash []uint64,
 // verifies, plus a scan of at most W slots per distinct window, instead of
 // the stack walk's Σ|C| over every occurrence.
 //
+// Exact repetition skips the tree. A same-word repeat (id already holds
+// the newest time) has the empty window and leaves the LRU order as it
+// is: once the chunk has listed the empty set, it is counted against it
+// and takes no time. And when the last P references each equal the one P
+// before them, P being the distance back to the current id's previous
+// occurrence, every reference of a next period equal to the last one has
+// the window of the reference P before it, and the period leaves the LRU
+// order as it found it. So such whole periods are counted from the ring
+// of recorded sets alone, and the rest of the build runs as if they were
+// not in the trace: nothing it keeps — tree, times, memo, peaks — moves
+// for them. A failed look-ahead is not tried again before its first
+// mismatch, so the comparisons stay O(N) (DESIGN.md §5, "folded loop
+// periods").
+//
 // All of m's storage — sparse sets, packed bit-vectors, occurrence runs —
 // is carved from sc's arenas. A pooled caller must treat m as
 // invalidated once sc is reused; BuildMRCTContext gives sc fresh arenas
@@ -406,17 +431,84 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 	}
 	peaks, top := sc.peaks[:nu+1], 0
 	overflow := sc.overflow[:0] // id<<32 | set, per occurrence by a non-owner
-	compactions, verifyIDs, memoHits := 0, 0, 0
 
-	for i, id := range s.IDs[lo:hi] {
+	// The fold state. ring[i&mask] is the set of chunk position i's window
+	// (not written for a cold reference, whose slot is never read) and
+	// lastPos[id] id's latest chunk position, -1 before its first. The
+	// references (i-runLen, i] each equal the one runP before them, and no
+	// fold is tried before position skip, a failed look-ahead's first
+	// mismatch.
+	ring := growInt32(&sc.ring, min(foldRingMax, 1<<bits.Len(uint(hi-lo))))
+	mask := len(ring) - 1
+	lastPos := growInt32(&sc.lastPos, nu)
+	for i := range lastPos {
+		lastPos[i] = -1
+	}
+	runP, runLen, skip := 0, 0, 0
+	// empty is the chunk's index of the empty set once it lists it, -1
+	// before.
+	empty := int32(-1)
+	var work mrctWork
+
+	ids := s.IDs[lo:hi]
+	for i := 0; i < len(ids); i++ {
+		// Fold the whole periods after i-1 that repeat the last runP
+		// references.
+		for runP > 0 && runLen >= runP && i > skip && i+runP <= len(ids) {
+			if k := mismatch(ids[i:i+runP], ids[i-runP:i]); k >= 0 {
+				skip = i + k
+				break
+			}
+			for j := i; j < i+runP; j++ {
+				if j&4095 == 0 {
+					if err := ctx.Err(); err != nil {
+						return mrctWork{}, err
+					}
+				}
+				v, c := ids[j], ring[(j-runP)&mask]
+				ring[j&mask], lastPos[v] = c, int32(j)
+				if setOwner[c] == v {
+					setCnt[c]++
+				} else {
+					overflow = append(overflow, uint64(v)<<32|uint64(c))
+				}
+			}
+			work.folded += runP
+			runLen += runP
+			i += runP
+		}
+		if i == len(ids) {
+			break
+		}
+		id := ids[i]
 		if i&4095 == 0 {
 			if err := ctx.Err(); err != nil {
 				return mrctWork{}, err
 			}
 		}
+		if runP > 0 && ids[i-runP] == id {
+			runLen++
+		} else if q := int(lastPos[id]); q >= 0 && i-q <= len(ring) {
+			runP, runLen = i-q, 1
+		} else {
+			runP, runLen = 0, 0
+		}
+		lastPos[id] = int32(i)
+		if empty >= 0 && last[id] == now-1 {
+			// A same-word repeat: id tops the LRU order, so its window is
+			// empty and the order stays as it is. It takes no time.
+			if setOwner[empty] == id {
+				setCnt[empty]++
+			} else {
+				overflow = append(overflow, uint64(id)<<32|uint64(empty))
+			}
+			ring[i&mask] = empty
+			work.repeats++
+			continue
+		}
 		if int(now) > w {
 			now = fenCompact(fen, slot, last, idHash, now)
-			compactions++
+			work.compactions++
 		}
 		h := idHash[id]
 		t0 := last[id]
@@ -441,7 +533,7 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 		memo := prevSet[id]
 		if memo >= 0 && len(m.sets[memo]) == p && peakAfter(peaks[:top], pos[id]) <= int32(p) {
 			idx = memo
-			memoHits++
+			work.memoHits++
 		}
 		var key uint64
 		var at int // key's slot in the dedup table
@@ -453,7 +545,7 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 				if cand == memo || len(cs) != p {
 					continue
 				}
-				verifyIDs += p
+				work.verifyIDs += p
 				if accessedAfter(cs, last, t0) {
 					idx = cand
 					break
@@ -495,6 +587,9 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 			if p > m.maxCard {
 				m.maxCard = p
 			}
+			if p == 0 {
+				empty = idx
+			}
 			setKey = append(setKey, key)
 			setOwner = append(setOwner, id)
 			setCnt = append(setCnt, 1)
@@ -504,6 +599,7 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 		default:
 			overflow = append(overflow, uint64(id)<<32|uint64(idx))
 		}
+		ring[i&mask] = idx
 		prevSet[id], pos[id] = idx, int32(i)
 		for top > 0 && peaks[top-1].p <= int32(p) {
 			top--
@@ -518,7 +614,23 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 	}
 	sc.setKey, sc.setOwner, sc.setCnt, sc.dedupNext = setKey, setOwner, setCnt, dedupNext
 	sc.overflow = overflow
-	return mrctWork{compactions, verifyIDs, memoHits}, nil
+	return work, nil
+}
+
+// foldRingMax bounds buildChunk's ring of set indices, and with it the
+// longest loop period the build folds.
+const foldRingMax = 1 << 16
+
+// mismatch returns the first index where a and b differ, -1 when they are
+// equal. They have the same length.
+func mismatch(a, b []int32) int {
+	b = b[:len(a)]
+	for k, v := range a {
+		if b[k] != v {
+			return k
+		}
+	}
+	return -1
 }
 
 // peak is an entry of buildChunk's suffix-maximum stack: the chunk

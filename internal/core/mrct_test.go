@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -92,14 +94,17 @@ func hotColdTrace(cold int) *trace.Trace {
 	return idTrace(ids...)
 }
 
-// cyclicTrace is n references cycling over ids 0..nu-1.
-func cyclicTrace(nu, n int) *trace.Trace {
+// cyclicIDs is n references cycling over ids 0..nu-1.
+func cyclicIDs(nu, n int) []int {
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i % nu
 	}
-	return idTrace(ids...)
+	return ids
 }
+
+// cyclicTrace is the trace of cyclicIDs.
+func cyclicTrace(nu, n int) *trace.Trace { return idTrace(cyclicIDs(nu, n)...) }
 
 // mrctDiff compares two tables field for field — set order, sparse sets,
 // packed presence and contents, the cardinality bound and every id's
@@ -334,27 +339,53 @@ func mrctSpan(t *testing.T, s *trace.Stripped) (*MRCT, map[string]any) {
 	return m, spans[0].Attrs
 }
 
+// thueMorse is bit i of the Thue–Morse word, which has no overlap: no
+// factor of length 2P+1 with period P.
+func thueMorse(i int) int { return bits.OnesCount(uint(i)) & 1 }
+
+// aperiodicIDs is n references over ids 0..nu-1 that no fold can take: the
+// Thue–Morse word itself at nu = 2, and at nu ≥ 3 the walk that steps
+// 1 + thueMorse(i) ids ahead (mod nu) at reference i. A fold needs three
+// loop periods in a row, and the walk's steps would then hold an overlap.
+// At nu ≥ 3 no reference repeats its predecessor either.
+func aperiodicIDs(nu, n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		switch {
+		case nu == 2:
+			ids[i] = thueMorse(i)
+		case i > 0:
+			ids[i] = (ids[i-1] + 1 + thueMorse(i)) % nu
+		}
+	}
+	return ids
+}
+
 // Trace lengths one before, exactly on and one after the first and the
 // second compaction, and past several: the renumbering must not disturb
-// the table.
+// the table. The lengths are where a trace whose every reference takes a
+// time, over all nu ids from the start, compacts; the traces are
+// aperiodic (aperiodicIDs), so no loop period folds away the times the
+// compactions are due to, and compactionRefs replays the schedule
+// exactly. At nu = 1 every reference after the second is a same-word run
+// that folds, so no compaction is ever due; at nu = 2 the same-word
+// repeats of the Thue–Morse word take no time and shift the compactions.
 func TestMRCTCompactionBoundaries(t *testing.T) {
 	for _, nu := range []int{1, 2, 5, 64} {
-		// A cyclic trace keeps all nu ids live, so the first compaction
-		// runs at reference w (0-based; times 1..w are used up) and each
-		// later one after w-nu more references.
 		w, gap := fenwickSpan(nu), fenwickSpan(nu)-nu
-		want := func(n int) int {
-			if n <= w {
-				return 0
-			}
-			return 1 + (n-1-w)/gap
-		}
 		for _, n := range []int{w, w + 1, w + 2, w + gap, w + gap + 1, w + gap + 2, w + 3*gap + 1} {
 			t.Run(fmt.Sprintf("nu%d/n%d", nu, n), func(t *testing.T) {
-				s := trace.Strip(cyclicTrace(nu, n))
+				s := trace.Strip(idTrace(aperiodicIDs(nu, n)...))
 				m, attrs := mrctSpan(t, s)
-				if got := attrs["compactions"]; got != want(n) {
-					t.Errorf("%d compactions, want %d", got, want(n))
+				folded, repeats := sameWordWork(s)
+				for name, want := range map[string]int{"compactions": wantCompactions(s),
+					"folded": folded, "repeats": repeats} {
+					if got := attrs[name]; got != want {
+						t.Errorf("%s = %v, want %d", name, got, want)
+					}
+				}
+				if nu > 1 && n == w+3*gap+1 && wantCompactions(s) < 2 {
+					t.Errorf("%d compactions, want the trace to reach several", wantCompactions(s))
 				}
 				if d := mrctDiff(m, buildMRCTStack(s)); d != "" {
 					t.Fatal(d)
@@ -463,27 +494,41 @@ func TestMRCTBookkeepingPaths(t *testing.T) {
 		name         string
 		ids          []int
 		memoHits     int
+		folded       int
+		repeats      int
 		overflowRuns int
 	}{
 		// u x u w x w y w: w's first window {x} is u's set, so w counts it
 		// as an overflow run, listed before w's own later set {y}.
-		{"shared-window", []int{0, 1, 0, 2, 1, 2, 3, 2}, 0, 1},
+		{"shared-window", []int{0, 1, 0, 2, 1, 2, 3, 2}, 0, 0, 0, 1},
 		// a's windows alternate {x}, {y}: its previous window never
 		// matches, so the dedup table finds the set; x and y repeat theirs.
-		{"alternating-windows", []int{0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2}, 2, 0},
-		// One window repeated: every recurrence after the first of each id
-		// is resolved by its previous window.
-		{"repeated-window", []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}, 6, 0},
+		{"alternating-windows", []int{0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2}, 2, 0, 0, 0},
+		// a b c a b c a c b a b c a b c a: the swapped c b of the third
+		// round breaks every loop period, so nothing folds, while a's
+		// window stays {b, c}: a's previous window resolves four of its
+		// recurrences, b's and c's one each. The swap gives b the window
+		// {a}, which c listed first: one overflow run.
+		{"repeated-window", []int{0, 1, 2, 0, 1, 2, 0, 2, 1, 0, 1, 2, 0, 1, 2, 0}, 6, 0, 0, 1},
+		// a b c four times: the third and fourth periods repeat the second
+		// and are counted against its sets, unread and untimed.
+		{"folded-loop", []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}, 0, 6, 0, 0},
+		// d u x u w x w three times: w's window {x} is u's set, and the
+		// folded third period counts w's occurrence of it as overflow too.
+		{"folded-shared-window", []int{3, 0, 1, 0, 2, 1, 2, 3, 0, 1, 0, 2, 1, 2, 3, 0, 1, 0, 2, 1, 2}, 0, 7, 0, 1},
+		// a a b b: a's repeat lists the empty set; b's is a same-word
+		// repeat, counted against a's set as overflow.
+		{"same-word-repeat", []int{0, 0, 1, 1}, 0, 0, 1, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := trace.Strip(idTrace(c.ids...))
 			m, attrs := mrctSpan(t, s)
-			if got := attrs["memo_hits"]; got != c.memoHits {
-				t.Errorf("memo_hits = %v, want %d", got, c.memoHits)
-			}
-			if got := attrs["overflow_runs"]; got != c.overflowRuns {
-				t.Errorf("overflow_runs = %v, want %d", got, c.overflowRuns)
+			for name, want := range map[string]int{"memo_hits": c.memoHits, "folded": c.folded,
+				"repeats": c.repeats, "overflow_runs": c.overflowRuns} {
+				if got := attrs[name]; got != want {
+					t.Errorf("%s = %v, want %d", name, got, want)
+				}
 			}
 			want := buildMRCTStack(s)
 			if d := mrctDiff(m, want); d != "" {
@@ -502,44 +547,59 @@ func TestMRCTBookkeepingPaths(t *testing.T) {
 // (b, c) had a conflict set larger than p, a cold one counting as larger
 // than any. Each trace is built in k chunks and held to the stack-walk
 // oracle and the literal double loop, and memo_hits counts exactly the
-// recurrences the certificate resolves. Ids are written a=0, b=1, c=2,
-// d=3, e=4.
+// recurrences the certificate resolves, folded and repeats the references
+// that never reach it. Ids are written a=0, b=1, c=2, d=3, e=4.
 func TestMRCTMemoCertificate(t *testing.T) {
 	cases := []struct {
 		name     string
 		ids      []int
 		k        int
 		memoHits int
+		folded   int
+		repeats  int
 	}{
 		// a b c a c b a: the last a has S = W = {b, c}, p = 2; between its
 		// occurrences c reaches 1 and b exactly 2.
-		{"reaches-p", []int{0, 1, 2, 0, 2, 1, 0}, 1, 1},
+		{"reaches-p", []int{0, 1, 2, 0, 2, 1, 0}, 1, 1, 0, 0},
 		// a b c a b c a d c a: the third a is a hit. d, cold, right after
 		// it swaps into the windows of the next c ({a, d}, S = {a, b})
 		// and the last a ({d, c}, S = {b, c}): equal sizes, no hit.
-		{"cold-right-after", []int{0, 1, 2, 0, 1, 2, 0, 3, 2, 0}, 1, 1},
+		{"cold-right-after", []int{0, 1, 2, 0, 1, 2, 0, 3, 2, 0}, 1, 1, 0, 0},
 		// a b c a b c a c d a: the cold d lands one reference later, so
 		// the last a's window {c, d} is no longer its b+1's.
-		{"cold-later", []int{0, 1, 2, 0, 1, 2, 0, 2, 3, 0}, 1, 1},
+		{"cold-later", []int{0, 1, 2, 0, 1, 2, 0, 2, 3, 0}, 1, 1, 0, 0},
 		// e a b c a b c a e c a: e recurs from outside S at depth 4 (a
 		// conflict set of 3 > p = 2) and swaps into the next windows of c
 		// and a as d did above.
-		{"outside", []int{4, 0, 1, 2, 0, 1, 2, 0, 4, 2, 0}, 1, 1},
+		{"outside", []int{4, 0, 1, 2, 0, 1, 2, 0, 4, 2, 0}, 1, 1, 0, 0},
 		// a a a and a b b b a b: back-to-back recurrences have an empty
-		// window, certified by the empty range (b, c). The last b's window
-		// {a} is not its empty previous one.
-		{"back-to-back", []int{0, 0, 0}, 1, 1},
-		{"back-to-back-then-not", []int{0, 1, 1, 1, 0, 1}, 1, 1},
-		// a b c a b c | a b c a b c: chunk 1 starts with every id's
-		// previous window in chunk 0, so its first recurrences have no
-		// memo; the second ones are hits, as in the serial build.
-		{"straddle-k1", []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}, 1, 6},
-		{"straddle-k2", []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}, 2, 3},
+		// window, and the first lists the empty set. The rest never reach
+		// the certificate: a run of them folds with period 1, and a lone
+		// one after the listing is a same-word repeat (a a b b). The last
+		// b's window {a} is not its empty previous one.
+		{"back-to-back", []int{0, 0, 0}, 1, 0, 1, 0},
+		{"back-to-back-then-not", []int{0, 1, 1, 1, 0, 1}, 1, 0, 1, 0},
+		{"back-to-back-lone", []int{0, 0, 1, 1, 0, 1}, 1, 0, 0, 1},
+		// a b c a c b | a b c a c b: a's window is {b, c} every time, and
+		// the serial build hits it at a's second and third recurrences.
+		// Chunk 1 starts with every id's previous window in chunk 0, so
+		// its first a has no memo and only its second hits. Nothing
+		// repeats for three periods, so nothing folds.
+		{"straddle-k1", []int{0, 1, 2, 0, 2, 1, 0, 1, 2, 0, 2, 1}, 1, 2, 0, 0},
+		{"straddle-k2", []int{0, 1, 2, 0, 2, 1, 0, 1, 2, 0, 2, 1}, 2, 1, 0, 0},
+		// a b c four times: the serial build folds the last two periods,
+		// so it never needs a memo; in two chunks neither chunk holds
+		// three periods, and chunk 1's second period is three hits.
+		{"straddle-loop-k1", []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}, 1, 0, 6, 0},
+		{"straddle-loop-k2", []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}, 2, 3, 0, 0},
 		// e a b c a b c a | b c a e c a b c: in chunk 1, e is seeded, not
 		// cold, and recurs with a conflict set of 3 > 2, which bars the
-		// previous windows of c, a and c after it.
-		{"straddle-seeded-k1", []int{4, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 4, 2, 0, 1, 2}, 1, 4},
-		{"straddle-seeded-k2", []int{4, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 4, 2, 0, 1, 2}, 2, 1},
+		// previous windows of c, a and c after it. The serial build folds
+		// the third a b c period and hits a's window after it: a's memo
+		// was recorded before the fold, and the folded references leave
+		// no peak behind.
+		{"straddle-seeded-k1", []int{4, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 4, 2, 0, 1, 2}, 1, 1, 3, 0},
+		{"straddle-seeded-k2", []int{4, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 4, 2, 0, 1, 2}, 2, 1, 0, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -550,14 +610,128 @@ func TestMRCTMemoCertificate(t *testing.T) {
 				t.Fatal(err)
 			}
 			attrs := spansByName(rec.Export())["mrct"][0].Attrs
-			if got := attrs["memo_hits"]; got != c.memoHits {
-				t.Errorf("memo_hits = %v, want %d", got, c.memoHits)
+			for name, want := range map[string]int{"memo_hits": c.memoHits, "folded": c.folded, "repeats": c.repeats} {
+				if got := attrs[name]; got != want {
+					t.Errorf("%s = %v, want %d", name, got, want)
+				}
 			}
 			if d := mrctDiff(m, buildMRCTStack(s)); d != "" {
 				t.Fatal(d)
 			}
 			checkNaive(t, m, s)
 		})
+	}
+}
+
+// loopIDs is body repeated reps times, ids for idTrace.
+func loopIDs(body []int, reps int) []int {
+	var ids []int
+	for range reps {
+		ids = append(ids, body...)
+	}
+	return ids
+}
+
+// loopFolded is what the serial build folds of a loop of n references
+// over a period of p that no id occurs in twice: the run of matches
+// starts at reference p, covers a whole period at 2p-1, and each look-ahead
+// from there folds one more period while one fits.
+func loopFolded(p, n int) int {
+	if n < 2*p {
+		return 0
+	}
+	return (n - 2*p) / p * p
+}
+
+// foldRingBody is a loop period of p references: id 3 once, then the
+// aperiodic walk over ids 0..2 (aperiodicIDs), so the period is found
+// through id 3 alone and nothing inside it folds.
+func foldRingBody(p int) []int {
+	return append([]int{3}, aperiodicIDs(3, p-1)...)
+}
+
+// TestMRCTFold holds the folding build to the stack-walk oracle and the
+// literal double loop at 1..4 chunks, on traces made of repeated loop
+// periods and same-word runs. folded is what the serial build folds,
+// -1 where it is only required to fold something.
+func TestMRCTFold(t *testing.T) {
+	// a b a b a b c: a's window alternates between {b} and {b, c}. Each of
+	// the first two outer periods folds one inner period of a b; from the
+	// third, the run of c's period 7 spans the inner loops, and every
+	// outer period that fits after it folds: 27 of them in 30.
+	nested := loopIDs([]int{0, 1, 0, 1, 0, 1, 2}, 30)
+	// Ten ids in a loop, broken by a stray id 10 after every fourth
+	// period.
+	broken := loopIDs(append(loopIDs(cyclicIDs(10, 10), 4), 10), 8)
+	// Runs of 1 to 12 of the same id over an aperiodic walk of 5 ids.
+	var runs []int
+	for i, id := range aperiodicIDs(5, 300) {
+		for range 1 + 3*thueMorse(i) + 8*thueMorse(i/3) {
+			runs = append(runs, id)
+		}
+	}
+	cases := []struct {
+		name   string
+		ids    []int
+		folded int
+	}{
+		{"pure-loop", cyclicIDs(40, 1200), loopFolded(40, 1200)},
+		{"nested-loops", nested, 2 + 2 + 27*7},
+		{"broken-loop", broken, -1},
+		// 7 does not divide the chunk lengths, so chunk starts fall
+		// inside periods.
+		{"straddle", cyclicIDs(7, 7*20+3), loopFolded(7, 7*20+3)},
+		{"same-word-runs", runs, -1},
+		{"ring-bound", loopIDs(foldRingBody(foldRingMax), 4), loopFolded(foldRingMax, 4*foldRingMax)},
+		{"past-ring-bound", loopIDs(foldRingBody(foldRingMax+1), 4), 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := trace.Strip(idTrace(c.ids...))
+			want := buildMRCTStack(s)
+			for k := 1; k <= 4; k++ {
+				rec := obs.NewRecorder(0)
+				m := &MRCT{}
+				if err := buildMRCTChunks(obs.WithRecorder(context.Background(), rec), s, &Scratch{}, m, k); err != nil {
+					t.Fatal(err)
+				}
+				if d := mrctDiff(m, want); d != "" {
+					t.Fatalf("k=%d: %s", k, d)
+				}
+				if k > 1 {
+					continue // equal to the k = 1 table, checked below
+				}
+				folded := spansByName(rec.Export())["mrct"][0].Attrs["folded"].(int)
+				if c.folded >= 0 && folded != c.folded || c.folded < 0 && folded == 0 {
+					t.Errorf("folded = %d, want %d", folded, c.folded)
+				}
+				checkNaive(t, m, s)
+			}
+		})
+	}
+}
+
+// A build cancelled while it folds a long loop stops at the next check:
+// the folded references are checked every 4096 as the others are. A
+// loop of 1 M references over 1 000 ids is nearly all folded; the context
+// cancels at its 20th check, about 80 000 references in.
+func TestMRCTFoldCancel(t *testing.T) {
+	s := trace.Strip(cyclicTrace(1000, 1<<20))
+	// Uncancelled, the build checks once on entry and once per 4096
+	// references.
+	count := &failAfter{Context: context.Background(), n: math.MaxInt64}
+	if err := buildMRCTChunks(count, s, &Scratch{}, &MRCT{}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := count.calls.Load(), int64(1+s.N()/4096); got != want {
+		t.Errorf("%d context checks, want %d", got, want)
+	}
+	ctx := &failAfter{Context: context.Background(), n: 20}
+	if err := buildMRCTChunks(ctx, s, &Scratch{}, &MRCT{}, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want Canceled", err)
+	}
+	if got := ctx.calls.Load(); got != 20 {
+		t.Errorf("%d context checks, want the build to stop at the 20th", got)
 	}
 }
 
@@ -609,34 +783,63 @@ func fuzzPooledDiff(t *testing.T, s *trace.Stripped, want *MRCT) string {
 const fuzzUniverse = 24
 
 // FuzzBuildMRCT drives the build with byte traces over a fixed universe:
-// the table must equal the stack-walk oracle's, fresh, through a Scratch
-// reused after a larger build (fuzzScratch), and built in 1 + b[0]%4
-// chunks, and its expanded conflict sets the literal double loop of
-// Algorithm 2.
+// the input itself and its periodic expansion (periodicBytes). Each table
+// must equal the stack-walk oracle's, fresh, through a Scratch reused
+// after a larger build (fuzzScratch), and built in 1 + b[0]%4 chunks, and
+// its expanded conflict sets the literal double loop of Algorithm 2.
 func FuzzBuildMRCT(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5})
 	f.Add([]byte{3, 3, 3, 3})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, the quick brown fox"))
+	// Periodic seeds: a loop body repeated, bare and broken by a stray
+	// reference every period or every few.
+	f.Add([]byte{1, 8, 0xff, 0, 1, 2, 3, 4})
+	f.Add([]byte{2, 15, 0x25, 0, 1, 0, 1, 2})
+	f.Add([]byte{3, 6, 0x47, 5, 5, 6, 7, 7, 7})
+	f.Add([]byte{0, 12, 0x0b, 1, 2, 3, 1, 2, 4, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 1024 {
 			b = b[:1024] // keep the O(N·N') naive build cheap
 		}
-		s := trace.Strip(traceFromBytes(b, fuzzUniverse))
-		m, want := BuildMRCT(s), buildMRCTStack(s)
-		if d := mrctDiff(m, want); d != "" {
-			t.Fatal(d)
-		}
-		if d := fuzzPooledDiff(t, s, want); d != "" {
-			t.Fatalf("pooled: %s", d)
-		}
+		k := 1
 		if len(b) > 0 {
-			k := 1 + int(b[0])%4
+			k = 1 + int(b[0])%4
+		}
+		for _, in := range [][]byte{b, periodicBytes(b)} {
+			s := trace.Strip(traceFromBytes(in, fuzzUniverse))
+			m, want := BuildMRCT(s), buildMRCTStack(s)
+			if d := mrctDiff(m, want); d != "" {
+				t.Fatal(d)
+			}
+			if d := fuzzPooledDiff(t, s, want); d != "" {
+				t.Fatalf("pooled: %s", d)
+			}
 			if d := mrctDiff(chunkedBuild(t, s, k), want); d != "" {
 				t.Fatalf("%d chunks: %s", k, d)
 			}
+			checkNaive(t, m, s)
 		}
-		checkNaive(t, m, s)
 	})
+}
+
+// periodicBytes expands a fuzz input into a loop: b[3:] is the body,
+// repeated 2 + b[1]%16 times, and b[2] the break: a stray reference to
+// b[2] after every (1 + b[2]>>5)-th period, none when that is 8. The
+// expansion stops at 1024 references; inputs under four bytes expand to
+// nothing.
+func periodicBytes(b []byte) []byte {
+	if len(b) < 4 {
+		return nil
+	}
+	body, reps, every := b[3:], 2+int(b[1])%16, 1+int(b[2]>>5)
+	var out []byte
+	for r := 1; r <= reps && len(out)+len(body) <= 1024; r++ {
+		out = append(out, body...)
+		if every < 8 && r%every == 0 {
+			out = append(out, b[2])
+		}
+	}
+	return out
 }
 
 // BenchmarkBuildMRCT times the conflict-table build alone, each build

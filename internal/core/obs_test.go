@@ -70,14 +70,23 @@ func TestExploreContextRecordsPhaseSpans(t *testing.T) {
 	if got := mrctAttrs["occurrences"]; got != m.Occurrences() {
 		t.Errorf("mrct span occurrences = %v, want %d", got, m.Occurrences())
 	}
-	if got, want := mrctAttrs["compactions"], wantCompactions(s); got != want {
-		t.Errorf("mrct span compactions = %v, want %d", got, want)
+	// The trace is random, so only same-word runs fold, and the build
+	// runs on it with the references equal to their predecessor dropped.
+	kept := withoutRepeats(s)
+	folded, repeats := sameWordWork(s)
+	for name, want := range map[string]int{
+		"compactions": wantCompactions(s),
+		"verify_ids":  wantVerifyIDs(m, kept),
+		"memo_hits":   wantMemoHits(kept),
+		"folded":      folded,
+		"repeats":     repeats,
+	} {
+		if got := mrctAttrs[name]; got != want {
+			t.Errorf("mrct span %s = %v, want %d", name, got, want)
+		}
 	}
-	if got, want := mrctAttrs["verify_ids"], wantVerifyIDs(m, s); got != want {
-		t.Errorf("mrct span verify_ids = %v, want %d", got, want)
-	}
-	if got, want := mrctAttrs["memo_hits"], wantMemoHits(s); got != want {
-		t.Errorf("mrct span memo_hits = %v, want %d", got, want)
+	if repeats == 0 {
+		t.Error("the trace has no same-word repeat to skip")
 	}
 	if got, want := mrctAttrs["overflow_runs"], wantOverflowRuns(m); got != want {
 		t.Errorf("mrct span overflow_runs = %v, want %d", got, want)
@@ -105,17 +114,30 @@ func TestExploreContextRecordsPhaseSpans(t *testing.T) {
 	}
 }
 
-// wantCompactions replays the build's time schedule: each reference takes
-// the next of the times 1..W, and when they run out the live ids are
-// renumbered 1..L.
-func wantCompactions(s *trace.Stripped) int {
+// wantCompactions counts the compactions of compactionRefs.
+func wantCompactions(s *trace.Stripped) int { return len(compactionRefs(s)) }
+
+// compactionRefs replays the build's time schedule on a trace whose only
+// loop periods are same-word runs and lists the references each
+// compaction runs at. Each reference takes the next of the times 1..W,
+// except one equal to its predecessor once an earlier one has listed the
+// empty window (a repeat, or a run's third and later references, which
+// fold), and when the times run out the live ids are renumbered 1..L.
+func compactionRefs(s *trace.Stripped) []int {
 	w := fenwickSpan(s.NUnique())
 	seen := make([]bool, s.NUnique())
-	live, now, n := 0, 1, 0
-	for _, id := range s.IDs {
+	var at []int
+	live, now, empty := 0, 1, false
+	for i, id := range s.IDs {
+		if i > 0 && id == s.IDs[i-1] {
+			if empty {
+				continue
+			}
+			empty = true
+		}
 		if now > w {
 			now = live + 1
-			n++
+			at = append(at, i)
 		}
 		if !seen[id] {
 			seen[id] = true
@@ -123,7 +145,43 @@ func wantCompactions(s *trace.Stripped) int {
 		}
 		now++
 	}
-	return n
+	return at
+}
+
+// sameWordWork is what the build folds and counts as same-word repeats in
+// a trace whose only loop periods are same-word runs. In a run of L equal
+// references the second has the empty window and the third onwards fold
+// with period 1; the second of the first run with L ≥ 2 lists the empty
+// set, and every later run's second is a repeat.
+func sameWordWork(s *trace.Stripped) (folded, repeats int) {
+	for i := 1; i < s.N(); i++ {
+		switch {
+		case s.IDs[i] != s.IDs[i-1]:
+		case i > 1 && s.IDs[i-2] == s.IDs[i]:
+			folded++
+		default:
+			repeats++
+		}
+	}
+	return folded, max(0, repeats-1)
+}
+
+// withoutRepeats is the trace the build runs on when only same-word runs
+// fold: s with every reference equal to its predecessor dropped, but the
+// first, which lists the empty window. Each kept reference has the window
+// it has in s.
+func withoutRepeats(s *trace.Stripped) *trace.Stripped {
+	ids, first := []int{}, true
+	for i, id := range s.IDs {
+		if i > 0 && id == s.IDs[i-1] {
+			if !first {
+				continue
+			}
+			first = false
+		}
+		ids = append(ids, int(id))
+	}
+	return trace.Strip(idTrace(ids...))
 }
 
 // wantVerifyIDs is Σ|C| over the dedup-table hits: every occurrence of a
@@ -225,12 +283,11 @@ func TestChunkedMRCTSpan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.compactions += w.compactions
-		want.verifyIDs += w.verifyIDs
-		want.memoHits += w.memoHits
+		want.add(w)
 	}
 	for name, w := range map[string]int{"compactions": want.compactions,
-		"verify_ids": want.verifyIDs, "memo_hits": want.memoHits} {
+		"verify_ids": want.verifyIDs, "memo_hits": want.memoHits,
+		"folded": want.folded, "repeats": want.repeats} {
 		if got[name] != w {
 			t.Errorf("%s = %v, want the chunks' sum %d", name, got[name], w)
 		}

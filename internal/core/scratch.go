@@ -51,6 +51,8 @@ type Scratch struct {
 	prevSet   []int32      // per id, the set of its latest window (-1 before one)
 	pos       []int32      // per id, the chunk position of that window
 	peaks     []peak       // suffix maxima of conflict-set sizes, by position
+	ring      []int32      // per chunk position mod its length, the set of its window
+	lastPos   []int32      // per id, its latest chunk position (-1 before one)
 	overflow  []uint64     // (id<<32 | set index) per occurrence by a non-owner
 	idHash    []uint64     // hashID cache, extended monotonically
 	last      []int32      // per id, the logical time of its last access (0 = cold)

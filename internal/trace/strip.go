@@ -33,8 +33,21 @@ type Stripped struct {
 	// IDs is the original trace as identifiers: IDs[i] is the identifier of
 	// the i-th reference. len(IDs) == N.
 	IDs []int32
-	// index maps line address -> identifier.
-	index map[uint32]int32
+	// index maps line address -> identifier: open addressing with linear
+	// probing over a power-of-two array of identifier + 1 (0 = empty). A
+	// slot's key is Unique of its identifier, so only identifiers are
+	// stored. It grows at load ½ and keeps its capacity across strips.
+	index []int32
+}
+
+// indexMin is the smallest index a strip starts with.
+const indexMin = 1 << 8
+
+// slotOf returns line's home slot in an index of mask+1 slots, read from
+// bit 32 up of a 64-bit multiplicative (Fibonacci) hash, where every bit
+// of line has carried in.
+func slotOf(line, mask uint32) uint32 {
+	return uint32(uint64(line)*0x9e3779b97f4a7c15>>32) & mask
 }
 
 // Strip reduces a trace of N references to its N' unique references using a
@@ -77,7 +90,7 @@ func StripLines(t *Trace, lineWords int, s *Stripped) (*Stripped, error) {
 
 // reset empties s (allocating it when nil) for a strip of about n
 // references at lineWords words per line, keeping the capacity of the
-// identifier sequence, the unique-address table and the index map. It
+// identifier sequence, the unique-address table and the index. It
 // returns the strip and the address shift of the line size.
 func (s *Stripped) reset(lineWords, n int) (*Stripped, uint, error) {
 	if lineWords == 0 {
@@ -93,7 +106,7 @@ func (s *Stripped) reset(lineWords, n int) (*Stripped, uint, error) {
 	s.Unique = s.Unique[:0]
 	s.IDs = slices.Grow(s.IDs[:0], n)
 	if s.index == nil {
-		s.index = make(map[uint32]int32)
+		s.index = make([]int32, indexMin)
 	} else {
 		clear(s.index)
 	}
@@ -103,13 +116,36 @@ func (s *Stripped) reset(lineWords, n int) (*Stripped, uint, error) {
 // id is the strip step: the identifier of line address line, numbering a
 // line never seen before with the next identifier.
 func (s *Stripped) id(line uint32) int32 {
-	id, ok := s.index[line]
-	if !ok {
-		id = int32(len(s.Unique))
-		s.index[line] = id
-		s.Unique = append(s.Unique, line)
+	i := s.find(line)
+	if h := s.index[i]; h != 0 {
+		return h - 1
+	}
+	id := int32(len(s.Unique))
+	s.index[i] = id + 1
+	s.Unique = append(s.Unique, line)
+	if 2*len(s.Unique) > len(s.index) {
+		s.growIndex()
 	}
 	return id
+}
+
+// find returns the index slot holding line's identifier, or the empty
+// slot line would take.
+func (s *Stripped) find(line uint32) uint32 {
+	mask := uint32(len(s.index) - 1)
+	i := slotOf(line, mask)
+	for h := s.index[i]; h != 0 && s.Unique[h-1] != line; h = s.index[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// growIndex doubles the index and reinserts every identifier.
+func (s *Stripped) growIndex() {
+	s.index = make([]int32, 2*len(s.index))
+	for id, line := range s.Unique {
+		s.index[s.find(line)] = int32(id) + 1
+	}
 }
 
 // checkIDs rejects a stream of n references, whose identifiers could
@@ -130,8 +166,13 @@ func (s *Stripped) NUnique() int { return len(s.Unique) }
 // ID returns the identifier of line address addr and whether it appears
 // in the trace.
 func (s *Stripped) ID(addr uint32) (int, bool) {
-	id, ok := s.index[addr]
-	return int(id), ok
+	if len(s.index) == 0 {
+		return 0, false
+	}
+	if h := s.index[s.find(addr)]; h != 0 {
+		return int(h - 1), true
+	}
+	return 0, false
 }
 
 // Addr returns the address of identifier id.

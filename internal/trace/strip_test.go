@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +55,80 @@ func TestStripIDLookup(t *testing.T) {
 	}
 	if _, ok := s.ID(0xFFFF); ok {
 		t.Fatal("ID of absent address reported present")
+	}
+}
+
+// mapStrip numbers the line addresses of t at lineWords words per line in
+// first-touch order with a Go map: the reference the strip's own index is
+// held to.
+func mapStrip(t *Trace, lineWords int) (ids []int32, index map[uint32]int32) {
+	index = map[uint32]int32{}
+	shift := 0
+	for 1<<shift < lineWords {
+		shift++
+	}
+	for _, r := range t.Refs {
+		line := r.Addr >> shift
+		id, ok := index[line]
+		if !ok {
+			id = int32(len(index))
+			index[line] = id
+		}
+		ids = append(ids, id)
+	}
+	return ids, index
+}
+
+// The strip index numbers lines exactly as a map does, through StripLines
+// at several line sizes and StripReaderInto, while one pooled Stripped is
+// reused across traces of very different universes, so the index grows,
+// is cleared and keeps its capacity. Stripped.ID finds every line and no
+// other address.
+func TestStripIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var traces []*Trace
+	for _, space := range []uint32{1, 7, 5000, 1 << 31, 300} {
+		tr := New(20000)
+		for range 20000 {
+			tr.Append(Ref{Addr: rng.Uint32() % space * 3, Kind: DataRead})
+		}
+		traces = append(traces, tr)
+	}
+	s := &Stripped{}
+	for i, tr := range traces {
+		for _, lw := range []int{1, 4} {
+			var err error
+			if s, err = StripLines(tr, lw, s); err != nil {
+				t.Fatal(err)
+			}
+			checkStripIndex(t, fmt.Sprintf("trace %d at %d words", i, lw), s, tr, lw)
+		}
+		var err error
+		if s, err = StripReaderInto(RefReader(NewReader(tr)), s); err != nil {
+			t.Fatal(err)
+		}
+		checkStripIndex(t, fmt.Sprintf("trace %d streamed", i), s, tr, 1)
+	}
+	if id, ok := (&Stripped{}).ID(0); ok || id != 0 {
+		t.Fatalf("zero Stripped: ID(0) = %d, %v; want 0, false", id, ok)
+	}
+}
+
+func checkStripIndex(t *testing.T, name string, s *Stripped, tr *Trace, lineWords int) {
+	t.Helper()
+	ids, index := mapStrip(tr, lineWords)
+	if !slices.Equal(s.IDs, ids) || s.NUnique() != len(index) {
+		t.Fatalf("%s: ids differ from the map strip (N' %d, want %d)", name, s.NUnique(), len(index))
+	}
+	for line, want := range index {
+		if id, ok := s.ID(line); !ok || id != int(want) {
+			t.Fatalf("%s: ID(%#x) = %d, %v; want %d", name, line, id, ok, want)
+		}
+		if _, ok := index[line+1]; !ok {
+			if _, ok := s.ID(line + 1); ok {
+				t.Fatalf("%s: ID(%#x) found an absent line", name, line+1)
+			}
+		}
 	}
 }
 
