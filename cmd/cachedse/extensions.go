@@ -105,11 +105,16 @@ func cmdProfile(args []string) error {
 	if *histMax < 0 {
 		return fmt.Errorf("-hist must be >= 0, got %d", *histMax)
 	}
-	tr, err := loadTrace(fs.Arg(0))
+	ws, err := parseInts(*windows)
 	if err != nil {
 		return err
 	}
-	ws, err := parseInts(*windows)
+	for _, w := range ws {
+		if w < 1 {
+			return fmt.Errorf("-windows: window %d must be >= 1", w)
+		}
+	}
+	tr, err := loadTrace(fs.Arg(0))
 	if err != nil {
 		return err
 	}

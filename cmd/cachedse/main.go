@@ -345,6 +345,19 @@ func cmdExplore(args []string) error {
 	root.SetAttr("trace", fs.Arg(0))
 	root.SetAttr("n", st.N)
 	root.SetAttr("n_unique", st.NUnique)
+	// finish writes what either path records once its exploration is
+	// done: the span tree (-trace-json) and the heap profile (-memprofile).
+	finish := func() error {
+		if rec != nil {
+			if err := writeTraceJSON(*traceJSON, fs.Arg(0), rec); err != nil {
+				return err
+			}
+		}
+		if *memprofile != "" {
+			return writeHeapProfile(*memprofile)
+		}
+		return nil
+	}
 	start := time.Now()
 	if spaceMode {
 		sp := core.Space{
@@ -364,10 +377,8 @@ func cmdExplore(args []string) error {
 			"trace", fs.Arg(0), "space", sp.Key(), "points", front.Len(),
 			"evaluated", front.Stats.Evaluated, "pruned", front.Stats.Pruned(),
 			"duration", time.Since(start).String())
-		if rec != nil {
-			if err := writeTraceJSON(*traceJSON, fs.Arg(0), rec); err != nil {
-				return err
-			}
+		if err := finish(); err != nil {
+			return err
 		}
 		tab := dse.FrontTable(front)
 		if *frontFmt == "csv" {
@@ -389,21 +400,8 @@ func cmdExplore(args []string) error {
 		fmt.Printf("# sampled at rate %g: an in-memory trace is explored exactly — result is exact\n",
 			est.RequestedRate)
 	}
-	if rec != nil {
-		if err := writeTraceJSON(*traceJSON, fs.Arg(0), rec); err != nil {
-			return err
-		}
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
+	if err := finish(); err != nil {
+		return err
 	}
 	instances, tab := dse.InstanceTable(r, budget, st.MaxMisses, *pareto)
 	if *frontFmt == "csv" {
@@ -418,6 +416,21 @@ func cmdExplore(args []string) error {
 		fmt.Println("verified: all instances meet the budget under simulation")
 	}
 	return nil
+}
+
+// writeHeapProfile writes a heap profile, taken after a garbage
+// collection, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func cmdSimulate(args []string) error {

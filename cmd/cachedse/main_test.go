@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"flag"
 	"io"
@@ -333,21 +334,7 @@ func TestUsageListsServe(t *testing.T) {
 // keep falling past LRU's A_zero of 2, so the 4-way cell (201 cold + 49)
 // must be reported, not clamped to the 2-way count.
 func TestExploreFIFOMatchesSimulation(t *testing.T) {
-	addrs := make([]uint32, 0, 400)
-	for i := uint32(1); i <= 200; i++ {
-		addrs = append(addrs, 0, i)
-	}
-	tr := trace.FromAddrs(trace.DataRead, addrs)
-	path := filepath.Join(t.TempDir(), "hotcold.din")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteText(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
+	tr, path := writeHotCold(t)
 	out, err := captureStdout(t, func() error {
 		return cmdExplore([]string{"-k", "50", "-policy", "fifo", "-maxdepth", "1", "-max-assoc", "8", path})
 	})
@@ -379,5 +366,69 @@ func TestExploreFIFOMatchesSimulation(t *testing.T) {
 	}
 	if rows == 0 || !sawA4 {
 		t.Fatalf("want FIFO front rows including D=1 A=4 with 250 misses; got:\n%s", out)
+	}
+}
+
+// writeHotCold writes the trace 0 1 0 2 ... 0 200 (one hot address
+// between 200 cold ones) as a text file and returns it and its path.
+func writeHotCold(t *testing.T) (*trace.Trace, string) {
+	t.Helper()
+	addrs := make([]uint32, 0, 400)
+	for i := uint32(1); i <= 200; i++ {
+		addrs = append(addrs, 0, i)
+	}
+	tr := trace.FromAddrs(trace.DataRead, addrs)
+	var buf bytes.Buffer
+	if err := trace.WriteText(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "hotcold.din")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return tr, path
+}
+
+// TestExploreMemProfileBothModes: -memprofile writes a heap profile in
+// design-space mode (-policy fifo) as well as in budget mode (-k).
+func TestExploreMemProfileBothModes(t *testing.T) {
+	_, path := writeHotCold(t)
+	for name, args := range map[string][]string{
+		"space":  {"-policy", "fifo", "-maxdepth", "4"},
+		"budget": {"-k", "50", "-maxdepth", "4"},
+	} {
+		prof := filepath.Join(t.TempDir(), "mem.pprof")
+		args = append(args, "-memprofile", prof, path)
+		if _, err := captureStdout(t, func() error { return cmdExplore(args) }); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		raw, err := os.ReadFile(prof)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// A heap profile is a gzipped profile.proto message.
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: profile is not gzip (%d bytes): %v", name, len(raw), err)
+		}
+		body, err := io.ReadAll(zr)
+		if err != nil || len(body) == 0 {
+			t.Fatalf("%s: profile body %d bytes, %v", name, len(body), err)
+		}
+	}
+}
+
+// TestProfileRejectsWindowBelowOne: a working-set window below 1 fails
+// with an error naming it.
+func TestProfileRejectsWindowBelowOne(t *testing.T) {
+	_, path := writeHotCold(t)
+	for _, tc := range []struct{ windows, named string }{
+		{"0", "window 0"},
+		{"16,-5", "window -5"},
+	} {
+		err := cmdProfile([]string{"-windows", tc.windows, path})
+		if err == nil || !strings.Contains(err.Error(), tc.named) {
+			t.Fatalf("-windows %s: err = %v, want one naming %q", tc.windows, err, tc.named)
+		}
 	}
 }

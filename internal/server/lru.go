@@ -1,161 +1,128 @@
 package server
 
 import (
+	"container/list"
 	"sync"
 )
 
-// ShardedLRU is a bounded key/value cache split into independently locked
-// shards, each evicting its least-recently-used entry past capacity.
-// Sharding keeps the hot Get path contention-free across concurrent
-// requests (the design cue the service takes from striped caches like
-// GigaCache); the per-shard bound keeps total memory proportional to the
-// configured capacity no matter the workload.
-//
-// Each shard is a flat array of entries plus a small index — no
-// container/list, no per-entry list nodes — with recency tracked by a
-// per-shard logical clock stamped onto entries as they are touched.
-// Within a shard eviction is exact LRU (the minimum stamp); across shards
-// the cache is approximately LRU, since shards age independently. The
-// shard struct is padded to exactly 128 bytes (two 64-byte lines, one on
-// 128-byte-line hardware), so adjacent shards never share a cache line
-// and a lock bounce on one shard cannot false-share into its neighbours;
-// lruShardSizeBytes is pinned by a test.
-type ShardedLRU struct {
-	shards []lruShard
+// lru is the bounded, exact least-recently-used map behind both of the
+// server's memory tiers: the uploaded-trace store and the exploration
+// result cache. One mutex guards a recency list and a key index; past
+// capacity the least recently used entry goes. Hit, miss and eviction
+// counters live under the same lock and back the result cache's /metrics
+// series.
+type lru[V any] struct {
+	mu    sync.Mutex
+	max   int
+	ll    *list.List // of *lruItem[V], front = most recently used
+	items map[string]*list.Element
+
+	hits, misses, evictions int64
 }
 
-const (
-	lruShardCount     = 16 // power of two; shard = fnv32a(key) & (count-1)
-	lruShardSizeBytes = 128
-)
-
-// lruShard is one stripe: a mutex, its slice of entries, the key index,
-// the recency clock and the stripe's own counters, padded so the struct
-// fills exactly lruShardSizeBytes. Counters live under the same lock as
-// the data — on the lock-protected path they cost nothing extra, and
-// Stats aggregates them without atomics.
-type lruShard struct {
-	mu        sync.Mutex
-	index     map[string]int32 // key -> entries position
-	entries   []lruEntry
-	tick      uint64 // logical clock; touched entries take the next stamp
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	capacity  int32
-	_         [lruShardSizeBytes - 76]byte
+type lruItem[V any] struct {
+	key string
+	val V
 }
 
-type lruEntry struct {
-	key  string
-	val  any
-	tick uint64
-}
-
-// NewShardedLRU returns a cache holding at most capacity entries spread
-// over the shards. A capacity below the shard count is raised to one
-// entry per shard.
-func NewShardedLRU(capacity int) *ShardedLRU {
-	per := (capacity + lruShardCount - 1) / lruShardCount
-	if per < 1 {
-		per = 1
+// newLRU returns an LRU holding at most max entries (minimum 1).
+func newLRU[V any](max int) *lru[V] {
+	if max < 1 {
+		max = 1
 	}
-	c := &ShardedLRU{shards: make([]lruShard, lruShardCount)}
-	for i := range c.shards {
-		c.shards[i].capacity = int32(per)
-		c.shards[i].index = make(map[string]int32)
-	}
-	return c
+	return &lru[V]{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-func (c *ShardedLRU) shard(key string) *lruShard {
-	return &c.shards[fnv32a(key)&(lruShardCount-1)]
-}
-
-// fnv32a is the 32-bit FNV-1a hash, inlined to keep the key on the stack.
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// Get returns the value for key, marking it most recently used.
-func (c *ShardedLRU) Get(key string) (any, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	pos, ok := s.index[key]
+// Get returns the value for key, marking it most recently used, and
+// counts a hit or a miss.
+func (c *lru[V]) Get(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
 	if !ok {
-		s.misses++
-		s.mu.Unlock()
-		return nil, false
+		c.misses++
+		var zero V
+		return zero, false
 	}
-	s.tick++
-	s.entries[pos].tick = s.tick
-	v := s.entries[pos].val
-	s.hits++
-	s.mu.Unlock()
-	return v, true
+	c.hits++
+	c.ll.MoveToFront(el)
+	return el.Value.(*lruItem[V]).val, true
 }
 
-// Put inserts or refreshes key, evicting the shard's least recently used
-// entry if the shard is full.
-func (c *ShardedLRU) Put(key string, val any) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tick++
-	if pos, ok := s.index[key]; ok {
-		s.entries[pos].val = val
-		s.entries[pos].tick = s.tick
+// Put inserts or refreshes key as the most recently used entry.
+func (c *lru[V]) Put(key string, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		el.Value.(*lruItem[V]).val = val
+		c.ll.MoveToFront(el)
 		return
 	}
-	if len(s.entries) < int(s.capacity) {
-		s.index[key] = int32(len(s.entries))
-		s.entries = append(s.entries, lruEntry{key: key, val: val, tick: s.tick})
-		return
-	}
-	// Full: reuse the slot of the stalest entry. The scan is O(capacity/
-	// shards) over a flat array the shard just touched — for the cache
-	// sizes the service runs (hundreds to a few thousand entries across 16
-	// shards) that is a handful of resident lines, cheaper than the
-	// pointer-chasing and two allocations per insert the old
-	// container/list form paid.
-	victim := 0
-	for i := 1; i < len(s.entries); i++ {
-		if s.entries[i].tick < s.entries[victim].tick {
-			victim = i
-		}
-	}
-	delete(s.index, s.entries[victim].key)
-	s.index[key] = int32(victim)
-	s.entries[victim] = lruEntry{key: key, val: val, tick: s.tick}
-	s.evictions++
+	c.insertLocked(key, val)
 }
 
-// Len returns the number of cached entries across all shards.
-func (c *ShardedLRU) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
+// GetOrPut returns the value for key if present, like Get; otherwise it
+// inserts mk() under the same lock, so concurrent callers for one key all
+// end up with the single value stored. existed reports which happened.
+func (c *lru[V]) GetOrPut(key string, mk func() V) (val V, existed bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.hits++
+		c.ll.MoveToFront(el)
+		return el.Value.(*lruItem[V]).val, true
 	}
-	return n
+	c.misses++
+	val = mk()
+	c.insertLocked(key, val)
+	return val, false
+}
+
+func (c *lru[V]) insertLocked(key string, val V) {
+	c.items[key] = c.ll.PushFront(&lruItem[V]{key: key, val: val})
+	if c.ll.Len() > c.max {
+		oldest := c.ll.Remove(c.ll.Back()).(*lruItem[V])
+		delete(c.items, oldest.key)
+		c.evictions++
+	}
+}
+
+// Remove deletes key, reporting whether it was present. A removal is not
+// an eviction.
+func (c *lru[V]) Remove(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return false
+	}
+	c.ll.Remove(el)
+	delete(c.items, key)
+	return true
+}
+
+// Values returns every value, most recently used first, without touching
+// recency.
+func (c *lru[V]) Values() []V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]V, 0, c.ll.Len())
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*lruItem[V]).val)
+	}
+	return out
+}
+
+// Len returns the number of entries.
+func (c *lru[V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }
 
 // Stats returns cumulative hit, miss and eviction counts.
-func (c *ShardedLRU) Stats() (hits, misses, evictions int64) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		hits += int64(s.hits)
-		misses += int64(s.misses)
-		evictions += int64(s.evictions)
-		s.mu.Unlock()
-	}
-	return hits, misses, evictions
+func (c *lru[V]) Stats() (hits, misses, evictions int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses, c.evictions
 }

@@ -165,20 +165,19 @@ func (s *Server) lookupTrace(digest string) (*TraceEntry, bool) {
 	return e, true
 }
 
-// loadPersistedTrace reads one persisted trace through a verified,
-// preferably memory-mapped view: the stored ctz1 bytes are decoded
-// straight out of the page cache (DecodeBytes slices block payloads
-// zero-copy), so reviving an evicted trace costs the decoded references
-// and nothing else. Platforms or filesystems without mmap degrade
-// transparently to a heap read inside OpenMapped. A non-nil arena lends
-// the decoder reusable block scratch across consecutive loads.
+// loadPersistedTrace reads one persisted trace with Get — digest-verified,
+// read-repaired from a replica on a miss or a corrupt object — and
+// decodes the ctz1 bytes in place (DecodeBytes slices block payloads
+// zero-copy), so reviving an evicted trace holds its stored bytes, about
+// one per reference, only while the decoded references are built. A
+// non-nil arena lends the decoder reusable block scratch across
+// consecutive loads.
 func (s *Server) loadPersistedTrace(key string, a *trace.Arena) (*trace.Trace, error) {
-	m, err := s.persist.OpenMapped(key)
+	data, err := s.persist.Get(key)
 	if err != nil {
 		return nil, err
 	}
-	defer m.Close()
-	return trace.DecodeBytes(m.Bytes(), trace.Limits{
+	return trace.DecodeBytes(data, trace.Limits{
 		MaxRefs:  s.cfg.MaxRefs,
 		MaxBytes: s.cfg.MaxUploadBytes,
 	}, a)

@@ -118,7 +118,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	store   *TraceStore
-	results *ShardedLRU
+	results *lru[any]
 	queue   *Queue
 	reg     *Registry
 	mux     *http.ServeMux
@@ -156,7 +156,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		store:   NewTraceStore(cfg.MaxTraces),
-		results: NewShardedLRU(cfg.CacheEntries),
+		results: newLRU[any](cfg.CacheEntries),
 		queue:   NewQueue(cfg.Workers, cfg.QueueDepth, cfg.JobTimeout, 4*cfg.QueueDepth),
 		reg:     NewRegistry(),
 		mux:     http.NewServeMux(),

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -112,89 +111,37 @@ func TraceDigest(t *trace.Trace) string {
 // configured bound, so a long-lived daemon cannot accumulate traces
 // without limit.
 type TraceStore struct {
-	mu       sync.Mutex
-	max      int
-	ll       *list.List // of *TraceEntry, front = most recently used
-	byDigest map[string]*list.Element
+	lru *lru[*TraceEntry]
 }
 
 // NewTraceStore returns a store retaining at most max traces (minimum 1).
 func NewTraceStore(max int) *TraceStore {
-	if max < 1 {
-		max = 1
-	}
-	return &TraceStore{
-		max:      max,
-		ll:       list.New(),
-		byDigest: make(map[string]*list.Element),
-	}
+	return &TraceStore{lru: newLRU[*TraceEntry](max)}
 }
 
 // Add registers a trace, returning its entry and whether it was already
 // present (uploads are idempotent by content).
 func (s *TraceStore) Add(t *trace.Trace) (entry *TraceEntry, existed bool) {
 	digest := TraceDigest(t)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byDigest[digest]; ok {
-		s.ll.MoveToFront(el)
-		return el.Value.(*TraceEntry), true
-	}
-	entry = &TraceEntry{
-		Digest:   digest,
-		Trace:    t,
-		Stats:    trace.ComputeStats(t),
-		Kind:     classifyTrace(t),
-		Uploaded: time.Now(),
-	}
-	s.byDigest[digest] = s.ll.PushFront(entry)
-	if s.ll.Len() > s.max {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.byDigest, oldest.Value.(*TraceEntry).Digest)
-	}
-	return entry, false
+	return s.lru.GetOrPut(digest, func() *TraceEntry {
+		return &TraceEntry{
+			Digest:   digest,
+			Trace:    t,
+			Stats:    trace.ComputeStats(t),
+			Kind:     classifyTrace(t),
+			Uploaded: time.Now(),
+		}
+	})
 }
 
 // Get returns the entry for digest, marking it most recently used.
-func (s *TraceStore) Get(digest string) (*TraceEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.byDigest[digest]
-	if !ok {
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	return el.Value.(*TraceEntry), true
-}
+func (s *TraceStore) Get(digest string) (*TraceEntry, bool) { return s.lru.Get(digest) }
 
 // Remove deletes the entry for digest, reporting whether it existed.
-func (s *TraceStore) Remove(digest string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.byDigest[digest]
-	if !ok {
-		return false
-	}
-	s.ll.Remove(el)
-	delete(s.byDigest, digest)
-	return true
-}
+func (s *TraceStore) Remove(digest string) bool { return s.lru.Remove(digest) }
 
 // List returns every entry, most recently used first.
-func (s *TraceStore) List() []*TraceEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*TraceEntry, 0, s.ll.Len())
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*TraceEntry))
-	}
-	return out
-}
+func (s *TraceStore) List() []*TraceEntry { return s.lru.Values() }
 
 // Len returns the number of stored traces.
-func (s *TraceStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
+func (s *TraceStore) Len() int { return s.lru.Len() }

@@ -296,9 +296,9 @@ func Decode(r io.Reader, lim Limits) (*Trace, error) {
 }
 
 // DecodeBytes is Decode over an in-memory image. For ctz1 input it uses
-// the zero-copy bytes decoder, so a memory-mapped stored trace decodes
-// without its bytes ever landing on the heap; the other formats wrap the
-// slice in a reader and take the streaming path. The optional arena, when
+// the zero-copy bytes decoder, so a stored trace read whole decodes
+// without a second copy of its bytes; the other formats wrap the slice
+// in a reader and take the streaming path. The optional arena, when
 // non-nil, supplies the ctz1 decoder's block scratch (see DecodeInto).
 func DecodeBytes(data []byte, lim Limits, a *Arena) (*Trace, error) {
 	if len(data) >= len(ctz1Magic) && [4]byte(data[:4]) == ctz1Magic {

@@ -259,8 +259,8 @@ type CTZ1Decoder struct {
 	br  *bufio.Reader
 	lim Limits
 	// data/off are the bytes-mode source: when data is non-nil the decoder
-	// reads framing out of it directly and slices block payloads zero-copy
-	// (the mmap path — trace bytes never transit the heap). br is nil then.
+	// reads framing out of it directly and slices block payloads zero-copy.
+	// br is nil then.
 	data    []byte
 	off     int
 	arena   *Arena
@@ -289,11 +289,11 @@ func NewCTZ1Decoder(r io.Reader, lim Limits) (*CTZ1Decoder, error) {
 	return d, nil
 }
 
-// NewCTZ1BytesDecoder is NewCTZ1Decoder over an in-memory (typically
-// mmap'd) ctz1 image. Block payloads are sliced straight out of data with
-// no copying, so decoding a stored trace touches the page cache and the
-// decoder's fixed scratch, nothing else. The caller must keep data valid
-// (e.g. the mapping open) until the decoder is drained or abandoned.
+// NewCTZ1BytesDecoder is NewCTZ1Decoder over an in-memory ctz1 image.
+// Block payloads are sliced straight out of data with no copying, so
+// decoding a stored trace touches its bytes and the decoder's fixed
+// scratch, nothing else. The caller must not modify data until the
+// decoder is drained or abandoned.
 // MaxBytes is enforced up front against len(data); MaxRefs during the
 // stream, as in the reader form.
 func NewCTZ1BytesDecoder(data []byte, lim Limits) (*CTZ1Decoder, error) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"testing"
 )
 
@@ -101,35 +100,5 @@ func TestGetLocalBypassesFallback(t *testing.T) {
 	})
 	if _, err := s.GetLocal("trace/missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-}
-
-// TestOpenMappedRepairs: the mapped read path repairs like Get and serves
-// the fetched bytes as a heap-backed view.
-func TestOpenMappedRepairs(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := mustPut(t, s, "trace/abc", strings.Repeat("good", 64))
-	if err := os.WriteFile(s.objectPath(e.Object), []byte("damaged"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s.SetFallback(func(key string) ([]byte, error) {
-		return []byte(strings.Repeat("good", 64)), nil
-	})
-	m, err := s.OpenMapped("trace/abc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if string(m.Bytes()) != strings.Repeat("good", 64) {
-		t.Fatalf("repaired mapped bytes = %q", m.Bytes())
-	}
-	if m.Mapped() {
-		t.Fatal("repaired view claims to be a true mapping")
-	}
-	if s.Repairs() != 1 {
-		t.Fatalf("Repairs = %d, want 1", s.Repairs())
 	}
 }

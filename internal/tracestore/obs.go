@@ -8,9 +8,9 @@ import (
 )
 
 // Context-carrying variants of the store operations. Each records one
-// span ("store.put", "store.get", "store.delete", "store.open") into the
-// recorder carried by ctx; GetContext additionally records the digest
-// verification as a "store.verify" child. With no recorder on ctx they
+// span ("store.put", "store.get") into the recorder carried by ctx;
+// GetContext additionally records the digest verification as a
+// "store.verify" child. With no recorder on ctx they
 // cost one context lookup over the plain methods.
 
 // PutContext is Put, recorded as a "store.put" span.
@@ -42,59 +42,4 @@ func (s *Store) GetContext(ctx context.Context, key string) ([]byte, error) {
 		span.End()
 	}
 	return data, err
-}
-
-// OpenMappedContext is OpenMapped, recorded as a "store.mmap" span with a
-// "store.verify" child covering the content-digest check.
-func (s *Store) OpenMappedContext(ctx context.Context, key string) (*MappedObject, error) {
-	_, span := obs.StartSpan(ctx, "store.mmap")
-	m, err := s.openMappedSpan(key, span)
-	if span != nil {
-		span.SetAttr("key", key)
-		if m != nil {
-			span.SetAttr("bytes", m.Size())
-			span.SetAttr("mapped", m.Mapped())
-		}
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-		span.End()
-	}
-	return m, err
-}
-
-// DeleteContext is Delete, recorded as a "store.delete" span.
-func (s *Store) DeleteContext(ctx context.Context, key string) (bool, error) {
-	_, span := obs.StartSpan(ctx, "store.delete")
-	had, err := s.Delete(key)
-	if span != nil {
-		span.SetAttr("key", key)
-		span.SetAttr("existed", had)
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-		span.End()
-	}
-	return had, err
-}
-
-// OpenContext is Open, recorded as a "store.open" span. The crash-repair
-// sweep Open performs (temp removal, dangling-entry drop, orphan GC) is
-// what dominates a post-crash boot, so the span's duration is effectively
-// the repair cost.
-func OpenContext(ctx context.Context, dir string) (*Store, error) {
-	_, span := obs.StartSpan(ctx, "store.open")
-	st, err := Open(dir)
-	if span != nil {
-		span.SetAttr("dir", dir)
-		if st != nil {
-			span.SetAttr("entries", st.Len())
-			span.SetAttr("objects", st.Objects())
-		}
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-		span.End()
-	}
-	return st, err
 }

@@ -35,13 +35,10 @@ func TestStoreContextOpsRecordSpans(t *testing.T) {
 		if err != nil || string(data) != "payload" {
 			t.Fatalf("get: %q, %v", data, err)
 		}
-		if had, err := st.DeleteContext(ctx, "k1"); err != nil || !had {
-			t.Fatalf("delete: %v, %v", had, err)
-		}
 	})
 	got := strings.Join(names, " ")
 	// store.verify is recorded as a child of store.get and ends first.
-	want := "store.put store.verify store.get store.delete"
+	want := "store.put store.verify store.get"
 	if got != want {
 		t.Fatalf("span names = %q, want %q", got, want)
 	}
@@ -89,32 +86,5 @@ func TestStoreContextOpsNoopWithoutRecorder(t *testing.T) {
 	}
 	if data, err := st.GetContext(ctx, "k"); err != nil || string(data) != "v" {
 		t.Fatalf("get without recorder: %q, %v", data, err)
-	}
-}
-
-func TestOpenContextRecordsRepairSpan(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Put("k", strings.NewReader("v")); err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder(0)
-	ctx := obs.WithRecorder(context.Background(), rec)
-	st2, err := OpenContext(ctx, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Len() != 1 {
-		t.Fatalf("reopened store has %d entries, want 1", st2.Len())
-	}
-	tr := rec.Export()
-	if len(tr.Spans) != 1 || tr.Spans[0].Name != "store.open" {
-		t.Fatalf("spans = %+v, want one store.open", tr.Spans)
-	}
-	if got := tr.Spans[0].Attrs["entries"]; got != 1 {
-		t.Fatalf("store.open entries attr = %v, want 1", got)
 	}
 }

@@ -85,7 +85,7 @@ type Store struct {
 }
 
 // SetFallback installs (or, with nil, removes) the read-repair fetch
-// hook consulted by Get and OpenMapped on a miss or a corrupt object.
+// hook consulted by Get on a miss or a corrupt object.
 func (s *Store) SetFallback(f Fallback) {
 	if f == nil {
 		s.fallback.Store(nil)

@@ -78,23 +78,4 @@ tab2=$(echo "$explore2" | sed 's/"cached": true/"cached": X/')
 
 stop_server
 
-# Third leg: the same restart with mmap disabled, so the store's
-# read-file fallback path (the one platforms without mmap take) stays
-# exercised end to end and answers byte-identically.
-echo "restart_smoke: restarting with CACHEDSE_NO_MMAP=1 (mmap fallback path)"
-export CACHEDSE_NO_MMAP=1
-start_server
-
-curl -sf "$base/v1/traces/$digest" > /dev/null ||
-  { echo "restart_smoke: trace $digest lost on mmap-fallback restart" >&2; exit 1; }
-
-explore3=$(curl -sf -X POST -d "{\"trace\":\"$digest\",\"k\":50}" "$base/v1/explore")
-echo "$explore3" | grep -q '"cached": true' ||
-  { echo "restart_smoke: mmap-fallback explore was not a cache hit" >&2; exit 1; }
-tab3=$(echo "$explore3" | sed 's/"cached": true/"cached": X/')
-[ "$tab1" = "$tab3" ] ||
-  { echo "restart_smoke: explore answers differ on the mmap fallback" >&2; exit 1; }
-
-stop_server
-unset CACHEDSE_NO_MMAP
-echo "restart_smoke: OK — trace and cached result survived both restarts"
+echo "restart_smoke: OK — trace and cached result survived the restart"
