@@ -31,6 +31,12 @@ func cmdEnergy(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("energy needs exactly one trace file")
 	}
+	if *k < 0 {
+		return fmt.Errorf("-k must be >= 0, got %d", *k)
+	}
+	if *penalty < 0 {
+		return fmt.Errorf("-penalty must be >= 0, got %g", *penalty)
+	}
 	tr, err := loadTrace(fs.Arg(0))
 	if err != nil {
 		return err

@@ -219,6 +219,9 @@ func cmdStrip(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("strip needs exactly one trace file")
 	}
+	if *limit < 0 {
+		return fmt.Errorf("-n must be >= 0, got %d", *limit)
+	}
 	tr, err := loadTrace(fs.Arg(0))
 	if err != nil {
 		return err
@@ -481,6 +484,9 @@ func cmdVerify(args []string) error {
 	}
 	if fs.NArg() < 2 {
 		return fmt.Errorf("verify needs a trace file and at least one D:A instance")
+	}
+	if *k < 0 {
+		return fmt.Errorf("-k must be >= 0, got %d", *k)
 	}
 	tr, err := loadTrace(fs.Arg(0))
 	if err != nil {

@@ -432,3 +432,40 @@ func TestProfileRejectsWindowBelowOne(t *testing.T) {
 		}
 	}
 }
+
+// TestNumericFlagsRejectedBeforeRead: an out-of-range numeric flag fails
+// with an error naming the value (exit 1, not a usage error) before the
+// trace is read, so the trace path here does not exist.
+func TestNumericFlagsRejectedBeforeRead(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.din")
+	for _, tc := range []struct {
+		name  string
+		run   func([]string) error
+		args  []string
+		named string
+	}{
+		{"energy", cmdEnergy, []string{"-k", "-5", missing}, "-k must be >= 0, got -5"},
+		{"energy", cmdEnergy, []string{"-penalty", "-100", missing}, "-penalty must be >= 0, got -100"},
+		{"strip", cmdStrip, []string{"-n", "-3", missing}, "-n must be >= 0, got -3"},
+		{"verify", cmdVerify, []string{"-k", "-1", missing, "1:1"}, "-k must be >= 0, got -1"},
+		{"pack", cmdPack, []string{"-block", "-1", missing}, "got -1"},
+		{"pack", cmdPack, []string{"-block", "0", missing}, "got 0"},
+		{"pack", cmdPack, []string{"-block", "100000000", missing}, "-block must be in 1..1048576, got 100000000"},
+	} {
+		err := tc.run(tc.args)
+		if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), tc.named) {
+			t.Errorf("%s %v: err = %v, want a runtime error naming %q", tc.name, tc.args, err, tc.named)
+		}
+	}
+
+	// The block range's ends are accepted.
+	_, path := writeHotCold(t)
+	for _, block := range []string{"1", "1048576"} {
+		out := filepath.Join(t.TempDir(), "packed.ctz")
+		captureStderr(t, func() {
+			if err := cmdPack([]string{"-block", block, "-o", out, path}); err != nil {
+				t.Errorf("pack -block %s: %v", block, err)
+			}
+		})
+	}
+}

@@ -28,6 +28,9 @@ func cmdPack(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("pack needs exactly one trace file")
 	}
+	if *block < 1 || *block > trace.CTZ1MaxBlock {
+		return fmt.Errorf("-block must be in 1..%d, got %d", trace.CTZ1MaxBlock, *block)
+	}
 	in := fs.Arg(0)
 	tr, err := loadTrace(in)
 	if err != nil {

@@ -7,9 +7,8 @@
 // accept any request and transparently forward it to the owners — no
 // coordinator, no routing table, no rebalancing protocol. Health is
 // observed, not agreed on: each node tracks its own view of which peers
-// answer, prefers healthy owners, and re-probes unhealthy ones after a
-// cooldown (half-open), so a restarted peer rejoins the moment it serves
-// a request again.
+// answer and tries healthy owners first, unhealthy ones last, so a
+// restarted peer rejoins the moment it serves a request again.
 package cluster
 
 import (

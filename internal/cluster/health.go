@@ -1,51 +1,27 @@
 package cluster
 
-import (
-	"sync"
-	"time"
-)
-
-// healthCooldown is how long an unhealthy peer is skipped before one
-// request is allowed through again to probe it (half-open).
-const healthCooldown = time.Second
+import "sync"
 
 // Health is one node's local view of which peers answer. It is passive:
 // there is no probe goroutine — outcomes of real forwards drive the
-// state, and an unhealthy peer gets one trial request per cooldown
-// window until a success marks it healthy again. All methods are safe
-// for concurrent use.
+// state. An unhealthy peer is never skipped, only tried after the
+// healthy owners (see Order), and its first success marks it healthy
+// again. All methods are safe for concurrent use.
 type Health struct {
-	cooldown time.Duration
-	now      func() time.Time // test hook
-
-	mu    sync.Mutex
-	state map[string]*peerHealth
-}
-
-type peerHealth struct {
-	unhealthy bool
-	lastTrial time.Time // last time a request was let through while unhealthy
+	mu   sync.Mutex
+	down map[string]bool
 }
 
 // NewHealth returns an empty health view.
 func NewHealth() *Health {
-	return &Health{cooldown: healthCooldown, now: time.Now, state: make(map[string]*peerHealth)}
-}
-
-func (h *Health) peer(id string) *peerHealth {
-	p, ok := h.state[id]
-	if !ok {
-		p = &peerHealth{}
-		h.state[id] = p
-	}
-	return p
+	return &Health{down: make(map[string]bool)}
 }
 
 // MarkSuccess records a successful exchange with peer id.
 func (h *Health) MarkSuccess(id string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.peer(id).unhealthy = false
+	delete(h.down, id)
 }
 
 // MarkFailure records a transport-level failure talking to peer id. HTTP
@@ -54,46 +30,21 @@ func (h *Health) MarkSuccess(id string) {
 func (h *Health) MarkFailure(id string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.peer(id).unhealthy = true
+	h.down[id] = true
 }
 
-// Usable reports whether a request should be sent to peer id right now:
-// healthy peers always, unhealthy ones only once per cooldown window
-// (the trial that can heal them). The trial slot is claimed by the call,
-// so concurrent callers do not stampede a dead peer.
-func (h *Health) Usable(id string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	p := h.peer(id)
-	if !p.unhealthy {
-		return true
-	}
-	if now := h.now(); now.Sub(p.lastTrial) >= h.cooldown {
-		p.lastTrial = now
-		return true
-	}
-	return false
-}
-
-// Healthy reports the current belief about peer id without claiming a
-// trial slot.
+// Healthy reports the current belief about peer id.
 func (h *Health) Healthy(id string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return !h.peer(id).unhealthy
+	return !h.down[id]
 }
 
 // Unhealthy returns how many peers are currently believed down.
 func (h *Health) Unhealthy() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := 0
-	for _, p := range h.state {
-		if p.unhealthy {
-			n++
-		}
-	}
-	return n
+	return len(h.down)
 }
 
 // Order sorts owners for a forwarding attempt: nodes currently believed

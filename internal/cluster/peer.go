@@ -59,10 +59,6 @@ func New(cfg Config) (*Peers, error) {
 	return p, nil
 }
 
-// SetHTTPClient swaps the forwarding client (tests use it to shorten
-// timeouts).
-func (p *Peers) SetHTTPClient(hc *http.Client) { p.hc = hc }
-
 // Self returns this node's own membership entry.
 func (p *Peers) Self() Node { return p.self }
 
@@ -74,9 +70,6 @@ func (p *Peers) Replicas() int { return p.cfg.Replicas }
 
 // Health returns the node's local health view.
 func (p *Peers) Health() *Health { return p.health }
-
-// Ring returns the placement ring.
-func (p *Peers) Ring() *Ring { return p.ring }
 
 // Owners returns the R owner replicas of key, rendezvous order.
 func (p *Peers) Owners(key string) []Node { return p.ring.Owners(key, p.cfg.Replicas) }

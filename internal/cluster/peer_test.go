@@ -113,40 +113,77 @@ func unwrap(err error) error {
 	return u.Unwrap()
 }
 
-// TestHealthHalfOpen: a failure marks the peer unhealthy; during the
-// cooldown only one trial request per window is let through; a success
-// heals it.
-func TestHealthHalfOpen(t *testing.T) {
+// TestHealthFailureOrdersLast: a failure moves the peer to Order's tail
+// (never out of it) and counts it in Unhealthy; its next success puts it
+// back in rendezvous order.
+func TestHealthFailureOrdersLast(t *testing.T) {
 	h := NewHealth()
-	now := time.Unix(1000, 0)
-	h.now = func() time.Time { return now }
+	owners := []Node{{ID: "a"}, {ID: "b"}, {ID: "c"}}
+	order := func() string {
+		var ids string
+		for _, n := range h.Order(owners) {
+			ids += n.ID
+		}
+		return ids
+	}
 
-	if !h.Usable("b") || !h.Healthy("b") {
-		t.Fatal("fresh peer should be healthy")
+	if got := order(); got != "abc" || !h.Healthy("a") || h.Unhealthy() != 0 {
+		t.Fatalf("fresh view: Order = %s, Healthy(a) = %v, Unhealthy = %d; want abc, true, 0",
+			got, h.Healthy("a"), h.Unhealthy())
+	}
+	h.MarkFailure("a")
+	h.MarkFailure("a")
+	if got := order(); got != "bca" || h.Healthy("a") || h.Unhealthy() != 1 {
+		t.Fatalf("after a fails: Order = %s, Healthy(a) = %v, Unhealthy = %d; want bca, false, 1",
+			got, h.Healthy("a"), h.Unhealthy())
 	}
 	h.MarkFailure("b")
-	if h.Healthy("b") {
-		t.Fatal("failed peer still healthy")
+	if got := order(); got != "cab" || h.Unhealthy() != 2 {
+		t.Fatalf("after b fails too: Order = %s, Unhealthy = %d; want cab (tail keeps rendezvous order), 2",
+			got, h.Unhealthy())
 	}
-	if h.Unhealthy() != 1 {
-		t.Fatalf("Unhealthy() = %d, want 1", h.Unhealthy())
-	}
-	// First check after failure: the cooldown window grants one trial.
-	now = now.Add(healthCooldown)
-	if !h.Usable("b") {
-		t.Fatal("trial request not granted after cooldown")
-	}
-	if h.Usable("b") {
-		t.Fatal("second trial granted inside the same window")
-	}
+	h.MarkSuccess("a")
 	h.MarkSuccess("b")
-	if !h.Usable("b") || !h.Healthy("b") || h.Unhealthy() != 0 {
-		t.Fatal("success did not heal the peer")
+	if got := order(); got != "abc" || !h.Healthy("a") || h.Unhealthy() != 0 {
+		t.Fatalf("after successes: Order = %s, Healthy(a) = %v, Unhealthy = %d; want abc, true, 0",
+			got, h.Healthy("a"), h.Unhealthy())
 	}
-	// Order puts unhealthy nodes last but never drops them.
-	h.MarkFailure("a")
-	got := h.Order([]Node{{ID: "a"}, {ID: "b"}, {ID: "c"}})
-	if len(got) != 3 || got[0].ID != "b" || got[1].ID != "c" || got[2].ID != "a" {
-		t.Fatalf("Order = %v, want healthy first, unhealthy tail", got)
+}
+
+// TestForwardDrivesHealth: a transport failure in Forward moves the peer
+// to the tail of OwnerTargets, and its next answered request — even an
+// error status — restores it.
+func TestForwardDrivesHealth(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+	dead := httptest.NewServer(nil)
+	deadURL := dead.URL
+	dead.Close()
+	p, err := New(Config{NodeID: "a", Replicas: 3, Peers: []Node{
+		{ID: "a", URL: "http://self.invalid"}, {ID: "b", URL: deadURL}, {ID: "c", URL: deadURL},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "some-digest"
+	before := p.OwnerTargets(key)
+	first := before[0]
+	if _, err := p.Forward(context.Background(), first, http.MethodGet, "/", nil, nil); err == nil {
+		t.Fatal("forward to a closed listener succeeded")
+	}
+	if after := p.OwnerTargets(key); after[len(after)-1].ID != first.ID || p.Health().Unhealthy() != 1 {
+		t.Fatalf("after failure: OwnerTargets = %v, Unhealthy = %d; want %s last, 1",
+			after, p.Health().Unhealthy(), first.ID)
+	}
+	resp, err := p.Forward(context.Background(), Node{ID: first.ID, URL: ts.URL}, http.MethodGet, "/", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if after := p.OwnerTargets(key); after[0].ID != before[0].ID || p.Health().Unhealthy() != 0 {
+		t.Fatalf("after an answered forward: OwnerTargets = %v, Unhealthy = %d; want %v, 0",
+			after, p.Health().Unhealthy(), before)
 	}
 }

@@ -33,9 +33,6 @@ func NewRing(nodes []Node) *Ring {
 // Nodes returns the membership, sorted by ID.
 func (r *Ring) Nodes() []Node { return r.nodes }
 
-// Len returns the number of nodes.
-func (r *Ring) Len() int { return len(r.nodes) }
-
 // Owners returns the n highest-scoring nodes for key, best first. Ties
 // (astronomically unlikely with 64-bit scores) break toward the smaller
 // node ID so every member still agrees.

@@ -413,3 +413,24 @@ func FuzzExploreLRU(f *testing.F) {
 		}
 	})
 }
+
+// TestCacheFlushSemantics: a flush empties the cache and writes back its
+// dirty lines, and a line re-touched after the flush misses without
+// counting as cold, since the trace has seen it before.
+func TestCacheFlushSemantics(t *testing.T) {
+	c := cache.MustNew(cache.Config{Depth: 4, Assoc: 2})
+	c.Access(trace.Ref{Addr: 1, Kind: trace.DataWrite}) // dirty
+	c.Access(trace.Ref{Addr: 2, Kind: trace.DataRead})
+	c.Flush()
+	if c.Contains(1) || c.Contains(2) {
+		t.Fatal("lines survived the flush")
+	}
+	if got := c.Results().Writebacks; got != 1 {
+		t.Fatalf("Writebacks = %d, want 1 (dirty line)", got)
+	}
+	// Re-access: misses, but NOT cold (seen before the flush).
+	c.Access(trace.Ref{Addr: 1, Kind: trace.DataRead})
+	if got := c.Results().Misses; got != 1 {
+		t.Fatalf("post-flush non-cold misses = %d, want 1", got)
+	}
+}

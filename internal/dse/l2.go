@@ -16,31 +16,16 @@ import (
 // over L2 configurations needs no further simulation.
 
 // FilterThroughL1 simulates the trace on an L1 configuration and returns
-// the stream of references that reach the next level, in arrival order.
+// the stream of references that reach the next level, in arrival order:
+// the split filter's replay with one cache serving both kinds.
 func FilterThroughL1(t *trace.Trace, l1 cache.Config) (*trace.Trace, error) {
 	c, err := cache.NewCache(l1)
 	if err != nil {
 		return nil, err
 	}
 	out := trace.New(0)
-	lineShift := 0
-	for lw := l1.LineWords; lw > 1; lw >>= 1 {
-		lineShift++
-	}
-	c.OnEvict = func(lineAddr uint32, dirty bool) {
-		if dirty {
-			out.Append(trace.Ref{Addr: lineAddr << uint(lineShift), Kind: trace.DataWrite})
-		}
-	}
-	for _, r := range t.Refs {
-		if !c.Access(r) {
-			// OnEvict fires inside Access, so a miss's victim writeback
-			// precedes its refill read in the stream — the order a
-			// hierarchy whose write buffer drains ahead of the fill
-			// produces, and exactly the order cache.Hierarchy replays.
-			out.Append(trace.Ref{Addr: r.Addr, Kind: readKind(r.Kind)})
-		}
-	}
+	c.OnEvict = writebacksTo(out, l1)
+	filterL1(t, c, c, out)
 	return out, nil
 }
 
@@ -69,34 +54,45 @@ func filterSplitL1(t *trace.Trace, l1i, l1d cache.Config, out *trace.Trace) erro
 	if err != nil {
 		return fmt.Errorf("dse: L1D: %w", err)
 	}
+	ci.OnEvict = writebacksTo(out, l1i)
+	cd.OnEvict = writebacksTo(out, l1d)
+	filterL1(t, ci, cd, out)
+	return nil
+}
+
+// filterL1 replays t through the first level — instruction fetches
+// through ci, data references through cd, which may be the same cache —
+// and writes every miss's refill read into out, replacing its references.
+// The caches' OnEvict hooks append their writebacks to out.
+func filterL1(t *trace.Trace, ci, cd *cache.Cache, out *trace.Trace) {
 	out.Refs = out.Refs[:0]
-	evict := func(lineShift uint) func(uint32, bool) {
-		return func(lineAddr uint32, dirty bool) {
-			if dirty {
-				out.Append(trace.Ref{Addr: lineAddr << lineShift, Kind: trace.DataWrite})
-			}
-		}
-	}
-	ci.OnEvict = evict(lineShiftOf(l1i))
-	cd.OnEvict = evict(lineShiftOf(l1d))
 	for _, r := range t.Refs {
 		c := cd
 		if r.Kind == trace.Instr {
 			c = ci
 		}
 		if !c.Access(r) {
+			// OnEvict fires inside Access, so a miss's victim writeback
+			// precedes its refill read in the stream — the order a
+			// hierarchy whose write buffer drains ahead of the fill
+			// produces, and exactly the order cache.Hierarchy replays.
 			out.Append(trace.Ref{Addr: r.Addr, Kind: readKind(r.Kind)})
 		}
 	}
-	return nil
 }
 
-func lineShiftOf(cfg cache.Config) uint {
-	var s uint
+// writebacksTo returns an OnEvict hook for a cache of cfg that appends
+// each dirty eviction to out as a write of the line's first word.
+func writebacksTo(out *trace.Trace, cfg cache.Config) func(uint32, bool) {
+	var lineShift uint
 	for lw := cfg.LineWords; lw > 1; lw >>= 1 {
-		s++
+		lineShift++
 	}
-	return s
+	return func(lineAddr uint32, dirty bool) {
+		if dirty {
+			out.Append(trace.Ref{Addr: lineAddr << lineShift, Kind: trace.DataWrite})
+		}
+	}
 }
 
 // readKind maps the original reference kind to the kind of the refill

@@ -46,9 +46,9 @@ const (
 	// enough to amortise the 13-or-so bytes of per-block framing to noise,
 	// small enough that the decoder's scratch stays cache-resident.
 	CTZ1DefaultBlock = 4096
-	// ctz1MaxBlock bounds blockCap (and therefore every allocation a
+	// CTZ1MaxBlock bounds blockCap (and therefore every allocation a
 	// decoder makes on the say-so of an untrusted header).
-	ctz1MaxBlock = 1 << 20
+	CTZ1MaxBlock = 1 << 20
 	// ctz1Slots is the per-kind address-context depth (a power of two;
 	// the slot index rides in the low bits of each address uvarint).
 	ctz1Slots = 4
@@ -113,8 +113,8 @@ func NewCTZ1Encoder(w io.Writer, blockCap int) (*CTZ1Encoder, error) {
 	if blockCap <= 0 {
 		blockCap = CTZ1DefaultBlock
 	}
-	if blockCap > ctz1MaxBlock {
-		blockCap = ctz1MaxBlock
+	if blockCap > CTZ1MaxBlock {
+		blockCap = CTZ1MaxBlock
 	}
 	e := &CTZ1Encoder{w: bufio.NewWriter(w), blockCap: blockCap}
 	var hdr []byte
@@ -254,7 +254,7 @@ func WriteCTZ1(w io.Writer, t *Trace) error {
 // CTZ1Decoder streams references out of a ctz1 stream block by block,
 // verifying each block's checksum before yielding anything from it. It
 // implements RefReader, so it plugs straight into the streaming prelude
-// (StripReader) without a *Trace in between.
+// (StripReaderInto) without a *Trace in between.
 type CTZ1Decoder struct {
 	br  *bufio.Reader
 	lim Limits
@@ -341,7 +341,7 @@ func (d *CTZ1Decoder) readHeader() error {
 	if err != nil {
 		return corruptf(-1, "reading block size: %v", err)
 	}
-	if blockCap == 0 || blockCap > ctz1MaxBlock {
+	if blockCap == 0 || blockCap > CTZ1MaxBlock {
 		return corruptf(-1, "implausible block size %d", blockCap)
 	}
 	return nil
@@ -428,7 +428,7 @@ func (d *CTZ1Decoder) readBlock() error {
 	}
 	// A block of n references needs at least ~n bytes of payload; a
 	// payload claiming more than the worst case per ref is a lie.
-	if payloadLen > ctz1MaxBlock*(binary.MaxVarintLen64+1) {
+	if payloadLen > CTZ1MaxBlock*(binary.MaxVarintLen64+1) {
 		return corruptf(d.idx, "implausible payload length %d", payloadLen)
 	}
 	var want uint64
@@ -481,7 +481,7 @@ func (d *CTZ1Decoder) truncated(err error, what string) error {
 func (d *CTZ1Decoder) parsePayload() error {
 	p := d.payload
 	nrefs, p, err := ctz1Uvarint(p)
-	if err != nil || nrefs == 0 || nrefs > ctz1MaxBlock {
+	if err != nil || nrefs == 0 || nrefs > CTZ1MaxBlock {
 		return corruptf(d.idx, "bad reference count")
 	}
 	if d.lim.MaxRefs > 0 && nrefs > uint64(d.lim.MaxRefs)-d.total {

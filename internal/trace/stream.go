@@ -31,17 +31,11 @@ func (r *Reader) Next() (Ref, error) {
 	return ref, nil
 }
 
-// StripReader builds the stripped form (Table 2) directly from a reference
-// stream: the streaming twin of Strip. Only the Stripped structures
-// themselves are allocated — the O(N) identifier sequence and the O(N')
-// unique-address table — never the raw trace.
-func StripReader(rr RefReader) (*Stripped, error) {
-	return StripReaderInto(rr, nil)
-}
-
-// StripReaderInto is StripReader writing into a reusable Stripped, the
-// streaming twin of StripInto: s is reset and its storage reused; nil
-// allocates fresh.
+// StripReaderInto builds the stripped form (Table 2) directly from a
+// reference stream, the streaming twin of StripInto: only the Stripped
+// structures themselves are allocated — the O(N) identifier sequence and
+// the O(N') unique-address table — never the raw trace. s is reset and
+// its storage reused; nil allocates fresh.
 func StripReaderInto(rr RefReader, s *Stripped) (*Stripped, error) {
 	s, _, _ = s.reset(1, 0) // one-word lines are always valid
 	for {
@@ -53,34 +47,5 @@ func StripReaderInto(rr RefReader, s *Stripped) (*Stripped, error) {
 			return nil, err
 		}
 		s.IDs = append(s.IDs, s.id(r.Addr))
-	}
-}
-
-// ComputeStatsReader derives the Table 5/6 statistics from a reference
-// stream, mirroring ComputeStats without needing the trace in memory.
-func ComputeStatsReader(rr RefReader) (Stats, error) {
-	var s Stats
-	seen := make(map[uint32]bool, 1024)
-	haveLast := false
-	var last uint32
-	for {
-		r, err := rr.Next()
-		if err == io.EOF {
-			s.NUnique = len(seen)
-			return s, nil
-		}
-		if err != nil {
-			return Stats{}, err
-		}
-		s.N++
-		if haveLast && r.Addr == last {
-			// hit
-		} else if !seen[r.Addr] {
-			// cold miss: excluded from MaxMisses
-		} else {
-			s.MaxMisses++
-		}
-		seen[r.Addr] = true
-		last, haveLast = r.Addr, true
 	}
 }

@@ -37,14 +37,10 @@ func ctz1Corpus(tb testing.TB) [][]byte {
 	return append(cases, valid[:len(valid)/2])
 }
 
-// checkStoredDecode stores data, reads it back with Get and decodes it
-// with trace.DecodeBytes and a reused arena — the read a server makes
-// when it revives a persisted trace. The store digest is computed over
-// those exact bytes, so verification passes and any damage reaches the
-// decoder. The contract: an input carrying the ctz1 magic decodes
-// cleanly or fails with a typed *trace.CorruptError / *trace.LimitError;
-// every input decodes to exactly what the streaming trace.Decode yields,
-// or fails where it fails; nothing panics.
+// checkStoredDecode stores data, reads it back with Get — the read a
+// server makes when it revives a persisted trace — and holds the bytes to
+// checkDecode. The store digest is computed over those exact bytes, so
+// verification passes and any damage reaches the decoder.
 func checkStoredDecode(t *testing.T, data []byte, arena *trace.Arena) {
 	t.Helper()
 	s, err := Open(t.TempDir())
@@ -61,8 +57,19 @@ func checkStoredDecode(t *testing.T, data []byte, arena *trace.Arena) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("Get returned %d bytes, put %d", len(got), len(data))
 	}
+	checkDecode(t, got, arena)
+}
+
+// checkDecode decodes data with trace.DecodeBytes into arena, as a server
+// decodes a stored or peer-fetched trace. The contract: an input
+// carrying the ctz1 magic decodes cleanly or fails with a typed
+// *trace.CorruptError / *trace.LimitError; every input decodes to exactly
+// what the streaming trace.Decode yields, or fails where it fails;
+// nothing panics.
+func checkDecode(t *testing.T, data []byte, arena *trace.Arena) {
+	t.Helper()
 	lim := trace.Limits{MaxRefs: 1 << 16}
-	tr, err := trace.DecodeBytes(got, lim, arena)
+	tr, err := trace.DecodeBytes(data, lim, arena)
 	if err != nil && bytes.HasPrefix(data, []byte("CTZ1")) {
 		var ce *trace.CorruptError
 		var le *trace.LimitError
@@ -80,22 +87,25 @@ func checkStoredDecode(t *testing.T, data []byte, arena *trace.Arena) {
 	}
 }
 
-// FuzzMappedCTZ1 fuzzes the stored-trace read path (Get, then
-// trace.DecodeBytes) over arbitrary, often corrupted, ctz1 images.
+// FuzzMappedCTZ1 fuzzes the stored-trace decode (trace.DecodeBytes into
+// an arena) over arbitrary, often corrupted, ctz1 images. The store
+// round trip in front of it is left to TestFuzzMappedCTZ1Seeds: an fsync'd
+// Put per exec would leave the fuzzer almost no execs.
 func FuzzMappedCTZ1(f *testing.F) {
 	for _, data := range ctz1Corpus(f) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var arena trace.Arena
-		checkStoredDecode(t, data, &arena)
+		checkDecode(t, data, &arena)
 	})
 }
 
-// TestFuzzMappedCTZ1Seeds runs the fuzz body over its seed corpus with
-// one arena shared across the cases, as a warm start shares one across
-// consecutive loads, so the corrupt-block, truncation and valid cases
-// run in every `go test`, not only under -fuzz.
+// TestFuzzMappedCTZ1Seeds puts each seed in a store, reads it back with
+// Get and runs the fuzz check over the bytes, with one arena shared
+// across the cases, as a warm start shares one across consecutive loads,
+// so the corrupt-block, truncation and valid cases run in every
+// `go test`, not only under -fuzz.
 func TestFuzzMappedCTZ1Seeds(t *testing.T) {
 	var arena trace.Arena
 	for _, data := range ctz1Corpus(t) {

@@ -28,10 +28,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"github.com/example/cachedse/internal/cluster"
 	"github.com/example/cachedse/internal/obs"
 )
 
@@ -60,28 +58,15 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Client talks to one cachedse server — or, with WithCluster, to a
-// multi-node topology through any member.
+// Client talks to one cachedse server. In a cluster that server may be
+// any member: it forwards a digest-addressed request to the trace's
+// owners itself.
 type Client struct {
 	base  string
 	hc    *http.Client
 	retry RetryPolicy
 	// sleep is swapped out by tests to avoid real waiting.
 	sleep func(context.Context, time.Duration) error
-
-	// Topology-aware routing (WithCluster): the membership is fetched
-	// lazily from GET /v1/cluster and cached; digest-addressed requests
-	// then go straight to an owner replica, failing over to the next
-	// owner (and finally the configured base) on retry.
-	clusterRoute bool
-	topoMu       sync.Mutex
-	topo         *topology
-}
-
-// topology is the cached cluster view used for routing.
-type topology struct {
-	ring     *cluster.Ring
-	replicas int
 }
 
 // Option customizes a Client.
@@ -92,14 +77,6 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 
 // WithRetry replaces the default retry policy.
 func WithRetry(p RetryPolicy) Option { return func(c *Client) { c.retry = p.withDefaults() } }
-
-// WithCluster turns on topology-aware routing: the client fetches the
-// membership from the base server once, routes digest-addressed requests
-// (explore, simulate, verify, trace get/delete) directly to an owner
-// replica, and rotates to the other owner — then the base server — on
-// retries. Against a single-node server the option is a no-op; every
-// request works through any node either way, this just skips a proxy hop.
-func WithCluster() Option { return func(c *Client) { c.clusterRoute = true } }
 
 // New returns a Client for the server at baseURL (e.g.
 // "http://localhost:8080"). A trailing slash is trimmed.
@@ -165,17 +142,6 @@ func parseRetryAfter(h string) time.Duration {
 // body is replayed verbatim on every attempt; out, when non-nil,
 // receives the decoded 2xx JSON body.
 func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
-	return c.doRouted(ctx, nil, method, path, contentType, body, out)
-}
-
-// doRouted is do over an ordered list of candidate base URLs: each
-// attempt rotates to the next base, so a retry after one replica's
-// failure lands on the other replica instead of hammering the same node.
-// An empty list falls back to the configured base.
-func (c *Client) doRouted(ctx context.Context, bases []string, method, path, contentType string, body []byte, out any) error {
-	if len(bases) == 0 {
-		bases = []string{c.base}
-	}
 	// Every logical call is one hop of a distributed trace: an ambient
 	// span context on ctx is honored (the caller is already inside a
 	// trace), otherwise a fresh trace ID is minted here at the edge.
@@ -195,7 +161,7 @@ func (c *Client) doRouted(ctx context.Context, bases []string, method, path, con
 				return err
 			}
 		}
-		last = c.once(ctx, bases[attempt%len(bases)], method, path, contentType, body, out)
+		last = c.once(ctx, method, path, contentType, body, out)
 		if last == nil {
 			return nil
 		}
@@ -211,12 +177,12 @@ func (c *Client) doRouted(ctx context.Context, bases []string, method, path, con
 	return &RetryExhaustedError{Attempts: c.retry.MaxAttempts, Last: last}
 }
 
-func (c *Client) once(ctx context.Context, base, method, path, contentType string, body []byte, out any) error {
+func (c *Client) once(ctx context.Context, method, path, contentType string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return err
 	}
@@ -303,52 +269,6 @@ func (c *Client) Cluster(ctx context.Context) (ClusterInfo, error) {
 	return info, err
 }
 
-// topology returns the cached routing view, fetching it from the base
-// server on first use. A fetch failure is not cached (the next call
-// retries), but a successful answer is — including the single-node
-// answer, which disables routing for the client's lifetime.
-func (c *Client) topology(ctx context.Context) *topology {
-	c.topoMu.Lock()
-	defer c.topoMu.Unlock()
-	if c.topo != nil {
-		return c.topo
-	}
-	var info ClusterInfo
-	if err := c.doRouted(ctx, []string{c.base}, http.MethodGet, "/v1/cluster", "", nil, &info); err != nil {
-		return nil
-	}
-	t := &topology{replicas: info.Replicas}
-	if len(info.Nodes) > 0 && info.Replicas > 0 {
-		nodes := make([]cluster.Node, len(info.Nodes))
-		for i, n := range info.Nodes {
-			nodes[i] = cluster.Node{ID: n.ID, URL: strings.TrimRight(n.URL, "/")}
-		}
-		t.ring = cluster.NewRing(nodes)
-	}
-	c.topo = t
-	return t
-}
-
-// basesFor resolves the candidate base URLs for a digest-addressed
-// request: the owner replicas in rendezvous order, then the configured
-// base as the last resort (any node proxies). nil means "just the base".
-func (c *Client) basesFor(ctx context.Context, digest string) []string {
-	if !c.clusterRoute || digest == "" {
-		return nil
-	}
-	t := c.topology(ctx)
-	if t == nil || t.ring == nil {
-		return nil
-	}
-	var bases []string
-	for _, o := range t.ring.Owners(digest, t.replicas) {
-		if o.URL != c.base {
-			bases = append(bases, o.URL)
-		}
-	}
-	return append(bases, c.base)
-}
-
 // UploadTrace registers a trace (as .din text or .ctr binary bytes) and
 // returns its stored info. Uploads are idempotent by content digest: a
 // retried or repeated upload of the same bytes returns the existing
@@ -399,14 +319,14 @@ func (c *Client) AllTraces(ctx context.Context, opts ListOptions) ([]TraceInfo, 
 // GetTrace fetches one stored trace's info by digest.
 func (c *Client) GetTrace(ctx context.Context, digest string) (TraceInfo, error) {
 	var info TraceInfo
-	err := c.doRouted(ctx, c.basesFor(ctx, digest), http.MethodGet, "/v1/traces/"+url.PathEscape(digest), "", nil, &info)
+	err := c.do(ctx, http.MethodGet, "/v1/traces/"+url.PathEscape(digest), "", nil, &info)
 	return info, err
 }
 
 // DeleteTrace removes a stored trace. A trace still referenced by live
 // jobs returns ErrTraceBusy.
 func (c *Client) DeleteTrace(ctx context.Context, digest string) error {
-	return c.doRouted(ctx, c.basesFor(ctx, digest), http.MethodDelete, "/v1/traces/"+url.PathEscape(digest), "", nil, nil)
+	return c.do(ctx, http.MethodDelete, "/v1/traces/"+url.PathEscape(digest), "", nil, nil)
 }
 
 // Explore runs the analytical design-space exploration synchronously.
@@ -418,7 +338,7 @@ func (c *Client) Explore(ctx context.Context, req ExploreRequest) (ExploreRespon
 	if err != nil {
 		return resp, err
 	}
-	err = c.doRouted(ctx, c.basesFor(ctx, req.Trace), http.MethodPost, "/v1/explore", "application/json", b, &resp)
+	err = c.do(ctx, http.MethodPost, "/v1/explore", "application/json", b, &resp)
 	return resp, err
 }
 
@@ -429,7 +349,7 @@ func (c *Client) Simulate(ctx context.Context, req SimulateRequest) (SimulateRes
 	if err != nil {
 		return resp, err
 	}
-	err = c.doRouted(ctx, c.basesFor(ctx, req.Trace), http.MethodPost, "/v1/simulate", "application/json", b, &resp)
+	err = c.do(ctx, http.MethodPost, "/v1/simulate", "application/json", b, &resp)
 	return resp, err
 }
 
@@ -440,7 +360,7 @@ func (c *Client) Verify(ctx context.Context, req VerifyRequest) (VerifyResponse,
 	if err != nil {
 		return resp, err
 	}
-	err = c.doRouted(ctx, c.basesFor(ctx, req.Trace), http.MethodPost, "/v1/verify", "application/json", b, &resp)
+	err = c.do(ctx, http.MethodPost, "/v1/verify", "application/json", b, &resp)
 	return resp, err
 }
 
@@ -466,7 +386,7 @@ func (c *Client) ExploreAsync(ctx context.Context, req ExploreRequest) (JobStatu
 	if err != nil {
 		return st, err
 	}
-	err = c.doRouted(ctx, c.basesFor(ctx, req.Trace), http.MethodPost, "/v1/explore", "application/json", b, &st)
+	err = c.do(ctx, http.MethodPost, "/v1/explore", "application/json", b, &st)
 	return st, err
 }
 

@@ -3,14 +3,8 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"github.com/example/cachedse/internal/cluster"
 )
 
 // TestDegradedHeaderSurfaced: a 200 carrying X-Degraded: true sets the
@@ -52,136 +46,5 @@ func TestDegradedAbsentStaysFalse(t *testing.T) {
 	}
 	if resp.Degraded {
 		t.Fatal("Degraded set without header or body flag")
-	}
-}
-
-// clusterTestTopo wires three httptest servers into one topology: every
-// server answers GET /v1/cluster with the full membership and tags its
-// other responses with its node ID, so the test can see where a request
-// landed.
-func clusterTestTopo(t *testing.T) (urls map[string]string, hits map[string]*atomic.Int32) {
-	t.Helper()
-	ids := []string{"a", "b", "c"}
-	urls = make(map[string]string, len(ids))
-	hits = make(map[string]*atomic.Int32, len(ids))
-	var topoJSON func() []byte
-	for _, id := range ids {
-		id := id
-		hits[id] = &atomic.Int32{}
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/cluster" {
-				w.Header().Set("Content-Type", "application/json")
-				w.Write(topoJSON())
-				return
-			}
-			hits[id].Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(w, `{"trace":"served-by-%s"}`, id)
-		}))
-		t.Cleanup(ts.Close)
-		urls[id] = ts.URL
-	}
-	topoJSON = func() []byte {
-		info := ClusterInfo{Self: "a", Replicas: 2}
-		for _, id := range ids {
-			info.Nodes = append(info.Nodes, ClusterNode{ID: id, URL: urls[id], Self: id == "a", Healthy: true})
-		}
-		b, _ := json.Marshal(info)
-		return b
-	}
-	return urls, hits
-}
-
-// TestClusterRoutingHitsOwner: with WithCluster, a digest-addressed
-// request goes to an owner replica computed from the fetched topology,
-// not necessarily the configured base.
-func TestClusterRoutingHitsOwner(t *testing.T) {
-	urls, hits := clusterTestTopo(t)
-	c := New(urls["a"], WithCluster())
-
-	// Pick a digest whose primary owner is not node a, so routing is
-	// observable as traffic landing away from the base.
-	nodes := []cluster.Node{}
-	for id, u := range urls {
-		nodes = append(nodes, cluster.Node{ID: id, URL: u})
-	}
-	ring := cluster.NewRing(nodes)
-	digest := ""
-	for i := 0; i < 1000; i++ {
-		d := fmt.Sprintf("%032x", i)
-		if ring.Owners(d, 2)[0].ID != "a" {
-			digest = d
-			break
-		}
-	}
-	if digest == "" {
-		t.Fatal("no digest with a non-base primary owner in 1000 tries")
-	}
-	owner := ring.Owners(digest, 2)[0].ID
-
-	if _, err := c.GetTrace(context.Background(), digest); err != nil {
-		t.Fatal(err)
-	}
-	if got := hits[owner].Load(); got != 1 {
-		t.Fatalf("owner %s saw %d requests, want 1", owner, got)
-	}
-	for id, h := range hits {
-		if id != owner && h.Load() != 0 {
-			t.Fatalf("non-owner %s saw traffic", id)
-		}
-	}
-}
-
-// TestClusterRoutingFailsOver: when the primary owner is down, the
-// retry rotates to the next candidate (the replica, then the base)
-// instead of hammering the dead node.
-func TestClusterRoutingFailsOver(t *testing.T) {
-	urls, hits := clusterTestTopo(t)
-	c := New(urls["a"], WithCluster())
-	c.sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
-
-	// Warm the topology cache, then find a digest owned primarily by a
-	// node other than the base and kill that owner.
-	if _, err := c.Cluster(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	nodes := []cluster.Node{}
-	for id, u := range urls {
-		nodes = append(nodes, cluster.Node{ID: id, URL: u})
-	}
-	ring := cluster.NewRing(nodes)
-	digest, owner := "", ""
-	for i := 0; i < 1000; i++ {
-		d := fmt.Sprintf("%032x", i)
-		if o := ring.Owners(d, 2)[0].ID; o != "a" {
-			digest, owner = d, o
-			break
-		}
-	}
-	if digest == "" {
-		t.Fatal("no digest with a non-base primary owner in 1000 tries")
-	}
-	dead := httptest.NewServer(nil)
-	deadURL := dead.URL
-	dead.Close()
-	// Point the cached topology's owner at the dead address.
-	c.topoMu.Lock()
-	for i, n := range nodes {
-		if n.ID == owner {
-			nodes[i].URL = deadURL
-		}
-	}
-	c.topo = &topology{ring: cluster.NewRing(nodes), replicas: 2}
-	c.topoMu.Unlock()
-
-	if _, err := c.GetTrace(context.Background(), digest); err != nil {
-		t.Fatalf("GetTrace did not fail over: %v", err)
-	}
-	total := int32(0)
-	for _, h := range hits {
-		total += h.Load()
-	}
-	if total != 1 {
-		t.Fatalf("surviving nodes saw %d requests, want 1 (the failover)", total)
 	}
 }
