@@ -42,11 +42,13 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"runtime"
@@ -180,14 +182,24 @@ func writeTraceJSON(path, traceName string, rec *obs.Recorder) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// loadTrace reads a trace file, auto-detecting binary by magic.
+// loadTrace reads a trace file, auto-detecting binary by magic. A ctz1
+// file is read whole and decoded in parallel by trace.DecodeBytes; din
+// text and .ctr files stream through trace.Decode.
 func loadTrace(path string) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return trace.Decode(f, trace.Limits{})
+	br := bufio.NewReader(f)
+	if magic, err := br.Peek(4); err == nil && string(magic) == "CTZ1" {
+		data, err := io.ReadAll(br)
+		if err != nil {
+			return nil, err
+		}
+		return trace.DecodeBytes(data, trace.Limits{})
+	}
+	return trace.Decode(br, trace.Limits{})
 }
 
 func cmdStats(args []string) error {

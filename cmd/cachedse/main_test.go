@@ -54,7 +54,18 @@ func TestLoadTraceAutodetect(t *testing.T) {
 	}
 	f.Close()
 
-	for _, path := range []string{textPath, binPath} {
+	// A ctz1 file is read whole and decoded by trace.DecodeBytes.
+	ctzPath := filepath.Join(dir, "t.ctz")
+	f, err = os.Create(ctzPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteCTZ1(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for _, path := range []string{textPath, binPath, ctzPath} {
 		got, err := loadTrace(path)
 		if err != nil {
 			t.Fatalf("loadTrace(%s): %v", path, err)

@@ -158,5 +158,5 @@ func resolveTrace(storeDir, arg string) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return trace.Decode(bytes.NewReader(data), trace.Limits{})
+	return trace.DecodeBytes(data, trace.Limits{})
 }

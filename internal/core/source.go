@@ -105,6 +105,10 @@ func stripWithSpan(ctx context.Context, sc *Scratch, strip func(*trace.Stripped)
 	if span != nil {
 		span.SetAttr("n", s.N())
 		span.SetAttr("n_unique", s.NUnique())
+		if blocks, workers := s.Decoded(); workers > 0 {
+			span.SetAttr("blocks", blocks)
+			span.SetAttr("workers", workers)
+		}
 		span.End()
 	}
 	return s, nil

@@ -364,9 +364,11 @@ func (st *levelStage) collect(strip *trace.Stripped, runs []*policyRun, capZero,
 }
 
 // levelCost prices one level: the cacti estimate under the candidate's
-// technology and its dynamic energy for the given traffic (reads pay
-// ReadPJ, every miss pays the refill; writeback traffic is not modelled,
-// matching EnergyAware).
+// technology and its dynamic energy for the given traffic. The energy
+// charges reads and refills only: every access, a store included, pays
+// ReadPJ, every miss pays the refill, and no dirty writeback is charged.
+// nvm-hybrid, whose writes cost more than its reads, is therefore
+// under-priced (DESIGN.md §14).
 func levelCost(c levelCand, tech core.Technology, accesses int, base cacti.Params) (area, energy float64, err error) {
 	p, err := base.ForTechnology(tech.String())
 	if err != nil {

@@ -282,7 +282,7 @@ func (s *Server) fetchObjectFromPeers(digest string) ([]byte, *trace.Trace, erro
 		tr, derr := trace.DecodeBytes(data, trace.Limits{
 			MaxRefs:  s.cfg.MaxRefs,
 			MaxBytes: s.cfg.MaxUploadBytes,
-		}, nil)
+		})
 		if derr != nil {
 			err = fmt.Errorf("cluster: peer %s copy of %q undecodable: %w", peer.ID, digest, derr)
 			continue

@@ -56,9 +56,8 @@ func (s *Server) warmStart() {
 	if s.persist == nil {
 		return
 	}
-	var arena trace.Arena // one decode at a time: block scratch is shared
 	for _, e := range s.persist.List(traceKeyPrefix) {
-		tr, err := s.loadPersistedTrace(e.Key, &arena)
+		tr, err := s.loadPersistedTrace(e.Key)
 		if err != nil {
 			s.cfg.Logger.Warn("dropping persisted entry", "key", e.Key, "err", err)
 			_, _ = s.persist.Delete(e.Key)
@@ -153,7 +152,7 @@ func (s *Server) lookupTrace(digest string) (*TraceEntry, bool) {
 		e, _ := s.store.Add(tr)
 		return e, true
 	}
-	tr, err := s.loadPersistedTrace(traceKeyPrefix+digest, nil)
+	tr, err := s.loadPersistedTrace(traceKeyPrefix + digest)
 	if err != nil {
 		if !errors.Is(err, tracestore.ErrNotFound) {
 			s.cfg.Logger.Warn("dropping undecodable entry", "key", traceKeyPrefix+digest, "err", err)
@@ -167,12 +166,11 @@ func (s *Server) lookupTrace(digest string) (*TraceEntry, bool) {
 
 // loadPersistedTrace reads one persisted trace with Get — digest-verified,
 // read-repaired from a replica on a miss or a corrupt object — and
-// decodes the ctz1 bytes in place (DecodeBytes slices block payloads
-// zero-copy), so reviving an evicted trace holds its stored bytes, about
-// one per reference, only while the decoded references are built. A
-// non-nil arena lends the decoder reusable block scratch across
-// consecutive loads.
-func (s *Server) loadPersistedTrace(key string, a *trace.Arena) (*trace.Trace, error) {
+// decodes the ctz1 bytes in place (DecodeBytes parses block payloads
+// zero-copy, in parallel, into one exactly-sized trace), so reviving an
+// evicted trace holds its stored bytes, about one per reference, only
+// while the decoded references are built.
+func (s *Server) loadPersistedTrace(key string) (*trace.Trace, error) {
 	data, err := s.persist.Get(key)
 	if err != nil {
 		return nil, err
@@ -180,7 +178,7 @@ func (s *Server) loadPersistedTrace(key string, a *trace.Arena) (*trace.Trace, e
 	return trace.DecodeBytes(data, trace.Limits{
 		MaxRefs:  s.cfg.MaxRefs,
 		MaxBytes: s.cfg.MaxUploadBytes,
-	}, a)
+	})
 }
 
 // loadResult reads back a result the LRU evicted but disk still holds.

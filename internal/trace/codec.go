@@ -295,19 +295,19 @@ func Decode(r io.Reader, lim Limits) (*Trace, error) {
 	return readText(br, lim.MaxRefs)
 }
 
-// DecodeBytes is Decode over an in-memory image. For ctz1 input it uses
-// the zero-copy bytes decoder, so a stored trace read whole decodes
-// without a second copy of its bytes; the other formats wrap the slice
-// in a reader and take the streaming path. The optional arena, when
-// non-nil, supplies the ctz1 decoder's block scratch (see DecodeInto).
-func DecodeBytes(data []byte, lim Limits, a *Arena) (*Trace, error) {
+// DecodeBytes is Decode over an in-memory image. A ctz1 image is decoded
+// in parallel into one exactly-sized trace by the zero-copy bytes
+// decoder (see decodeParallel), and serially through it when the image
+// fails anywhere, so the error is the streaming decoder's. The other
+// formats wrap the slice in a reader and take the streaming path.
+func DecodeBytes(data []byte, lim Limits) (*Trace, error) {
 	if len(data) >= len(ctz1Magic) && [4]byte(data[:4]) == ctz1Magic {
 		d, err := NewCTZ1BytesDecoder(data, lim)
 		if err != nil {
 			return nil, err
 		}
-		if a != nil {
-			d.DecodeInto(a)
+		if t, ok := d.decodeParallel(minPartRefs); ok {
+			return t, nil
 		}
 		return readAll(d)
 	}

@@ -263,7 +263,6 @@ type CTZ1Decoder struct {
 	// br is nil then.
 	data    []byte
 	off     int
-	arena   *Arena
 	block   []Ref // decoded current block
 	pos     int
 	idx     int // block index, for errors
@@ -305,20 +304,6 @@ func NewCTZ1BytesDecoder(data []byte, lim Limits) (*CTZ1Decoder, error) {
 		return nil, err
 	}
 	return d, nil
-}
-
-// DecodeInto hands the decoder a reusable Arena for its block and payload
-// scratch, so repeated decodes (one arena per worker or per pooled job)
-// stop allocating once the arena has grown to the stream's block size. It
-// must be called before the first Next; the arena must not be shared by
-// two live decoders. Returns d for chaining.
-func (d *CTZ1Decoder) DecodeInto(a *Arena) *CTZ1Decoder {
-	d.arena = a
-	d.block, d.pos = a.block[:0], 0
-	if d.data == nil {
-		d.payload = a.payload[:0]
-	}
-	return d
 }
 
 // readHeader validates the magic, version and block-size header fields.
@@ -373,9 +358,6 @@ func (d *CTZ1Decoder) readN(n int) ([]byte, error) {
 	}
 	if cap(d.payload) < n {
 		d.payload = make([]byte, n)
-		if d.arena != nil {
-			d.arena.payload = d.payload
-		}
 	}
 	d.payload = d.payload[:n]
 	if _, err := io.ReadFull(d.br, d.payload); err != nil {
@@ -447,9 +429,6 @@ func (d *CTZ1Decoder) readBlock() error {
 	} else {
 		if cap(d.payload) < int(payloadLen) {
 			d.payload = make([]byte, payloadLen)
-			if d.arena != nil {
-				d.arena.payload = d.payload
-			}
 		}
 		d.payload = d.payload[:payloadLen]
 		if _, err := io.ReadFull(d.br, d.payload); err != nil {
@@ -464,7 +443,7 @@ func (d *CTZ1Decoder) readBlock() error {
 	if got := xxh64(d.payload); got != want {
 		return corruptf(d.idx, "checksum mismatch: computed %016x, stored %016x", got, want)
 	}
-	return d.parsePayload()
+	return d.parseBlock()
 }
 
 // truncated wraps a read failure: an underlying resource-limit error (from
@@ -477,11 +456,10 @@ func (d *CTZ1Decoder) truncated(err error, what string) error {
 	return corruptf(d.idx, "%s: truncated stream (%v)", what, err)
 }
 
-// parsePayload decodes the verified payload into d.block.
-func (d *CTZ1Decoder) parsePayload() error {
-	p := d.payload
-	nrefs, p, err := ctz1Uvarint(p)
-	if err != nil || nrefs == 0 || nrefs > CTZ1MaxBlock {
+// parseBlock decodes the verified payload into d.block.
+func (d *CTZ1Decoder) parseBlock() error {
+	nrefs, p, ok := blockCount(d.payload)
+	if !ok {
 		return corruptf(d.idx, "bad reference count")
 	}
 	if d.lim.MaxRefs > 0 && nrefs > uint64(d.lim.MaxRefs)-d.total {
@@ -491,26 +469,46 @@ func (d *CTZ1Decoder) parsePayload() error {
 	}
 	if cap(d.block) < int(nrefs) {
 		d.block = make([]Ref, nrefs)
-		if d.arena != nil {
-			d.arena.block = d.block
-		}
 	}
 	d.block = d.block[:nrefs]
 	d.pos = 0
+	if err := parsePayload(p, d.idx, d.block); err != nil {
+		return err
+	}
+	d.total += nrefs
+	return nil
+}
+
+// blockCount reads a block payload's leading reference count, returning
+// it and the rest of the payload; ok is false for a count the format
+// forbids.
+func blockCount(payload []byte) (nrefs uint64, rest []byte, ok bool) {
+	nrefs, rest, err := ctz1Uvarint(payload)
+	return nrefs, rest, err == nil && nrefs > 0 && nrefs <= CTZ1MaxBlock
+}
+
+// parsePayload decodes the payload p of block idx, read past its
+// reference count, into block, whose length is that count. It is the
+// one block parser: the streaming decoder fills its current block with
+// it, and the parallel bytes-mode decode (ctz1_parallel.go) fills
+// each block's share of the destination.
+func parsePayload(p []byte, idx int, block []Ref) error {
+	nrefs := uint64(len(block))
 	// Kind runs fill the Kind column.
 	nruns, p, err := ctz1Uvarint(p)
 	if err != nil || nruns == 0 || nruns > nrefs {
-		return corruptf(d.idx, "bad run count")
+		return corruptf(idx, "bad run count")
 	}
 	at := uint64(0)
+	var present [Instr + 1]bool
 	for i := uint64(0); i < nruns; i++ {
 		if len(p) == 0 {
-			return corruptf(d.idx, "run %d: payload exhausted", i)
+			return corruptf(idx, "run %d: payload exhausted", i)
 		}
 		kind := Kind(p[0])
 		p = p[1:]
 		if !kind.Valid() {
-			return corruptf(d.idx, "run %d: invalid kind %d", i, kind)
+			return corruptf(idx, "run %d: invalid kind %d", i, kind)
 		}
 		var runLen uint64
 		runLen, p, err = ctz1Uvarint(p)
@@ -518,44 +516,48 @@ func (d *CTZ1Decoder) parsePayload() error {
 		// `at+runLen > nrefs` would wrap for a crafted runLen near 2^64,
 		// and the checksum is unkeyed so crafted blocks do arrive here.
 		if err != nil || runLen == 0 || runLen > nrefs-at {
-			return corruptf(d.idx, "run %d: bad length", i)
+			return corruptf(idx, "run %d: bad length", i)
 		}
 		for j := uint64(0); j < runLen; j++ {
-			d.block[at+j].Kind = kind
+			block[at+j].Kind = kind
 		}
+		present[kind] = true
 		at += runLen
 	}
 	if at != nrefs {
-		return corruptf(d.idx, "runs cover %d of %d references", at, nrefs)
+		return corruptf(idx, "runs cover %d of %d references", at, nrefs)
 	}
 	// Per-kind address streams fill the Addr column, replaying the
-	// encoder's four-slot context.
+	// encoder's four-slot context. A kind no run names has an empty
+	// stream, so its pass is skipped.
 	for k := DataRead; k <= Instr; k++ {
+		if !present[k] {
+			continue
+		}
 		var recent [ctz1Slots]int64
 		head := 0
-		for i := range d.block {
-			if d.block[i].Kind != k {
+		for i := range block {
+			if block[i].Kind != k {
 				continue
 			}
 			var u uint64
 			u, p, err = ctz1Uvarint(p)
 			if err != nil {
-				return corruptf(d.idx, "address stream of kind %d exhausted", k)
+				return corruptf(idx, "address stream of kind %d exhausted", k)
 			}
 			slot := int(u & (ctz1Slots - 1))
 			addr := recent[(head-1-slot)&(ctz1Slots-1)] + unzigzag(u>>2)
 			if addr < 0 || addr > int64(^uint32(0)) {
-				return corruptf(d.idx, "address %d out of 32-bit range", addr)
+				return corruptf(idx, "address %d out of 32-bit range", addr)
 			}
-			d.block[i].Addr = uint32(addr)
+			block[i].Addr = uint32(addr)
 			recent[head&(ctz1Slots-1)] = addr
 			head++
 		}
 	}
 	if len(p) != 0 {
-		return corruptf(d.idx, "%d trailing payload bytes", len(p))
+		return corruptf(idx, "%d trailing payload bytes", len(p))
 	}
-	d.total += nrefs
 	return nil
 }
 

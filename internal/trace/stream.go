@@ -36,8 +36,26 @@ func (r *Reader) Next() (Ref, error) {
 // structures themselves are allocated — the O(N) identifier sequence and
 // the O(N') unique-address table — never the raw trace. s is reset and
 // its storage reused; nil allocates fresh.
+//
+// A fresh bytes-mode *CTZ1Decoder is stripped in parallel: its image is
+// decoded on up to GOMAXPROCS goroutines straight into s.IDs (see
+// stripCTZ1), with the identifiers, error and drained decoder the
+// reference-at-a-time loop below gives. Any other reader, and an image
+// that fails anywhere, takes that loop.
 func StripReaderInto(rr RefReader, s *Stripped) (*Stripped, error) {
+	return stripReader(rr, s, minPartRefs)
+}
+
+// stripReader is StripReaderInto with a ctz1 image split into parts of
+// at least minRefs references.
+func stripReader(rr RefReader, s *Stripped, minRefs int) (*Stripped, error) {
 	s, _, _ = s.reset(1, 0) // one-word lines are always valid
+	if d, ok := rr.(*CTZ1Decoder); ok {
+		if s.stripCTZ1(d, minRefs) {
+			return s, nil
+		}
+		s.reset(1, 0)
+	}
 	for {
 		r, err := rr.Next()
 		if err == io.EOF {

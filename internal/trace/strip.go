@@ -38,6 +38,11 @@ type Stripped struct {
 	// slot's key is Unique of its identifier, so only identifiers are
 	// stored. It grows at load ½ and keeps its capacity across strips.
 	index []int32
+	// frames and parts are the pooled scratch of a parallel ctz1 strip
+	// (stripCTZ1); blocks and workers record its figures.
+	frames          []ctz1Frame
+	parts           []stripPart
+	blocks, workers int
 }
 
 // indexMin is the smallest index a strip starts with.
@@ -103,6 +108,7 @@ func (s *Stripped) reset(lineWords, n int) (*Stripped, uint, error) {
 		s = &Stripped{}
 	}
 	s.LineWords = lineWords
+	s.blocks, s.workers = 0, 0
 	s.Unique = s.Unique[:0]
 	s.IDs = slices.Grow(s.IDs[:0], n)
 	if s.index == nil {
@@ -174,6 +180,11 @@ func (s *Stripped) ID(addr uint32) (int, bool) {
 	}
 	return 0, false
 }
+
+// Decoded reports how the strip that filled s decoded a ctz1 image in
+// parallel: the image's block count and the goroutines that parsed it.
+// Both are zero for every other strip.
+func (s *Stripped) Decoded() (blocks, workers int) { return s.blocks, s.workers }
 
 // Addr returns the address of identifier id.
 func (s *Stripped) Addr(id int) uint32 { return s.Unique[id] }

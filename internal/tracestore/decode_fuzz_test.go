@@ -41,7 +41,7 @@ func ctz1Corpus(tb testing.TB) [][]byte {
 // server makes when it revives a persisted trace — and holds the bytes to
 // checkDecode. The store digest is computed over those exact bytes, so
 // verification passes and any damage reaches the decoder.
-func checkStoredDecode(t *testing.T, data []byte, arena *trace.Arena) {
+func checkStoredDecode(t *testing.T, data []byte) {
 	t.Helper()
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -57,19 +57,19 @@ func checkStoredDecode(t *testing.T, data []byte, arena *trace.Arena) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("Get returned %d bytes, put %d", len(got), len(data))
 	}
-	checkDecode(t, got, arena)
+	checkDecode(t, got)
 }
 
-// checkDecode decodes data with trace.DecodeBytes into arena, as a server
-// decodes a stored or peer-fetched trace. The contract: an input
+// checkDecode decodes data with trace.DecodeBytes, as a server decodes a
+// stored or peer-fetched trace. The contract: an input
 // carrying the ctz1 magic decodes cleanly or fails with a typed
 // *trace.CorruptError / *trace.LimitError; every input decodes to exactly
 // what the streaming trace.Decode yields, or fails where it fails;
 // nothing panics.
-func checkDecode(t *testing.T, data []byte, arena *trace.Arena) {
+func checkDecode(t *testing.T, data []byte) {
 	t.Helper()
 	lim := trace.Limits{MaxRefs: 1 << 16}
-	tr, err := trace.DecodeBytes(data, lim, arena)
+	tr, err := trace.DecodeBytes(data, lim)
 	if err != nil && bytes.HasPrefix(data, []byte("CTZ1")) {
 		var ce *trace.CorruptError
 		var le *trace.LimitError
@@ -87,8 +87,8 @@ func checkDecode(t *testing.T, data []byte, arena *trace.Arena) {
 	}
 }
 
-// FuzzMappedCTZ1 fuzzes the stored-trace decode (trace.DecodeBytes into
-// an arena) over arbitrary, often corrupted, ctz1 images. The store
+// FuzzMappedCTZ1 fuzzes the stored-trace decode (trace.DecodeBytes) over
+// arbitrary, often corrupted, ctz1 images. The store
 // round trip in front of it is left to TestFuzzMappedCTZ1Seeds: an fsync'd
 // Put per exec would leave the fuzzer almost no execs.
 func FuzzMappedCTZ1(f *testing.F) {
@@ -96,19 +96,16 @@ func FuzzMappedCTZ1(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var arena trace.Arena
-		checkDecode(t, data, &arena)
+		checkDecode(t, data)
 	})
 }
 
 // TestFuzzMappedCTZ1Seeds puts each seed in a store, reads it back with
-// Get and runs the fuzz check over the bytes, with one arena shared
-// across the cases, as a warm start shares one across consecutive loads,
-// so the corrupt-block, truncation and valid cases run in every
-// `go test`, not only under -fuzz.
+// Get and runs the fuzz check over the bytes, so the corrupt-block,
+// truncation and valid cases run in every `go test`, not only under
+// -fuzz.
 func TestFuzzMappedCTZ1Seeds(t *testing.T) {
-	var arena trace.Arena
 	for _, data := range ctz1Corpus(t) {
-		checkStoredDecode(t, data, &arena)
+		checkStoredDecode(t, data)
 	}
 }
