@@ -107,9 +107,13 @@ func (sc *spaceScratch) give(sw *onepass.PolicySweeper) {
 }
 
 // stageSlot is the reusable memory of one stage in flight: the strip of
-// its current line and, for an L2 stage, the filtered stream it strips.
+// its current line, the strip's direct-mapped miss lists and, for an L2
+// stage, the filtered stream it strips. For a stream of N references it
+// holds 4N bytes of strip ids, fewer than 4N bytes of lists and, on an
+// L2 stage, 8 bytes per refill or writeback of the filtered stream.
 type stageSlot struct {
 	strip    trace.Stripped
+	lists    onepass.MissLists
 	filtered trace.Trace
 }
 
@@ -222,7 +226,7 @@ func (r *spaceRun) live() bool {
 // sweep, or nil once the run has failed. take refuses only while another
 // sweeper is busy, and each comes back with a broadcast, so a waiting
 // sweep always wakes, and sees a failure then.
-func (r *spaceRun) sweep(q *policyRun, strip *trace.Stripped, lvl, assoc int) (out *onepass.AssocSweep) {
+func (r *spaceRun) sweep(q *policyRun, strip *trace.Stripped, ids []int32, lvl, assoc int) (out *onepass.AssocSweep) {
 	r.mu.Lock()
 	sw := r.sc.take(strip, 1<<lvl, assoc)
 	for sw == nil && !r.stopped() {
@@ -243,6 +247,7 @@ func (r *spaceRun) sweep(q *policyRun, strip *trace.Stripped, lvl, assoc int) (o
 			q.span.SetAttr("line", strip.LineWords)
 			q.span.SetAttr("depths", len(q.out))
 			q.span.SetAttr("cells", q.cells)
+			q.span.SetAttr("refs", q.refs)
 			q.span.End()
 		}
 	}()
@@ -251,13 +256,14 @@ func (r *spaceRun) sweep(q *policyRun, strip *trace.Stripped, lvl, assoc int) (o
 		_, q.span = obs.StartSpan(r.ctx, "sweep")
 	}
 	q.cells += assoc
+	q.refs += len(ids)
 	r.mu.Unlock()
 	if !live {
 		return nil
 	}
 	err := faultinject.Hit("dse.sweep")
 	if err == nil {
-		out, err = sw.SweepLines(strip, 1<<lvl, assoc, onepassOf(q.policy))
+		out, err = sw.SweepList(strip, ids, 1<<lvl, assoc, onepassOf(q.policy))
 	}
 	if err != nil {
 		r.fail(err, nil)

@@ -23,7 +23,10 @@ import (
 // topology — and emit the Pareto front over (misses, energy, area). Miss
 // counts come from one-pass policy sweeps, one per (stream, line, depth,
 // policy), each exact for every associativity at once; costs come from
-// the cacti model. The only simulation is the L1 filter replay that
+// the cacti model. Every sweep of a (stream, line) reads the line's one
+// strip, and at depth D only the references that miss a direct-mapped
+// cache of D sets (onepass.MissLists): the rest hit every replica and
+// change nothing. The only simulation is the L1 filter replay that
 // derives the L2 reference stream, one run per retained L1 pair. On
 // levels whose policy set includes LRU, a depth's LRU sweep runs first
 // and its α-threshold and A_zero cuts prune the associativity axis before
@@ -201,13 +204,14 @@ type levelStage struct {
 
 // policyRun is one policy's sweeps of a stage's line, one per depth, and
 // the "sweep" span they record under, from the first sweep's start to the
-// last one's end: the policy, line, number of depths and of (depth,
-// assoc) cells swept. Its counts belong to the run's mutex.
+// last one's end: the policy, line, number of depths, of (depth, assoc)
+// cells swept and of references read. Its counts belong to the run's
+// mutex.
 type policyRun struct {
-	policy      core.Policy
-	out         []*onepass.AssocSweep // per depth level
-	left, cells int
-	span        *obs.Span
+	policy            core.Policy
+	out               []*onepass.AssocSweep // per depth level
+	left, cells, refs int
+	span              *obs.Span
 }
 
 // newLevelStage returns the stage evaluating ls on stream, its line sizes
@@ -246,6 +250,9 @@ func (st *levelStage) run(r *spaceRun, slot *stageSlot) {
 		}
 		_, span := obs.StartSpan(r.ctx, "l2_filter")
 		f := &slot.filtered
+		// Every L1 miss sends one refill to L2, so the stream holds at
+		// least the pair's misses; only its writebacks can grow it.
+		f.Refs = slices.Grow(f.Refs[:0], st.pair.i.misses()+st.pair.d.misses())
 		err := filterSplitL1(st.src, st.pair.i.config(), st.pair.d.config(), f)
 		if span != nil {
 			span.SetAttr("refs_in", st.src.Len())
@@ -268,18 +275,23 @@ func (st *levelStage) run(r *spaceRun, slot *stageSlot) {
 			r.fail(err, nil)
 			return
 		}
-		st.sweepLine(r, strip)
+		st.sweepLine(r, strip, &slot.lists)
 	}
 }
 
 // sweepLine sweeps strip by every policy at every depth, one goroutine
-// per depth, and collects the line's candidates. Under the cuts a depth's
-// goroutine runs its LRU sweep first and starts the depth's non-LRU
-// sweeps, up to the α-threshold, once it has the caps; otherwise it
-// starts every policy's sweep at once over the full axis. It collects
-// nothing once the run has failed.
-func (st *levelStage) sweepLine(r *spaceRun, strip *trace.Stripped) {
+// per depth, and collects the line's candidates. It first builds the
+// strip's direct-mapped miss lists into lists, and every sweep at a
+// depth reads that depth's list instead of the strip: a list that nests
+// in the shallower ones, stored only when it halves the list it would
+// otherwise read, so the lists hold fewer than N ids. Under the cuts a
+// depth's goroutine runs its LRU sweep first and starts the depth's
+// non-LRU sweeps, up to the α-threshold, once it has the caps;
+// otherwise it starts every policy's sweep at once over the full axis.
+// It collects nothing once the run has failed.
+func (st *levelStage) sweepLine(r *spaceRun, strip *trace.Stripped, lists *onepass.MissLists) {
 	n := depthLevels(strip, st.ls.MaxDepth) + 1
+	lists.Build(strip, n-1)
 	var runs []*policyRun // LRU's first, if present
 	if st.hasLRU {
 		runs = append(runs, &policyRun{policy: core.PolicyLRU})
@@ -299,7 +311,7 @@ func (st *levelStage) sweepLine(r *spaceRun, strip *trace.Stripped) {
 		r.spawn(&wg, func() {
 			rest := runs
 			if st.cut {
-				lru := r.sweep(runs[0], strip, lvl, st.ls.MaxAssoc)
+				lru := r.sweep(runs[0], strip, lists.At(lvl), lvl, st.ls.MaxAssoc)
 				if lru == nil {
 					return
 				}
@@ -307,7 +319,7 @@ func (st *levelStage) sweepLine(r *spaceRun, strip *trace.Stripped) {
 				rest = runs[1:]
 			}
 			for _, q := range rest {
-				r.spawn(&wg, func() { r.sweep(q, strip, lvl, capAlpha[lvl]) })
+				r.spawn(&wg, func() { r.sweep(q, strip, lists.At(lvl), lvl, capAlpha[lvl]) })
 			}
 		})
 	}
@@ -527,7 +539,12 @@ func exploreSplit(r *spaceRun, t *trace.Trace, space core.Space, o SpaceOptions,
 	for k, pr := range pairs {
 		stages[k] = newL2Stage(t, pr, space.L2, o)
 	}
-	if err := r.run(&front.Stats, stages...); err != nil {
+	// The pairs come in rising L1 misses, so the stages start from the
+	// longest L2 stream down: a slot's filtered stream then grows at its
+	// first stage and is reused by the shorter ones after it.
+	longestFirst := slices.Clone(stages)
+	slices.Reverse(longestFirst)
+	if err := r.run(&front.Stats, longestFirst...); err != nil {
 		return err
 	}
 	for k, pr := range pairs {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -841,10 +842,47 @@ func TestExploreSpaceCancelWhileWaiting(t *testing.T) {
 	}
 }
 
+// maxSpaceAllocBytes bounds the bytes one ExploreSpace of the fir mixed
+// stream allocates at GOMAXPROCS 1, the figure space-default's
+// heap_peak_mb adds to the live heap. Growing the split L1 streams and
+// each L2 stream by append allocated 20.5 MB; sizing them exactly
+// allocates 7.6 MB, the direct-mapped miss lists included. The bound
+// sits between the two.
+const maxSpaceAllocBytes = 11 << 20
+
+// TestExploreSpaceAllocBytes is the space-mode allocation gate: the
+// fewest bytes any of three calls allocates must stay under
+// maxSpaceAllocBytes.
+func TestExploreSpaceAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation figures are meaningless under the race detector")
+	}
+	res := kernelStreams(t, "fir")
+	tr := mergeStreams(res.Instr, res.Data)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ExploreSpace(context.Background(), tr, core.DefaultSpace(), SpaceOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("ExploreSpace of fir (%d references) allocates %.2f MB", tr.Len(), float64(least)/1e6)
+	if least > maxSpaceAllocBytes {
+		t.Fatalf("ExploreSpace of fir allocates %d bytes, want <= %d", least, maxSpaceAllocBytes)
+	}
+}
+
 // TestExploreSpaceSweepSpans checks the spans a space exploration records
 // under a recorder: one "sweep" per (stream, line, policy), naming its
 // policy and line, with as many depths as the candidate grid has and the
-// LRU sweep covering every (depth, assoc) cell.
+// LRU sweep covering every (depth, assoc) cell. Its refs are the
+// references the sweeps read: the line's direct-mapped miss lists summed
+// over the depths, at least the cold misses and at most the strip at
+// every depth.
 func TestExploreSpaceSweepSpans(t *testing.T) {
 	res := kernelStreams(t, "crc")
 	sp := core.Space{L1: core.LevelSpace{
@@ -866,7 +904,21 @@ func TestExploreSpaceSweepSpans(t *testing.T) {
 		line, _ := s.Attrs["line"].(int)
 		depths, _ := s.Attrs["depths"].(int)
 		cells, _ := s.Attrs["cells"].(int)
+		refs, _ := s.Attrs["refs"].(int)
 		seen[fmt.Sprintf("%s/%d", policy, line)]++
+		strip, err := trace.StripLines(res.Data, line, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lists onepass.MissLists
+		lists.Build(strip, depthLevels(strip, sp.L1.MaxDepth))
+		want := 0
+		for lvl := range depths {
+			want += len(lists.At(lvl))
+		}
+		if refs != want || refs < depths*strip.NUnique() || refs > depths*strip.N() {
+			t.Errorf("sweep span %v: refs %d, want the lists' %d, within depths·[N′, N]", s.Attrs, refs, want)
+		}
 		candidates += depths * sp.L1.MaxAssoc
 		if depths < 1 || cells < depths || cells > depths*sp.L1.MaxAssoc {
 			t.Errorf("sweep span %v: cells outside [depths, depths·MaxAssoc]", s.Attrs)

@@ -2,8 +2,10 @@ package onepass
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/example/cachedse/internal/cache"
@@ -57,7 +59,11 @@ func fuzzRefs(header []byte, tr *trace.Trace) []byte {
 
 // FuzzPolicySweep checks the dense-id sweep differentially: every
 // associativity against a cache.Simulate run, and the whole sweep against
-// the replica oracle.
+// the replica oracle. Each input is also swept, under all four policies,
+// from three lists in place of the strip: the depth's exact
+// direct-mapped miss list, a shallower depth's (a superset) and the list
+// MissLists stores or shares for the depth. Each must give the
+// full-strip sweep, which must give cache.Simulate.
 func FuzzPolicySweep(f *testing.F) {
 	f.Add([]byte{0, 7, 0, 1, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9})
 	f.Add([]byte{2, 4, 1, 3, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
@@ -78,6 +84,23 @@ func FuzzPolicySweep(f *testing.F) {
 	}
 	for _, p := range []ReplPolicy{ReplFIFO, ReplRandom, ReplPLRU} {
 		f.Add(append([]byte{2, 3, 0, byte(p)}, revisit...))
+	}
+	// Miss lists at depth 4 (byte x is address 7x; 0..3 fall in four
+	// sets, alternating between two at depth 2). A four-line loop misses
+	// every reference at depths 1 and 2, so both levels share the strip,
+	// and only its cold misses at depth 4, a list that halves the strip.
+	// Doubling each reference halves the strip at depth 1 already; depth 2
+	// then misses the whole of that list and shares it with its parent.
+	var loop, doubled []byte
+	for range 12 {
+		for x := range byte(4) {
+			loop = append(loop, x)
+			doubled = append(doubled, x, x)
+		}
+	}
+	for p := range byte(4) {
+		f.Add(append([]byte{2, 3, 0, p}, loop...))
+		f.Add(append([]byte{2, 3, 0, p}, doubled...))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tr, depth, maxAssoc, line, p := fuzzSweepArgs(b)
@@ -103,5 +126,90 @@ func FuzzPolicySweep(f *testing.F) {
 					p, depth, a, line, sw.MissByAssoc[a], sw.Cold, res.Misses, res.ColdMisses)
 			}
 		}
+		checkListSweeps(t, tr, depth, maxAssoc, line)
 	})
+}
+
+// checkListSweeps sweeps tr at depth under every policy from the strip,
+// from the depth's exact direct-mapped miss list, from a shallower
+// depth's (the strip's own at depth 1) and from MissLists' list, and
+// checks that the four sweeps agree with each other and with
+// cache.Simulate at every associativity. It checks MissLists' list to
+// hold the exact one and its stored ids to stay below N.
+func checkListSweeps(t *testing.T, tr *trace.Trace, depth, maxAssoc, line int) {
+	t.Helper()
+	l, err := trace.StripLines(tr, line, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lvl := bits.Len(uint(depth)) - 1
+	var ml MissLists
+	ml.Build(l, lvl)
+	exact := dmMissList(l, depth)
+	if !isSubsequence(exact, ml.At(lvl)) || !isSubsequence(ml.At(lvl), l.IDs) {
+		t.Fatalf("D=%d lw=%d: list %v is not between the exact list %v and the strip", depth, line, ml.At(lvl), exact)
+	}
+	if ml.Stored() > max(len(l.IDs)-1, 0) {
+		t.Fatalf("D=%d lw=%d: lists store %d ids for %d references", depth, line, ml.Stored(), len(l.IDs))
+	}
+	// Each distinct list is swept once; the strip is the full sweep's.
+	names := []string{"exact", "superset", "built"}
+	lists := [][]int32{exact, l.IDs, ml.At(lvl)}
+	if depth > 1 {
+		lists[1] = dmMissList(l, depth/2)
+	}
+	var sw PolicySweeper
+	for p := range ReplPLRU + 1 {
+		full, err := sw.SweepLines(l, depth, maxAssoc, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, ids := range lists {
+			if slices.Equal(ids, l.IDs) || slices.ContainsFunc(lists[:k], func(prev []int32) bool { return slices.Equal(prev, ids) }) {
+				continue
+			}
+			got, err := sw.SweepList(l, ids, depth, maxAssoc, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, full) {
+				t.Fatalf("%s D=%d maxA=%d lw=%d: %s list sweep %+v, strip sweep %+v", p, depth, maxAssoc, line, names[k], got, full)
+			}
+		}
+		repl := []cache.Replacement{ReplLRU: cache.LRU, ReplFIFO: cache.FIFO, ReplRandom: cache.Random, ReplPLRU: cache.PLRU}[p]
+		for a := 1; a <= maxAssoc; a++ {
+			res, err := cache.Simulate(cache.Config{Depth: depth, Assoc: a, LineWords: line, Repl: repl}, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.MissByAssoc[a] != res.Misses {
+				t.Fatalf("%s D=%d A=%d lw=%d: strip sweep %d misses, simulator %d", p, depth, a, line, full.MissByAssoc[a], res.Misses)
+			}
+		}
+	}
+}
+
+// dmMissList is the references of l that miss a direct-mapped cache of
+// depth sets, found by replaying the whole strip.
+func dmMissList(l *trace.Stripped, depth int) []int32 {
+	last := make([]int32, depth) // id+1 of each set's line, 0 while empty
+	var out []int32
+	for _, id := range l.IDs {
+		set := l.Unique[id] & uint32(depth-1)
+		if last[set] != id+1 {
+			last[set] = id + 1
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// isSubsequence reports whether sub is a subsequence of s.
+func isSubsequence(sub, s []int32) bool {
+	for _, id := range s {
+		if len(sub) > 0 && sub[0] == id {
+			sub = sub[1:]
+		}
+	}
+	return len(sub) == 0
 }

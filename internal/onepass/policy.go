@@ -47,7 +47,9 @@ import (
 // A FIFO or Random hit changes no state (the Random streams are drawn
 // only on a full-set miss), and a PLRU hit rewrites the nodes on its
 // way's path to fixed values, which the last reference already wrote.
-// Skipping it leaves every replica exactly as the simulator would.
+// Skipping it leaves every replica exactly as the simulator would. So a
+// sweep may read, in place of the strip, any list of its references
+// that keeps every direct-mapped miss (SweepList, MissLists).
 
 // ReplPolicy selects the replacement policy of a PolicySweep.
 type ReplPolicy uint8
@@ -178,6 +180,19 @@ func (s *PolicySweeper) SweepLines(l *trace.Stripped, depth, maxAssoc int, p Rep
 	if l == nil {
 		return nil, fmt.Errorf("onepass: SweepLines given a nil strip")
 	}
+	return s.SweepList(l, l.IDs, depth, maxAssoc, p)
+}
+
+// SweepList is SweepLines reading only ids, a subsequence of l.IDs that
+// holds every reference missing a direct-mapped cache of depth sets, as
+// MissLists.At gives it; it may hold more. Every skipped reference is a
+// direct-mapped hit, which every kernel skips anyway: it hits every
+// replica and changes none (LRU finds it on top of its stack). So the
+// answer equals SweepLines', Accesses included.
+func (s *PolicySweeper) SweepList(l *trace.Stripped, ids []int32, depth, maxAssoc int, p ReplPolicy) (*AssocSweep, error) {
+	if l == nil {
+		return nil, fmt.Errorf("onepass: SweepList given a nil strip")
+	}
 	if err := checkSweep(depth, maxAssoc, p); err != nil {
 		return nil, err
 	}
@@ -190,7 +205,7 @@ func (s *PolicySweeper) SweepLines(l *trace.Stripped, depth, maxAssoc int, p Rep
 		MissByAssoc: make([]int, maxAssoc+1),
 	}
 	if p == ReplLRU {
-		s.sweepLRU(l, depth, maxAssoc, out.MissByAssoc)
+		s.sweepLRU(ids, l.Unique, depth, maxAssoc, out.MissByAssoc)
 		return out, nil
 	}
 	s.wayOf = zeroed(s.wayOf, (len(l.Unique)+1)*maxAssoc)
@@ -198,7 +213,7 @@ func (s *PolicySweeper) SweepLines(l *trace.Stripped, depth, maxAssoc int, p Rep
 	s.count = zeroed(s.count, depth*maxAssoc)
 	switch p {
 	case ReplFIFO:
-		s.sweepFIFO(l, depth, maxAssoc, out.MissByAssoc)
+		s.sweepFIFO(ids, l.Unique, depth, maxAssoc, out.MissByAssoc)
 	case ReplRandom:
 		for len(s.rngs) < maxAssoc {
 			s.rngs = append(s.rngs, rand.New(rand.NewSource(randSeed)))
@@ -206,10 +221,10 @@ func (s *PolicySweeper) SweepLines(l *trace.Stripped, depth, maxAssoc int, p Rep
 		for _, r := range s.rngs[:maxAssoc] {
 			r.Seed(randSeed)
 		}
-		s.sweepRandom(l, depth, maxAssoc, out.MissByAssoc)
+		s.sweepRandom(ids, l.Unique, depth, maxAssoc, out.MissByAssoc)
 	case ReplPLRU:
 		s.tree = zeroed(s.tree, depth*treeStride(maxAssoc))
-		s.sweepPLRU(l, depth, maxAssoc, out.MissByAssoc)
+		s.sweepPLRU(ids, l.Unique, depth, maxAssoc, out.MissByAssoc)
 	}
 	return out, nil
 }
@@ -238,18 +253,18 @@ func zeroed[T int32 | uint64](buf []T, n int) []T {
 // and installs the reference. Each policy has its own loop so no replica
 // pays a policy switch.
 
-func (s *PolicySweeper) sweepFIFO(l *trace.Stripped, depth, maxAssoc int, miss []int) {
+func (s *PolicySweeper) sweepFIFO(ids []int32, unique []uint32, depth, maxAssoc int, miss []int) {
 	mask := uint32(depth - 1)
 	setWays := maxAssoc * (maxAssoc + 1) / 2
 	wayOf, ways, count := s.wayOf, s.ways, s.count
 	next := int32(0)
-	for _, id := range l.IDs {
+	for _, id := range ids {
 		warm := 1
 		if id == next {
 			next++
 			warm = 0
 		}
-		set := int(l.Unique[id] & mask)
+		set := int(unique[id] & mask)
 		row := int(id+1) * maxAssoc
 		probe := wayOf[row : row+maxAssoc]
 		if probe[0] != 0 {
@@ -281,15 +296,15 @@ func (s *PolicySweeper) sweepFIFO(l *trace.Stripped, depth, maxAssoc int, miss [
 // a full stack, so p = capacity = maxAssoc (a set never holds more than
 // N′ lines). The suffix sums then turn that histogram into misses by
 // associativity.
-func (s *PolicySweeper) sweepLRU(l *trace.Stripped, depth, maxAssoc int, miss []int) {
-	capacity := min(maxAssoc, len(l.Unique))
+func (s *PolicySweeper) sweepLRU(ids []int32, unique []uint32, depth, maxAssoc int, miss []int) {
+	capacity := min(maxAssoc, len(unique))
 	s.stack = resize(s.stack, depth*capacity)
 	s.fill = zeroed(s.fill, depth)
 	mask := uint32(depth - 1)
 	stack, fill := s.stack, s.fill
 	next := int32(0)
-	for _, id := range l.IDs {
-		set := int(l.Unique[id] & mask)
+	for _, id := range ids {
+		set := int(unique[id] & mask)
 		st := stack[set*capacity : set*capacity+capacity]
 		n := int(fill[set])
 		p := n
@@ -321,18 +336,18 @@ func (s *PolicySweeper) sweepLRU(l *trace.Stripped, depth, maxAssoc int, miss []
 	}
 }
 
-func (s *PolicySweeper) sweepRandom(l *trace.Stripped, depth, maxAssoc int, miss []int) {
+func (s *PolicySweeper) sweepRandom(ids []int32, unique []uint32, depth, maxAssoc int, miss []int) {
 	mask := uint32(depth - 1)
 	setWays := maxAssoc * (maxAssoc + 1) / 2
 	wayOf, ways, count, rngs := s.wayOf, s.ways, s.count, s.rngs
 	next := int32(0)
-	for _, id := range l.IDs {
+	for _, id := range ids {
 		warm := 1
 		if id == next {
 			next++
 			warm = 0
 		}
-		set := int(l.Unique[id] & mask)
+		set := int(unique[id] & mask)
 		row := int(id+1) * maxAssoc
 		probe := wayOf[row : row+maxAssoc]
 		if probe[0] != 0 {
@@ -462,20 +477,20 @@ func treeVictim(tree []uint64, n int) int {
 	return lo
 }
 
-func (s *PolicySweeper) sweepPLRU(l *trace.Stripped, depth, maxAssoc int, miss []int) {
+func (s *PolicySweeper) sweepPLRU(ids []int32, unique []uint32, depth, maxAssoc int, miss []int) {
 	mask := uint32(depth - 1)
 	setWays := maxAssoc * (maxAssoc + 1) / 2
 	stride := treeStride(maxAssoc)
 	oneWord := min(maxAssoc, plruWordWays)
 	wayOf, ways, count, tree := s.wayOf, s.ways, s.count, s.tree
 	next := int32(0)
-	for _, id := range l.IDs {
+	for _, id := range ids {
 		warm := 1
 		if id == next {
 			next++
 			warm = 0
 		}
-		set := int(l.Unique[id] & mask)
+		set := int(unique[id] & mask)
 		row := int(id+1) * maxAssoc
 		probe := wayOf[row : row+maxAssoc]
 		if probe[0] != 0 {

@@ -86,9 +86,17 @@ func (t *Trace) Filter(keep func(Ref) bool) *Trace {
 
 // Split separates a mixed trace into its instruction and data streams, the
 // form the paper's processor simulator emits ("instrumented to output
-// separate instruction and data memory reference traces", §3).
+// separate instruction and data memory reference traces", §3). It counts
+// the instruction fetches first, so each stream is allocated once at its
+// exact size.
 func (t *Trace) Split() (instr, data *Trace) {
-	instr, data = New(0), New(0)
+	ni := 0
+	for _, r := range t.Refs {
+		if r.Kind == Instr {
+			ni++
+		}
+	}
+	instr, data = New(ni), New(len(t.Refs)-ni)
 	for _, r := range t.Refs {
 		if r.Kind == Instr {
 			instr.Append(r)

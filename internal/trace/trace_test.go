@@ -80,6 +80,30 @@ func TestSplit(t *testing.T) {
 	}
 }
 
+// TestSplitExactCapacity: Split sizes both streams exactly, so neither
+// carries append growth, an empty stream included.
+func TestSplitExactCapacity(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 1000} {
+		tr := New(0)
+		for i := range n {
+			kind := Instr
+			if i%3 == 0 {
+				kind = DataRead
+			}
+			tr.Append(Ref{Addr: uint32(i), Kind: kind})
+		}
+		instr, data := tr.Split()
+		if instr.Len()+data.Len() != n {
+			t.Fatalf("n=%d: Split lens %d + %d", n, instr.Len(), data.Len())
+		}
+		for name, s := range map[string]*Trace{"instr": instr, "data": data} {
+			if cap(s.Refs) != len(s.Refs) {
+				t.Errorf("n=%d: %s stream has cap %d, len %d", n, name, cap(s.Refs), len(s.Refs))
+			}
+		}
+	}
+}
+
 func TestAddrBits(t *testing.T) {
 	cases := []struct {
 		addrs []uint32

@@ -2,7 +2,7 @@
 # alloc_smoke.sh — allocation regression gate for the zero-allocation
 # data plane.
 #
-# Two checks:
+# Three checks:
 #   1. The core package's testing.AllocsPerRun gates: steady-state
 #      Explore (sized and streaming sources) must allocate only the
 #      Result envelope once the scratch pool is warm.
@@ -16,6 +16,12 @@
 #      MAX_ALLOCS) sits between the two, so a pool a collection emptied
 #      passes and a bypassed pool fails. The gate reads the minimum over
 #      five runs, the figure of a run whose pool survived.
+#   3. The bytes one dse.ExploreSpace of the fir mixed stream allocates
+#      at GOMAXPROCS 1 (dse.TestExploreSpaceAllocBytes), the figure
+#      space-default's heap_peak_mb adds to the live heap. Split L1
+#      streams and L2 streams grown by append allocated 20.5 MB; exactly
+#      sized ones allocate 7.6 MB, the direct-mapped miss lists included.
+#      The test's bound, 11 MiB, sits between the two.
 #
 # CI runs this as the alloc-smoke job; it is equally runnable locally.
 set -euo pipefail
@@ -45,3 +51,7 @@ if [ "$allocs" -gt "$max_allocs" ]; then
   exit 1
 fi
 echo "alloc_smoke: OK — $allocs allocs/op (threshold $max_allocs)"
+
+echo "alloc_smoke: space-mode allocation gate"
+go test ./internal/dse -run 'TestExploreSpaceAllocBytes' -count=1 -v
+echo "alloc_smoke: OK — space-mode allocation within its bound"
