@@ -220,12 +220,12 @@ func BenchmarkAblationOnePassVsAnalytical(b *testing.B) {
 	})
 }
 
-// BenchmarkMicroIntersect isolates the three |S ∩ C| kernels the postlude
-// chooses between: the per-element Contains loop the engine used before the
-// hybrid representation, the sparse word-probe kernel
-// (IntersectCountSparse), and the packed word-wise AND+popcount
-// (IntersectCount). Sub-benchmarks sweep the conflict-set cardinality that
-// drives the hybrid representation's pack/no-pack decision.
+// BenchmarkMicroIntersect times the two |S ∩ C| kernels the postlude
+// chooses between by the conflict set's form: the masked popcount over
+// runs of consecutive ids (IntersectCountRuns) and the word-wise
+// AND+popcount over a bit vector (IntersectCount). Sub-benchmarks sweep
+// the run count at a fixed universe of 32 words; the MRCT keeps a set as
+// runs while it has at most that many.
 func BenchmarkMicroIntersect(b *testing.B) {
 	rng := rand.New(rand.NewSource(41))
 	const n = 2048
@@ -233,37 +233,28 @@ func BenchmarkMicroIntersect(b *testing.B) {
 	for i := 0; i < n/3; i++ {
 		row.Add(rng.Intn(n))
 	}
-	for _, card := range []int{8, 64, 512} {
-		elems := make([]int32, 0, card)
-		seen := map[int32]bool{}
-		for len(elems) < card {
-			v := int32(rng.Intn(n))
-			if !seen[v] {
-				seen[v] = true
-				elems = append(elems, v)
-			}
+	var rank bitset.Rank
+	rank.Reset(row)
+	for _, nruns := range []int{2, 8, 32, 128} {
+		// nruns runs of random length, evenly spread over the universe.
+		runs := make([]int32, 0, 2*nruns)
+		stride := n / nruns
+		for k := 0; k < nruns; k++ {
+			lo := k*stride + rng.Intn(stride/2)
+			runs = append(runs, int32(lo), int32(lo+1+rng.Intn(stride/2)))
 		}
 		packed := bitset.New(n)
-		for _, v := range elems {
-			packed.Add(int(v))
+		for k := 0; k < len(runs); k += 2 {
+			for v := runs[k]; v < runs[k+1]; v++ {
+				packed.Add(int(v))
+			}
 		}
-		b.Run(fmt.Sprintf("contains-loop/card=%d", card), func(b *testing.B) {
+		b.Run(fmt.Sprintf("runs/runs=%d", nruns), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d := 0
-				for _, c := range elems {
-					if row.Contains(int(c)) {
-						d++
-					}
-				}
-				_ = d
+				_ = rank.IntersectCountRuns(runs)
 			}
 		})
-		b.Run(fmt.Sprintf("sparse-kernel/card=%d", card), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = row.IntersectCountSparse(elems)
-			}
-		})
-		b.Run(fmt.Sprintf("packed-popcount/card=%d", card), func(b *testing.B) {
+		b.Run(fmt.Sprintf("words/runs=%d", nruns), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = row.IntersectCount(packed)
 			}

@@ -45,6 +45,11 @@ func FromSlice(n int, elems []int) *Set {
 // Cap returns the capacity (maximum element + 1) of the set.
 func (s *Set) Cap() int { return s.n }
 
+// Words returns the set's backing words: element i is bit i%64 of word
+// i/64. Writes through the slice change the set; bits at or above Cap()
+// must stay clear.
+func (s *Set) Words() []uint64 { return s.words }
+
 // Add inserts element i. It panics if i is out of range.
 func (s *Set) Add(i int) {
 	if i < 0 || i >= s.n {
@@ -195,18 +200,55 @@ func (s *Set) IntersectCountAtLeast(o *Set, k int) bool {
 	return false
 }
 
-// IntersectCountSparse returns the number of elements of elems contained
-// in s. It is the sparse counterpart of IntersectCount: when the other set
-// is a short sorted identifier list, iterating its elements beats scanning
-// every word of the universe. Elements must be distinct and in range
-// [0, Cap()); elements outside that range panic or (within the trailing
-// partial word) count as absent. This is the single audited intersection
-// kernel for hybrid (sparse-or-packed) conflict sets.
-func (s *Set) IntersectCountSparse(elems []int32) int {
+// Rank is a set together with the running popcount of its words. It
+// counts the set's elements inside a run of ids with two lookups, however
+// long the run. A Rank is valid until its set changes.
+type Rank struct {
+	words []uint64
+	cum   []int32 // cum[i] is the popcount of words[:i]
+}
+
+// Reset ranks s, reusing r's storage.
+func (r *Rank) Reset(s *Set) {
+	r.words = s.words
+	if cap(r.cum) <= len(s.words) {
+		r.cum = make([]int32, len(s.words)+1)
+	}
+	r.cum = r.cum[:len(s.words)+1]
+	c := int32(0)
+	for i, w := range s.words {
+		r.cum[i] = c
+		c += int32(bits.OnesCount64(w))
+	}
+	r.cum[len(s.words)] = c
+}
+
+// below returns the number of elements less than x, 0 ≤ x ≤ 64·len(words):
+// the running count up to x's word plus a masked popcount of that word.
+func (r *Rank) below(x uint32) int {
+	i, b := x/wordBits, x%wordBits
+	n := int(r.cum[i])
+	if b != 0 {
+		n += bits.OnesCount64(r.words[i] & (1<<b - 1))
+	}
+	return n
+}
+
+// IntersectCountRuns returns the number of elements of the ranked set
+// inside the runs, given as ascending, disjoint [lo, hi) pairs flattened
+// into one slice: the postlude's |S ∩ C| for a conflict set stored as
+// runs of consecutive ids. A run inside one word costs one masked
+// popcount, a longer run two, whatever its length. Runs must lie within
+// [0, 64·⌈Cap()/64⌉); one past that panics.
+func (r *Rank) IntersectCountRuns(runs []int32) int {
 	c := 0
-	w := s.words
-	for _, e := range elems {
-		c += int(w[e>>6] >> (uint32(e) & 63) & 1)
+	for i := 0; i+1 < len(runs); i += 2 {
+		lo, hi := uint32(runs[i]), uint32(runs[i+1])
+		if a := lo / wordBits; a == (hi-1)/wordBits {
+			c += bits.OnesCount64(r.words[a] >> (lo % wordBits) & (1<<(hi-lo) - 1))
+			continue
+		}
+		c += r.below(hi) - r.below(lo)
 	}
 	return c
 }

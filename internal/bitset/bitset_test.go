@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -339,52 +340,100 @@ func TestQuickIntersectCountAtLeast(t *testing.T) {
 	}
 }
 
-func TestIntersectCountSparse(t *testing.T) {
-	s := FromSlice(200, []int{0, 10, 64, 128, 199})
+// rank returns s ranked.
+func rank(s *Set) *Rank {
+	var r Rank
+	r.Reset(s)
+	return &r
+}
+
+// fromRuns returns the set of capacity n holding the flattened [lo, hi)
+// runs.
+func fromRuns(n int, runs []int32) *Set {
+	s := New(n)
+	for i := 0; i+1 < len(runs); i += 2 {
+		for v := runs[i]; v < runs[i+1]; v++ {
+			s.Add(int(v))
+		}
+	}
+	return s
+}
+
+func TestIntersectCountRuns(t *testing.T) {
+	s := FromSlice(200, []int{0, 10, 63, 64, 127, 128, 199})
 	cases := []struct {
-		elems []int32
-		want  int
+		runs []int32
+		want int
 	}{
 		{nil, 0},
-		{[]int32{10}, 1},
-		{[]int32{1, 2, 3}, 0},
-		{[]int32{0, 10, 64, 128, 199}, 5},
-		{[]int32{5, 64, 199}, 2},
+		{[]int32{10, 11}, 1},
+		{[]int32{1, 10}, 0},
+		{[]int32{0, 200}, 7},
+		{[]int32{0, 64}, 3},   // one whole word
+		{[]int32{63, 65}, 2},  // across a word boundary
+		{[]int32{64, 128}, 2}, // starts and ends on word boundaries
+		{[]int32{5, 11, 60, 130}, 5},
+		{[]int32{128, 200}, 2}, // ends at the last id of the last word
+		{[]int32{199, 200}, 1},
 	}
 	for _, c := range cases {
-		if got := s.IntersectCountSparse(c.elems); got != c.want {
-			t.Errorf("IntersectCountSparse(%v) = %d, want %d", c.elems, got, c.want)
+		if got := rank(s).IntersectCountRuns(c.runs); got != c.want {
+			t.Errorf("IntersectCountRuns(%v) = %d, want %d", c.runs, got, c.want)
 		}
+	}
+	full := New(256)
+	for i := range 256 {
+		full.Add(i)
+	}
+	if got := rank(full).IntersectCountRuns([]int32{0, 64, 192, 256}); got != 128 {
+		t.Errorf("run ending at the last bit of the last word: %d, want 128", got)
 	}
 }
 
-func TestIntersectCountSparseOutOfRangePanics(t *testing.T) {
+func TestIntersectCountRunsOutOfRangePanics(t *testing.T) {
 	s := New(64)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("IntersectCountSparse with out-of-range element did not panic")
+			t.Fatal("IntersectCountRuns with a run past the last word did not panic")
 		}
 	}()
-	s.IntersectCountSparse([]int32{64})
+	rank(s).IntersectCountRuns([]int32{60, 129})
 }
 
-// Property: the sparse kernel agrees with IntersectCount when the element
-// list is the other set's Elems — the hybrid conflict-set invariant.
-func TestQuickIntersectCountSparseMatchesDense(t *testing.T) {
-	f := func(xs, ys []uint8) bool {
-		const n = 256
-		a, b := New(n), New(n)
+// Property: the run kernel agrees with IntersectCount against the set
+// built from the same runs. The runs come from random boundaries, so
+// they start and end on word boundaries as well as inside words, and the
+// last may end at the universe's last id.
+func TestQuickIntersectCountRunsMatchesDense(t *testing.T) {
+	f := func(xs []uint8, cuts []uint16, words, tail uint8) bool {
+		// tail 0 makes the universe's last id the last bit of a word.
+		size := (int(words)%4+1)*64 - int(tail)%64
+		a := New(size)
 		for _, x := range xs {
-			a.Add(int(x))
+			a.Add(int(x) % size)
 		}
-		for _, y := range ys {
-			b.Add(int(y))
+		// The runs are the pairs of distinct, ascending cut points in
+		// [0, size]; every fourth cut snaps to a word boundary.
+		var edges []int32
+		for _, c := range cuts {
+			v := int(c) % (size + 1)
+			if c&3 == 0 {
+				v = v / 64 * 64
+			}
+			edges = append(edges, int32(v))
 		}
-		elems := make([]int32, 0, b.Count())
-		b.ForEach(func(i int) bool { elems = append(elems, int32(i)); return true })
-		return a.IntersectCountSparse(elems) == a.IntersectCount(b)
+		slices.Sort(edges)
+		edges = slices.Compact(edges)
+		if len(edges)%2 == 1 {
+			if edges[len(edges)-1] < int32(size) {
+				edges = append(edges, int32(size))
+			} else {
+				edges = edges[1:]
+			}
+		}
+		return rank(a).IntersectCountRuns(edges) == a.IntersectCount(fromRuns(size, edges))
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -30,14 +30,15 @@ func exploreBCAT(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options) 
 		for id := 0; id < s.NUnique(); id++ {
 			root.Add(id)
 		}
-		accumulate(r.Levels[0], root, m)
+		var rank bitset.Rank
+		accumulate(r.Levels[0], root, m, &rank)
 		chk := &ctxCheck{ctx: ctx, every: 64}
 		for l := 1; l <= levels; l++ {
 			for _, set := range t.LevelSets(l) {
 				if chk.stop() {
 					return nil, chk.err
 				}
-				accumulate(r.Levels[l], set, m)
+				accumulate(r.Levels[l], set, m, &rank)
 			}
 		}
 	}

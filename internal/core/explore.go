@@ -285,11 +285,11 @@ func exploreDFS(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, s
 		}
 		if span != nil {
 			t0 := time.Now()
-			accumulate(r.Levels[level], set, m)
+			accumulate(r.Levels[level], set, m, &sc.rank)
 			lvlNS[level] += time.Since(t0).Nanoseconds()
 			lvlRows[level]++
 		} else {
-			accumulate(r.Levels[level], set, m)
+			accumulate(r.Levels[level], set, m, &sc.rank)
 		}
 		if level >= levels || set.Count() < 2 {
 			// A row with fewer than two references can never conflict at
@@ -382,18 +382,19 @@ func newLevelResult(level int, m *MRCT) *LevelResult {
 
 // accumulate folds one row set S into a level's histogram: for every
 // non-cold occurrence of every reference in S, bump Hist[|S ∩ C|] by the
-// occurrence's multiplicity. The intersection runs through the hybrid
-// kernel: packed word-wise AND+popcount for dense conflict sets, the
-// sparse element-probe kernel otherwise.
-func accumulate(lr *LevelResult, set *bitset.Set, m *MRCT) {
+// occurrence's multiplicity. The intersection kernel follows the set's
+// form: word-wise AND+popcount for a bit vector, and for runs two masked
+// popcounts per run against S ranked once into rank.
+func accumulate(lr *LevelResult, set *bitset.Set, m *MRCT, rank *bitset.Rank) {
 	hist := lr.Hist
+	rank.Reset(set)
 	set.ForEach(func(e int) bool {
 		for _, o := range m.occ[e] {
 			var d int
 			if p := m.packed[o.set]; p != nil {
 				d = set.IntersectCount(p)
 			} else {
-				d = set.IntersectCountSparse(m.sets[o.set])
+				d = rank.IntersectCountRuns(m.runs[o.set])
 			}
 			hist[d] += int(o.count)
 		}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"github.com/example/cachedse/internal/bitset"
 	"github.com/example/cachedse/internal/obs"
@@ -22,25 +23,30 @@ import (
 // Conflict sets are deduplicated globally with multiplicities —
 // loop-dominated embedded traces repeat a handful of conflict windows
 // millions of times, and the postlude phase only needs |S ∩ C| per
-// *distinct* C weighted by its count — and stored in a hybrid
-// representation: small sets as sorted identifier slices (carved out of a
-// shared arena), sets dense relative to the identifier universe
-// additionally as packed bit vectors so the postlude can intersect them
-// word-wise with AND+popcount. This keeps the structure within the paper's
-// stated O(trace) space in practice.
+// *distinct* C weighted by its count. Each distinct set is stored once, in
+// whichever of two forms takes fewer bytes. Identifiers are numbered in
+// first-touch order, so a window is nearly always a few runs of
+// consecutive ids: the run form holds its maximal [lo, hi) runs, 8 B each,
+// carved from a shared arena. A set with more runs than the universe has
+// 64-bit words is a packed bit vector of 8·⌈N′/64⌉ B instead. So a distinct
+// set never costs more than 8·⌈N′/64⌉ B plus its header, which keeps the
+// structure within the paper's stated O(trace) space in practice.
 type MRCT struct {
 	nunique int
-	// sets is the global table of distinct conflict sets, each sorted
-	// ascending by identifier. The slices alias shared arena blocks.
-	sets [][]int32
-	// packed[i] is the bit-vector form of sets[i] when it is dense enough
-	// for the word-wise kernel to win, nil otherwise.
+	// runs[c] is set c's run form: its maximal runs of consecutive ids as
+	// ascending [lo, hi) pairs, flattened. The slices alias shared arena
+	// blocks. nil for a packed set and for the empty set.
+	runs [][]int32
+	// packed[c] is set c's bit-vector form when that takes fewer bytes
+	// than its runs, nil otherwise.
 	packed []*bitset.Set
+	// card[c] is the cardinality of set c.
+	card []int32
 	// maxCard is the largest conflict-set cardinality, bounding every
 	// |S ∩ C| the postlude can produce.
 	maxCard int
 	// occ[id] lists, per distinct conflict set of id, the pair (index into
-	// sets, number of occurrences with exactly that window).
+	// the set table, number of occurrences with exactly that window).
 	occ [][]occurrence
 }
 
@@ -53,7 +59,7 @@ type occurrence struct {
 func (m *MRCT) NUnique() int { return m.nunique }
 
 // DistinctSets returns the size of the global deduplicated set table.
-func (m *MRCT) DistinctSets() int { return len(m.sets) }
+func (m *MRCT) DistinctSets() int { return len(m.card) }
 
 // MaxConflictCard returns the largest conflict-set cardinality in the
 // table. Every postlude histogram index |S ∩ C| is at most this, so
@@ -61,8 +67,8 @@ func (m *MRCT) DistinctSets() int { return len(m.sets) }
 // loop.
 func (m *MRCT) MaxConflictCard() int { return m.maxCard }
 
-// PackedSets returns how many distinct sets also carry a packed bit-vector
-// form, for space accounting and tests.
+// PackedSets returns how many distinct sets are stored as packed bit
+// vectors; the others are stored as runs.
 func (m *MRCT) PackedSets() int {
 	n := 0
 	for _, p := range m.packed {
@@ -85,14 +91,60 @@ func (m *MRCT) Occurrences() int {
 	return total
 }
 
+// Bytes returns the bytes the table holds: its sets' runs and bit-vector
+// words, one header per set (its run slice, bit-vector pointer and
+// cardinality, plus the bit vector's own header when it has one) and the
+// occurrence runs with their per-id slice headers. Arena slack is not
+// counted.
+func (m *MRCT) Bytes() int {
+	const (
+		setHdr  = int(unsafe.Sizeof([]int32(nil)) + unsafe.Sizeof((*bitset.Set)(nil)) + unsafe.Sizeof(int32(0)))
+		vecHdr  = int(unsafe.Sizeof(bitset.Set{}))
+		occHdr  = int(unsafe.Sizeof([]occurrence(nil)))
+		occSize = int(unsafe.Sizeof(occurrence{}))
+	)
+	b := len(m.card)*setHdr + len(m.occ)*occHdr
+	for c, r := range m.runs {
+		b += 4 * len(r)
+		if p := m.packed[c]; p != nil {
+			b += vecHdr + 8*len(p.Words())
+		}
+	}
+	for _, os := range m.occ {
+		b += occSize * len(os)
+	}
+	return b
+}
+
+// appendIDs appends the ids of set c to dst in ascending order.
+func (m *MRCT) appendIDs(dst []int32, c int32) []int32 {
+	if p := m.packed[c]; p != nil {
+		for wi, w := range p.Words() {
+			for ; w != 0; w &= w - 1 {
+				dst = append(dst, int32(wi*64+bits.TrailingZeros64(w)))
+			}
+		}
+		return dst
+	}
+	r := m.runs[c]
+	for i := 0; i < len(r); i += 2 {
+		for v := r[i]; v < r[i+1]; v++ {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
 // ConflictSets expands the table for identifier id into one sorted slice
-// per non-cold occurrence (multiplicities unrolled). Intended for tests and
-// table rendering; the postlude phase iterates the compressed form.
+// per non-cold occurrence (multiplicities unrolled); occurrences of the
+// same set share one slice. Intended for tests and table rendering; the
+// postlude phase iterates the compressed form.
 func (m *MRCT) ConflictSets(id int) [][]int32 {
 	var out [][]int32
 	for _, o := range m.occ[id] {
+		ids := m.appendIDs(make([]int32, 0, m.card[o.set]), o.set)
 		for i := int32(0); i < o.count; i++ {
-			out = append(out, m.sets[o.set])
+			out = append(out, ids)
 		}
 	}
 	return out
@@ -106,20 +158,6 @@ func hashID(v uint64) uint64 {
 	v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9
 	v = (v ^ (v >> 27)) * 0x94d049bb133111eb
 	return v ^ (v >> 31)
-}
-
-// packThreshold converts the universe size into the sparse-set length
-// above which the packed word-wise kernel wins: a packed intersection
-// touches every word of the universe once, a sparse intersection touches
-// one word per element, and BenchmarkMicroIntersect measures the two
-// per-step costs as near-equal — so the break-even sits at one element
-// per word.
-func packThreshold(nunique int) int {
-	words := (nunique + 63) / 64
-	if words < 8 {
-		return 8
-	}
-	return words
 }
 
 // BuildMRCT builds the conflict table in a single pass, the hash-table
@@ -190,14 +228,15 @@ func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) err
 // the chunk's references. Its table lists them in the order the chunk
 // first sees them, each owned by the id that first listed it there. The
 // merge (mergeChunk) takes the chunks in order. It looks each chunk set
-// up by key in the merged table and confirms it with slices.Equal. A set
-// no earlier chunk has is first seen in this chunk, by its chunk-local
-// owner, so appending the unseen sets in local order, copied into sc's
-// arenas, rebuilds the serial set order and owners. Every occurrence is then counted where the
-// serial pass counts it: in setCnt when its id is the set's merged
-// owner, in overflow otherwise. That holds for a chunk's owner counts
-// and for its overflow entries alike. The occurrence runs are packed
-// once, from the merged counts (packOcc).
+// up by key in the merged table and confirms it by form and contents
+// (sameSet). A set no earlier chunk has is first seen in this chunk, by
+// its chunk-local owner, so appending the unseen sets in local order,
+// copied into sc's arenas, rebuilds the serial set order and owners.
+// Every occurrence is then counted where the serial pass counts it: in
+// setCnt when its id is the set's merged owner, in overflow otherwise.
+// That holds for a chunk's owner counts and for its overflow entries
+// alike. The occurrence runs are packed once, from the merged counts
+// (packOcc).
 //
 // Each chunk checks ctx every 4096 references, so a cancellation stops
 // every chunk at its next check. The build returns only once every chunk
@@ -243,11 +282,14 @@ func buildMRCTChunks(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRC
 		occurrences := n - nu
 		span.SetAttr("n", n)
 		span.SetAttr("n_unique", nu)
-		span.SetAttr("distinct_sets", len(m.sets))
+		packed := m.PackedSets()
+		span.SetAttr("distinct_sets", len(m.card))
 		span.SetAttr("occurrences", occurrences)
-		span.SetAttr("dedup_hit_rate", dedupHitRate(len(m.sets), occurrences))
+		span.SetAttr("dedup_hit_rate", dedupHitRate(len(m.card), occurrences))
 		span.SetAttr("max_card", m.maxCard)
-		span.SetAttr("packed_sets", m.PackedSets())
+		span.SetAttr("packed_sets", packed)
+		span.SetAttr("run_sets", len(m.card)-packed)
+		span.SetAttr("table_bytes", m.Bytes())
 		span.SetAttr("chunks", k)
 		span.SetAttr("compactions", work.compactions)
 		span.SetAttr("verify_ids", work.verifyIDs)
@@ -347,19 +389,19 @@ func runChunks(ctx context.Context, s *trace.Stripped, m *MRCT, idHash []uint64,
 // set's cardinality p and its commutative hash in O(log W), without
 // listing it. Moving id to the newest time is two point updates.
 //
-// A candidate set cs matches iff len(cs) == p and last[v] > t0 for every v
+// A candidate set cs matches iff |cs| == p and last[v] > t0 for every v
 // in cs: exactly p distinct ids have a last access after t0, so such a cs
-// is the window itself. The check is exact and read-only, and at most one
-// candidate can pass it, so the order candidates are tried in cannot
-// affect the result. The first candidate is the set S of id's previous
+// is the window itself (accessedAfter). The check is exact and read-only,
+// and at most one candidate can pass it, so the order candidates are
+// tried in cannot affect the result. The first candidate is the set S of id's previous
 // window (prevSet): loops repeat an id's window far more often than they
 // move it. S is certified without reading it (see peakAfter): it is the
-// window iff len(S) == p and no reference since id's previous occurrence
+// window iff |S| == p and no reference since id's previous occurrence
 // had a conflict set larger than p. Next come the sets stored under the
 // window's key in the dedup table, newest first through dedupNext. Only a
-// window never seen before is listed, by reading slot[t0+1..now-1], and
-// stored sorted: read out of its packed bit vector when it is dense enough
-// to be packed, sorted otherwise.
+// window never seen before is listed, by reading slot[t0+1..now-1] into
+// the window vector, and stored in the smaller of its two forms
+// (storeSet).
 //
 // Occurrences are counted per set, not recorded per occurrence: nearly
 // every set is only ever the window of the id that first listed it (its
@@ -388,7 +430,7 @@ func runChunks(ctx context.Context, s *trace.Stripped, m *MRCT, idHash []uint64,
 // mismatch, so the comparisons stay O(N) (DESIGN.md §5, "folded loop
 // periods").
 //
-// All of m's storage — sparse sets, packed bit-vectors, occurrence runs —
+// All of m's storage — set runs, packed bit-vectors, occurrence runs —
 // is carved from sc's arenas. A pooled caller must treat m as
 // invalidated once sc is reused; BuildMRCTContext gives sc fresh arenas
 // for the build, which leave with the table.
@@ -396,10 +438,9 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 	nu := s.NUnique()
 	sc.i32.reset()
 	sc.bs.Reset()
-	m.maxCard = 0
-	m.sets = m.sets[:0]
-	m.packed = m.packed[:0]
-	thresh := packThreshold(nu)
+	m.nunique = nu
+	m.resetSets()
+	sc.resetWindow(nu)
 	// Per set index c: setKey[c] is the dedup key of its window, setOwner[c]
 	// the id that first listed it, setCnt[c] the owner's occurrences of it
 	// and dedupNext[c] the next older set stored under the same key, or -1.
@@ -531,7 +572,7 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 		p := int(total.cnt - pre.cnt)
 		idx := int32(-1)
 		memo := prevSet[id]
-		if memo >= 0 && len(m.sets[memo]) == p && peakAfter(peaks[:top], pos[id]) <= int32(p) {
+		if memo >= 0 && int(m.card[memo]) == p && peakAfter(peaks[:top], pos[id]) <= int32(p) {
 			idx = memo
 			work.memoHits++
 		}
@@ -541,12 +582,11 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 			key = hashID((total.hsum - pre.hsum) ^ ((total.hxor ^ pre.hxor) << 1) ^ uint64(p))
 			at = dedup.find(key, setKey)
 			for cand := dedup.head(at); cand >= 0; cand = dedupNext[cand] {
-				cs := m.sets[cand]
-				if cand == memo || len(cs) != p {
+				if cand == memo || int(m.card[cand]) != p {
 					continue
 				}
 				work.verifyIDs += p
-				if accessedAfter(cs, last, t0) {
+				if m.accessedAfter(cand, last, t0) {
 					idx = cand
 					break
 				}
@@ -554,39 +594,17 @@ func (sc *Scratch) buildChunk(ctx context.Context, s *trace.Stripped, lo, hi int
 		}
 		switch {
 		case idx < 0:
-			// First sighting: list the live slots after t0 — exactly p of
-			// them — in ascending id order, copy into the arena, maybe pack.
-			cp := sc.i32.alloc(p)
-			var pk *bitset.Set
-			if p >= thresh {
-				pk = sc.bs.New(nu)
-				for t, k := t0+1, 0; k < p; t++ {
-					if v := slot[t]; v >= 0 {
-						pk.Add(int(v))
-						k++
-					}
-				}
-				k := 0
-				pk.ForEach(func(v int) bool {
-					cp[k] = int32(v)
+			// First sighting: mark the live slots after t0 — exactly p of
+			// them — in the window vector and store the set it holds.
+			win, lo, hi := sc.win, int32(nu), int32(-1)
+			for t, k := t0+1, 0; k < p; t++ {
+				if v := slot[t]; v >= 0 {
+					win[v>>6] |= 1 << (v & 63)
+					lo, hi = min(lo, v), max(hi, v)
 					k++
-					return true
-				})
-			} else {
-				for t, k := t0+1, 0; k < p; t++ {
-					if v := slot[t]; v >= 0 {
-						cp[k] = v
-						k++
-					}
 				}
-				slices.Sort(cp)
 			}
-			idx = int32(len(m.sets))
-			m.sets = append(m.sets, cp)
-			m.packed = append(m.packed, pk)
-			if p > m.maxCard {
-				m.maxCard = p
-			}
+			idx = sc.storeSet(m, int(lo>>6), int(hi>>6), p)
 			if p == 0 {
 				empty = idx
 			}
@@ -705,27 +723,27 @@ func seedChunk(prefix []int32, nu int, last, slot []int32, fen []fenNode, idHash
 func (sc *Scratch) mergeChunk(m *MRCT, c *Scratch) {
 	setKey, setOwner, setCnt := sc.setKey, sc.setOwner, sc.setCnt
 	dedupNext, overflow := sc.dedupNext, sc.overflow
-	merged := growInt32(&c.setMerged, len(c.mrct.sets))
-	for lc, cs := range c.mrct.sets {
+	cm := &c.mrct
+	merged := growInt32(&c.setMerged, len(cm.card))
+	for lc := range cm.card {
 		key, owner, cnt := c.setKey[lc], c.setOwner[lc], c.setCnt[lc]
 		at := sc.dedup.find(key, setKey)
 		g := sc.dedup.head(at)
-		for g >= 0 && !slices.Equal(m.sets[g], cs) {
+		for g >= 0 && !sameSet(m, g, cm, int32(lc)) {
 			g = dedupNext[g]
 		}
 		switch {
 		case g < 0:
-			g = int32(len(m.sets))
-			cp := sc.i32.alloc(len(cs))
-			copy(cp, cs)
+			var runs []int32
 			var pk *bitset.Set
-			if src := c.mrct.packed[lc]; src != nil {
+			if src := cm.packed[lc]; src != nil {
 				pk = sc.bs.New(src.Cap())
 				pk.Copy(src)
+			} else {
+				runs = sc.i32.alloc(len(cm.runs[lc]))
+				copy(runs, cm.runs[lc])
 			}
-			m.sets = append(m.sets, cp)
-			m.packed = append(m.packed, pk)
-			m.maxCard = max(m.maxCard, len(cs))
+			g = m.appendSet(runs, pk, cm.card[lc])
 			setKey = append(setKey, key)
 			setOwner = append(setOwner, owner)
 			setCnt = append(setCnt, cnt)
@@ -760,7 +778,7 @@ func (sc *Scratch) mergeChunk(m *MRCT, c *Scratch) {
 func (sc *Scratch) packOcc(m *MRCT) int {
 	setOwner, setCnt, overflow := sc.setOwner, sc.setCnt, sc.overflow
 	slices.Sort(overflow)
-	runs := len(m.sets)
+	runs := len(m.card)
 	fill := sc.last[:m.nunique]
 	clear(fill)
 	for _, o := range setOwner {
@@ -772,7 +790,7 @@ func (sc *Scratch) packOcc(m *MRCT) int {
 			runs++
 		}
 	}
-	overflowRuns := runs - len(m.sets)
+	overflowRuns := runs - len(m.card)
 	occBuf := sc.occBuf[:0]
 	if cap(occBuf) < runs {
 		occBuf = make([]occurrence, 0, runs)
@@ -888,7 +906,7 @@ func (t *dedupTable) grow(setKey []uint64) {
 // window had already been seen: 1 - distinct/occurrences. Loop-dominated
 // traces sit near 1; adversarially random traces near 0.
 func (m *MRCT) DedupHitRate() float64 {
-	return dedupHitRate(len(m.sets), m.Occurrences())
+	return dedupHitRate(len(m.card), m.Occurrences())
 }
 
 func dedupHitRate(distinct, occurrences int) float64 {
@@ -898,25 +916,129 @@ func dedupHitRate(distinct, occurrences int) float64 {
 	return 1 - float64(distinct)/float64(occurrences)
 }
 
-// accessedAfter reports whether every id in cs was last accessed after
-// time t0. It reads eight ids per step and tests their minimum, so the
-// common case — a matching candidate read to the end — takes one branch
-// per block instead of one per id.
-func accessedAfter(cs, last []int32, t0 int32) bool {
-	k := 0
-	for ; k+8 <= len(cs); k += 8 {
-		c := cs[k : k+8 : k+8]
-		if min(last[c[0]], last[c[1]], last[c[2]], last[c[3]],
-			last[c[4]], last[c[5]], last[c[6]], last[c[7]]) <= t0 {
-			return false
+// accessedAfter reports whether every id of set c was last accessed
+// after time t0. A run-form set reads the contiguous last[lo:hi] of each
+// run (afterAll); a bit-vector set reads last at each of its set bits.
+func (m *MRCT) accessedAfter(c int32, last []int32, t0 int32) bool {
+	if p := m.packed[c]; p != nil {
+		for wi, w := range p.Words() {
+			l := last[wi*64:]
+			for ; w != 0; w &= w - 1 {
+				if l[bits.TrailingZeros64(w)] <= t0 {
+					return false
+				}
+			}
 		}
+		return true
 	}
-	for _, v := range cs[k:] {
-		if last[v] <= t0 {
+	r := m.runs[c]
+	for i := 0; i+1 < len(r); i += 2 {
+		if !afterAll(last[r[i]:r[i+1]], t0) {
 			return false
 		}
 	}
 	return true
+}
+
+// afterAll reports whether every time in l is after t0. It tests the
+// minimum of eight times per step, so the common case — a matching
+// candidate read to the end — takes one branch per block instead of one
+// per id.
+func afterAll(l []int32, t0 int32) bool {
+	k := 0
+	for ; k+8 <= len(l); k += 8 {
+		c := l[k : k+8 : k+8]
+		if min(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]) <= t0 {
+			return false
+		}
+	}
+	for _, v := range l[k:] {
+		if v <= t0 {
+			return false
+		}
+	}
+	return true
+}
+
+// resetSets empties m's set table.
+func (m *MRCT) resetSets() {
+	m.runs, m.packed, m.card = m.runs[:0], m.packed[:0], m.card[:0]
+	m.maxCard = 0
+}
+
+// appendSet adds a set of cardinality card, in the form runs or pk, to
+// m's table and returns its index.
+func (m *MRCT) appendSet(runs []int32, pk *bitset.Set, card int32) int32 {
+	m.runs = append(m.runs, runs)
+	m.packed = append(m.packed, pk)
+	m.card = append(m.card, card)
+	m.maxCard = max(m.maxCard, int(card))
+	return int32(len(m.card) - 1)
+}
+
+// sameSet reports whether set i of a and set j of b are equal. The form
+// follows from the contents and the universe alone, so equal sets of one
+// universe share their form.
+func sameSet(a *MRCT, i int32, b *MRCT, j int32) bool {
+	pa, pb := a.packed[i], b.packed[j]
+	if pa != nil || pb != nil {
+		return pa != nil && pb != nil && pa.Equal(pb)
+	}
+	return slices.Equal(a.runs[i], b.runs[j])
+}
+
+// resetWindow sizes the window vector sc.win to a universe of nu ids, all
+// clear. Between listings storeSet keeps it clear.
+func (sc *Scratch) resetWindow(nu int) {
+	words := (nu + 63) / 64
+	if cap(sc.win) < words {
+		sc.win = make([]uint64, words)
+	}
+	sc.win = sc.win[:words]
+	clear(sc.win)
+}
+
+// storeSet adds the set held in the window vector to m and clears the
+// vector. Its card ids lie in the words [wlo, whi] of sc.win, and every
+// other word is clear. A run starts at each set bit whose lower neighbour
+// is clear, so the set has Σ popcount(w &^ (w<<1 | carry)) runs, carry
+// being the top bit of the word below. It is stored as a bit vector when
+// its ⌈N′/64⌉ words take fewer bytes than its runs at 8 B each, as runs
+// otherwise: the bits of w ^ (w<<1 | carry) alternate between a run's lo
+// and its hi, and a run that reaches the top bit of word whi ends at
+// 64·(whi+1). storeSet returns the set's index.
+func (sc *Scratch) storeSet(m *MRCT, wlo, whi, card int) int32 {
+	if card == 0 {
+		return m.appendSet(nil, nil, 0)
+	}
+	win := sc.win[wlo : whi+1]
+	nruns, carry := 0, uint64(0)
+	for _, w := range win {
+		nruns += bits.OnesCount64(w &^ (w<<1 | carry))
+		carry = w >> 63
+	}
+	if len(sc.win) < nruns {
+		pk := sc.bs.New(m.nunique)
+		copy(pk.Words()[wlo:], win)
+		clear(win)
+		return m.appendSet(nil, pk, int32(card))
+	}
+	runs := sc.i32.alloc(2 * nruns)
+	k := 0
+	carry = 0
+	for i, w := range win {
+		base := int32(64 * (wlo + i))
+		for t := w ^ (w<<1 | carry); t != 0; t &= t - 1 {
+			runs[k] = base + int32(bits.TrailingZeros64(t))
+			k++
+		}
+		carry = w >> 63
+		win[i] = 0
+	}
+	if k < len(runs) {
+		runs[k] = int32(64 * (whi + 1))
+	}
+	return m.appendSet(runs, nil, int32(card))
 }
 
 // fenNode is one node of the build's Fenwick tree over logical access

@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 
-	"github.com/example/cachedse/internal/bitset"
 	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/trace"
 )
@@ -21,6 +20,7 @@ type oracleScratch struct {
 	stack     []int            // the LRU stack itself
 	dedupHead map[uint64]int32 // commutative hash -> newest set index
 	pairs     []uint64         // (id<<32 | set index) per non-cold occurrence
+	ids       []int32          // a candidate set's ids, expanded
 }
 
 // buildMRCTStack builds a caller-owned table with the stack-walk oracle.
@@ -33,9 +33,10 @@ func buildMRCTStack(s *trace.Stripped) *MRCT {
 }
 
 // buildMRCTOracle is the stack-walk MRCT build that the Fenwick build
-// replaced, kept verbatim (bar its name and scratch type) as the test
-// oracle TestMRCTMatchesStackOracle and FuzzBuildMRCT hold the production
-// table to, field for field.
+// replaced, kept (bar its name, scratch type and set encoding) as the
+// test oracle TestMRCTMatchesStackOracle and FuzzBuildMRCT hold the
+// production table to, field for field. It stores each new set through
+// the production storeSet, so the two tables agree on every set's form.
 //
 // Deduplication is by commutative 64-bit hash of the (unsorted) stack
 // prefix, verified against the stored candidates with an epoch-stamp
@@ -46,7 +47,7 @@ func buildMRCTStack(s *trace.Stripped) *MRCT {
 // at most one candidate can pass the stamp check, so chain order cannot
 // affect the result.
 //
-// All of m's storage — sparse sets, packed bit-vectors, occurrence runs —
+// All of m's storage — set runs, packed bit-vectors, occurrence runs —
 // is carved from sc's arenas. A pooled caller must treat m as invalidated
 // once sc is reused; BuildMRCTContext passes a fresh scratch precisely so
 // its output has no such lifetime.
@@ -59,10 +60,9 @@ func buildMRCTOracle(ctx context.Context, s *trace.Stripped, sc *oracleScratch, 
 	sc.note(s.N())
 	sc.i32.reset()
 	sc.bs.Reset()
+	sc.resetWindow(nu)
 	m.nunique = nu
-	m.maxCard = 0
-	m.sets = m.sets[:0]
-	m.packed = m.packed[:0]
+	m.resetSets()
 	if cap(m.occ) < nu {
 		m.occ = make([][]occurrence, nu)
 	}
@@ -70,7 +70,6 @@ func buildMRCTOracle(ctx context.Context, s *trace.Stripped, sc *oracleScratch, 
 	for i := range m.occ {
 		m.occ[i] = nil
 	}
-	thresh := packThreshold(nu)
 	// dedupHead maps the commutative hash to the newest candidate set
 	// index; older candidates chain through dedupNext. Genuine collisions
 	// are resolved by the stamp check below.
@@ -142,12 +141,12 @@ func buildMRCTOracle(ctx context.Context, s *trace.Stripped, sc *oracleScratch, 
 		idx := int32(-1)
 		if head, ok := dedupHead[key]; ok {
 			for cand := head; cand >= 0; cand = dedupNext[cand] {
-				cs := m.sets[cand]
-				if len(cs) != int(p) {
+				if int(m.card[cand]) != int(p) {
 					continue
 				}
+				sc.ids = m.appendIDs(sc.ids[:0], cand)
 				match := true
-				for _, v := range cs {
+				for _, v := range sc.ids {
 					if stamp[v] != epoch {
 						match = false
 						break
@@ -160,25 +159,14 @@ func buildMRCTOracle(ctx context.Context, s *trace.Stripped, sc *oracleScratch, 
 			}
 		}
 		if idx < 0 {
-			// First sighting: sort once, copy into the arena, maybe pack.
-			cp := sc.i32.alloc(int(p))
-			for k, v := range stack[:p] {
-				cp[k] = int32(v)
+			// First sighting: mark the set in the window vector and store
+			// it.
+			lo, hi := nu, -1
+			for _, v := range stack[:p] {
+				sc.win[v/64] |= 1 << (v % 64)
+				lo, hi = min(lo, v), max(hi, v)
 			}
-			slices.Sort(cp)
-			idx = int32(len(m.sets))
-			m.sets = append(m.sets, cp)
-			var pk *bitset.Set
-			if len(cp) >= thresh {
-				pk = sc.bs.New(nu)
-				for _, v := range cp {
-					pk.Add(int(v))
-				}
-			}
-			m.packed = append(m.packed, pk)
-			if int(p) > m.maxCard {
-				m.maxCard = int(p)
-			}
+			idx = sc.storeSet(m, lo/64, hi/64, int(p))
 			if head, ok := dedupHead[key]; ok {
 				dedupNext = append(dedupNext, head)
 			} else {
@@ -235,7 +223,7 @@ func buildMRCTOracle(ctx context.Context, s *trace.Stripped, sc *oracleScratch, 
 	if span != nil {
 		span.SetAttr("n", s.N())
 		span.SetAttr("n_unique", nu)
-		span.SetAttr("distinct_sets", len(m.sets))
+		span.SetAttr("distinct_sets", len(m.card))
 		span.SetAttr("occurrences", m.Occurrences())
 		span.SetAttr("dedup_hit_rate", m.DedupHitRate())
 		span.SetAttr("max_card", m.maxCard)

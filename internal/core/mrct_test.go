@@ -20,46 +20,74 @@ import (
 	"github.com/example/cachedse/internal/tracegen"
 )
 
-// The hybrid conflict-set table must keep its internal invariants: sets
-// sorted ascending, packed forms exactly mirroring their sparse forms and
-// only appearing at or above the density threshold, and MaxConflictCard
-// bounding every cardinality (the postlude pre-sizes histograms from it).
-func TestMRCTHybridInvariants(t *testing.T) {
+// Every conflict set is stored once, in the form that takes fewer bytes:
+// runs at 8 B each, or a bit vector of ⌈N′/64⌉ words when it has more runs
+// than that. Runs are ascending, disjoint, maximal and inside [0, N′); a
+// bit vector has no bit at or past N′; card is the expanded length, and
+// MaxConflictCard bounds every cardinality (the postlude pre-sizes
+// histograms from it). Bytes stays within one bit vector and header per
+// set plus the occurrence runs.
+func TestMRCTFormInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	workloads := map[string]*trace.Trace{
 		"loop":    tracegen.Loop(0, 96, 40),
 		"uniform": tracegen.Uniform(rng, 0, 300, 6000),
+		"zipf":    tracegen.Zipf(rng, 0, 2000, 20000, 1.1),
 	}
+	runTotal, packedTotal := 0, 0
 	for name, tr := range workloads {
 		t.Run(name, func(t *testing.T) {
 			s := trace.Strip(tr)
 			m := BuildMRCT(s)
-			thresh := packThreshold(s.NUnique())
-			maxCard := 0
-			for i, set := range m.sets {
-				for j := 1; j < len(set); j++ {
-					if set[j-1] >= set[j] {
-						t.Fatalf("set %d not strictly ascending at %d: %v", i, j, set)
+			nu := s.NUnique()
+			words := (nu + 63) / 64
+			if len(m.runs) != len(m.card) || len(m.packed) != len(m.card) {
+				t.Fatalf("%d run slices, %d bit vectors, %d cards", len(m.runs), len(m.packed), len(m.card))
+			}
+			maxCard, runSets := 0, 0
+			for c := range m.card {
+				r, p := m.runs[c], m.packed[c]
+				if p != nil && r != nil {
+					t.Fatalf("set %d is stored in both forms", c)
+				}
+				if r != nil {
+					runSets++
+				}
+				n := 0
+				if p != nil {
+					if p.Cap() != nu {
+						t.Fatalf("set %d: bit vector of capacity %d, want %d", c, p.Cap(), nu)
+					}
+					n = p.Count()
+					ids := m.appendIDs(nil, int32(c))
+					if len(ids) > 0 && ids[len(ids)-1] >= int32(nu) {
+						t.Fatalf("set %d: bit vector holds id %d past N' = %d", c, ids[len(ids)-1], nu)
+					}
+					if runs := runsOf(ids); runs <= words {
+						t.Fatalf("set %d: packed with %d runs, %d words", c, runs, words)
+					}
+				} else {
+					if len(r)%2 != 0 {
+						t.Fatalf("set %d: odd run slice %v", c, r)
+					}
+					if len(r)/2 > words {
+						t.Fatalf("set %d: %d runs kept over %d words", c, len(r)/2, words)
+					}
+					for i := 0; i < len(r); i += 2 {
+						lo, hi := r[i], r[i+1]
+						if lo < 0 || hi > int32(nu) || lo >= hi {
+							t.Fatalf("set %d: run [%d, %d) empty or outside [0, %d)", c, lo, hi, nu)
+						}
+						if i > 0 && lo <= r[i-1] {
+							t.Fatalf("set %d: run [%d, %d) not past the previous end %d", c, lo, hi, r[i-1])
+						}
+						n += int(hi - lo)
 					}
 				}
-				if len(set) > maxCard {
-					maxCard = len(set)
+				if n != int(m.card[c]) {
+					t.Fatalf("set %d: %d ids, card %d", c, n, m.card[c])
 				}
-				p := m.packed[i]
-				if (p != nil) != (len(set) >= thresh) {
-					t.Fatalf("set %d (card %d, threshold %d): packed presence wrong", i, len(set), thresh)
-				}
-				if p == nil {
-					continue
-				}
-				if p.Count() != len(set) {
-					t.Fatalf("set %d: packed count %d != sparse %d", i, p.Count(), len(set))
-				}
-				for _, v := range set {
-					if !p.Contains(int(v)) {
-						t.Fatalf("set %d: packed form missing %d", i, v)
-					}
-				}
+				maxCard = max(maxCard, n)
 			}
 			if m.MaxConflictCard() != maxCard {
 				t.Fatalf("MaxConflictCard = %d, want %d", m.MaxConflictCard(), maxCard)
@@ -67,13 +95,166 @@ func TestMRCTHybridInvariants(t *testing.T) {
 			if m.Occurrences() != s.N()-s.NUnique() {
 				t.Fatalf("Occurrences = %d, want N-N' = %d", m.Occurrences(), s.N()-s.NUnique())
 			}
+			occRuns := 0
+			for _, os := range m.occ {
+				occRuns += len(os)
+			}
+			bound := len(m.card)*(8*words+setHeaderBytes) + nu*24 + 8*occRuns
+			if b := m.Bytes(); b <= 0 || b > bound {
+				t.Fatalf("Bytes = %d, want in (0, %d]", b, bound)
+			}
+			runTotal += runSets
+			packedTotal += len(m.card) - runSets
 		})
 	}
-	// The uniform workload is dense enough that packing must trigger.
-	s := trace.Strip(tracegen.Uniform(rng, 0, 300, 6000))
-	if m := BuildMRCT(s); m.PackedSets() == 0 {
-		t.Fatal("expected packed sets on a dense uniform workload")
+	if runTotal == 0 || packedTotal == 0 {
+		t.Fatalf("%d run sets and %d bit vectors: both forms should occur", runTotal, packedTotal)
 	}
+}
+
+// storeSet keeps a set as its maximal runs unless it has more runs than
+// the universe has words (four here): runs inside a word, across a word
+// boundary, ending on the top bit of a word, the final one ending at the
+// top bit of the highest word the set touches, and at the universe's last
+// id; a tie with the word count stays runs.
+func TestMRCTStoreSet(t *testing.T) {
+	const nu = 200
+	span := func(lo, hi int32) []int32 {
+		var ids []int32
+		for v := lo; v < hi; v++ {
+			ids = append(ids, v)
+		}
+		return ids
+	}
+	cases := []struct {
+		name string
+		ids  []int32
+		runs []int32 // nil: a bit vector
+	}{
+		{"one id", []int32{5}, []int32{5, 6}},
+		{"whole word", span(0, 64), []int32{0, 64}},
+		{"across a word boundary", span(60, 71), []int32{60, 71}},
+		{"top bit of a lower word", append(span(10, 64), 100), []int32{10, 64, 100, 101}},
+		{"top bit of the highest word", append([]int32{3}, span(120, 128)...), []int32{3, 4, 120, 128}},
+		{"last id", span(192, nu), []int32{192, nu}},
+		{"four runs, four words", []int32{0, 2, 4, 6}, []int32{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"five runs", []int32{0, 2, 4, 6, 8}, nil},
+		{"every other id", func() []int32 {
+			var ids []int32
+			for v := int32(1); v < nu; v += 2 {
+				ids = append(ids, v)
+			}
+			return ids
+		}(), nil},
+	}
+	sc, m := &Scratch{}, &MRCT{nunique: nu}
+	sc.resetWindow(nu)
+	for _, c := range cases {
+		for _, v := range c.ids {
+			sc.win[v/64] |= 1 << (v % 64)
+		}
+		idx := sc.storeSet(m, int(c.ids[0]/64), int(c.ids[len(c.ids)-1]/64), len(c.ids))
+		if got := m.packed[idx] != nil; got != (c.runs == nil) {
+			t.Errorf("%s: packed %v, want %v", c.name, got, c.runs == nil)
+		}
+		if !slices.Equal(m.runs[idx], c.runs) {
+			t.Errorf("%s: runs %v, want %v", c.name, m.runs[idx], c.runs)
+		}
+		if got := m.appendIDs(nil, idx); !slices.Equal(got, c.ids) || int(m.card[idx]) != len(c.ids) {
+			t.Errorf("%s: ids %v (card %d), want %v", c.name, got, m.card[idx], c.ids)
+		}
+		if slices.ContainsFunc(sc.win, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("%s: window vector not cleared", c.name)
+		}
+	}
+}
+
+// accessedAfter accepts a candidate only when every one of its ids was
+// last accessed after t0, in both forms: a run set (two runs, one reaching
+// the universe's last id) and a bit vector (every other id). Each id in
+// turn, and only an id of the set, makes it fail.
+func TestMRCTAccessedAfter(t *testing.T) {
+	const nu, t0 = 200, 5
+	sc, m := &Scratch{}, &MRCT{nunique: nu}
+	sc.resetWindow(nu)
+	store := func(ids []int32) int32 {
+		for _, v := range ids {
+			sc.win[v/64] |= 1 << (v % 64)
+		}
+		return sc.storeSet(m, int(ids[0]/64), int(ids[len(ids)-1]/64), len(ids))
+	}
+	var runIDs, bitIDs []int32
+	for v := int32(3); v < 10; v++ {
+		runIDs = append(runIDs, v)
+	}
+	for v := int32(190); v < nu; v++ {
+		runIDs = append(runIDs, v)
+	}
+	for v := int32(0); v < nu; v += 2 {
+		bitIDs = append(bitIDs, v)
+	}
+	runSet, bitSet := store(runIDs), store(bitIDs)
+	if m.packed[runSet] != nil || m.packed[bitSet] == nil {
+		t.Fatalf("forms: run set packed %v, bit set packed %v", m.packed[runSet] != nil, m.packed[bitSet] != nil)
+	}
+	last := make([]int32, nu)
+	for c, ids := range map[int32][]int32{runSet: runIDs, bitSet: bitIDs} {
+		for i := range last {
+			last[i] = t0 + 1
+		}
+		if !m.accessedAfter(c, last, t0) {
+			t.Fatalf("set %d rejected with every id after t0", c)
+		}
+		in := map[int32]bool{}
+		for _, v := range ids {
+			in[v] = true
+		}
+		for v := range int32(nu) {
+			last[v] = t0
+			if got := m.accessedAfter(c, last, t0); got == in[v] {
+				t.Fatalf("set %d with id %d at t0: accessedAfter = %v", c, v, got)
+			}
+			last[v] = t0 + 1
+		}
+	}
+}
+
+// setHeaderBytes bounds what Bytes counts per set besides its runs or
+// words: the run slice, bit-vector pointer and cardinality, and a bit
+// vector's own header.
+const setHeaderBytes = 24 + 8 + 4 + 32
+
+// runsOf counts the maximal runs of consecutive values in ascending ids.
+func runsOf(ids []int32) int {
+	n := 0
+	for i, v := range ids {
+		if i == 0 || v != ids[i-1]+1 {
+			n++
+		}
+	}
+	return n
+}
+
+// BuildMRCT on uniform 5 000 × 50 000, where nearly every window is a
+// distinct set of ~3 000 ids, retains one bit vector per set: under
+// 64 MB of heap, as the heap after GC minus the heap before the build.
+func TestMRCTRetainedHeap(t *testing.T) {
+	s := trace.Strip(tracegen.Uniform(rand.New(rand.NewSource(1)), 0, 5000, 50000))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := BuildMRCT(s)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	const limit = 64 << 20
+	if retained > limit {
+		t.Fatalf("BuildMRCT retains %.1f MB (Bytes %.1f MB), want under %d MB",
+			float64(retained)/1e6, float64(m.Bytes())/1e6, limit>>20)
+	}
+	t.Logf("retained %.1f MB, Bytes %.1f MB, %d sets, %d packed", float64(retained)/1e6,
+		float64(m.Bytes())/1e6, m.DistinctSets(), m.PackedSets())
+	runtime.KeepAlive(m)
 }
 
 // idTrace turns identifiers into a data trace, one address per id.
@@ -106,9 +287,10 @@ func cyclicIDs(nu, n int) []int {
 // cyclicTrace is the trace of cyclicIDs.
 func cyclicTrace(nu, n int) *trace.Trace { return idTrace(cyclicIDs(nu, n)...) }
 
-// mrctDiff compares two tables field for field — set order, sparse sets,
-// packed presence and contents, the cardinality bound and every id's
-// occurrence runs — and describes the first difference, or returns "".
+// mrctDiff compares two tables field for field — set order, each set's
+// form and contents, its cardinality, the cardinality bound and every
+// id's occurrence runs — and describes the first difference, or returns
+// "".
 func mrctDiff(got, want *MRCT) string {
 	if got.nunique != want.nunique {
 		return fmt.Sprintf("nunique %d, want %d", got.nunique, want.nunique)
@@ -116,21 +298,20 @@ func mrctDiff(got, want *MRCT) string {
 	if got.maxCard != want.maxCard {
 		return fmt.Sprintf("maxCard %d, want %d", got.maxCard, want.maxCard)
 	}
-	if len(got.sets) != len(want.sets) {
-		return fmt.Sprintf("%d sets, want %d", len(got.sets), len(want.sets))
+	if len(got.card) != len(want.card) || len(got.runs) != len(want.runs) || len(got.packed) != len(want.packed) {
+		return fmt.Sprintf("%d/%d/%d cards/run slices/bit vectors, want %d/%d/%d",
+			len(got.card), len(got.runs), len(got.packed), len(want.card), len(want.runs), len(want.packed))
 	}
-	for i := range want.sets {
-		if !slices.Equal(got.sets[i], want.sets[i]) {
-			return fmt.Sprintf("set %d = %v, want %v", i, got.sets[i], want.sets[i])
+	for i := range want.card {
+		if got.card[i] != want.card[i] {
+			return fmt.Sprintf("set %d: card %d, want %d", i, got.card[i], want.card[i])
 		}
-	}
-	if len(got.packed) != len(want.packed) {
-		return fmt.Sprintf("%d packed entries, want %d", len(got.packed), len(want.packed))
-	}
-	for i, w := range want.packed {
-		g := got.packed[i]
+		if !slices.Equal(got.runs[i], want.runs[i]) || (got.runs[i] == nil) != (want.runs[i] == nil) {
+			return fmt.Sprintf("set %d: runs %v, want %v", i, got.runs[i], want.runs[i])
+		}
+		g, w := got.packed[i], want.packed[i]
 		if (g == nil) != (w == nil) || g != nil && !g.Equal(w) {
-			return fmt.Sprintf("packed %d = %v, want %v", i, g, w)
+			return fmt.Sprintf("set %d: bit vector %v, want %v", i, g, w)
 		}
 	}
 	if len(got.occ) != len(want.occ) {

@@ -71,6 +71,15 @@ func TestExploreContextRecordsPhaseSpans(t *testing.T) {
 	if got := mrctAttrs["occurrences"]; got != m.Occurrences() {
 		t.Errorf("mrct span occurrences = %v, want %d", got, m.Occurrences())
 	}
+	for name, want := range map[string]int{
+		"packed_sets": m.PackedSets(),
+		"run_sets":    m.DistinctSets() - m.PackedSets(),
+		"table_bytes": m.Bytes(),
+	} {
+		if got := mrctAttrs[name]; got != want {
+			t.Errorf("mrct span %s = %v, want %d", name, got, want)
+		}
+	}
 	// The trace is random, so only same-word runs fold, and the build
 	// runs on it with the references equal to their predecessor dropped.
 	kept := withoutRepeats(s)
@@ -194,11 +203,11 @@ func wantVerifyIDs(m *MRCT, s *trace.Stripped) int {
 	n := 0
 	for _, os := range m.occ {
 		for _, o := range os {
-			n += int(o.count) * len(m.sets[o.set])
+			n += int(o.count) * int(m.card[o.set])
 		}
 	}
-	for _, set := range m.sets {
-		n -= len(set)
+	for _, card := range m.card {
+		n -= int(card)
 	}
 	for _, card := range memoHitCards(s) {
 		n -= card
@@ -228,7 +237,7 @@ func memoHitCards(s *trace.Stripped) []int {
 // every set has exactly one run of the id that first listed it, and the
 // rest are the other ids' runs.
 func wantOverflowRuns(m *MRCT) int {
-	n := -len(m.sets)
+	n := -len(m.card)
 	for _, os := range m.occ {
 		n += len(os)
 	}
@@ -311,7 +320,7 @@ func TestChunkedMRCTSpan(t *testing.T) {
 		return buildMRCTChunks(ctx, s, &Scratch{}, &MRCT{}, 1)
 	})
 	for _, name := range []string{"n", "n_unique", "distinct_sets", "occurrences",
-		"dedup_hit_rate", "max_card", "packed_sets", "overflow_runs"} {
+		"dedup_hit_rate", "max_card", "packed_sets", "run_sets", "table_bytes", "overflow_runs"} {
 		if got[name] != serial[name] {
 			t.Errorf("%s = %v, serial build %v", name, got[name], serial[name])
 		}

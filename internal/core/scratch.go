@@ -11,13 +11,13 @@ import (
 // This file holds the engine's pooled scratch: every allocation the
 // steady-state explore path used to make per request — the stripped form,
 // the MRCT build tables (dedup table and chains, last-access times and
-// the Fenwick tree over them, conflict-set arenas, packed bit-vectors,
-// occurrence storage) and the postlude's zero/one planes and row sets —
-// lives in a Scratch that a sync.Pool recycles across explorations. A
-// warm pool drives the data plane's allocs/op to the Result envelope
-// alone (the TestAllocsSteadyState* tests and the alloc-smoke CI gate pin
-// this), which is what keeps GC pause time out of the p99 under
-// sustained load.
+// the Fenwick tree over them, the window vector, conflict-set arenas,
+// packed bit-vectors, occurrence storage) and the postlude's zero/one
+// planes, row sets and rank — lives in a Scratch that a sync.Pool
+// recycles across explorations. A warm pool drives the data plane's
+// allocs/op to the Result envelope alone (the TestAllocsSteadyState*
+// tests and the alloc-smoke CI gate pin this), which is what keeps GC
+// pause time out of the p99 under sustained load.
 //
 // Ownership contract: everything a Scratch hands out (arena-backed
 // conflict sets, freelist bit-vectors, the pooled MRCT) is valid only
@@ -58,8 +58,9 @@ type Scratch struct {
 	last      []int32      // per id, the logical time of its last access (0 = cold)
 	slot      []int32      // per logical time, the id holding it (-1 once it moved on)
 	fen       []fenNode    // Fenwick tree over logical times 1..W
+	win       []uint64     // N′-bit window vector a first sighting is listed into
 	occBuf    []occurrence // backing storage m.occ[id] slices are carved from
-	i32       int32Arena   // sparse conflict-set storage
+	i32       int32Arena   // run-form conflict-set storage
 	bs        bitset.Arena // packed conflict-set storage
 	// chunks[j] builds chunk j of a chunked MRCT build; chunks[0] is this
 	// Scratch, the others are kept here so their buffers are reused too.
@@ -72,6 +73,7 @@ type Scratch struct {
 	setCursor int
 	dfsL      []*bitset.Set // per-level left/right children of the DFS —
 	dfsR      []*bitset.Set // one pair per level is live at a time
+	rank      bitset.Rank   // the row set accumulate counts runs against
 }
 
 // note records a trace dimension for pool classing.
@@ -114,7 +116,7 @@ func (sc *Scratch) dfsPairs(n int) (l, r []*bitset.Set) {
 	return l, r
 }
 
-// int32Arena carves []int32 runs (sorted sparse conflict sets) out of
+// int32Arena carves []int32 slices (the run form of conflict sets) out of
 // large reusable blocks, replacing the per-build arena slices of the old
 // MRCT construction.
 type int32Arena struct {
