@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"github.com/example/cachedse/internal/bitset"
+	"github.com/example/cachedse/internal/faultinject"
 	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/trace"
 )
@@ -210,8 +211,12 @@ func chunkCount(n int) int {
 }
 
 // buildMRCT builds the conflict table into m using sc's reusable buffers,
-// in chunkCount(N) chunks of the trace built side by side.
+// in chunkCount(N) chunks of the trace built side by side, behind the
+// core.mrct failpoint.
 func buildMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch, m *MRCT) error {
+	if err := faultinject.Hit("core.mrct"); err != nil {
+		return err
+	}
 	return buildMRCTChunks(ctx, s, sc, m, chunkCount(s.N()))
 }
 

@@ -42,8 +42,8 @@ func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.
 	// as the strip pass pulls references through, so kept/dropped totals
 	// are only final once the strip completes.
 	_, span := obs.StartSpan(ctx, "sample")
-	s, err := stripWithSpan(ctx, sc, func(s *trace.Stripped) (*trace.Stripped, error) {
-		return trace.StripReaderInto(filter, s)
+	s, err := stripWithSpan(ctx, func() (*trace.Stripped, error) {
+		return trace.StripReaderInto(filter, &sc.stripped)
 	})
 	if span != nil {
 		span.SetAttr("mode", sampling.ModeStream)

@@ -39,13 +39,13 @@ type Prelude struct {
 // needs against sc's pooled buffers (a Prelude source bypasses sc — its
 // structures are caller-owned and outlive the scratch).
 func resolveSource(ctx context.Context, src Source, sc *Scratch) (*trace.Stripped, *MRCT, error) {
+	var strip func() (*trace.Stripped, error)
 	switch v := src.(type) {
 	case *trace.Trace:
-		s, err := stripTrace(ctx, v, sc)
-		if err != nil {
-			return nil, nil, err
+		if v == nil {
+			return nil, nil, fmt.Errorf("core: Explore given a nil *trace.Trace")
 		}
-		return resolveSource(ctx, s, sc)
+		strip = func() (*trace.Stripped, error) { return trace.StripLines(v, 1, &sc.stripped) }
 	case *trace.Stripped:
 		if v == nil {
 			return nil, nil, fmt.Errorf("core: Explore given a nil *trace.Stripped")
@@ -61,47 +61,59 @@ func resolveSource(ctx context.Context, src Source, sc *Scratch) (*trace.Strippe
 		if v == nil {
 			return nil, nil, fmt.Errorf("core: Explore given a nil trace.RefReader")
 		}
-		s, err := stripWithSpan(ctx, sc, func(s *trace.Stripped) (*trace.Stripped, error) {
-			return trace.StripReaderInto(v, s)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return resolveSource(ctx, s, sc)
+		strip = func() (*trace.Stripped, error) { return trace.StripReaderInto(v, &sc.stripped) }
 	case nil:
 		return nil, nil, fmt.Errorf("core: Explore given a nil Source")
 	default:
 		return nil, nil, fmt.Errorf("core: unsupported Source type %T (want *trace.Trace, *trace.Stripped, core.Prelude, or trace.RefReader)", src)
 	}
-}
-
-// stripTrace strips an in-memory trace at one-word lines into sc's pooled
-// strip.
-func stripTrace(ctx context.Context, t *trace.Trace, sc *Scratch) (*trace.Stripped, error) {
-	if t == nil {
-		return nil, fmt.Errorf("core: Explore given a nil *trace.Trace")
+	// A trace or a stream is stripped at one-word lines into sc's pooled
+	// strip, and the strip explored.
+	s, err := stripWithSpan(ctx, strip)
+	if err != nil {
+		return nil, nil, err
 	}
-	return stripWithSpan(ctx, sc, func(s *trace.Stripped) (*trace.Stripped, error) {
-		return trace.StripLines(t, 1, s)
-	})
+	return resolveSource(ctx, s, sc)
 }
 
-// stripWithSpan runs one strip pass into sc's pooled strip inside a
-// "strip" span when ctx carries a recorder. The pass is a phase boundary
-// and carries the core.strip failpoint, as the MRCT build carries
-// core.mrct, so the chaos suite can fail an exploration between phases.
-// The pooled strip is valid until sc is reused.
-func stripWithSpan(ctx context.Context, sc *Scratch, strip func(*trace.Stripped) (*trace.Stripped, error)) (*trace.Stripped, error) {
+// BuildPrelude runs the prelude over a reference stream into structures
+// the caller owns, valid indefinitely, as BuildMRCTContext's table is. It
+// records a "prelude" span around Explore's strip and MRCT passes, with
+// their spans and failpoints. A fresh bytes-mode *trace.CTZ1Decoder is
+// decoded and stripped on every core, so a stored ctz1 image becomes a
+// Prelude with no *trace.Trace in between.
+func BuildPrelude(ctx context.Context, r trace.RefReader) (Prelude, error) {
+	ctx, span := obs.StartSpan(ctx, "prelude")
+	defer span.End()
+	s, err := stripWithSpan(ctx, func() (*trace.Stripped, error) {
+		return trace.StripReaderInto(r, nil)
+	})
+	if err != nil {
+		return Prelude{}, err
+	}
+	m, err := BuildMRCTContext(ctx, s)
+	if err != nil {
+		return Prelude{}, err
+	}
+	span.SetAttr("n", s.N())
+	span.SetAttr("n_unique", s.NUnique())
+	return Prelude{Stripped: s, MRCT: m}, nil
+}
+
+// stripWithSpan runs one strip pass inside a "strip" span when ctx
+// carries a recorder. The pass is a phase boundary and carries the
+// core.strip failpoint, as the MRCT build carries core.mrct, so the chaos
+// suite can fail an exploration between phases.
+func stripWithSpan(ctx context.Context, strip func() (*trace.Stripped, error)) (*trace.Stripped, error) {
 	if err := faultinject.Hit("core.strip"); err != nil {
 		return nil, err
 	}
 	_, span := obs.StartSpan(ctx, "strip")
-	s, err := strip(&sc.stripped)
+	s, err := strip()
 	if err != nil {
 		span.End()
 		return nil, err
 	}
-	sc.note(s.N())
 	if span != nil {
 		span.SetAttr("n", s.N())
 		span.SetAttr("n_unique", s.NUnique())
@@ -117,9 +129,6 @@ func stripWithSpan(ctx context.Context, sc *Scratch, strip func(*trace.Stripped)
 // buildPreludeMRCT finishes the prelude from a strip: the conflict table
 // is the pooled one, valid until sc is reused.
 func buildPreludeMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch) (*MRCT, error) {
-	if err := faultinject.Hit("core.mrct"); err != nil {
-		return nil, err
-	}
 	if err := buildMRCT(ctx, s, sc, &sc.mrct); err != nil {
 		return nil, err
 	}

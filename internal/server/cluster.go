@@ -12,7 +12,7 @@ import (
 
 	"github.com/example/cachedse/internal/cluster"
 	"github.com/example/cachedse/internal/obs"
-	"github.com/example/cachedse/internal/trace"
+	"github.com/example/cachedse/internal/tracestore"
 	"github.com/example/cachedse/pkg/client"
 )
 
@@ -247,16 +247,19 @@ func (s *Server) clusterFallback(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: key %q is not repairable from peers", key)
 	}
-	data, _, err := s.fetchObjectFromPeers(digest)
-	return data, err
+	e, err := s.fetchTraceFromPeers(digest)
+	if err != nil {
+		return nil, err
+	}
+	return e.image, nil
 }
 
-// fetchObjectFromPeers asks each owner peer of digest for its local copy
-// of the trace object, returning the first copy that decodes and hashes
-// back to the digest it claims to be. The peer serves its bytes without
-// consulting its own fallback, so two nodes missing the same object
-// terminate instead of ping-ponging.
-func (s *Server) fetchObjectFromPeers(digest string) ([]byte, *trace.Trace, error) {
+// fetchTraceFromPeers asks each owner peer of digest for its local copy
+// of the trace object, returning the entry admitImage makes of the first
+// copy that decodes and hashes back to the digest it claims to be. The
+// peer serves its bytes without consulting its own fallback, so two
+// nodes missing the same object terminate instead of ping-ponging.
+func (s *Server) fetchTraceFromPeers(digest string) (*TraceEntry, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), clusterFetchTimeout)
 	defer cancel()
 	path := "/v1/cluster/objects?key=" + url.QueryEscape(traceKeyPrefix+digest)
@@ -279,21 +282,14 @@ func (s *Server) fetchObjectFromPeers(digest string) ([]byte, *trace.Trace, erro
 			err = rerr
 			continue
 		}
-		tr, derr := trace.DecodeBytes(data, trace.Limits{
-			MaxRefs:  s.cfg.MaxRefs,
-			MaxBytes: s.cfg.MaxUploadBytes,
-		})
-		if derr != nil {
-			err = fmt.Errorf("cluster: peer %s copy of %q undecodable: %w", peer.ID, digest, derr)
+		e, aerr := s.admitImage(digest, data)
+		if aerr != nil {
+			err = fmt.Errorf("cluster: peer %s copy of %q: %w", peer.ID, digest, aerr)
 			continue
 		}
-		if got := TraceDigest(tr); got != digest {
-			err = fmt.Errorf("cluster: peer %s copy of %q hashes to %s", peer.ID, digest, got)
-			continue
-		}
-		return data, tr, nil
+		return e, nil
 	}
-	return nil, nil, err
+	return nil, err
 }
 
 // handleCluster reports the node's view of the topology: membership,
@@ -320,29 +316,28 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // handleClusterObject serves this node's local copy of one stored
 // object to a peer (the read-repair source). The read is strictly
 // local — no fallback, no forwarding — so repair traffic terminates
-// here. Traces the memory LRU holds but disk does not (persistence off,
-// or a failed persist) are re-encoded on the fly.
+// here. A trace the memory LRU holds is served as its held image, the
+// bytes -store persists; any other object comes from the local store.
 func (s *Server) handleClusterObject(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
 		httpError(w, http.StatusBadRequest, client.ErrBadRequest, "missing ?key=")
 		return
 	}
-	if s.persist != nil {
-		if data, err := s.persist.GetLocal(key); err == nil {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_, _ = w.Write(data)
-			return
-		}
-	}
+	var data []byte
+	err := tracestore.ErrNotFound
 	if digest, ok := strings.CutPrefix(key, traceKeyPrefix); ok {
 		if e, ok := s.store.Get(digest); ok {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			if err := trace.WriteCTZ1(w, e.Trace); err != nil {
-				s.cfg.Logger.WarnContext(r.Context(), "encoding trace for peer", "digest", digest, "err", err)
-			}
-			return
+			data, err = e.image, nil
 		}
 	}
-	httpError(w, http.StatusNotFound, client.ErrTraceNotFound, "no local copy of %q", key)
+	if err != nil && s.persist != nil {
+		data, err = s.persist.GetLocal(key)
+	}
+	if err != nil {
+		httpError(w, http.StatusNotFound, client.ErrTraceNotFound, "no local copy of %q", key)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(data)
 }

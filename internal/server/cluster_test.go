@@ -48,6 +48,13 @@ type testCluster struct {
 // its own persistent store, all sharing the same static membership.
 func startTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
+	return startCluster(t, n, true)
+}
+
+// startCluster is startTestCluster with the stores optional: without
+// them every node keeps its traces in memory only.
+func startCluster(t *testing.T, n int, persistent bool) *testCluster {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	peers := make([]cluster.Node, n)
 	for i := range lns {
@@ -60,12 +67,11 @@ func startTestCluster(t *testing.T, n int) *testCluster {
 	}
 	tc := &testCluster{t: t, peers: peers}
 	for i := range lns {
-		tc.nodes = append(tc.nodes, &clusterNode{
-			id:   peers[i].ID,
-			url:  peers[i].URL,
-			addr: lns[i].Addr().String(),
-			dir:  t.TempDir(),
-		})
+		nd := &clusterNode{id: peers[i].ID, url: peers[i].URL, addr: lns[i].Addr().String()}
+		if persistent {
+			nd.dir = t.TempDir()
+		}
+		tc.nodes = append(tc.nodes, nd)
 		tc.boot(i, lns[i])
 	}
 	t.Cleanup(func() {

@@ -30,25 +30,22 @@ func infoOf(e *TraceEntry) client.TraceInfo {
 		N:         e.Stats.N,
 		NUnique:   e.Stats.NUnique,
 		MaxMisses: e.Stats.MaxMisses,
-		AddrBits:  e.Trace.AddrBits(),
+		AddrBits:  e.AddrBits,
 		Kind:      e.Kind,
 		Uploaded:  e.Uploaded,
 	}
 }
 
-// handleUpload reads a .din or .ctr body through the size-limited
-// decoder and registers the trace under its content digest. Uploads are
-// idempotent: re-posting the same trace returns 200 with the existing
+// handleUpload decodes a .din, .ctr or ctz1 body under the size limits
+// and keeps a new trace under its content digest as a ctz1 image. Uploads
+// are idempotent: re-posting the same trace returns 200 with the existing
 // digest instead of 201. The body is buffered rather than streamed so a
 // cluster ingress can replay the exact bytes to each owner replica.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
 	var tr *trace.Trace
 	if err == nil {
-		tr, err = trace.Decode(bytes.NewReader(raw), trace.Limits{
-			MaxRefs:  s.cfg.MaxRefs,
-			MaxBytes: s.cfg.MaxUploadBytes,
-		})
+		tr, err = trace.DecodeBytes(raw, trace.Limits{MaxRefs: s.cfg.MaxRefs, MaxBytes: s.cfg.MaxUploadBytes})
 	}
 	var maxErr *http.MaxBytesError
 	var limErr *trace.LimitError
@@ -64,21 +61,23 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, client.ErrBadRequest, "empty trace")
 		return
 	}
-	if s.clusterIngress(r) && s.uploadWriteThrough(w, r, TraceDigest(tr), raw) {
+	digest := TraceDigest(tr)
+	if s.clusterIngress(r) && s.uploadWriteThrough(w, r, digest, raw) {
 		return
 	}
-	entry, existed := s.store.Add(tr)
+	entry, existed := s.store.Get(digest)
 	if !existed {
-		s.persistTrace(r.Context(), entry)
-	} else if s.persist != nil {
-		// A deduplicated upload may still need persisting: an earlier
-		// persistTrace can have failed (errors only degrade durability),
-		// or the trace may predate -store. The re-upload is the client's
-		// bytes in hand, so make the trace durable now.
-		if _, ok := s.persist.Stat(traceKeyPrefix + entry.Digest); !ok {
-			s.persistTrace(r.Context(), entry)
+		var image bytes.Buffer
+		if err := trace.WriteCTZ1(&image, tr); err != nil {
+			httpError(w, http.StatusInternalServerError, client.ErrInternal, "encoding trace: %v", err)
+			return
 		}
+		entry, existed = s.keepTrace(newTraceEntry(digest, tr, bytes.Clone(image.Bytes())))
 	}
+	// A deduplicated upload is persisted too: an earlier persistTrace can
+	// have failed (errors only degrade durability), or the trace may
+	// predate -store.
+	s.persistTrace(r.Context(), entry)
 	code := http.StatusCreated
 	if existed {
 		code = http.StatusOK
@@ -120,7 +119,7 @@ func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	cursor := q.Get("cursor")
 
-	entries := s.store.List()
+	entries := s.store.Values()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Digest < entries[j].Digest })
 	page := client.TracePage{Traces: make([]client.TraceInfo, 0, limit)}
 	for _, e := range entries {
@@ -379,7 +378,10 @@ func (q *exploreQuery) check(ctx context.Context, entry *TraceEntry, v any) (boo
 // span and fails on the first that misses more than k times.
 func verifyInstances(ctx context.Context, entry *TraceEntry, instances []core.Instance, k int) error {
 	_, span := obs.StartSpan(ctx, "verify")
-	err := dse.Verify(ctx, entry.Trace, instances, k)
+	tr, err := entry.decode()
+	if err == nil {
+		err = dse.Verify(ctx, tr, instances, k)
+	}
 	span.SetAttr("instances", len(instances))
 	span.SetAttr("ok", err == nil)
 	span.End()
@@ -442,7 +444,11 @@ func (q *simulateRequest) memo(digest string) (string, bool) {
 
 func (q *simulateRequest) compute(ctx context.Context, entry *TraceEntry) (any, error) {
 	_, span := obs.StartSpan(ctx, "simulate")
-	res, err := cache.Simulate(q.cfg, entry.Trace)
+	tr, err := entry.decode()
+	var res cache.Results
+	if err == nil {
+		res, err = cache.Simulate(q.cfg, tr)
+	}
 	span.SetAttr("config", fmt.Sprint(q.cfg))
 	span.End()
 	if err != nil {

@@ -49,21 +49,17 @@ func (e persistedResult) value() (any, error) {
 
 // warmStart reloads persisted traces and results into the in-memory
 // stores. Entries list oldest-first, so the newest end up most recently
-// used and LRU bounds evict the stalest state first. Damaged objects are
-// deleted and skipped — a corrupt entry costs a recompute, not a refusal
-// to boot.
+// used and LRU bounds evict the stalest state first; only the newest
+// MaxTraces traces, the ones the trace LRU keeps, are revived, and older
+// ones at their first lookup. Damaged objects are deleted and skipped — a
+// corrupt entry costs a recompute, not a refusal to boot.
 func (s *Server) warmStart() {
 	if s.persist == nil {
 		return
 	}
-	for _, e := range s.persist.List(traceKeyPrefix) {
-		tr, err := s.loadPersistedTrace(e.Key)
-		if err != nil {
-			s.cfg.Logger.Warn("dropping persisted entry", "key", e.Key, "err", err)
-			_, _ = s.persist.Delete(e.Key)
-			continue
-		}
-		s.store.Add(tr)
+	traces := s.persist.List(traceKeyPrefix)
+	for _, e := range traces[max(0, len(traces)-s.cfg.MaxTraces):] {
+		s.lookupTrace(strings.TrimPrefix(e.Key, traceKeyPrefix))
 	}
 	for _, e := range s.persist.List(resultKeyPrefix) {
 		key := strings.TrimPrefix(e.Key, resultKeyPrefix)
@@ -81,20 +77,19 @@ func (s *Server) warmStart() {
 	}
 }
 
-// persistTrace writes an uploaded trace through to disk as ctz1. Failures
-// degrade durability, not availability: the upload already succeeded in
-// memory, so errors are logged and the request proceeds.
+// persistTrace writes a stored trace's ctz1 image through to disk unless
+// the store holds it already. Failures degrade durability, not
+// availability: the upload already succeeded in memory, so errors are
+// logged and the request proceeds.
 func (s *Server) persistTrace(ctx context.Context, entry *TraceEntry) {
 	if s.persist == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteCTZ1(&buf, entry.Trace); err != nil {
-		s.cfg.Logger.ErrorContext(ctx, "encoding trace for persistence",
-			"digest", entry.Digest, "err", err)
+	key := traceKeyPrefix + entry.Digest
+	if _, ok := s.persist.Stat(key); ok {
 		return
 	}
-	if _, err := s.persist.PutContext(ctx, traceKeyPrefix+entry.Digest, &buf); err != nil {
+	if _, err := s.persist.PutContext(ctx, key, bytes.NewReader(entry.image)); err != nil {
 		s.cfg.Logger.ErrorContext(ctx, "persisting trace",
 			"digest", entry.Digest, "err", err)
 	}
@@ -127,8 +122,8 @@ func (s *Server) persistResult(ctx context.Context, key string, v any) {
 }
 
 // lookupTrace finds a trace in memory, falling back to the persistent
-// store for entries the MaxTraces LRU evicted: the ctz1 bytes are
-// re-decoded and re-promoted into the LRU, so anything durable stays
+// store for entries the MaxTraces LRU evicted: the stored image is
+// admitted and re-promoted into the LRU, so anything durable stays
 // servable — disk is the trace cache's backing tier, exactly as it is for
 // results via loadResult.
 func (s *Server) lookupTrace(digest string) (*TraceEntry, bool) {
@@ -144,15 +139,19 @@ func (s *Server) lookupTrace(digest string) (*TraceEntry, bool) {
 		if s.peers == nil {
 			return nil, false
 		}
-		_, tr, err := s.fetchObjectFromPeers(digest)
+		e, err := s.fetchTraceFromPeers(digest)
 		if err != nil {
 			return nil, false
 		}
 		s.memRepairs.Add(1)
-		e, _ := s.store.Add(tr)
+		e, _ = s.keepTrace(e)
 		return e, true
 	}
-	tr, err := s.loadPersistedTrace(traceKeyPrefix + digest)
+	data, err := s.persist.Get(traceKeyPrefix + digest)
+	var e *TraceEntry
+	if err == nil {
+		e, err = s.admitImage(digest, data)
+	}
 	if err != nil {
 		if !errors.Is(err, tracestore.ErrNotFound) {
 			s.cfg.Logger.Warn("dropping undecodable entry", "key", traceKeyPrefix+digest, "err", err)
@@ -160,25 +159,28 @@ func (s *Server) lookupTrace(digest string) (*TraceEntry, bool) {
 		}
 		return nil, false
 	}
-	e, _ := s.store.Add(tr)
+	e, _ = s.keepTrace(e)
 	return e, true
 }
 
-// loadPersistedTrace reads one persisted trace with Get — digest-verified,
-// read-repaired from a replica on a miss or a corrupt object — and
-// decodes the ctz1 bytes in place (DecodeBytes parses block payloads
-// zero-copy, in parallel, into one exactly-sized trace), so reviving an
-// evicted trace holds its stored bytes, about one per reference, only
-// while the decoded references are built.
-func (s *Server) loadPersistedTrace(key string) (*trace.Trace, error) {
-	data, err := s.persist.Get(key)
+// admitImage makes the entry for a ctz1 image read back from the store or
+// a peer, which should hold the trace digest names. It decodes the image
+// once, in parallel, to check it and derive the entry's statistics, and
+// keeps the image as read.
+func (s *Server) admitImage(digest string, image []byte) (*TraceEntry, error) {
+	lim := trace.Limits{MaxRefs: s.cfg.MaxRefs, MaxBytes: s.cfg.MaxUploadBytes}
+	// The prelude strips the image as ctz1, so no other format is held.
+	if _, err := trace.NewCTZ1BytesDecoder(image, lim); err != nil {
+		return nil, err
+	}
+	tr, err := trace.DecodeBytes(image, lim)
 	if err != nil {
 		return nil, err
 	}
-	return trace.DecodeBytes(data, trace.Limits{
-		MaxRefs:  s.cfg.MaxRefs,
-		MaxBytes: s.cfg.MaxUploadBytes,
-	})
+	if got := TraceDigest(tr); got != digest {
+		return nil, fmt.Errorf("image of trace %q hashes to %s", digest, got)
+	}
+	return newTraceEntry(digest, tr, image), nil
 }
 
 // loadResult reads back a result the LRU evicted but disk still holds.

@@ -117,7 +117,7 @@ func (c Config) withDefaults() Config {
 // Server is the cache-DSE exploration service.
 type Server struct {
 	cfg     Config
-	store   *TraceStore
+	store   *lru[*TraceEntry]
 	results *lru[any]
 	queue   *Queue
 	reg     *Registry
@@ -155,7 +155,7 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		store:   NewTraceStore(cfg.MaxTraces),
+		store:   newLRU[*TraceEntry](cfg.MaxTraces),
 		results: newLRU[any](cfg.CacheEntries),
 		queue:   NewQueue(cfg.Workers, cfg.QueueDepth, cfg.JobTimeout, 4*cfg.QueueDepth),
 		reg:     NewRegistry(),

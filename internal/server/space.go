@@ -96,7 +96,11 @@ func (q *spaceQuery) memo(digest string) (string, bool) {
 func (q *spaceQuery) compute(ctx context.Context, entry *TraceEntry) (any, error) {
 	obs.CurrentSpan(ctx).SetAttr("space", q.space.Key())
 	spaceCtx, span := obs.StartSpan(ctx, "space")
-	front, err := dse.ExploreSpace(spaceCtx, entry.Trace, q.space, dse.SpaceOptions{})
+	tr, err := entry.decode()
+	var front *core.Front
+	if err == nil {
+		front, err = dse.ExploreSpace(spaceCtx, tr, q.space, dse.SpaceOptions{})
+	}
 	if front != nil {
 		span.SetAttr("points", front.Len())
 		span.SetAttr("evaluated", front.Stats.Evaluated)

@@ -9,59 +9,69 @@ import (
 	"time"
 
 	"github.com/example/cachedse/internal/core"
-	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/trace"
 )
 
-// TraceEntry is one uploaded trace: its content digest, the decoded
-// references, the Table 5/6 statistics, and the lazily built, memoized
-// prelude structures (stripped trace + MRCT) every exploration of the
-// trace shares. The prelude is the expensive half of the paper's
+// TraceEntry is one stored trace, held as its ctz1 image alone (about one
+// byte per reference on the paper's streams, against eight decoded), with
+// its digest and the figures newTraceEntry derives, and the lazily built,
+// memoized prelude structures (stripped trace + MRCT) every exploration
+// of the trace shares. The prelude is the expensive half of the paper's
 // algorithm; memoizing it is what makes repeated (D, A) queries at
 // different budgets cheap.
 type TraceEntry struct {
 	Digest   string
-	Trace    *trace.Trace
 	Stats    trace.Stats
 	Kind     string // "instr", "data" or "mixed" (see classifyTrace)
+	AddrBits int
 	Uploaded time.Time
+
+	image []byte // never modified
 
 	mu       sync.Mutex
 	stripped *trace.Stripped
 	mrct     *core.MRCT
 }
 
+// newTraceEntry makes the entry for trace t, whose digest is digest and
+// whose ctz1 image is image. The entry keeps the image, not t.
+func newTraceEntry(digest string, t *trace.Trace, image []byte) *TraceEntry {
+	return &TraceEntry{
+		Digest:   digest,
+		Stats:    trace.ComputeStats(t),
+		Kind:     classifyTrace(t),
+		AddrBits: t.AddrBits(),
+		Uploaded: time.Now(),
+		image:    image,
+	}
+}
+
+// decode returns the trace's references, decoded in parallel from the
+// image, for one simulate, verify or space job to hold while it runs.
+func (e *TraceEntry) decode() (*trace.Trace, error) {
+	return trace.DecodeBytes(e.image, trace.Limits{})
+}
+
 // Prelude returns the stripped trace and conflict table, building them on
 // first use. Concurrent callers for the same trace serialize so the work
-// happens once; only successful builds are memoized, so a cancelled
-// builder fails just its own request. A build records a "prelude" span
-// with "strip" and "mrct" children; a memoized return records nothing —
-// the job paid nothing, so its trace shows nothing.
+// happens once; only successful builds are memoized, so a cancelled or
+// failed builder fails just its own request. The build strips the image
+// as it decodes it (core.BuildPrelude) and records the engine's "prelude"
+// span, with "strip" and "mrct" children; a memoized return records
+// nothing — the job paid nothing, so its trace shows nothing.
 func (e *TraceEntry) Prelude(ctx context.Context) (*trace.Stripped, *core.MRCT, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.mrct == nil {
-		pctx, span := obs.StartSpan(ctx, "prelude")
-		_, sspan := obs.StartSpan(pctx, "strip")
-		s, err := trace.StripLines(e.Trace, 1, nil)
+		d, err := trace.NewCTZ1BytesDecoder(e.image, trace.Limits{})
+		var p core.Prelude
+		if err == nil {
+			p, err = core.BuildPrelude(ctx, d)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		if sspan != nil {
-			sspan.SetAttr("n", s.N())
-			sspan.SetAttr("n_unique", s.NUnique())
-			sspan.End()
-		}
-		m, err := core.BuildMRCTContext(pctx, s)
-		if err != nil {
-			return nil, nil, err
-		}
-		if span != nil {
-			span.SetAttr("n", s.N())
-			span.SetAttr("n_unique", s.NUnique())
-			span.End()
-		}
-		e.stripped, e.mrct = s, m
+		e.stripped, e.mrct = p.Stripped, p.MRCT
 	}
 	return e.stripped, e.mrct, nil
 }
@@ -107,41 +117,9 @@ func TraceDigest(t *trace.Trace) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// TraceStore holds uploaded traces by digest with LRU eviction past a
-// configured bound, so a long-lived daemon cannot accumulate traces
-// without limit.
-type TraceStore struct {
-	lru *lru[*TraceEntry]
+// keepTrace stores e in the trace LRU unless its digest has an entry
+// already, returning the stored entry and whether it was there: uploads
+// are idempotent by content, and racing arrivals share one prelude.
+func (s *Server) keepTrace(e *TraceEntry) (*TraceEntry, bool) {
+	return s.store.GetOrPut(e.Digest, func() *TraceEntry { return e })
 }
-
-// NewTraceStore returns a store retaining at most max traces (minimum 1).
-func NewTraceStore(max int) *TraceStore {
-	return &TraceStore{lru: newLRU[*TraceEntry](max)}
-}
-
-// Add registers a trace, returning its entry and whether it was already
-// present (uploads are idempotent by content).
-func (s *TraceStore) Add(t *trace.Trace) (entry *TraceEntry, existed bool) {
-	digest := TraceDigest(t)
-	return s.lru.GetOrPut(digest, func() *TraceEntry {
-		return &TraceEntry{
-			Digest:   digest,
-			Trace:    t,
-			Stats:    trace.ComputeStats(t),
-			Kind:     classifyTrace(t),
-			Uploaded: time.Now(),
-		}
-	})
-}
-
-// Get returns the entry for digest, marking it most recently used.
-func (s *TraceStore) Get(digest string) (*TraceEntry, bool) { return s.lru.Get(digest) }
-
-// Remove deletes the entry for digest, reporting whether it existed.
-func (s *TraceStore) Remove(digest string) bool { return s.lru.Remove(digest) }
-
-// List returns every entry, most recently used first.
-func (s *TraceStore) List() []*TraceEntry { return s.lru.Values() }
-
-// Len returns the number of stored traces.
-func (s *TraceStore) Len() int { return s.lru.Len() }

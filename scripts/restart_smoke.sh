@@ -4,9 +4,11 @@
 # Builds the CLI, starts the service against a fresh store directory,
 # uploads a trace and runs an exploration, then kills the server and starts
 # a new instance over the same directory. The restarted server must still
-# serve the trace by digest and answer the same exploration as a cache hit
-# ("cached": true) without recomputing. CI runs this as its own job; it is
-# equally runnable locally.
+# serve the trace by digest with the same statistics, and answer the same
+# exploration as a cache hit ("cached": true) without recomputing. A space
+# explore and a verify are not persisted, so after the restart both
+# recompute from the revived trace, and must give the same answers. CI
+# runs this as its own job; it is equally runnable locally.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,12 +61,32 @@ explore1=$(curl -sf -X POST -d "{\"trace\":\"$digest\",\"k\":50}" "$base/v1/expl
 echo "$explore1" | grep -q '"cached": false' ||
   { echo "restart_smoke: first explore unexpectedly cached" >&2; exit 1; }
 
+# The trace's statistics, and the answers that are recomputed, not
+# persisted: a space explore and a verify.
+info() {
+  curl -sf "$base/v1/traces/$digest" |
+    grep -E '^  "(n|n_unique|max_misses|addr_bits|kind)":' ||
+    { echo "restart_smoke: GET trace $digest failed" >&2; exit 1; }
+}
+space_req="{\"trace\":\"$digest\",\"space\":{\"topology\":\"unified\",\"l1\":{\"max_depth\":64,\"max_assoc\":4,\"policies\":[\"lru\",\"fifo\",\"plru\"]}}}"
+verify_req="{\"trace\":\"$digest\",\"k\":50,\"instances\":[{\"depth\":64,\"assoc\":4},{\"depth\":128,\"assoc\":2}]}"
+recomputed() {
+  curl -sf -X POST -d "$space_req" "$base/v1/explore" | sed 's/"cached": [a-z]*/"cached": X/'
+  curl -sf -X POST -d "$verify_req" "$base/v1/verify"
+}
+info1=$(info)
+recomputed1=$(recomputed)
+echo "$recomputed1" | grep -q '"pareto"' ||
+  { echo "restart_smoke: space explore returned no front" >&2; exit 1; }
+
 stop_server
 echo "restart_smoke: server stopped, restarting over $tmp/store"
 start_server
 
 curl -sf "$base/v1/traces/$digest" > /dev/null ||
   { echo "restart_smoke: trace $digest lost across restart" >&2; exit 1; }
+[ "$(info)" = "$info1" ] ||
+  { echo "restart_smoke: trace statistics differ across restart" >&2; exit 1; }
 
 explore2=$(curl -sf -X POST -d "{\"trace\":\"$digest\",\"k\":50}" "$base/v1/explore")
 echo "$explore2" | grep -q '"cached": true' ||
@@ -75,7 +97,9 @@ tab1=$(echo "$explore1" | sed 's/"cached": false/"cached": X/')
 tab2=$(echo "$explore2" | sed 's/"cached": true/"cached": X/')
 [ "$tab1" = "$tab2" ] ||
   { echo "restart_smoke: explore answers differ across restart" >&2; exit 1; }
+[ "$(recomputed)" = "$recomputed1" ] ||
+  { echo "restart_smoke: space or verify answers differ across restart" >&2; exit 1; }
 
 stop_server
 
-echo "restart_smoke: OK — trace and cached result survived the restart"
+echo "restart_smoke: OK — trace, cached result and recomputed answers survived the restart"
